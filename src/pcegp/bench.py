@@ -19,11 +19,10 @@ import time
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import cho_solve
 
 from .data import Dataset, apply_scaler, fit_scaler, load_csv, make_folds
-from .gp import fit_precompute, predict_batch
-from .kernels import KernelForm, ladder_cholesky
+from .gp import _likelihood_core, fit_precompute, predict_batch
+from .kernels import KernelForm
 from .optim import AdamState, SearchSpace, adam_step, run_search
 from .poly import Basis
 
@@ -247,33 +246,38 @@ def run_benchmark(
 # stationary baseline
 # ---------------------------------------------------------------------------
 
-def _ard_neg_mll_and_grad(log_params, sq_diffs, y):
+def _ard_neg_mll_and_grad(log_params, sq_diffs, y, gradient=True):
     """Negative MLL and gradient for the per-dimension stationary kernel.
 
     `log_params` is [log l_1..log l_d, log s2, log sn2]; `sq_diffs` is the
     (d, N, N) tensor of per-dimension squared coordinate differences.
+    Returns (negative MLL, its gradient, Cholesky factor, K^-1 y); with
+    `gradient=False` the gradient is None and K^-1 is never formed.
     """
     d = sq_diffs.shape[0]
     inv_l2 = np.exp(-2.0 * log_params[:d])
     s2 = np.exp(log_params[d])
     sn2 = np.exp(log_params[d + 1])
 
-    scaled = np.tensordot(inv_l2, sq_diffs, axes=1)  # sum_d diff_d^2 / l_d^2
-    k0 = s2 * np.exp(-0.5 * scaled)
-    k = k0 + sn2 * np.eye(y.size)
-    gram = ladder_cholesky(k, "ard squared_exponential baseline")
-    alpha = cho_solve((gram.chol, True), y)
-    logdet = 2.0 * float(np.sum(np.log(np.diag(gram.chol))))
-    neg = 0.5 * float(y @ alpha) + 0.5 * logdet + 0.5 * y.size * np.log(2.0 * np.pi)
+    k0 = np.tensordot(inv_l2, sq_diffs, axes=1)  # sum_d diff_d^2 / l_d^2
+    k0 *= -0.5
+    np.exp(k0, out=k0)
+    k0 *= s2
+    k = k0.copy()
+    k[np.diag_indices_from(k)] += sn2
+    fit = _likelihood_core(k, y, "ard squared_exponential baseline", gradient)
+    del k
+    if not gradient:
+        return -fit.value, None, fit.chol, fit.alpha
 
-    a = np.outer(alpha, alpha) - cho_solve((gram.chol, True), np.eye(y.size))
-    ak0 = a * k0
+    ak0 = fit.a
+    trace_a = float(np.trace(ak0))
+    ak0 *= k0
     grad = np.empty(d + 2)
-    for j in range(d):
-        grad[j] = 0.5 * float(np.sum(ak0 * sq_diffs[j])) * inv_l2[j]
+    grad[:d] = 0.5 * np.tensordot(sq_diffs, ak0, axes=2) * inv_l2
     grad[d] = 0.5 * float(np.sum(ak0))
-    grad[d + 1] = 0.5 * sn2 * float(np.trace(a))
-    return neg, -grad, gram, alpha  # gradient of the NEGATIVE mll
+    grad[d + 1] = 0.5 * sn2 * trace_a
+    return -fit.value, -grad, fit.chol, fit.alpha  # gradient of the NEGATIVE mll
 
 
 def _fit_ard_baseline(x_s, y_s, n_iterations, step_size=0.05,
@@ -286,8 +290,8 @@ def _fit_ard_baseline(x_s, y_s, n_iterations, step_size=0.05,
     baseline an honest stationary reference.
     """
     d = x_s.shape[1]
-    diffs = x_s.T[:, :, None] - x_s.T[:, None, :]
-    sq_diffs = diffs * diffs
+    sq_diffs = x_s.T[:, :, None] - x_s.T[:, None, :]
+    np.square(sq_diffs, out=sq_diffs)
     best = None
     for l0 in lengthscale_inits:
         log_params = np.concatenate([np.full(d, np.log(l0)), [0.0, np.log(0.1)]])
@@ -295,9 +299,11 @@ def _fit_ard_baseline(x_s, y_s, n_iterations, step_size=0.05,
         for _ in range(n_iterations):
             _, g, _, _ = _ard_neg_mll_and_grad(log_params, sq_diffs, y_s)
             state, log_params = adam_step(state, log_params, g)
-        neg, _, gram, alpha = _ard_neg_mll_and_grad(log_params, sq_diffs, y_s)
+        neg, _, chol, alpha = _ard_neg_mll_and_grad(
+            log_params, sq_diffs, y_s, gradient=False
+        )
         if best is None or neg < best[3]:
-            best = (log_params, gram, alpha, neg)
+            best = (log_params, chol, alpha, neg)
     return best
 
 

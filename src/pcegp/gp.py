@@ -1,10 +1,13 @@
 """Exact GP inference: marginal log likelihood, its gradient, prediction.
 
-Everything runs off one Cholesky factorization of the noisy Gram. The
-likelihood gradient is analytic: every kernel entry is a function of the
-pairwise squared distances of warped points, and the warp is linear in
-the expansion coefficients, so the chain rule reduces to one pairwise
-derivative matrix per kernel plus a rank-structured contraction. The
+Everything runs off one Cholesky factorization of the noisy Gram: the
+likelihood value, the target solve and, for the gradient, the explicit
+inverse, which LAPACK forms from the factor (dpotri) rather than by
+solving against the identity. The likelihood gradient is analytic: every
+kernel entry is a function of the pairwise squared distances of warped
+points, and the warp is linear in the expansion coefficients, so the
+chain rule reduces to one pairwise derivative matrix per kernel, taken
+from the kernel values themselves, plus a rank-structured contraction. The
 public contract for the gradient is agreement with central finite
 differences; the analytic path is an implementation choice for speed.
 
@@ -19,8 +22,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.linalg import cho_solve, solve_triangular
+from scipy.linalg.lapack import dpotri
 
-from .data import ScalerState, apply_scaler, inverse_scale_prediction
+from .data import ScalerState, apply_scaler
 from .hyper import (
     NoiseField,
     eval_noise_batch,
@@ -32,12 +36,16 @@ from .hyper import (
 from .kernels import (
     KernelStack,
     cross_matrix,
-    form_sqdist_derivative,
-    gram_parts,
     ladder_cholesky,
+    noisy_gram,
+    sqdist_derivative_from_values,
 )
 
 LOG_2PI = float(np.log(2.0 * np.pi))
+
+# rows per block when sweeping an N x N matrix in place; bounds temporaries
+# to _BLOCK x N
+_BLOCK = 128
 
 
 @dataclass(frozen=True)
@@ -72,61 +80,133 @@ class Prediction:
     variance: float
 
 
-def _factorized_gram(stack: KernelStack, noise: NoiseField, x_scaled):
-    pts = np.asarray(x_scaled, dtype=float)
-    parts = gram_parts(stack, pts)
-    k = sum(p[4] for p in parts)
-    k[np.diag_indices_from(k)] += eval_noise_batch(noise, pts)
-    return parts, ladder_cholesky(k, stack.describe())
+@dataclass(frozen=True)
+class LikelihoodFit:
+    """One factorization of the noisy Gram and what the likelihood takes from it."""
+
+    value: float  # marginal log likelihood
+    chol: np.ndarray  # lower factor of K plus `jitter_used` on the diagonal
+    jitter_used: float
+    alpha: np.ndarray  # K^-1 y
+    a: np.ndarray | None = None  # alpha alpha^T - K^-1, when a gradient is wanted
+
+
+def _chol_inverse(chol: np.ndarray) -> np.ndarray:
+    """K^-1 from the lower Cholesky factor of K, exactly symmetric.
+
+    LAPACK dpotri fills one triangle; the other is mirrored in place, so
+    no N x N temporary is made beyond the result itself.
+    """
+    # chol.T is the upper factor in Fortran order, so LAPACK reads it as is;
+    # the upper triangle it fills is the lower triangle of the C-order view
+    upper, info = dpotri(chol.T, lower=0)
+    if info != 0:
+        raise np.linalg.LinAlgError(f"dpotri failed with info {info}")
+    inv = upper.T
+    n = inv.shape[0]
+    for s in range(0, n, _BLOCK):
+        e = min(n, s + _BLOCK)
+        inv[s:e, e:] = inv[e:, s:e].T
+        block = inv[s:e, s:e]
+        iu = np.triu_indices(e - s, 1)
+        block[iu] = block.T[iu]
+    return inv
+
+
+def _likelihood_core(k: np.ndarray, y: np.ndarray, context: str, gradient=False):
+    """Marginal likelihood of y under the assembled covariance K.
+
+    Factorizes K once through the jitter ladder; with `gradient`, also
+    forms A = alpha alpha^T - K^-1, so that dMLL = 0.5 tr(A dK) for any
+    parameter of K (Rasmussen & Williams 2006, eq. 5.9). Every likelihood
+    in the package, the stationary baseline's included, runs through here.
+    """
+    gram = ladder_cholesky(k, context)
+    alpha = cho_solve((gram.chol, True), y)
+    logdet = 2.0 * float(np.sum(np.log(np.diag(gram.chol))))
+    value = float(-0.5 * y @ alpha - 0.5 * logdet - 0.5 * y.size * LOG_2PI)
+    a = None
+    if gradient:
+        a = _chol_inverse(gram.chol)
+        for s in range(0, y.size, _BLOCK):
+            rows = a[s : s + _BLOCK]
+            np.subtract(np.outer(alpha[s : s + _BLOCK], alpha), rows, out=rows)
+    # K itself is not kept: a fit can outlive the step that made it
+    return LikelihoodFit(value, gram.chol, gram.jitter_used, alpha, a)
+
+
+def fit_likelihood(stack: KernelStack, noise: NoiseField, x_scaled, y_scaled):
+    """Value-only likelihood fit: the MLL plus the factor and target solve."""
+    y = np.asarray(y_scaled, dtype=float).ravel()
+    _, k = noisy_gram(stack, noise, x_scaled)
+    return _likelihood_core(k, y, stack.describe())
 
 
 def mll(stack: KernelStack, noise: NoiseField, x_scaled, y_scaled) -> float:
     """Marginal log likelihood of the scaled targets under the stack."""
-    y = np.asarray(y_scaled, dtype=float).ravel()
-    _, gram = _factorized_gram(stack, noise, x_scaled)
-    alpha = cho_solve((gram.chol, True), y)
-    logdet = 2.0 * float(np.sum(np.log(np.diag(gram.chol))))
-    return float(-0.5 * y @ alpha - 0.5 * logdet - 0.5 * y.size * LOG_2PI)
+    return fit_likelihood(stack, noise, x_scaled, y_scaled).value
 
 
-def mll_gradient(stack: KernelStack, noise: NoiseField, x_scaled, y_scaled):
+def gradient_sensitivities(stack: KernelStack, noise: NoiseField, x_scaled):
+    """The coefficient sensitivities `mll_gradient` contracts against.
+
+    They depend on the points and on each field's bases and degrees, never
+    on the coefficients, so an optimizer moving only coefficients computes
+    them once. Entries with the same bases and degrees share one tensor.
+    Returns (one lengthscale tensor per stack entry, noise matrix or None).
+    """
+    pts = np.asarray(x_scaled, dtype=float)
+    by_layout: dict = {}
+    per_entry = []
+    for _, _, ls_field in stack.entries:
+        layout = tuple((kind, c.size) for kind, c in ls_field.terms)
+        if layout not in by_layout:
+            by_layout[layout] = lengthscale_sensitivity(ls_field, pts)
+        per_entry.append(by_layout[layout])
+    noise_sens = noise_sensitivity(noise, pts) if noise.mode == "pce" else None
+    return tuple(per_entry), noise_sens
+
+
+def mll_gradient(
+    stack: KernelStack, noise: NoiseField, x_scaled, y_scaled, sensitivities=None
+):
     """Gradient of the marginal log likelihood over the free parameters.
 
     Parameter order: the lengthscale coefficients of each stack entry in
     order, then the noise coefficients when the noise is an expansion,
     then each entry's squared output scale. Matches central finite
     differences within 1e-4 relative error (the public contract).
+    `sensitivities` is `gradient_sensitivities` for the same points and
+    field layouts; it is computed here when not given.
     """
     pts = np.asarray(x_scaled, dtype=float)
     y = np.asarray(y_scaled, dtype=float).ravel()
-    parts, gram = _factorized_gram(stack, noise, pts)
-
-    alpha = cho_solve((gram.chol, True), y)
-    k_inv = cho_solve((gram.chol, True), np.eye(y.size))
-    a = np.outer(alpha, alpha) - k_inv  # dMLL = 0.5 tr(a dK)
+    if sensitivities is None:
+        sensitivities = gradient_sensitivities(stack, noise, pts)
+    ls_sens, noise_sens = sensitivities
+    parts, k = noisy_gram(stack, noise, pts)
+    # dMLL = 0.5 tr(a dK); K itself is not needed past its factorization
+    a = _likelihood_core(k, y, stack.describe(), gradient=True).a
+    del k
 
     blocks = []
-    for (form, scale, ls_field), (_, _, w, d2, k_part) in zip(stack.entries, parts):
-        e = form_sqdist_derivative(form, scale, d2)
-        t = a * e
+    scale_grad = []
+    for (form, scale, _), (_, _, w, d2, k_part), sens in zip(
+        stack.entries, parts, ls_sens
+    ):
+        scale_grad.append(0.5 * float(np.vdot(a, k_part)) / (scale * scale))
+        t = sqdist_derivative_from_values(form, d2, k_part)
+        t *= a
         r = t.sum(axis=1)[:, None] * w - t @ w
-        sens = lengthscale_sensitivity(ls_field, pts)  # (M, n_x, N)
         blocks.append(2.0 * np.tensordot(sens, (r * pts).T, axes=([1, 2], [0, 1])))
 
     if noise.mode == "pce":
-        sens = noise_sensitivity(noise, pts)  # (M, N)
-        raw = sens.T @ np.concatenate([c for _, c in noise.terms])
+        raw = noise_sens.T @ np.concatenate([c for _, c in noise.terms])
         active = raw > noise.floor  # clamped points contribute no gradient
         diag_a = np.diag(a) * active
-        blocks.append(0.5 * sens @ diag_a)
+        blocks.append(0.5 * noise_sens @ diag_a)
 
-    scale_grad = np.array(
-        [
-            0.5 * float(np.sum(a * k_part)) / (scale * scale)
-            for (_, scale, _), (_, _, _, _, k_part) in zip(stack.entries, parts)
-        ]
-    )
-    blocks.append(scale_grad)
+    blocks.append(np.array(scale_grad))
     return np.concatenate(blocks)
 
 
@@ -198,8 +278,29 @@ def fit_precompute(
 
     x_s = apply_scaler(input_scaler, x)
     y_s = (y - output_scaler.loc[0]) / output_scaler.scale[0]
-    _, gram = _factorized_gram(stack, noise, x_s)
-    alpha = cho_solve((gram.chol, True), y_s)
+    return model_from_fit(stack, noise, input_scaler, output_scaler, x_s, y_s, meta)
+
+
+def model_from_fit(
+    stack: KernelStack,
+    noise: NoiseField,
+    input_scaler: ScalerState,
+    output_scaler: ScalerState,
+    x_scaled,
+    y_scaled,
+    meta: dict | None = None,
+    fit: LikelihoodFit | None = None,
+) -> PcegpModel:
+    """Model over already-scaled training data.
+
+    `fit` is a `fit_likelihood` result for exactly this stack, noise and
+    data, such as the closing likelihood of an optimizer; the Gram is
+    factorized here only when it is not given.
+    """
+    x_s = np.asarray(x_scaled, dtype=float)
+    y_s = np.asarray(y_scaled, dtype=float).ravel()
+    if fit is None:
+        fit = fit_likelihood(stack, noise, x_s, y_s)
     return PcegpModel(
         stack=stack,
         noise=noise,
@@ -207,9 +308,9 @@ def fit_precompute(
         output_scaler=output_scaler,
         x_scaled=x_s,
         y_scaled=y_s,
-        chol=gram.chol,
-        alpha_solve=alpha,
-        jitter_used=gram.jitter_used,
+        chol=fit.chol,
+        alpha_solve=fit.alpha,
+        jitter_used=fit.jitter_used,
         meta=dict(meta or {}),
     )
 

@@ -110,19 +110,37 @@ class GramResult:
 # form evaluation on squared distances
 # ---------------------------------------------------------------------------
 
-def form_from_sqdist(form: KernelForm, scale: float, sqdist):
-    """Evaluate a form on squared distances; scale enters as scale**2."""
+def form_from_sqdist(form: KernelForm, scale: float, sqdist, out=None):
+    """Evaluate a form on squared distances; scale enters as scale**2.
+
+    `out`, when given, receives the values and may be `sqdist` itself;
+    the arithmetic is the same either way, so are the bits.
+    """
     d2 = np.asarray(sqdist, dtype=float)
+    if out is None:
+        out = np.empty_like(d2)
     s2 = scale * scale
     if form.tag == "squared_exponential":
-        return s2 * np.exp(-0.5 * d2)
-    if form.tag == "absolute_exponential":
-        return s2 * np.exp(-np.sqrt(d2))
-    if form.tag == "matern_3_2":
-        d = np.sqrt(3.0 * d2)
-        return s2 * (1.0 + d) * np.exp(-d)
-    a = form.shape
-    return s2 * (1.0 + d2 / (2.0 * a)) ** (-a)
+        np.multiply(d2, -0.5, out=out)
+        np.exp(out, out=out)
+    elif form.tag == "absolute_exponential":
+        np.sqrt(d2, out=out)
+        np.negative(out, out=out)
+        np.exp(out, out=out)
+    elif form.tag == "matern_3_2":
+        np.multiply(d2, 3.0, out=out)
+        np.sqrt(out, out=out)  # d
+        decay = np.exp(-out)
+        out += 1.0
+        out *= s2  # (s2 (1 + d)) exp(-d), the closed form's own order
+        out *= decay
+        return out
+    else:
+        np.divide(d2, 2.0 * form.shape, out=out)
+        out += 1.0
+        np.power(out, -form.shape, out=out)
+    out *= s2
+    return out
 
 
 def form_sqdist_derivative(form: KernelForm, scale: float, sqdist):
@@ -146,6 +164,37 @@ def form_sqdist_derivative(form: KernelForm, scale: float, sqdist):
         return -1.5 * s2 * np.exp(-np.sqrt(3.0 * d2))
     a = form.shape
     return -0.5 * s2 * (1.0 + d2 / (2.0 * a)) ** (-a - 1.0)
+
+
+def sqdist_derivative_from_values(form: KernelForm, sqdist, values):
+    """d(form)/d(squared distance) from the form's own values.
+
+    Equal to `form_sqdist_derivative` but reuses the component matrix that
+    Gram assembly already holds instead of recomputing the exp or power:
+    SE -k/2, M3/2 -1.5k/(1 + sqrt(3 d2)), RQ -k/(2(1 + d2/(2a))), and AE
+    -k/(2 sqrt(d2)), set to 0 at zero distance. Returns a new array.
+    """
+    d2 = np.asarray(sqdist, dtype=float)
+    k = np.asarray(values, dtype=float)
+    if form.tag == "squared_exponential":
+        return -0.5 * k
+    if form.tag == "absolute_exponential":
+        out = np.sqrt(d2)
+        out *= -2.0
+        np.divide(k, out, out=out, where=out < 0.0)  # out stays 0 at d2 = 0
+        return out
+    if form.tag == "matern_3_2":
+        out = 3.0 * d2
+        np.sqrt(out, out=out)
+        out += 1.0
+        np.divide(k, out, out=out)
+        out *= -1.5
+        return out
+    out = d2 / (2.0 * form.shape)
+    out += 1.0
+    np.divide(k, out, out=out)
+    out *= -0.5
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -243,6 +292,22 @@ def ladder_cholesky(k: np.ndarray, context: str) -> GramResult:
     )
 
 
+def noisy_gram(stack: KernelStack, noise: NoiseField, points):
+    """Gram components and the noisy training covariance K + noise diagonal.
+
+    Returns (parts, K) with `parts` as from `gram_parts`; K is a new
+    array, so the components stay untouched for the likelihood gradient.
+    This is the one place the training covariance is assembled.
+    """
+    pts = np.asarray(points, dtype=float)
+    parts = gram_parts(stack, pts)
+    k = parts[0][4].copy()
+    for part in parts[1:]:
+        k += part[4]
+    k[np.diag_indices_from(k)] += eval_noise_batch(noise, pts)
+    return parts, k
+
+
 def gram_matrix(stack: KernelStack, noise: NoiseField, points) -> GramResult:
     """Training covariance K + noise diagonal, factorized with escalation.
 
@@ -250,10 +315,7 @@ def gram_matrix(stack: KernelStack, noise: NoiseField, points) -> GramResult:
     1e-6, 1e-4 until the Cholesky factorization succeeds; the returned
     matrix includes the jitter that was used.
     """
-    pts = np.asarray(points, dtype=float)
-    k = sum(part[4] for part in gram_parts(stack, pts))
-    k[np.diag_indices_from(k)] += eval_noise_batch(noise, pts)
-    return ladder_cholesky(k, stack.describe())
+    return ladder_cholesky(noisy_gram(stack, noise, points)[1], stack.describe())
 
 
 def cross_matrix(stack: KernelStack, points, queries) -> np.ndarray:
@@ -270,7 +332,8 @@ def cross_matrix(stack: KernelStack, points, queries) -> np.ndarray:
     for form, scale, field in stack.entries:
         w = warp_points(field, pts)
         wq = warp_points(field, qs)
-        out += form_from_sqdist(form, scale, cdist(w, wq, "sqeuclidean"))
+        d2 = cdist(w, wq, "sqeuclidean")
+        out += form_from_sqdist(form, scale, d2, out=d2)
     return out
 
 

@@ -11,10 +11,9 @@ bit-identically to the saved one.
 from __future__ import annotations
 
 import numpy as np
-from scipy.linalg import cho_solve
 
 from .data import ScalerState
-from .gp import PcegpModel, _factorized_gram
+from .gp import PcegpModel, model_from_fit
 from .hyper import LengthscaleField, NoiseField
 from .kernels import KernelForm, KernelStack
 from .poly import Basis
@@ -160,19 +159,14 @@ def text_to_model(text: str) -> PcegpModel:
             scale=_parse_vec(_need(kv, f"{name}.scale")),
         )
 
-    _, gram = _factorized_gram(stack, noise, x_s)
-    alpha = cho_solve((gram.chol, True), y_s)
-    return PcegpModel(
-        stack=stack,
-        noise=noise,
-        input_scaler=scalers["input_scaler"],
-        output_scaler=scalers["output_scaler"],
-        x_scaled=x_s,
-        y_scaled=y_s,
-        chol=gram.chol,
-        alpha_solve=alpha,
-        jitter_used=gram.jitter_used,
-        meta=meta,
+    return model_from_fit(
+        stack,
+        noise,
+        scalers["input_scaler"],
+        scalers["output_scaler"],
+        x_s,
+        y_s,
+        meta,
     )
 
 
