@@ -57,7 +57,7 @@ means, _ = predict_batch(model, x_query)
 # --- stationary reference on the same scaled data -----------------------------
 x_s = apply_scaler(in_sc, train.inputs)
 y_s = (train.outputs - out_sc.loc[0]) / out_sc.scale[0]
-log_params, _, alpha, _ = _fit_ard_baseline(x_s, y_s, 500)
+log_params, alpha, _ = _fit_ard_baseline(x_s, y_s, 500)
 mean_s = _ard_predict(log_params, x_s, alpha, apply_scaler(in_sc, x_query))
 base_means = mean_s * out_sc.scale[0] + out_sc.loc[0]
 

@@ -251,8 +251,8 @@ def _ard_neg_mll_and_grad(log_params, sq_diffs, y, gradient=True):
 
     `log_params` is [log l_1..log l_d, log s2, log sn2]; `sq_diffs` is the
     (d, N, N) tensor of per-dimension squared coordinate differences.
-    Returns (negative MLL, its gradient, Cholesky factor, K^-1 y); with
-    `gradient=False` the gradient is None and K^-1 is never formed.
+    Returns (negative MLL, its gradient, K^-1 y); with `gradient=False`
+    the gradient is None and K^-1 is never formed.
     """
     d = sq_diffs.shape[0]
     inv_l2 = np.exp(-2.0 * log_params[:d])
@@ -268,7 +268,7 @@ def _ard_neg_mll_and_grad(log_params, sq_diffs, y, gradient=True):
     fit = _likelihood_core(k, y, "ard squared_exponential baseline", gradient)
     del k
     if not gradient:
-        return -fit.value, None, fit.chol, fit.alpha
+        return -fit.value, None, fit.alpha
 
     ak0 = fit.a
     trace_a = float(np.trace(ak0))
@@ -277,7 +277,7 @@ def _ard_neg_mll_and_grad(log_params, sq_diffs, y, gradient=True):
     grad[:d] = 0.5 * np.tensordot(sq_diffs, ak0, axes=2) * inv_l2
     grad[d] = 0.5 * float(np.sum(ak0))
     grad[d + 1] = 0.5 * sn2 * trace_a
-    return -fit.value, -grad, fit.chol, fit.alpha  # gradient of the NEGATIVE mll
+    return -fit.value, -grad, fit.alpha  # gradient of the NEGATIVE mll
 
 
 def _fit_ard_baseline(x_s, y_s, n_iterations, step_size=0.05,
@@ -297,13 +297,13 @@ def _fit_ard_baseline(x_s, y_s, n_iterations, step_size=0.05,
         log_params = np.concatenate([np.full(d, np.log(l0)), [0.0, np.log(0.1)]])
         state = AdamState.initial(d + 2, step_size=step_size)
         for _ in range(n_iterations):
-            _, g, _, _ = _ard_neg_mll_and_grad(log_params, sq_diffs, y_s)
+            _, g, _ = _ard_neg_mll_and_grad(log_params, sq_diffs, y_s)
             state, log_params = adam_step(state, log_params, g)
-        neg, _, chol, alpha = _ard_neg_mll_and_grad(
+        neg, _, alpha = _ard_neg_mll_and_grad(
             log_params, sq_diffs, y_s, gradient=False
         )
-        if best is None or neg < best[3]:
-            best = (log_params, chol, alpha, neg)
+        if best is None or neg < best[2]:
+            best = (log_params, alpha, neg)
     return best
 
 
@@ -336,7 +336,7 @@ def run_baseline(
             x_s = apply_scaler(in_sc, ds.inputs[tr])
             y_s = (ds.outputs[tr] - out_sc.loc[0]) / out_sc.scale[0]
 
-            log_params, _, alpha, _ = _fit_ard_baseline(
+            log_params, alpha, _ = _fit_ard_baseline(
                 x_s, y_s, config.n_iterations
             )
             xq_s = apply_scaler(in_sc, ds.inputs[te])

@@ -152,19 +152,13 @@ def gradient_sensitivities(stack: KernelStack, noise: NoiseField, x_scaled):
 
     They depend on the points and on each field's bases and degrees, never
     on the coefficients, so an optimizer moving only coefficients computes
-    them once. Entries with the same bases and degrees share one tensor.
-    Returns (one lengthscale tensor per stack entry, noise matrix or None).
+    them once. Returns (one lengthscale tensor per stack entry, noise
+    matrix or None).
     """
     pts = np.asarray(x_scaled, dtype=float)
-    by_layout: dict = {}
-    per_entry = []
-    for _, _, ls_field in stack.entries:
-        layout = tuple((kind, c.size) for kind, c in ls_field.terms)
-        if layout not in by_layout:
-            by_layout[layout] = lengthscale_sensitivity(ls_field, pts)
-        per_entry.append(by_layout[layout])
+    per_entry = tuple(lengthscale_sensitivity(f, pts) for _, _, f in stack.entries)
     noise_sens = noise_sensitivity(noise, pts) if noise.mode == "pce" else None
-    return tuple(per_entry), noise_sens
+    return per_entry, noise_sens
 
 
 def mll_gradient(

@@ -110,15 +110,11 @@ class GramResult:
 # form evaluation on squared distances
 # ---------------------------------------------------------------------------
 
-def form_from_sqdist(form: KernelForm, scale: float, sqdist, out=None):
-    """Evaluate a form on squared distances; scale enters as scale**2.
-
-    `out`, when given, receives the values and may be `sqdist` itself;
-    the arithmetic is the same either way, so are the bits.
-    """
+def form_from_sqdist(form: KernelForm, scale: float, sqdist):
+    """Evaluate a form on squared distances; scale enters as scale**2."""
     d2 = np.asarray(sqdist, dtype=float)
-    if out is None:
-        out = np.empty_like(d2)
+    # one buffer, no N x N temporaries: Gram assembly sets the peak memory
+    out = np.empty_like(d2)
     s2 = scale * scale
     if form.tag == "squared_exponential":
         np.multiply(d2, -0.5, out=out)
@@ -332,8 +328,7 @@ def cross_matrix(stack: KernelStack, points, queries) -> np.ndarray:
     for form, scale, field in stack.entries:
         w = warp_points(field, pts)
         wq = warp_points(field, qs)
-        d2 = cdist(w, wq, "sqeuclidean")
-        out += form_from_sqdist(form, scale, d2, out=d2)
+        out += form_from_sqdist(form, scale, cdist(w, wq, "sqeuclidean"))
     return out
 
 

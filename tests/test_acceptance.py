@@ -332,7 +332,7 @@ def test_criterion_10_synthetic_warp_recovery():
 
     x_s = apply_scaler(in_sc, train.inputs)
     y_s = (train.outputs - out_sc.loc[0]) / out_sc.scale[0]
-    log_params, _, alpha, _ = _fit_ard_baseline(x_s, y_s, 500)
+    log_params, alpha, _ = _fit_ard_baseline(x_s, y_s, 500)
     mean_s = _ard_predict(log_params, x_s, alpha, apply_scaler(in_sc, x_query))
     rmse_stationary = rmse(mean_s * out_sc.scale[0] + out_sc.loc[0], y_query)
 
