@@ -21,7 +21,7 @@ families = [
 # a few sample values per family, degrees 0..4
 x = 0.3
 for name, basis in families:
-    values = eval_basis(basis, 4, [x]).values[:, 0]
+    values = eval_basis(basis, 4, [x])[:, 0]
     print(f"{name:28s} phi_0..phi_4 at x={x}:")
     print("   ", "  ".join(f"{v: .5f}" for v in values))
 
@@ -42,4 +42,4 @@ for name, basis in families:
 print("\nshifted Legendre stays bounded on [0, 1]:")
 grid = np.linspace(0.0, 1.0, 5)
 print("  x     =", np.array2string(grid, precision=2))
-print("  phi_2 =", np.array2string(eval_basis(Basis.legendre01(), 2, grid).values[2], precision=4))
+print("  phi_2 =", np.array2string(eval_basis(Basis.legendre01(), 2, grid)[2], precision=4))

@@ -7,165 +7,39 @@ built around it. The usual entry points:
 
     load_csv / Dataset          tabular data in
     SearchSpace / run_search    find hyperparameter expansions
-    fit_precompute / predict    exact inference with the result
-    run_benchmark / run_baseline  k-fold RMSE protocols
+    KernelForm / Basis          the kernel forms and polynomial families
+    fit_scaler / fit_precompute  exact inference with the result
+    predict / predict_batch     posterior means and variances
+    BenchmarkConfig / run_benchmark / run_baseline  k-fold RMSE protocols
     save_model / load_model     flat-text persistence
+
+Everything else lives in the submodules (`pcegp.kernels`, `pcegp.gp`, ...).
 """
 
-from .bench import (
-    BenchmarkConfig,
-    BenchmarkReport,
-    dataset_manifest,
-    manifest_text,
-    benchmark_space,
-    report_table,
-    report_text,
-    rmse,
-    run_baseline,
-    run_benchmark,
-    verify_dataset,
-)
-from .data import (
-    Dataset,
-    FoldPlan,
-    ScalerState,
-    apply_scaler,
-    fit_scaler,
-    inverse_scale,
-    inverse_scale_prediction,
-    load_csv,
-    make_folds,
-)
-from .gp import (
-    PcegpModel,
-    Prediction,
-    fit_precompute,
-    free_parameters,
-    log_predictive_density,
-    mll,
-    mll_gradient,
-    predict,
-    predict_batch,
-    with_free_parameters,
-)
-from .hyper import (
-    LengthscaleField,
-    NoiseField,
-    eval_lengthscale,
-    eval_lengthscale_batch,
-    eval_noise,
-    eval_noise_batch,
-)
-from .kernels import (
-    KernelForm,
-    KernelStack,
-    gram_matrix,
-    gram_parts,
-    kernel_nonstationary,
-    kernel_stationary,
-    kernel_sum,
-    ladder_cholesky,
-    warp_points,
-)
-from .optim import (
-    AdamState,
-    SearchResult,
-    SearchSpace,
-    TrialRecord,
-    adam_step,
-    expected_improvement,
-    fine_tune,
-    history_to_text,
-    random_suggest,
-    run_search,
-    tpe_suggest,
-)
-from .poly import (
-    Basis,
-    BasisEval,
-    eval_basis,
-    eval_combination,
-    gauss_rule,
-    orthogonality_defect,
-)
-from .serialize import (
-    describe_model,
-    load_model,
-    model_to_text,
-    parse_description,
-    save_model,
-    text_to_model,
-)
+from .bench import BenchmarkConfig, run_baseline, run_benchmark
+from .data import Dataset, fit_scaler, load_csv
+from .gp import fit_precompute, predict, predict_batch
+from .kernels import KernelForm
+from .optim import SearchSpace, run_search
+from .poly import Basis
+from .serialize import load_model, save_model
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "AdamState",
     "Basis",
-    "BasisEval",
     "BenchmarkConfig",
-    "BenchmarkReport",
     "Dataset",
-    "FoldPlan",
     "KernelForm",
-    "KernelStack",
-    "LengthscaleField",
-    "NoiseField",
-    "PcegpModel",
-    "Prediction",
-    "ScalerState",
-    "SearchResult",
     "SearchSpace",
-    "TrialRecord",
-    "adam_step",
-    "apply_scaler",
-    "dataset_manifest",
-    "describe_model",
-    "eval_basis",
-    "eval_combination",
-    "eval_lengthscale",
-    "eval_lengthscale_batch",
-    "eval_noise",
-    "eval_noise_batch",
-    "expected_improvement",
-    "fine_tune",
     "fit_precompute",
     "fit_scaler",
-    "free_parameters",
-    "gauss_rule",
-    "gram_matrix",
-    "gram_parts",
-    "history_to_text",
-    "inverse_scale",
-    "inverse_scale_prediction",
-    "kernel_nonstationary",
-    "kernel_stationary",
-    "kernel_sum",
-    "ladder_cholesky",
     "load_csv",
     "load_model",
-    "log_predictive_density",
-    "make_folds",
-    "manifest_text",
-    "mll",
-    "mll_gradient",
-    "model_to_text",
-    "orthogonality_defect",
-    "benchmark_space",
-    "parse_description",
     "predict",
     "predict_batch",
-    "random_suggest",
-    "report_table",
-    "report_text",
-    "rmse",
     "run_baseline",
     "run_benchmark",
     "run_search",
     "save_model",
-    "text_to_model",
-    "tpe_suggest",
-    "verify_dataset",
-    "warp_points",
-    "with_free_parameters",
 ]

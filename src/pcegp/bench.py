@@ -20,19 +20,21 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .data import Dataset, apply_scaler, fit_scaler, load_csv, make_folds
+from .data import (
+    Dataset,
+    _sniff_delimiter,
+    apply_scaler,
+    fit_scaler,
+    load_csv,
+    make_folds,
+)
 from .gp import _likelihood_core, fit_precompute, predict_batch
 from .kernels import KernelForm
 from .optim import AdamState, SearchSpace, adam_step, run_search
 from .poly import Basis
 
 
-def benchmark_space(
-    q_range=(5, 10),
-    coeff_range=(-2.0, 2.0),
-    scale_range=(1e-3, 10.0),
-    noise_fixed=1e-4,
-) -> SearchSpace:
+def benchmark_space() -> SearchSpace:
     """The fixed four-kernel, shifted-Legendre setup used for the benchmarks."""
     return SearchSpace(
         kernel_forms=(
@@ -42,10 +44,10 @@ def benchmark_space(
             KernelForm.rq(1.0),
         ),
         bases=(Basis.legendre01(),),
-        q_range=q_range,
-        coeff_range=coeff_range,
-        scale_range=scale_range,
-        noise_fixed=noise_fixed,
+        q_range=(5, 10),
+        coeff_range=(-2.0, 2.0),
+        scale_range=(1e-3, 10.0),
+        noise_fixed=1e-4,
     )
 
 
@@ -144,7 +146,7 @@ def _fold_seeds(seed: int, n: int):
     return [int(s) for s in np.random.SeedSequence(seed).generate_state(n)]
 
 
-def _flush_checkpoint(path, method, config, fold_rmses, token):
+def _flush_checkpoint(path, method, config, fold_rmses):
     if path is None:
         return
     lines = ["format = pcegp-checkpoint-1", f"method = {method}"]
@@ -152,7 +154,6 @@ def _flush_checkpoint(path, method, config, fold_rmses, token):
         lines.append(f"config.{k} = {v}")
     for i, r in enumerate(fold_rmses):
         lines.append(f"fold_{i}.rmse = {r!r}")
-    lines.append(f"resume_token = {token}")
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("\n".join(lines) + "\n")
 
@@ -167,7 +168,7 @@ def run_benchmark(
     Nested mode reruns the hyperparameter search inside every outer fold;
     non-nested mode searches once on the full data and refits the winner
     per fold. A checkpoint file, when requested, is rewritten after every
-    fold with a resumption token so interrupted runs keep partial results.
+    fold, so an interrupted run keeps the folds it finished.
     """
     t0 = time.perf_counter()
     ds = dataset if dataset is not None else _load_target(config)
@@ -190,47 +191,37 @@ def run_benchmark(
 
     fold_rmses: list = []
     best_thetas: list = []
-    try:
-        for f in range(config.n_folds):
-            tr, te = plan.train_indices(f), plan.test_indices(f)
-            train = Dataset(
-                ds.inputs[tr], ds.outputs[tr], ds.column_names, ds.target_name
-            )
-            if config.nested:
-                result = run_search(
-                    train,
-                    config.space,
-                    n_trials=config.n_trials,
-                    n_initial=config.n_initial,
-                    n_iterations=config.n_iterations,
-                    n_folds=config.inner_n_folds,
-                    seed=seeds[f],
-                    global_scaling=config.global_scaling,
-                )
-                best = result.best_theta
-            else:
-                best = shared_best
-
-            stack, noise = config.space.build_stack(best, ds.n_inputs)
-            in_sc = fit_scaler("min_max_per_column", train.inputs)
-            out_sc = fit_scaler("z_normalize", train.outputs)
-            model = fit_precompute(
-                stack, noise, in_sc, out_sc, train.inputs, train.outputs
-            )
-            means, _ = predict_batch(model, ds.inputs[te])
-            fold_rmses.append(rmse(means, ds.outputs[te]))
-            best_thetas.append(tuple(float(v) for v in best))
-            _flush_checkpoint(
-                checkpoint_path, "pcegp", config, fold_rmses, f"fold_{f + 1}"
-            )
-    except (KeyboardInterrupt, Exception):
-        _flush_checkpoint(
-            checkpoint_path, "pcegp", config, fold_rmses,
-            f"interrupted_at_fold_{len(fold_rmses)}",
+    for f in range(config.n_folds):
+        tr, te = plan.train_indices(f), plan.test_indices(f)
+        train = Dataset(
+            ds.inputs[tr], ds.outputs[tr], ds.column_names, ds.target_name
         )
-        raise
+        if config.nested:
+            result = run_search(
+                train,
+                config.space,
+                n_trials=config.n_trials,
+                n_initial=config.n_initial,
+                n_iterations=config.n_iterations,
+                n_folds=config.inner_n_folds,
+                seed=seeds[f],
+                global_scaling=config.global_scaling,
+            )
+            best = result.best_theta
+        else:
+            best = shared_best
 
-    _flush_checkpoint(checkpoint_path, "pcegp", config, fold_rmses, "complete")
+        stack, noise = config.space.build_stack(best, ds.n_inputs)
+        in_sc = fit_scaler("min_max_per_column", train.inputs)
+        out_sc = fit_scaler("z_normalize", train.outputs)
+        model = fit_precompute(
+            stack, noise, in_sc, out_sc, train.inputs, train.outputs
+        )
+        means, _ = predict_batch(model, ds.inputs[te])
+        fold_rmses.append(rmse(means, ds.outputs[te]))
+        best_thetas.append(tuple(float(v) for v in best))
+        _flush_checkpoint(checkpoint_path, "pcegp", config, fold_rmses)
+
     return BenchmarkReport(
         method="pcegp",
         per_fold_rmse=tuple(fold_rmses),
@@ -280,9 +271,8 @@ def _ard_neg_mll_and_grad(log_params, sq_diffs, y, gradient=True):
     return -fit.value, -grad, fit.alpha  # gradient of the NEGATIVE mll
 
 
-def _fit_ard_baseline(x_s, y_s, n_iterations, step_size=0.05,
-                      lengthscale_inits=(1.0, 0.1, 0.01)):
-    """Adam from several lengthscale scales; keeps the best final likelihood.
+def _fit_ard_baseline(x_s, y_s, n_iterations):
+    """Adam from lengthscales 1, 0.1 and 0.01; keeps the best final likelihood.
 
     The marginal likelihood of a stationary kernel is multi-modal (a
     smooth-plus-noise mode competes with a wiggly low-noise mode), so a
@@ -293,9 +283,9 @@ def _fit_ard_baseline(x_s, y_s, n_iterations, step_size=0.05,
     sq_diffs = x_s.T[:, :, None] - x_s.T[:, None, :]
     np.square(sq_diffs, out=sq_diffs)
     best = None
-    for l0 in lengthscale_inits:
+    for l0 in (1.0, 0.1, 0.01):
         log_params = np.concatenate([np.full(d, np.log(l0)), [0.0, np.log(0.1)]])
-        state = AdamState.initial(d + 2, step_size=step_size)
+        state = AdamState.initial(d + 2, step_size=0.05)
         for _ in range(n_iterations):
             _, g, _ = _ard_neg_mll_and_grad(log_params, sq_diffs, y_s)
             state, log_params = adam_step(state, log_params, g)
@@ -328,33 +318,21 @@ def run_baseline(
 
     fold_rmses: list = []
     best_thetas: list = []
-    try:
-        for f in range(config.n_folds):
-            tr, te = plan.train_indices(f), plan.test_indices(f)
-            in_sc = fit_scaler("min_max_per_column", ds.inputs[tr])
-            out_sc = fit_scaler("z_normalize", ds.outputs[tr])
-            x_s = apply_scaler(in_sc, ds.inputs[tr])
-            y_s = (ds.outputs[tr] - out_sc.loc[0]) / out_sc.scale[0]
+    for f in range(config.n_folds):
+        tr, te = plan.train_indices(f), plan.test_indices(f)
+        in_sc = fit_scaler("min_max_per_column", ds.inputs[tr])
+        out_sc = fit_scaler("z_normalize", ds.outputs[tr])
+        x_s = apply_scaler(in_sc, ds.inputs[tr])
+        y_s = (ds.outputs[tr] - out_sc.loc[0]) / out_sc.scale[0]
 
-            log_params, alpha, _ = _fit_ard_baseline(
-                x_s, y_s, config.n_iterations
-            )
-            xq_s = apply_scaler(in_sc, ds.inputs[te])
-            mean_s = _ard_predict(log_params, x_s, alpha, xq_s)
-            means = mean_s * out_sc.scale[0] + out_sc.loc[0]
-            fold_rmses.append(rmse(means, ds.outputs[te]))
-            best_thetas.append(tuple(float(v) for v in log_params))
-            _flush_checkpoint(
-                checkpoint_path, "baseline", config, fold_rmses, f"fold_{f + 1}"
-            )
-    except (KeyboardInterrupt, Exception):
-        _flush_checkpoint(
-            checkpoint_path, "baseline", config, fold_rmses,
-            f"interrupted_at_fold_{len(fold_rmses)}",
-        )
-        raise
+        log_params, alpha, _ = _fit_ard_baseline(x_s, y_s, config.n_iterations)
+        xq_s = apply_scaler(in_sc, ds.inputs[te])
+        mean_s = _ard_predict(log_params, x_s, alpha, xq_s)
+        means = mean_s * out_sc.scale[0] + out_sc.loc[0]
+        fold_rmses.append(rmse(means, ds.outputs[te]))
+        best_thetas.append(tuple(float(v) for v in log_params))
+        _flush_checkpoint(checkpoint_path, "baseline", config, fold_rmses)
 
-    _flush_checkpoint(checkpoint_path, "baseline", config, fold_rmses, "complete")
     return BenchmarkReport(
         method="baseline",
         per_fold_rmse=tuple(fold_rmses),
@@ -429,8 +407,7 @@ def dataset_manifest(path) -> dict:
             if not line:
                 continue
             if n_columns is None:
-                delim = ";" if line.count(";") > line.count(",") else ","
-                n_columns = len(line.split(delim))
+                n_columns = len(line.split(_sniff_delimiter(line)))
             else:
                 n_rows += 1
     return {

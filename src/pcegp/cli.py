@@ -25,7 +25,7 @@ from .bench import (
     run_baseline,
     run_benchmark,
 )
-from .data import fit_scaler, load_csv
+from .data import _sniff_delimiter, fit_scaler, load_csv
 from .gp import fit_precompute, predict_batch
 from .kernels import KernelForm
 from .optim import SearchSpace, history_to_text, run_search
@@ -295,9 +295,8 @@ def _read_prediction_inputs(path: str, training_columns, target_name):
         sample = fh.readline()
         if not sample.strip():
             return None  # headerless empty file: nothing to predict
-        delim = ";" if sample.count(";") > sample.count(",") else ","
         fh.seek(0)
-        rows = list(csv.reader(fh, delimiter=delim))
+        rows = list(csv.reader(fh, delimiter=_sniff_delimiter(sample)))
 
     header = [name.strip() for name in rows[0]]
     for name in training_columns:
@@ -310,6 +309,8 @@ def _read_prediction_inputs(path: str, training_columns, target_name):
     order = [header.index(name) for name in training_columns]
     matrix = []
     for i, row in enumerate(rows[1:], start=2):
+        if not row or all(not c.strip() for c in row):
+            continue  # tolerate blank lines, as load_csv does
         if len(row) != len(header):
             raise ValueError(
                 f"{path}:{i}: expected {len(header)} fields, got {len(row)}"

@@ -9,7 +9,7 @@ with the population standard deviation.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -237,22 +237,6 @@ def inverse_scale(state: ScalerState, scaled):
     return out[0] if squeeze else out
 
 
-def inverse_scale_prediction(state: ScalerState, mean_s: float, var_s: float):
-    """Map a predictive mean and variance from scaled to raw output units.
-
-    The mean is affinely inverted; the variance picks up the squared scale
-    factor. Only single-column (output) scalers are accepted.
-    """
-    if state.n_columns != 1:
-        raise ValueError("prediction rescaling expects a single-output scaler")
-    if var_s < 0.0:
-        raise ValueError(f"variance must be non-negative, got {var_s}")
-    s = float(state.scale[0])
-    mean = float(mean_s) * s + float(state.loc[0])
-    var = float(var_s) * s * s
-    return mean, var
-
-
 # ---------------------------------------------------------------------------
 # k-fold splitting
 # ---------------------------------------------------------------------------
@@ -263,7 +247,6 @@ class FoldPlan:
 
     n_folds: int
     assignments: np.ndarray
-    rng_seed: int
 
     def __post_init__(self):
         a = np.asarray(self.assignments, dtype=int)
@@ -294,4 +277,4 @@ def make_folds(n: int, n_folds: int, seed: int) -> FoldPlan:
     perm = rng.permutation(n)
     assignments = np.empty(n, dtype=int)
     assignments[perm] = np.arange(n) % n_folds
-    return FoldPlan(n_folds=n_folds, assignments=assignments, rng_seed=seed)
+    return FoldPlan(n_folds=n_folds, assignments=assignments)

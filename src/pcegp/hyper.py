@@ -107,32 +107,14 @@ def _terms_eval(terms, coords: np.ndarray) -> np.ndarray:
     flat = coords.ravel()
     total = np.zeros(flat.size)
     for kind, coeffs in terms:
-        ev = eval_basis(kind, coeffs.size - 1, flat)
-        total += coeffs @ ev.values
+        total += coeffs @ eval_basis(kind, coeffs.size - 1, flat)
     return total.reshape(coords.shape)
-
-
-def eval_lengthscale(field: LengthscaleField, point) -> np.ndarray:
-    """Lengthscale vector at one scaled point, length n_inputs."""
-    pts = _as_points(point, field.n_inputs)
-    if pts.shape[0] != 1:
-        raise ValueError("eval_lengthscale takes a single point")
-    return _terms_eval(field.terms, pts[0])
 
 
 def eval_lengthscale_batch(field: LengthscaleField, points) -> np.ndarray:
     """Lengthscales for N scaled points as an n_inputs x N matrix."""
     pts = _as_points(points, field.n_inputs)
     return _terms_eval(field.terms, pts).T
-
-
-def eval_noise(field: NoiseField, point) -> float:
-    """Noise variance at one scaled point; always >= floor."""
-    if field.mode == "fixed":
-        return field.value
-    pts = _as_points(point, np.asarray(point).shape[-1])
-    raw = float(_terms_eval(field.terms, pts[0]).mean())
-    return max(field.floor, raw)
 
 
 def eval_noise_batch(field: NoiseField, points) -> np.ndarray:
@@ -185,8 +167,8 @@ def lengthscale_sensitivity(field: LengthscaleField, points) -> np.ndarray:
     rows = []
     flat = pts.ravel()
     for kind, c in field.terms:
-        ev = eval_basis(kind, c.size - 1, flat)
-        rows.append(ev.values.reshape(c.size, n, d).transpose(0, 2, 1))
+        values = eval_basis(kind, c.size - 1, flat)
+        rows.append(values.reshape(c.size, n, d).transpose(0, 2, 1))
     return np.concatenate(rows, axis=0)
 
 
@@ -206,6 +188,6 @@ def noise_sensitivity(field: NoiseField, points) -> np.ndarray:
     rows = []
     flat = pts.ravel()
     for kind, c in field.terms:
-        ev = eval_basis(kind, c.size - 1, flat)
-        rows.append(ev.values.reshape(c.size, n, d).mean(axis=2))
+        values = eval_basis(kind, c.size - 1, flat)
+        rows.append(values.reshape(c.size, n, d).mean(axis=2))
     return np.concatenate(rows, axis=0)

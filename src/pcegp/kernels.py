@@ -236,16 +236,6 @@ def kernel_nonstationary(
     return float(form_from_sqdist(form, scale, d2))
 
 
-def kernel_sum(stack: KernelStack, x, x2) -> float:
-    """Summed kernel over all stack entries."""
-    return float(
-        sum(
-            kernel_nonstationary(form, scale, field, x, x2)
-            for form, scale, field in stack.entries
-        )
-    )
-
-
 # ---------------------------------------------------------------------------
 # Gram assembly
 # ---------------------------------------------------------------------------
@@ -273,7 +263,12 @@ def gram_parts(stack: KernelStack, points):
 
 
 def ladder_cholesky(k: np.ndarray, context: str) -> GramResult:
-    """Factorize a symmetric matrix, escalating diagonal jitter as needed."""
+    """Factorize a symmetric matrix, escalating diagonal jitter as needed.
+
+    Jitter is added to the diagonal in the fixed ladder `JITTER_LADDER`
+    until the Cholesky factorization succeeds; the returned matrix includes
+    the jitter that was used.
+    """
     for jitter in JITTER_LADDER:
         trial = k if jitter == 0.0 else k + jitter * np.eye(k.shape[0])
         try:
@@ -304,16 +299,6 @@ def noisy_gram(stack: KernelStack, noise: NoiseField, points):
     return parts, k
 
 
-def gram_matrix(stack: KernelStack, noise: NoiseField, points) -> GramResult:
-    """Training covariance K + noise diagonal, factorized with escalation.
-
-    Jitter is added to the diagonal in the fixed ladder 0, 1e-10, 1e-8,
-    1e-6, 1e-4 until the Cholesky factorization succeeds; the returned
-    matrix includes the jitter that was used.
-    """
-    return ladder_cholesky(noisy_gram(stack, noise, points)[1], stack.describe())
-
-
 def cross_matrix(stack: KernelStack, points, queries) -> np.ndarray:
     """Covariances between N training points and M query points, N x M."""
     pts = np.asarray(points, dtype=float)
@@ -330,9 +315,3 @@ def cross_matrix(stack: KernelStack, points, queries) -> np.ndarray:
         wq = warp_points(field, qs)
         out += form_from_sqdist(form, scale, cdist(w, wq, "sqeuclidean"))
     return out
-
-
-def cross_vector(stack: KernelStack, points, x_star) -> np.ndarray:
-    """Covariances between each training point and one query point."""
-    star = np.asarray(x_star, dtype=float).ravel()
-    return cross_matrix(stack, points, star[None, :])[:, 0]

@@ -29,7 +29,6 @@ import time
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.stats import norm
 
 from .data import Dataset, apply_scaler, fit_scaler, make_folds
 from .gp import (
@@ -250,21 +249,6 @@ class SearchResult:
     history: list
     n_folds: int
     seed: int
-
-
-# ---------------------------------------------------------------------------
-# expected improvement
-# ---------------------------------------------------------------------------
-
-def expected_improvement(mu: float, sigma: float, f_best: float, xi: float) -> float:
-    """EI for maximization: (mu - f_best - xi) Phi(z) + sigma phi(z)."""
-    if sigma < 0.0:
-        raise ValueError(f"sigma must be non-negative, got {sigma}")
-    gap = mu - f_best - xi
-    if sigma == 0.0:
-        return max(0.0, gap)
-    z = gap / sigma
-    return float(gap * norm.cdf(z) + sigma * norm.pdf(z))
 
 
 # ---------------------------------------------------------------------------
@@ -529,7 +513,6 @@ def fine_tune(
     space: SearchSpace,
     train_split,
     n_iterations: int,
-    adam_config: dict | None = None,
 ) -> FineTuneResult:
     """Refine a trial's active parameters by Adam ascent on the MLL.
 
@@ -552,7 +535,7 @@ def fine_tune(
         if n_iterations > 0:
             sensitivities = gradient_sensitivities(stack, noise, x_s)
             coords = _to_adam_coords(stack, noise)
-            state = AdamState.initial(coords.size, **(adam_config or {}))
+            state = AdamState.initial(coords.size)
             n_k = stack.n_entries
             for _ in range(n_iterations):
                 cur_stack, cur_noise = _from_adam_coords(stack, noise, coords)
@@ -581,7 +564,6 @@ def _evaluate_trial(
     dataset: Dataset,
     plan,
     n_iterations: int,
-    adam_config,
     global_scalers,
 ):
     """Cross-validate one suggestion; returns (mean loss, fold losses, best fold theta)."""
@@ -599,7 +581,7 @@ def _evaluate_trial(
 
         x_tr_s = apply_scaler(in_sc, x_tr)
         y_tr_s = (y_tr - out_sc.loc[0]) / out_sc.scale[0]
-        tuned = fine_tune(theta, space, (x_tr_s, y_tr_s), n_iterations, adam_config)
+        tuned = fine_tune(theta, space, (x_tr_s, y_tr_s), n_iterations)
         refined, train_loss = tuned
         if not math.isfinite(train_loss):
             return FAILED_LOSS, fold_losses + [FAILED_LOSS], None
@@ -627,9 +609,6 @@ def run_search(
     n_iterations: int,
     n_folds: int,
     seed: int,
-    adam_config: dict | None = None,
-    gamma: float = 0.25,
-    n_candidates: int = 24,
     global_scaling: bool = False,
 ) -> SearchResult:
     """Full two-stage search: random warmup, then TPE, each trial cross-validated.
@@ -661,12 +640,12 @@ def run_search(
         else:
             stage = "tpe"
             try:
-                theta = tpe_suggest(history, space, gamma, n_candidates, rng)
+                theta = tpe_suggest(history, space, rng=rng)
             except ValueError:
                 stage, theta = "random", random_suggest(space, rng)
 
         mean_loss, fold_losses, refined = _evaluate_trial(
-            theta, space, dataset, plan, n_iterations, adam_config, global_scalers
+            theta, space, dataset, plan, n_iterations, global_scalers
         )
         history.append(
             TrialRecord(

@@ -79,19 +79,7 @@ class Basis:
         return self.family
 
 
-@dataclass
-class BasisEval:
-    """Values of phi_0 .. phi_max_degree at a set of points.
-
-    ``values[i, j] = phi_i(points[j])``; row 0 is identically one.
-    """
-
-    kind: Basis
-    max_degree: int
-    values: np.ndarray
-
-
-def eval_basis(kind: Basis, max_degree: int, points) -> BasisEval:
+def eval_basis(kind: Basis, max_degree: int, points) -> np.ndarray:
     """Evaluate one family up to ``max_degree`` at the given points.
 
     Parameters
@@ -105,8 +93,9 @@ def eval_basis(kind: Basis, max_degree: int, points) -> BasisEval:
 
     Returns
     -------
-    BasisEval
-        With ``values`` of shape ``(max_degree + 1, n_points)``.
+    np.ndarray
+        Shape ``(max_degree + 1, n_points)`` with ``[i, j] = phi_i(points[j])``;
+        row 0 is identically one.
     """
     if max_degree < 0:
         raise ValueError(f"max_degree must be >= 0, got {max_degree}")
@@ -118,7 +107,7 @@ def eval_basis(kind: Basis, max_degree: int, points) -> BasisEval:
     out = np.empty((n, x.size))
     out[0] = 1.0
     if max_degree == 0:
-        return BasisEval(kind, max_degree, out)
+        return out
 
     fam = kind.family
     if fam == "hermite_probabilists":
@@ -151,27 +140,7 @@ def eval_basis(kind: Basis, max_degree: int, points) -> BasisEval:
     else:  # pragma: no cover - guarded by Basis.__post_init__
         raise ValueError(f"unknown basis family {fam!r}")
 
-    return BasisEval(kind, max_degree, out)
-
-
-def eval_combination(terms, point: float) -> float:
-    """Evaluate a weighted sum of polynomial families at a scalar point.
-
-    ``terms`` is a list of ``(Basis, coefficients)`` pairs; each coefficient
-    vector has length degree + 1 for its family. The result is
-    ``sum_b sum_i c_{b,i} phi_{b,i}(point)``.
-    """
-    terms = list(terms)
-    if not terms:
-        raise ValueError("eval_combination requires at least one (basis, coeffs) term")
-    total = 0.0
-    for kind, coeffs in terms:
-        c = np.asarray(coeffs, dtype=float).ravel()
-        if c.size == 0:
-            raise ValueError("coefficient vector must be non-empty")
-        ev = eval_basis(kind, c.size - 1, [point])
-        total += float(c @ ev.values[:, 0])
-    return total
+    return out
 
 
 def gauss_rule(kind: Basis, n_points: int):
@@ -219,5 +188,5 @@ def orthogonality_defect(kind: Basis, i: int, j: int, quad_points: int) -> float
             f"exactly; need at least {needed}"
         )
     x, w = gauss_rule(kind, quad_points)
-    ev = eval_basis(kind, max(i, j), x)
-    return float(np.sum(w * ev.values[i] * ev.values[j]))
+    values = eval_basis(kind, max(i, j), x)
+    return float(np.sum(w * values[i] * values[j]))

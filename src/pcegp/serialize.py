@@ -132,9 +132,9 @@ def text_to_model(text: str) -> PcegpModel:
     x_s = np.vstack(
         [_parse_vec(_need(kv, f"training.x_scaled_{i}")) for i in range(n_points)]
     )
-    if x_s.shape != (n_points, n_inputs):
-        raise ValueError("model file training block has inconsistent shapes")
     y_s = _parse_vec(_need(kv, "training.y_scaled"))
+    if x_s.shape != (n_points, n_inputs) or y_s.shape != (n_points,):
+        raise ValueError("model file training block has inconsistent shapes")
 
     entries = []
     for i in range(int(_need(kv, "n_kernels"))):

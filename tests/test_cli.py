@@ -178,7 +178,8 @@ def test_predict_is_idempotent(tmp_path, train_file):
 
 def test_predict_empty_inputs_writes_header_only(tmp_path, train_file):
     model_path = fit_interpolator(tmp_path, train_file)
-    for content in ("x,y\n", ""):
+    # blank lines are skipped, as `load_csv` skips them for `fit`
+    for content in ("x,y\n", "", "x,y\n\n"):
         src = tmp_path / "empty.csv"
         src.write_text(content)
         out = tmp_path / "empty_out.csv"

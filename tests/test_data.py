@@ -9,7 +9,6 @@ from pcegp.data import (
     apply_scaler,
     fit_scaler,
     inverse_scale,
-    inverse_scale_prediction,
     load_csv,
     make_folds,
 )
@@ -156,26 +155,6 @@ def test_scaler_dimension_mismatch():
         apply_scaler(st, np.zeros(4))
 
 
-def test_inverse_scale_prediction():
-    st = fit_scaler("z_normalize", np.array([15.0, 20.0, 25.0]))
-    # force the documented (mean 20, std 5) state
-    st = type(st)(st.kind, np.array([20.0]), np.array([5.0]))
-    assert inverse_scale_prediction(st, 0.0, 1.0) == (20.0, 25.0)
-    assert inverse_scale_prediction(st, 1.0, 0.0) == (25.0, 0.0)
-
-    ident = fit_scaler("min_max_per_column", np.array([0.0, 1.0]))
-    assert inverse_scale_prediction(ident, 0.4, 0.2) == (0.4, 0.2)
-
-    with pytest.raises(ValueError):
-        inverse_scale_prediction(st, 0.0, -1.0)
-
-
-def test_inverse_scale_prediction_needs_single_column():
-    st = fit_scaler("z_normalize", np.random.default_rng(2).normal(size=(8, 2)))
-    with pytest.raises(ValueError):
-        inverse_scale_prediction(st, 0.0, 1.0)
-
-
 # ---------------------------------------------------------------------------
 # fold plans
 # ---------------------------------------------------------------------------
@@ -224,8 +203,8 @@ def test_folds_range_validation():
 
 
 def test_fold_plan_invariant_checks():
-    FoldPlan(2, np.array([0, 0, 1, 1, 0]), 0)  # spread 1 is allowed
+    FoldPlan(2, np.array([0, 0, 1, 1, 0]))  # spread 1 is allowed
     with pytest.raises(ValueError):
-        FoldPlan(2, np.array([0, 0, 0, 1]), 0)  # sizes 3 and 1, spread 2
+        FoldPlan(2, np.array([0, 0, 0, 1]))  # sizes 3 and 1, spread 2
     with pytest.raises(ValueError):
-        FoldPlan(2, np.array([0, 2, 1, 1]), 0)  # index out of range
+        FoldPlan(2, np.array([0, 2, 1, 1]))  # index out of range

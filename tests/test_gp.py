@@ -2,7 +2,6 @@
 
 import numpy as np
 import pytest
-from scipy.linalg import cho_solve
 
 from pcegp.data import ScalerState, fit_scaler
 from pcegp.gp import (
@@ -16,11 +15,16 @@ from pcegp.gp import (
     with_free_parameters,
 )
 from pcegp.hyper import LengthscaleField, NoiseField
-from pcegp.kernels import KernelForm, KernelStack, gram_matrix
+from pcegp.kernels import KernelForm, KernelStack, ladder_cholesky, noisy_gram
 from pcegp.poly import Basis
 
 IDENTITY_IN = ScalerState("min_max_per_column", [0.0], [1.0])
 IDENTITY_OUT = ScalerState("z_normalize", [0.0], [1.0])
+
+
+def factored_gram(stack, noise, points):
+    """Noisy training covariance through the jitter ladder, as the GP builds it."""
+    return ladder_cholesky(noisy_gram(stack, noise, points)[1], stack.describe())
 
 
 def const_field(c, n_inputs):
@@ -64,7 +68,7 @@ def test_mll_zero_targets_leave_only_volume_terms():
     noise = NoiseField.fixed(1e-2)
     pts = rng.uniform(size=(7, 2))
     got = mll(stack, noise, pts, np.zeros(7))
-    gram = gram_matrix(stack, noise, pts)
+    gram = factored_gram(stack, noise, pts)
     _, logdet = np.linalg.slogdet(gram.matrix)
     assert got == pytest.approx(-0.5 * logdet - 3.5 * np.log(2.0 * np.pi), rel=1e-10)
 
@@ -75,7 +79,7 @@ def test_mll_matches_dense_formula():
     noise = NoiseField.fixed(1e-3)
     pts = rng.uniform(size=(9, 3))
     y = rng.normal(size=9)
-    gram = gram_matrix(stack, noise, pts)
+    gram = factored_gram(stack, noise, pts)
     expected = (
         -0.5 * y @ np.linalg.solve(gram.matrix, y)
         - 0.5 * np.linalg.slogdet(gram.matrix)[1]
@@ -134,7 +138,7 @@ def test_gradient_scale_term_at_zero_targets():
     pts = rng.uniform(size=(6, 2))
     grad = mll_gradient(stack, noise, pts, np.zeros(6))
     # with y = 0 the data-fit term vanishes: d/ds2 = -0.5 tr(K^-1 K_k) / s2
-    gram = gram_matrix(stack, noise, pts)
+    gram = factored_gram(stack, noise, pts)
     k_noise_free = gram.matrix.copy()
     k_noise_free[np.diag_indices_from(k_noise_free)] -= 1e-2 + gram.jitter_used
     s2 = stack.entries[0][1] ** 2
@@ -197,7 +201,7 @@ def _fitted_model(rng, n=12, n_inputs=2, noise_value=1e-4):
 def test_fit_precompute_invariants():
     rng = np.random.default_rng(6)
     model, _, _ = _fitted_model(rng)
-    gram = gram_matrix(model.stack, model.noise, model.x_scaled)
+    gram = factored_gram(model.stack, model.noise, model.x_scaled)
     np.testing.assert_allclose(
         model.chol @ model.chol.T, gram.matrix, rtol=1e-8, atol=1e-12
     )

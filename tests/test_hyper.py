@@ -6,22 +6,33 @@ import pytest
 from pcegp.hyper import (
     LengthscaleField,
     NoiseField,
-    eval_lengthscale,
     eval_lengthscale_batch,
-    eval_noise,
     eval_noise_batch,
     lengthscale_coefficients,
     lengthscale_sensitivity,
     noise_sensitivity,
     with_lengthscale_coefficients,
 )
-from pcegp.poly import Basis
+from pcegp.poly import Basis, eval_basis
 
 
 def const_field(c, n_inputs=2, extra_zeros=2):
     coeffs = [c] + [0.0] * extra_zeros
     return LengthscaleField(
         terms=((Basis.legendre01(), coeffs),), n_inputs=n_inputs
+    )
+
+
+def at_point(field, point):
+    """Lengthscale vector at one point, through the batch evaluator."""
+    pts = np.asarray(point, dtype=float)[None, :]
+    return eval_lengthscale_batch(field, pts)[:, 0]
+
+
+def expansion_at(terms, value):
+    """Sum of the expansions at one scalar, straight from the basis values."""
+    return sum(
+        float(c @ eval_basis(kind, c.size - 1, [value])[:, 0]) for kind, c in terms
     )
 
 
@@ -32,13 +43,13 @@ def const_field(c, n_inputs=2, extra_zeros=2):
 def test_constant_field_returns_constant_vector():
     f = const_field(1.7, n_inputs=3)
     np.testing.assert_allclose(
-        eval_lengthscale(f, [0.1, 0.5, 0.99]), [1.7, 1.7, 1.7], atol=1e-15
+        at_point(f, [0.1, 0.5, 0.99]), [1.7, 1.7, 1.7], atol=1e-15
     )
 
 
 def test_linear_shifted_legendre_per_coordinate():
     f = LengthscaleField(terms=((Basis.legendre01(), [0.0, 1.0]),), n_inputs=2)
-    got = eval_lengthscale(f, [0.25, 0.75])
+    got = at_point(f, [0.25, 0.75])
     np.testing.assert_allclose(got, [-0.5, 0.5], atol=1e-14)
 
 
@@ -50,8 +61,8 @@ def test_lengthscale_linear_in_coefficients():
     f1 = LengthscaleField(((kind, c1),), 3)
     f2 = LengthscaleField(((kind, c2),), 3)
     f12 = LengthscaleField(((kind, 2.0 * c1 - 0.5 * c2),), 3)
-    lhs = eval_lengthscale(f12, x)
-    rhs = 2.0 * eval_lengthscale(f1, x) - 0.5 * eval_lengthscale(f2, x)
+    lhs = at_point(f12, x)
+    rhs = 2.0 * at_point(f1, x) - 0.5 * at_point(f2, x)
     np.testing.assert_allclose(lhs, rhs, atol=1e-12)
 
 
@@ -60,8 +71,8 @@ def test_multi_basis_superposition():
     t1 = (Basis.legendre01(), rng.normal(size=3))
     t2 = (Basis.hermite(), rng.normal(size=2))
     x = np.array([0.3, 0.6])
-    both = eval_lengthscale(LengthscaleField((t1, t2), 2), x)
-    split = eval_lengthscale(LengthscaleField((t1,), 2), x) + eval_lengthscale(
+    both = at_point(LengthscaleField((t1, t2), 2), x)
+    split = at_point(LengthscaleField((t1,), 2), x) + at_point(
         LengthscaleField((t2,), 2), x
     )
     np.testing.assert_allclose(both, split, atol=1e-12)
@@ -69,13 +80,13 @@ def test_multi_basis_superposition():
 
 def test_zero_coefficients_give_zero_vector():
     f = const_field(0.0, n_inputs=4)
-    np.testing.assert_array_equal(eval_lengthscale(f, [0.1, 0.2, 0.3, 0.4]), 0.0)
+    np.testing.assert_array_equal(at_point(f, [0.1, 0.2, 0.3, 0.4]), 0.0)
 
 
 def test_dimension_mismatch_rejected():
     f = const_field(1.0, n_inputs=3)
     with pytest.raises(ValueError):
-        eval_lengthscale(f, [0.1, 0.2])
+        at_point(f, [0.1, 0.2])
 
 
 # ---------------------------------------------------------------------------
@@ -95,17 +106,15 @@ def test_batch_matches_single_loop():
     batch = eval_lengthscale_batch(f, pts)
     assert batch.shape == (4, 11)
     for i in range(11):
-        np.testing.assert_allclose(
-            batch[:, i], eval_lengthscale(f, pts[i]), atol=1e-14
-        )
+        for d in range(4):
+            expected = expansion_at(f.terms, pts[i, d])
+            assert batch[d, i] == pytest.approx(expected, abs=1e-13)
 
 
 def test_batch_single_row_matches():
     f = const_field(2.5, n_inputs=2)
     pts = np.array([[0.2, 0.9]])
-    np.testing.assert_allclose(
-        eval_lengthscale_batch(f, pts)[:, 0], eval_lengthscale(f, pts[0])
-    )
+    np.testing.assert_allclose(eval_lengthscale_batch(f, pts), [[2.5], [2.5]])
 
 
 # ---------------------------------------------------------------------------
@@ -114,7 +123,7 @@ def test_batch_single_row_matches():
 
 def test_fixed_noise():
     f = NoiseField.fixed(1e-4)
-    assert eval_noise(f, [0.2, 0.8]) == 1e-4
+    assert eval_noise_batch(f, np.array([[0.2, 0.8]]))[0] == 1e-4
     np.testing.assert_array_equal(
         eval_noise_batch(f, np.zeros((5, 2))), np.full(5, 1e-4)
     )
@@ -129,19 +138,18 @@ def test_fixed_noise_must_be_positive():
 
 def test_pce_noise_constant_recovery():
     f = NoiseField.pce([(Basis.legendre01(), [0.7, 0.0, 0.0])])
-    assert eval_noise(f, [0.1, 0.9, 0.4]) == pytest.approx(0.7)
+    assert eval_noise_batch(f, np.array([[0.1, 0.9, 0.4]]))[0] == pytest.approx(0.7)
 
 
 def test_pce_noise_averages_over_coordinates():
     # linear term: mean of P~_1 over coords = mean(2x-1)
     f = NoiseField.pce([(Basis.legendre01(), [0.0, 1.0])], floor=1e-12)
-    got = eval_noise(f, [0.6, 1.0])  # mean of (0.2, 1.0) = 0.6
+    got = eval_noise_batch(f, np.array([[0.6, 1.0]]))[0]  # mean of (0.2, 1.0)
     assert got == pytest.approx(0.6, abs=1e-14)
 
 
 def test_pce_noise_clamped_to_floor():
     f = NoiseField.pce([(Basis.legendre01(), [-0.3])], floor=1e-8)
-    assert eval_noise(f, [0.5, 0.5]) == 1e-8
     np.testing.assert_array_equal(
         eval_noise_batch(f, np.full((3, 2), 0.5)), np.full(3, 1e-8)
     )
@@ -152,7 +160,9 @@ def test_noise_batch_matches_single():
     f = NoiseField.pce([(Basis.legendre01(), rng.normal(size=4))], floor=1e-8)
     pts = rng.uniform(size=(9, 3))
     batch = eval_noise_batch(f, pts)
-    singles = [eval_noise(f, p) for p in pts]
+    singles = [
+        max(1e-8, np.mean([expansion_at(f.terms, v) for v in p])) for p in pts
+    ]
     np.testing.assert_allclose(batch, singles, atol=1e-14)
     assert np.all(batch >= 1e-8)
 

@@ -5,17 +5,16 @@ import pytest
 
 from pcegp.hyper import LengthscaleField, NoiseField
 from pcegp.kernels import (
-    GramResult,
     KernelForm,
     KernelStack,
-    cross_vector,
+    cross_matrix,
     form_from_sqdist,
     form_sqdist_derivative,
-    gram_matrix,
     gram_parts,
     kernel_nonstationary,
     kernel_stationary,
-    kernel_sum,
+    ladder_cholesky,
+    noisy_gram,
     warp_points,
 )
 from pcegp.poly import Basis
@@ -35,6 +34,19 @@ def const_field(c, n_inputs):
 def random_field(rng, n_inputs, degree=3, scale=1.0):
     coeffs = rng.normal(size=degree + 1) * scale
     return LengthscaleField(((Basis.legendre01(), coeffs),), n_inputs)
+
+
+def pointwise_sum(stack, x, x2):
+    """Brute-force summed kernel: one point-wise evaluation per stack entry."""
+    return sum(
+        kernel_nonstationary(form, scale, field, x, x2)
+        for form, scale, field in stack.entries
+    )
+
+
+def factored_gram(stack, noise, points):
+    """Noisy training covariance through the jitter ladder, as the GP builds it."""
+    return ladder_cholesky(noisy_gram(stack, noise, points)[1], stack.describe())
 
 
 # ---------------------------------------------------------------------------
@@ -143,14 +155,14 @@ def test_warp_points_is_hadamard_product():
 # summed kernel
 # ---------------------------------------------------------------------------
 
-def test_kernel_sum_single_and_double():
+def test_stack_entries_add():
     rng = np.random.default_rng(4)
     field = random_field(rng, 2)
     entry = (KernelForm.se(), 1.2, field)
-    x, x2 = rng.uniform(size=2), rng.uniform(size=2)
-    single = kernel_sum(KernelStack((entry,)), x, x2)
+    x, x2 = rng.uniform(size=(1, 2)), rng.uniform(size=(1, 2))
+    single = cross_matrix(KernelStack((entry,)), x, x2)[0, 0]
     assert single == pytest.approx(kernel_nonstationary(*entry, x, x2))
-    double = kernel_sum(KernelStack((entry, entry)), x, x2)
+    double = cross_matrix(KernelStack((entry, entry)), x, x2)[0, 0]
     assert double == pytest.approx(2.0 * single)
 
 
@@ -159,8 +171,8 @@ def test_four_kernel_stack_diagonal_is_four():
     entries = tuple(
         (form, 1.0, random_field(rng, 2)) for form in ALL_FORMS
     )
-    x = rng.uniform(size=2)
-    assert kernel_sum(KernelStack(entries), x, x) == pytest.approx(4.0)
+    x = rng.uniform(size=(1, 2))
+    assert cross_matrix(KernelStack(entries), x, x)[0, 0] == pytest.approx(4.0)
 
 
 def test_stack_validation():
@@ -182,7 +194,7 @@ def test_stack_validation():
 def test_gram_single_point():
     field = const_field(1.0, 1)
     stack = KernelStack(((KernelForm.se(), 1.0, field),))
-    res = gram_matrix(stack, NoiseField.fixed(1e-4), np.array([[0.5]]))
+    res = factored_gram(stack, NoiseField.fixed(1e-4), np.array([[0.5]]))
     assert res.matrix.shape == (1, 1)
     assert res.matrix[0, 0] == pytest.approx(1.0 + 1e-4 + res.jitter_used)
 
@@ -193,22 +205,22 @@ def test_gram_symmetry_and_cholesky():
         tuple((form, 1.0 + 0.1 * i, random_field(rng, 3)) for i, form in enumerate(ALL_FORMS))
     )
     pts = rng.uniform(size=(20, 3))
-    res = gram_matrix(stack, NoiseField.fixed(1e-4), pts)
+    res = factored_gram(stack, NoiseField.fixed(1e-4), pts)
     assert np.max(np.abs(res.matrix - res.matrix.T)) <= 1e-12
     np.testing.assert_allclose(res.chol @ res.chol.T, res.matrix, atol=1e-10)
 
 
-def test_gram_matches_pairwise_kernel_sum():
+def test_gram_matches_pointwise_kernels():
     rng = np.random.default_rng(7)
     stack = KernelStack(
         ((KernelForm.matern32(), 0.8, random_field(rng, 2)),)
     )
     pts = rng.uniform(size=(6, 2))
     noise = NoiseField.fixed(1e-3)
-    res = gram_matrix(stack, noise, pts)
+    res = factored_gram(stack, noise, pts)
     for i in range(6):
         for j in range(6):
-            expected = kernel_sum(stack, pts[i], pts[j])
+            expected = pointwise_sum(stack, pts[i], pts[j])
             if i == j:
                 expected += 1e-3 + res.jitter_used
             assert res.matrix[i, j] == pytest.approx(expected, abs=1e-12)
@@ -219,7 +231,7 @@ def test_gram_duplicate_rows_need_jitter():
     field = const_field(1.0, 1)
     stack = KernelStack(((KernelForm.se(), 1.0, field),))
     pts = np.array([[0.5], [0.5], [0.5]])
-    res = gram_matrix(stack, NoiseField.fixed(1e-16), pts)
+    res = factored_gram(stack, NoiseField.fixed(1e-16), pts)
     assert res.jitter_used > 0.0
     np.testing.assert_allclose(res.chol @ res.chol.T, res.matrix, atol=1e-12)
 
@@ -229,7 +241,7 @@ def test_gram_failure_reports_stack():
     stack = KernelStack(((KernelForm.se(), 1e12, field),))
     pts = np.full((3, 1), 0.5)
     with pytest.raises(RuntimeError, match="squared_exponential"):
-        gram_matrix(stack, NoiseField.fixed(1e-15), pts)
+        factored_gram(stack, NoiseField.fixed(1e-15), pts)
 
 
 def test_noise_free_gram_is_psd():
@@ -245,10 +257,10 @@ def test_noise_free_gram_is_psd():
 
 
 # ---------------------------------------------------------------------------
-# cross vector
+# cross covariances
 # ---------------------------------------------------------------------------
 
-def test_cross_vector_matches_brute_force():
+def test_cross_matrix_matches_brute_force():
     rng = np.random.default_rng(9)
     stack = KernelStack(
         (
@@ -257,24 +269,24 @@ def test_cross_vector_matches_brute_force():
         )
     )
     pts = rng.uniform(size=(8, 2))
-    star = rng.uniform(size=2)
-    got = cross_vector(stack, pts, star)
-    brute = np.array([kernel_sum(stack, p, star) for p in pts])
+    stars = rng.uniform(size=(3, 2))
+    got = cross_matrix(stack, pts, stars)
+    brute = np.array([[pointwise_sum(stack, p, s) for s in stars] for p in pts])
     np.testing.assert_allclose(got, brute, atol=1e-14)
 
 
-def test_cross_vector_at_training_row():
+def test_cross_matrix_at_training_row():
     rng = np.random.default_rng(10)
     stack = KernelStack(((KernelForm.ae(), 1.0, random_field(rng, 2)),))
     pts = rng.uniform(size=(5, 2))
-    got = cross_vector(stack, pts, pts[3])
+    got = cross_matrix(stack, pts, pts[3])[:, 0]
     assert got[3] == pytest.approx(1.0)  # scale^2 at zero warped distance
 
 
-def test_cross_vector_dimension_mismatch():
+def test_cross_matrix_dimension_mismatch():
     stack = KernelStack(((KernelForm.se(), 1.0, const_field(1.0, 2)),))
     with pytest.raises(ValueError):
-        cross_vector(stack, np.zeros((4, 2)), [0.1, 0.2, 0.3])
+        cross_matrix(stack, np.zeros((4, 2)), [0.1, 0.2, 0.3])
 
 
 # ---------------------------------------------------------------------------

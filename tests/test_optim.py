@@ -1,4 +1,4 @@
-"""Tests for the two-stage search: EI, TPE, Adam, fine-tuning, full loop."""
+"""Tests for the two-stage search: TPE, Adam, fine-tuning, full loop."""
 
 import math
 
@@ -13,7 +13,6 @@ from pcegp.optim import (
     SearchSpace,
     TrialRecord,
     adam_step,
-    expected_improvement,
     fine_tune,
     history_to_text,
     random_suggest,
@@ -41,34 +40,6 @@ def synthetic_dataset(rng, n=60):
     noise_sd = 0.02 + 0.2 * x[:, 0]  # heteroscedastic
     y = np.sin(6.0 * x[:, 0]) + rng.normal(scale=noise_sd)
     return Dataset(x, y, ["x"], "y")
-
-
-# ---------------------------------------------------------------------------
-# expected improvement
-# ---------------------------------------------------------------------------
-
-def test_ei_degenerate_sigma_zero():
-    assert expected_improvement(1.0, 0.0, 2.0, 0.0) == 0.0
-    assert expected_improvement(2.0, 0.0, 2.0, 0.0) == 0.0
-    assert expected_improvement(3.0, 0.0, 2.0, 0.0) == 1.0
-
-
-def test_ei_at_incumbent_equals_standard_normal_density():
-    got = expected_improvement(2.0, 1.0, 2.0, 0.0)
-    assert got == pytest.approx(1.0 / np.sqrt(2.0 * np.pi), abs=1e-12)
-    assert got == pytest.approx(0.39894, abs=1e-5)
-
-
-def test_ei_monotone_in_sigma():
-    vals = [expected_improvement(1.0, s, 2.0, 0.1) for s in (0.1, 1.0, 10.0)]
-    assert vals[0] < vals[1] < vals[2]
-    assert all(v >= 0.0 for v in vals)
-
-
-def test_ei_exploration_margin_shifts_threshold():
-    assert expected_improvement(3.0, 0.0, 2.0, 0.5) == 0.5
-    with pytest.raises(ValueError):
-        expected_improvement(0.0, -1.0, 0.0, 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -322,9 +293,7 @@ def test_fine_tune_descends_negative_mll():
     theta = random_suggest(space, rng)
     stack0, noise0 = space.build_stack(theta, 1)
     initial = -mll(stack0, noise0, *split)
-    refined, final = fine_tune(
-        theta, space, split, 50, adam_config={"step_size": 0.01}
-    )
+    refined, final = fine_tune(theta, space, split, 50)
     assert final <= initial + 1e-6
     assert final < initial  # 50 steps should make real progress here
 
@@ -472,7 +441,7 @@ def test_run_search_all_failures_raise(monkeypatch):
     rng = np.random.default_rng(20)
     ds = synthetic_dataset(rng, n=16)
 
-    def always_fail(theta, space, split, n_iterations, adam_config=None):
+    def always_fail(theta, space, split, n_iterations):
         return np.asarray(theta, dtype=float), math.inf
 
     monkeypatch.setattr(optim_mod, "fine_tune", always_fail)

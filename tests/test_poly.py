@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 from scipy import special
 
-from pcegp.poly import Basis, eval_basis, eval_combination, orthogonality_defect
+from pcegp.poly import Basis, eval_basis, orthogonality_defect
 
 XS = np.array([-1.7, -0.4, 0.0, 0.31, 0.5, 1.0, 2.0, 3.25])
 XS01 = np.array([0.0, 0.1, 0.25, 0.5, 0.77, 1.0])
@@ -30,52 +30,52 @@ ALL_FAMILIES = [
 # ---------------------------------------------------------------------------
 
 def test_hermite_closed_forms():
-    ev = eval_basis(Basis.hermite(), 3, XS)
+    phi = eval_basis(Basis.hermite(), 3, XS)
     x = XS
-    np.testing.assert_allclose(ev.values[0], np.ones_like(x), atol=1e-12)
-    np.testing.assert_allclose(ev.values[1], x, atol=1e-12)
-    np.testing.assert_allclose(ev.values[2], x**2 - 1.0, atol=1e-12)
-    np.testing.assert_allclose(ev.values[3], x**3 - 3.0 * x, atol=1e-12)
+    np.testing.assert_allclose(phi[0], np.ones_like(x), atol=1e-12)
+    np.testing.assert_allclose(phi[1], x, atol=1e-12)
+    np.testing.assert_allclose(phi[2], x**2 - 1.0, atol=1e-12)
+    np.testing.assert_allclose(phi[3], x**3 - 3.0 * x, atol=1e-12)
 
 
 def test_legendre_closed_forms():
-    ev = eval_basis(Basis.legendre(), 3, XS)
+    phi = eval_basis(Basis.legendre(), 3, XS)
     x = XS
-    np.testing.assert_allclose(ev.values[1], x, atol=1e-12)
-    np.testing.assert_allclose(ev.values[2], (3.0 * x**2 - 1.0) / 2.0, atol=1e-12)
-    np.testing.assert_allclose(ev.values[3], (5.0 * x**3 - 3.0 * x) / 2.0, atol=1e-12)
+    np.testing.assert_allclose(phi[1], x, atol=1e-12)
+    np.testing.assert_allclose(phi[2], (3.0 * x**2 - 1.0) / 2.0, atol=1e-12)
+    np.testing.assert_allclose(phi[3], (5.0 * x**3 - 3.0 * x) / 2.0, atol=1e-12)
 
 
 def test_legendre_shifted_closed_forms():
-    ev = eval_basis(Basis.legendre01(), 3, XS01)
+    phi = eval_basis(Basis.legendre01(), 3, XS01)
     t = 2.0 * XS01 - 1.0
-    np.testing.assert_allclose(ev.values[1], t, atol=1e-12)
-    np.testing.assert_allclose(ev.values[2], 6.0 * XS01**2 - 6.0 * XS01 + 1.0, atol=1e-12)
-    np.testing.assert_allclose(ev.values[3], (5.0 * t**3 - 3.0 * t) / 2.0, atol=1e-12)
+    np.testing.assert_allclose(phi[1], t, atol=1e-12)
+    np.testing.assert_allclose(phi[2], 6.0 * XS01**2 - 6.0 * XS01 + 1.0, atol=1e-12)
+    np.testing.assert_allclose(phi[3], (5.0 * t**3 - 3.0 * t) / 2.0, atol=1e-12)
 
 
 def test_laguerre_closed_forms():
     x = np.array([0.0, 0.5, 1.0, 3.0, 7.2])
-    ev = eval_basis(Basis.laguerre(), 3, x)
-    np.testing.assert_allclose(ev.values[1], 1.0 - x, atol=1e-12)
-    np.testing.assert_allclose(ev.values[2], (x**2 - 4.0 * x + 2.0) / 2.0, atol=1e-12)
+    phi = eval_basis(Basis.laguerre(), 3, x)
+    np.testing.assert_allclose(phi[1], 1.0 - x, atol=1e-12)
+    np.testing.assert_allclose(phi[2], (x**2 - 4.0 * x + 2.0) / 2.0, atol=1e-12)
     np.testing.assert_allclose(
-        ev.values[3], (-(x**3) + 9.0 * x**2 - 18.0 * x + 6.0) / 6.0, atol=1e-12
+        phi[3], (-(x**3) + 9.0 * x**2 - 18.0 * x + 6.0) / 6.0, atol=1e-12
     )
 
 
 def test_jacobi_degree_one_closed_form():
     a, b = 1.25, -0.5
-    ev = eval_basis(Basis.jacobi(a, b), 1, XS)
+    phi = eval_basis(Basis.jacobi(a, b), 1, XS)
     np.testing.assert_allclose(
-        ev.values[1], 0.5 * (a - b) + 0.5 * (a + b + 2.0) * XS, atol=1e-12
+        phi[1], 0.5 * (a - b) + 0.5 * (a + b + 2.0) * XS, atol=1e-12
     )
 
 
 def test_jacobi_zero_zero_is_legendre():
-    ev_j = eval_basis(Basis.jacobi(0.0, 0.0), 8, XS)
-    ev_l = eval_basis(Basis.legendre(), 8, XS)
-    np.testing.assert_allclose(ev_j.values, ev_l.values, atol=1e-12)
+    phi_j = eval_basis(Basis.jacobi(0.0, 0.0), 8, XS)
+    phi_l = eval_basis(Basis.legendre(), 8, XS)
+    np.testing.assert_allclose(phi_j, phi_l, atol=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -84,23 +84,23 @@ def test_jacobi_zero_zero_is_legendre():
 
 def test_degree_zero_is_one_everywhere():
     for kind in ALL_FAMILIES:
-        ev = eval_basis(kind, 0, [0.7])
-        assert ev.values[0, 0] == 1.0
+        phi = eval_basis(kind, 0, [0.7])
+        assert phi[0, 0] == 1.0
 
 
 def test_hermite_2_at_2():
-    ev = eval_basis(Basis.hermite(), 2, [2.0])
-    assert abs(ev.values[2, 0] - 3.0) < 1e-12
+    phi = eval_basis(Basis.hermite(), 2, [2.0])
+    assert abs(phi[2, 0] - 3.0) < 1e-12
 
 
 def test_shifted_legendre_2_at_half():
-    ev = eval_basis(Basis.legendre01(), 2, [0.5])
-    assert abs(ev.values[2, 0] - (-0.5)) < 1e-12
+    phi = eval_basis(Basis.legendre01(), 2, [0.5])
+    assert abs(phi[2, 0] - (-0.5)) < 1e-12
 
 
 def test_laguerre_1_at_3():
-    ev = eval_basis(Basis.laguerre(), 1, [3.0])
-    assert abs(ev.values[1, 0] - (-2.0)) < 1e-12
+    phi = eval_basis(Basis.laguerre(), 1, [3.0])
+    assert abs(phi[1, 0] - (-2.0)) < 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -115,67 +115,22 @@ def test_recurrences_match_scipy():
         (Basis.legendre(), special.eval_legendre(n, XS[None, :])),
         (Basis.legendre01(), special.eval_legendre(n, 2.0 * XS01[None, :] - 1.0)),
         (Basis.jacobi(0.5, 1.5), special.eval_jacobi(n, 0.5, 1.5, XS[None, :])),
+        (Basis.jacobi(1.0, 2.0), special.eval_jacobi(n, 1.0, 2.0, XS[None, :])),
         (Basis.laguerre(), special.eval_laguerre(n, XS[None, :])),
     ]
     for kind, expected in cases:
         pts = XS01 if kind.family == "legendre_shifted_01" else XS
-        got = eval_basis(kind, deg, pts).values
+        got = eval_basis(kind, deg, pts)
         np.testing.assert_allclose(got, expected, rtol=1e-10, atol=1e-10,
                                    err_msg=kind.label())
 
 
 def test_values_shape_and_row0():
     for kind in ALL_FAMILIES:
-        ev = eval_basis(kind, 5, np.linspace(0.05, 0.95, 7))
-        assert ev.values.shape == (6, 7)
-        np.testing.assert_array_equal(ev.values[0], np.ones(7))
-        assert np.all(np.isfinite(ev.values))
-
-
-# ---------------------------------------------------------------------------
-# weighted combinations
-# ---------------------------------------------------------------------------
-
-def test_combination_constant_term():
-    for kind in ALL_FAMILIES:
-        assert abs(eval_combination([(kind, [4.2, 0.0, 0.0])], 0.37) - 4.2) < 1e-12
-
-
-def test_combination_two_basis_constants_add():
-    terms = [(Basis.legendre01(), [1.5]), (Basis.hermite(), [2.25])]
-    assert abs(eval_combination(terms, 0.9) - 3.75) < 1e-12
-
-
-def test_combination_shifted_legendre_linear():
-    got = eval_combination([(Basis.legendre01(), [0.0, 1.0])], 0.25)
-    assert abs(got - (-0.5)) < 1e-12
-
-
-def test_combination_linear_in_coefficients():
-    rng = np.random.default_rng(7)
-    kind = Basis.legendre01()
-    c1 = rng.normal(size=5)
-    c2 = rng.normal(size=5)
-    a, b = 1.7, -0.3
-    x = 0.62
-    lhs = eval_combination([(kind, a * c1 + b * c2)], x)
-    rhs = a * eval_combination([(kind, c1)], x) + b * eval_combination([(kind, c2)], x)
-    assert abs(lhs - rhs) < 1e-12
-
-
-def test_combination_superposes_families():
-    rng = np.random.default_rng(8)
-    t1 = (Basis.legendre01(), rng.normal(size=4))
-    t2 = (Basis.jacobi(1.0, 2.0), rng.normal(size=3))
-    x = 0.44
-    total = eval_combination([t1, t2], x)
-    parts = eval_combination([t1], x) + eval_combination([t2], x)
-    assert abs(total - parts) < 1e-12
-
-
-def test_combination_rejects_empty():
-    with pytest.raises(ValueError):
-        eval_combination([], 0.5)
+        phi = eval_basis(kind, 5, np.linspace(0.05, 0.95, 7))
+        assert phi.shape == (6, 7)
+        np.testing.assert_array_equal(phi[0], np.ones(7))
+        assert np.all(np.isfinite(phi))
 
 
 # ---------------------------------------------------------------------------

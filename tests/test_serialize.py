@@ -126,6 +126,15 @@ def test_missing_key_diagnostic():
         text_to_model(broken)
 
 
+def test_target_block_length_checked():
+    rng = np.random.default_rng(28)
+    text = model_to_text(build_model(rng))
+    head, values = text.split("training.y_scaled = ")
+    one_short = values.rsplit(" ", 1)[0] + "\n"
+    with pytest.raises(ValueError, match="inconsistent shapes"):
+        text_to_model(head + "training.y_scaled = " + one_short)
+
+
 def test_format_tag_checked():
     with pytest.raises(ValueError, match="format"):
         text_to_model("format = other-thing-9\n")
