@@ -14,11 +14,14 @@ differences; the analytic path is an implementation choice for speed.
 Prediction follows the scaled pipeline: scale the query, build the cross
 covariances, solve against the stored factor, add the query-point noise
 to the variance, then map mean and variance back to raw output units.
+The training points' warps are fixed for a fitted model, so they are kept
+from the Gram assembly at fit or load time and only the queries are warped
+per call; being derived data, the warps are never serialized.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 from scipy.linalg import cho_solve, solve_triangular
@@ -35,10 +38,10 @@ from .hyper import (
 )
 from .kernels import (
     KernelStack,
-    cross_matrix,
     ladder_cholesky,
     noisy_gram,
     sqdist_derivative_from_values,
+    warped_cross_matrix,
 )
 
 LOG_2PI = float(np.log(2.0 * np.pi))
@@ -50,7 +53,12 @@ _BLOCK = 128
 
 @dataclass(frozen=True)
 class PcegpModel:
-    """Fitted model state: kernel stack, fields, scalers, and solves."""
+    """Fitted model state: kernel stack, fields, scalers, and solves.
+
+    `warped` holds each stack entry's warped training points (N x n_x),
+    kept from the Gram assembly at fit or load time so that prediction
+    warps only the queries; it is derived data and is not serialized.
+    """
 
     stack: KernelStack
     noise: NoiseField
@@ -61,6 +69,7 @@ class PcegpModel:
     chol: np.ndarray
     alpha_solve: np.ndarray
     jitter_used: float
+    warped: tuple
     meta: dict = field(default_factory=dict)
 
     @property
@@ -89,6 +98,7 @@ class LikelihoodFit:
     jitter_used: float
     alpha: np.ndarray  # K^-1 y
     a: np.ndarray | None = None  # alpha alpha^T - K^-1, when a gradient is wanted
+    warped: tuple = ()  # each stack entry's warped training points, from the Gram
 
 
 def _chol_inverse(chol: np.ndarray) -> np.ndarray:
@@ -136,10 +146,11 @@ def _likelihood_core(k: np.ndarray, y: np.ndarray, context: str, gradient=False)
 
 
 def fit_likelihood(stack: KernelStack, noise: NoiseField, x_scaled, y_scaled):
-    """Value-only likelihood fit: the MLL plus the factor and target solve."""
+    """Value-only likelihood fit: the MLL, the factor, the target solve and the warps."""
     y = np.asarray(y_scaled, dtype=float).ravel()
-    _, k = noisy_gram(stack, noise, x_scaled)
-    return _likelihood_core(k, y, stack.describe())
+    parts, k = noisy_gram(stack, noise, x_scaled)
+    warped = tuple(w for _, _, w, _, _ in parts)
+    return replace(_likelihood_core(k, y, stack.describe()), warped=warped)
 
 
 def mll(stack: KernelStack, noise: NoiseField, x_scaled, y_scaled) -> float:
@@ -289,7 +300,8 @@ def model_from_fit(
 
     `fit` is a `fit_likelihood` result for exactly this stack, noise and
     data, such as the closing likelihood of an optimizer; the Gram is
-    factorized here only when it is not given.
+    assembled and factorized here only when it is not given. Either way
+    the model keeps the fit's training warps.
     """
     x_s = np.asarray(x_scaled, dtype=float)
     y_s = np.asarray(y_scaled, dtype=float).ravel()
@@ -305,6 +317,7 @@ def model_from_fit(
         chol=fit.chol,
         alpha_solve=fit.alpha,
         jitter_used=fit.jitter_used,
+        warped=fit.warped,
         meta=dict(meta or {}),
     )
 
@@ -327,7 +340,7 @@ def predict_batch(model: PcegpModel, x_raw):
             f"queries must be M x {model.n_inputs}, got shape {xq.shape}"
         )
     xq_s = apply_scaler(model.input_scaler, xq)
-    k_cross = cross_matrix(model.stack, model.x_scaled, xq_s)  # (N, M)
+    k_cross = warped_cross_matrix(model.stack, model.warped, xq_s)  # (N, M)
     k_diag = sum(scale * scale for _, scale, _ in model.stack.entries)
 
     mean_s = k_cross.T @ model.alpha_solve

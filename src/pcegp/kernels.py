@@ -8,7 +8,8 @@ field l(x) = c reproduces the stationary kernel with lengthscale 1/c.
 
 All four forms are functions of the squared distance only, which lets
 Gram assembly and the likelihood gradient share one pairwise-distance
-computation per stack entry.
+computation per stack entry. The training-side warps that assembly makes
+are kept, so that prediction from a fitted model warps only its queries.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial.distance import cdist
+from scipy.spatial.distance import cdist, pdist, squareform
 
 from .hyper import LengthscaleField, NoiseField, eval_lengthscale_batch, eval_noise_batch
 
@@ -255,9 +256,8 @@ def gram_parts(stack: KernelStack, points):
     parts = []
     for form, scale, field in stack.entries:
         w = warp_points(field, pts)
-        d2 = cdist(w, w, "sqeuclidean")
-        # cdist guarantees non-negative but not exactly symmetric values
-        d2 = 0.5 * (d2 + d2.T)
+        # each pair once: exactly symmetric, with an exactly zero diagonal
+        d2 = squareform(pdist(w, "sqeuclidean"))
         parts.append((form, scale, w, d2, form_from_sqdist(form, scale, d2)))
     return parts
 
@@ -302,16 +302,28 @@ def noisy_gram(stack: KernelStack, noise: NoiseField, points):
 def cross_matrix(stack: KernelStack, points, queries) -> np.ndarray:
     """Covariances between N training points and M query points, N x M."""
     pts = np.asarray(points, dtype=float)
+    if pts.ndim != 2:
+        raise ValueError(f"points must be an N x n_x matrix, got shape {pts.shape}")
+    warped = tuple(warp_points(field, pts) for _, _, field in stack.entries)
+    return warped_cross_matrix(stack, warped, queries)
+
+
+def warped_cross_matrix(stack: KernelStack, warped, queries) -> np.ndarray:
+    """Covariances between already-warped training points and M queries, N x M.
+
+    `warped` holds one N x n_x array per stack entry, as `gram_parts`
+    returns them; only the queries are warped here.
+    """
     qs = np.asarray(queries, dtype=float)
     if qs.ndim == 1:
         qs = qs[None, :]
-    if pts.ndim != 2 or qs.shape[1] != pts.shape[1]:
+    n_points, n_inputs = warped[0].shape
+    if qs.ndim != 2 or qs.shape[1] != n_inputs:
         raise ValueError(
-            f"query dimension {qs.shape} does not match points {pts.shape}"
+            f"query dimension {qs.shape} does not match points {warped[0].shape}"
         )
-    out = np.zeros((pts.shape[0], qs.shape[0]))
-    for form, scale, field in stack.entries:
-        w = warp_points(field, pts)
+    out = np.zeros((n_points, qs.shape[0]))
+    for (form, scale, field), w in zip(stack.entries, warped):
         wq = warp_points(field, qs)
         out += form_from_sqdist(form, scale, cdist(w, wq, "sqeuclidean"))
     return out

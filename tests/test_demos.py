@@ -43,6 +43,8 @@ def run_python(args, tmp_path):
 def test_demo_exits_cleanly(demo, tmp_path):
     proc = run_python([str(ROOT / "demos" / demo)], tmp_path)
     assert proc.returncode == 0, proc.stderr[-2000:]
+    # the run's TMPDIR is tmp_path: a work directory left there is a leak
+    assert not list(tmp_path.glob("pcegp-demo-*"))
 
 
 def test_readme_quick_tour_runs(tmp_path):

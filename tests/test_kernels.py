@@ -2,6 +2,9 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.spatial.distance import cdist
 
 from pcegp.hyper import LengthscaleField, NoiseField
 from pcegp.kernels import (
@@ -254,6 +257,27 @@ def test_noise_free_gram_is_psd():
         k = sum(p[4] for p in gram_parts(stack, pts))
         eig = np.linalg.eigvalsh(k)
         assert eig.min() >= -1e-8 * eig.max(), form.tag
+
+
+@settings(max_examples=60, deadline=None, database=None, derandomize=True)
+@given(
+    n_x=st.integers(1, 4),
+    rows=st.lists(st.integers(0, 5), min_size=1, max_size=12),
+    data=st.data(),
+)
+def test_gram_sqdist_matches_cdist_with_duplicate_rows(n_x, rows, data):
+    # rows index a pool of six points, so repeated indices duplicate points
+    unit = st.floats(0.0, 1.0, allow_nan=False)
+    pool = np.array(data.draw(st.lists(
+        st.lists(unit, min_size=n_x, max_size=n_x), min_size=6, max_size=6
+    )))
+    coeffs = data.draw(st.lists(st.floats(-3.0, 3.0), min_size=1, max_size=4))
+    field = LengthscaleField(((Basis.legendre01(), coeffs),), n_x)
+    stack = KernelStack(((KernelForm.ae(), 1.0, field),))
+    [(_, _, w, d2, _)] = gram_parts(stack, pool[rows])
+    assert np.array_equal(d2, cdist(w, w, "sqeuclidean"))
+    assert np.array_equal(d2, d2.T)
+    assert np.all(np.diag(d2) == 0.0)
 
 
 # ---------------------------------------------------------------------------

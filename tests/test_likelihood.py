@@ -3,14 +3,17 @@
 The core factorizes once per evaluation, forms K^-1 with LAPACK from the
 factor, and derives each kernel form's distance derivative from the form's
 values; the search reuses the closing factorization for the fold model and
-computes the coefficient sensitivities once per refinement.
+computes the coefficient sensitivities once per refinement. A fitted model
+keeps its training warps, so prediction warps only the queries.
 """
 
 import numpy as np
 import pytest
+from scipy.linalg import solve_triangular
 from scipy.stats import norm
 
 import pcegp.gp as gp_mod
+import pcegp.hyper as hyper_mod
 from pcegp.bench import _ard_neg_mll_and_grad
 from pcegp.data import Dataset, apply_scaler, fit_scaler, make_folds
 from pcegp.gp import (
@@ -20,12 +23,14 @@ from pcegp.gp import (
     gradient_sensitivities,
     mll_gradient,
     model_from_fit,
+    predict,
     predict_batch,
 )
-from pcegp.hyper import LengthscaleField, NoiseField
+from pcegp.hyper import LengthscaleField, NoiseField, eval_noise_batch
 from pcegp.kernels import (
     KernelForm,
     KernelStack,
+    cross_matrix,
     form_from_sqdist,
     form_sqdist_derivative,
     ladder_cholesky,
@@ -33,7 +38,8 @@ from pcegp.kernels import (
     sqdist_derivative_from_values,
 )
 from pcegp.optim import SearchSpace, _ContDim, fine_tune, random_suggest, run_search
-from pcegp.poly import Basis
+from pcegp.poly import Basis, eval_basis
+from pcegp.serialize import load_model, save_model
 
 
 def _stack(rng, n_inputs, forms):
@@ -220,6 +226,66 @@ def test_fold_model_from_closing_fit_matches_a_refit():
     xq = rng.uniform(size=(10, 2))
     for got, want in zip(predict_batch(reused, xq), predict_batch(refit, xq)):
         np.testing.assert_allclose(got, want, rtol=1e-9, atol=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# prediction from the stored training warps
+# ---------------------------------------------------------------------------
+
+def test_single_row_predict_warps_only_the_query(monkeypatch, tmp_path):
+    rng = np.random.default_rng(9)
+    ds = _dataset(rng)
+    stack = _stack(rng, ds.n_inputs, [KernelForm.se(), KernelForm.matern32()])
+    model = fit_precompute(
+        stack, NoiseField.fixed(1e-2),
+        fit_scaler("min_max_per_column", ds.inputs),
+        fit_scaler("z_normalize", ds.outputs),
+        ds.inputs, ds.outputs,
+    )
+    save_model(model, tmp_path / "model.txt")
+    loaded = load_model(tmp_path / "model.txt")
+    sizes = []
+
+    def counting(kind, max_degree, points):
+        sizes.append(np.size(points))
+        return eval_basis(kind, max_degree, points)
+
+    monkeypatch.setattr(hyper_mod, "eval_basis", counting)
+    predict(loaded, ds.inputs[0])
+    # one single-term field per entry, evaluated on the query's n_x coordinates
+    assert sizes == [ds.n_inputs] * stack.n_entries
+
+
+def test_stored_warps_predict_like_a_fresh_cross_matrix(tmp_path):
+    rng = np.random.default_rng(10)
+    ds = _dataset(rng)
+    space = _space()
+    in_sc = fit_scaler("min_max_per_column", ds.inputs)
+    out_sc = fit_scaler("z_normalize", ds.outputs)
+    x_s = apply_scaler(in_sc, ds.inputs)
+    y_s = (ds.outputs - out_sc.loc[0]) / out_sc.scale[0]
+    tuned = fine_tune(random_suggest(space, rng), space, (x_s, y_s), 3)
+    refit = fit_precompute(tuned.stack, tuned.noise, in_sc, out_sc, ds.inputs, ds.outputs)
+    save_model(refit, tmp_path / "model.txt")
+    models = (
+        refit,
+        load_model(tmp_path / "model.txt"),
+        model_from_fit(tuned.stack, tuned.noise, in_sc, out_sc, x_s, y_s, fit=tuned.fit),
+    )
+    xq = rng.uniform(-0.2, 1.2, size=(7, ds.n_inputs))
+    for model in models:
+        # the prediction formula with the training set warped afresh
+        xq_s = apply_scaler(model.input_scaler, xq)
+        k_cross = cross_matrix(model.stack, model.x_scaled, xq_s)
+        v = solve_triangular(model.chol, k_cross, lower=True)
+        k_diag = sum(scale * scale for _, scale, _ in model.stack.entries)
+        noise_q = eval_noise_batch(model.noise, xq_s)
+        var_s = np.maximum(0.0, k_diag + noise_q - np.sum(v * v, axis=0))
+        scale = float(model.output_scaler.scale[0])
+        means, variances = predict_batch(model, xq)
+        expected = (k_cross.T @ model.alpha_solve) * scale + float(model.output_scaler.loc[0])
+        assert np.array_equal(means, expected)
+        assert np.array_equal(variances, var_s * scale * scale)
 
 
 # ---------------------------------------------------------------------------
