@@ -63,8 +63,9 @@ with tempfile.TemporaryDirectory(prefix="pcegp-demo-") as workdir:
         ),
     )
 
-    checkpoint = os.path.join(workdir, "report.txt")
-    report = run_benchmark(config, checkpoint_path=checkpoint)
+    # the report file is rewritten after every fold; the last write is final
+    report_path = os.path.join(workdir, "report.txt")
+    report = run_benchmark(config, checkpoint_path=report_path)
     print(report_table(report))
 
     baseline = run_baseline(config)
@@ -75,10 +76,10 @@ with tempfile.TemporaryDirectory(prefix="pcegp-demo-") as workdir:
     print("(this synthetic is stationary, so the baseline is the right model;")
     print(" see 06_recover_a_varying_lengthscale.py for data where it is not)")
 
-    # the canonical text (what benchmark runs write to disk) excludes wall time,
-    # so a rerun with the same seed and thread count is byte-identical
-    canonical = report_text(report)
-    with open(checkpoint, "w") as fh:
-        fh.write(canonical)
-    print(f"\ncheckpoint/report written to {checkpoint} (removed on exit); first lines:")
+    # the canonical text on disk excludes wall time, so a rerun with the
+    # same seed and thread count is byte-identical
+    with open(report_path) as fh:
+        canonical = fh.read()
+    assert canonical == report_text(report)
+    print(f"\nreport written to {report_path} (removed on exit); first lines:")
     print("\n".join(canonical.splitlines()[:6]))

@@ -5,6 +5,8 @@ in raw output units. Two tuning modes exist: nested (the search runs
 inside every outer fold on that fold's training portion, so held-out
 points never influence tuning) and non-nested (one search on the full
 data, then per-fold refits), the latter costing roughly one k-th as much.
+Both methods run through one fold loop, which rewrites the output file
+atomically after every fold as the report of the folds finished so far.
 
 The baseline is a single stationary squared-exponential kernel with one
 lengthscale per input dimension, plus a learned noise variance, optimized
@@ -146,16 +148,45 @@ def _fold_seeds(seed: int, n: int):
     return [int(s) for s in np.random.SeedSequence(seed).generate_state(n)]
 
 
-def _flush_checkpoint(path, method, config, fold_rmses):
-    if path is None:
-        return
-    lines = ["format = pcegp-checkpoint-1", f"method = {method}"]
-    for k, v in config.echo().items():
-        lines.append(f"config.{k} = {v}")
-    for i, r in enumerate(fold_rmses):
-        lines.append(f"fold_{i}.rmse = {r!r}")
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
+def _cross_validate(method, config, ds, output_path, fit_predict, t0):
+    """The outer k-fold protocol that both methods share.
+
+    Each fold fits the min-max input and z-score output scalers on its own
+    training rows and calls `fit_predict(fold, train, in_sc, out_sc,
+    x_test)`, which returns the test means in raw output units and the
+    fold's parameter vector. After every fold the report of the folds
+    finished so far replaces `output_path` atomically (a `.tmp` file, then
+    `os.replace`), so the last write is the final report and an
+    interrupted run leaves a valid report of its finished folds.
+    """
+    plan = make_folds(ds.n_points, config.n_folds, config.seed)
+    fold_rmses: list = []
+    thetas: list = []
+    for f in range(config.n_folds):
+        tr, te = plan.train_indices(f), plan.test_indices(f)
+        train = Dataset(
+            ds.inputs[tr], ds.outputs[tr], ds.column_names, ds.target_name
+        )
+        in_sc = fit_scaler("min_max_per_column", train.inputs)
+        out_sc = fit_scaler("z_normalize", train.outputs)
+        means, theta = fit_predict(f, train, in_sc, out_sc, ds.inputs[te])
+        fold_rmses.append(rmse(means, ds.outputs[te]))
+        thetas.append(tuple(float(v) for v in theta))
+        report = BenchmarkReport(
+            method=method,
+            per_fold_rmse=tuple(fold_rmses),
+            mean_rmse=float(np.mean(fold_rmses)),
+            std_rmse=float(np.std(fold_rmses)),
+            wall_time=time.perf_counter() - t0,
+            config_echo=config.echo(),
+            best_thetas=tuple(thetas),
+        )
+        if output_path is not None:
+            tmp = f"{output_path}.tmp"
+            with open(tmp, "w", encoding="utf-8") as fh:
+                fh.write(report_text(report))
+            os.replace(tmp, output_path)
+    return report
 
 
 def run_benchmark(
@@ -167,70 +198,45 @@ def run_benchmark(
 
     Nested mode reruns the hyperparameter search inside every outer fold;
     non-nested mode searches once on the full data and refits the winner
-    per fold. A checkpoint file, when requested, is rewritten after every
-    fold, so an interrupted run keeps the folds it finished.
+    per fold. `checkpoint_path`, when given, receives the report of the
+    finished folds after every fold (see `_cross_validate`).
     """
     t0 = time.perf_counter()
     ds = dataset if dataset is not None else _load_target(config)
-    plan = make_folds(ds.n_points, config.n_folds, config.seed)
-    seeds = _fold_seeds(config.seed, config.n_folds)
 
-    shared_best = None
-    if not config.nested:
-        result = run_search(
-            ds,
+    def search(data, seed):
+        return run_search(
+            data,
             config.space,
             n_trials=config.n_trials,
             n_initial=config.n_initial,
             n_iterations=config.n_iterations,
             n_folds=config.inner_n_folds,
-            seed=config.seed,
+            seed=seed,
             global_scaling=config.global_scaling,
-        )
-        shared_best = result.best_theta
+        ).best_theta
 
-    fold_rmses: list = []
-    best_thetas: list = []
-    for f in range(config.n_folds):
-        tr, te = plan.train_indices(f), plan.test_indices(f)
-        train = Dataset(
-            ds.inputs[tr], ds.outputs[tr], ds.column_names, ds.target_name
-        )
+    seeds = _fold_seeds(config.seed, config.n_folds)
+    # non-nested: one search, run at the first fold, so that make_folds has
+    # rejected a bad fold count before the search time is spent
+    shared_best = None
+
+    def fit_predict(fold, train, in_sc, out_sc, x_test):
+        nonlocal shared_best
         if config.nested:
-            result = run_search(
-                train,
-                config.space,
-                n_trials=config.n_trials,
-                n_initial=config.n_initial,
-                n_iterations=config.n_iterations,
-                n_folds=config.inner_n_folds,
-                seed=seeds[f],
-                global_scaling=config.global_scaling,
-            )
-            best = result.best_theta
+            best = search(train, seeds[fold])
         else:
+            if shared_best is None:
+                shared_best = search(ds, config.seed)
             best = shared_best
-
         stack, noise = config.space.build_stack(best, ds.n_inputs)
-        in_sc = fit_scaler("min_max_per_column", train.inputs)
-        out_sc = fit_scaler("z_normalize", train.outputs)
         model = fit_precompute(
             stack, noise, in_sc, out_sc, train.inputs, train.outputs
         )
-        means, _ = predict_batch(model, ds.inputs[te])
-        fold_rmses.append(rmse(means, ds.outputs[te]))
-        best_thetas.append(tuple(float(v) for v in best))
-        _flush_checkpoint(checkpoint_path, "pcegp", config, fold_rmses)
+        means, _ = predict_batch(model, x_test)
+        return means, best
 
-    return BenchmarkReport(
-        method="pcegp",
-        per_fold_rmse=tuple(fold_rmses),
-        mean_rmse=float(np.mean(fold_rmses)),
-        std_rmse=float(np.std(fold_rmses)),
-        wall_time=time.perf_counter() - t0,
-        config_echo=config.echo(),
-        best_thetas=tuple(best_thetas),
-    )
+    return _cross_validate("pcegp", config, ds, checkpoint_path, fit_predict, t0)
 
 
 # ---------------------------------------------------------------------------
@@ -311,37 +317,22 @@ def run_baseline(
     dataset: Dataset | None = None,
     checkpoint_path=None,
 ) -> BenchmarkReport:
-    """Cross-validated RMSE of the stationary per-dimension baseline."""
+    """Cross-validated RMSE of the stationary per-dimension baseline.
+
+    Same folds, scalers and per-fold report file as `run_benchmark`; the
+    per-fold vector is the baseline's log parameters.
+    """
     t0 = time.perf_counter()
     ds = dataset if dataset is not None else _load_target(config)
-    plan = make_folds(ds.n_points, config.n_folds, config.seed)
 
-    fold_rmses: list = []
-    best_thetas: list = []
-    for f in range(config.n_folds):
-        tr, te = plan.train_indices(f), plan.test_indices(f)
-        in_sc = fit_scaler("min_max_per_column", ds.inputs[tr])
-        out_sc = fit_scaler("z_normalize", ds.outputs[tr])
-        x_s = apply_scaler(in_sc, ds.inputs[tr])
-        y_s = (ds.outputs[tr] - out_sc.loc[0]) / out_sc.scale[0]
-
+    def fit_predict(fold, train, in_sc, out_sc, x_test):
+        x_s = apply_scaler(in_sc, train.inputs)
+        y_s = (train.outputs - out_sc.loc[0]) / out_sc.scale[0]
         log_params, alpha, _ = _fit_ard_baseline(x_s, y_s, config.n_iterations)
-        xq_s = apply_scaler(in_sc, ds.inputs[te])
-        mean_s = _ard_predict(log_params, x_s, alpha, xq_s)
-        means = mean_s * out_sc.scale[0] + out_sc.loc[0]
-        fold_rmses.append(rmse(means, ds.outputs[te]))
-        best_thetas.append(tuple(float(v) for v in log_params))
-        _flush_checkpoint(checkpoint_path, "baseline", config, fold_rmses)
+        mean_s = _ard_predict(log_params, x_s, alpha, apply_scaler(in_sc, x_test))
+        return mean_s * out_sc.scale[0] + out_sc.loc[0], log_params
 
-    return BenchmarkReport(
-        method="baseline",
-        per_fold_rmse=tuple(fold_rmses),
-        mean_rmse=float(np.mean(fold_rmses)),
-        std_rmse=float(np.std(fold_rmses)),
-        wall_time=time.perf_counter() - t0,
-        config_echo=config.echo(),
-        best_thetas=tuple(best_thetas),
-    )
+    return _cross_validate("baseline", config, ds, checkpoint_path, fit_predict, t0)
 
 
 # ---------------------------------------------------------------------------

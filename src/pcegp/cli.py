@@ -21,7 +21,6 @@ import numpy as np
 from .bench import (
     BenchmarkConfig,
     report_table,
-    report_text,
     run_baseline,
     run_benchmark,
 )
@@ -365,13 +364,11 @@ def _benchmark_config(cfg: dict) -> BenchmarkConfig:
 
 
 def cmd_benchmark(cfg: dict, baseline: bool = False) -> int:
-    """Cross-validated RMSE; partial results land in the output file on interrupt."""
+    """Cross-validated RMSE; the output file holds the report of the folds done."""
     output = _require(cfg, "output")
     bconfig = _benchmark_config(cfg)
     runner = run_baseline if baseline else run_benchmark
     report = runner(bconfig, checkpoint_path=output)
-    with open(output, "w", encoding="utf-8") as fh:
-        fh.write(report_text(report))
     sys.stdout.write(report_table(report))
     return 0
 

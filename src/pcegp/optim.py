@@ -417,23 +417,24 @@ def tpe_suggest(
 # Adam
 # ---------------------------------------------------------------------------
 
+# decay rates of the moment estimates and the denominator guard
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPSILON = 1e-8
+
+
 @dataclass(frozen=True)
 class AdamState:
-    """Adam moments and config; immutable, adam_step returns a new state."""
+    """Adam step size and moments; immutable, adam_step returns a new state."""
 
     step_size: float = 0.01
-    beta1: float = 0.9
-    beta2: float = 0.999
-    epsilon: float = 1e-8
     first_moment: np.ndarray = field(default_factory=lambda: np.zeros(0))
     second_moment: np.ndarray = field(default_factory=lambda: np.zeros(0))
     t: int = 0
 
     def __post_init__(self):
-        if self.step_size <= 0.0 or self.epsilon <= 0.0:
-            raise ValueError("step_size and epsilon must be positive")
-        if not (0.0 < self.beta1 < 1.0 and 0.0 < self.beta2 < 1.0):
-            raise ValueError("beta1 and beta2 must lie in (0, 1)")
+        if self.step_size <= 0.0:
+            raise ValueError("step_size must be positive")
 
     @classmethod
     def initial(cls, n_params: int, **kwargs) -> "AdamState":
@@ -452,19 +453,13 @@ def adam_step(state: AdamState, params, gradient):
     if p.shape != g.shape or p.shape != state.first_moment.shape:
         raise ValueError("params, gradient, and moments must share a shape")
     t = state.t + 1
-    m = state.beta1 * state.first_moment + (1.0 - state.beta1) * g
-    v = state.beta2 * state.second_moment + (1.0 - state.beta2) * g * g
-    m_hat = m / (1.0 - state.beta1**t)
-    v_hat = v / (1.0 - state.beta2**t)
-    new_params = p - state.step_size * m_hat / (np.sqrt(v_hat) + state.epsilon)
+    m = ADAM_BETA1 * state.first_moment + (1.0 - ADAM_BETA1) * g
+    v = ADAM_BETA2 * state.second_moment + (1.0 - ADAM_BETA2) * g * g
+    m_hat = m / (1.0 - ADAM_BETA1**t)
+    v_hat = v / (1.0 - ADAM_BETA2**t)
+    new_params = p - state.step_size * m_hat / (np.sqrt(v_hat) + ADAM_EPSILON)
     new_state = AdamState(
-        step_size=state.step_size,
-        beta1=state.beta1,
-        beta2=state.beta2,
-        epsilon=state.epsilon,
-        first_moment=m,
-        second_moment=v,
-        t=t,
+        step_size=state.step_size, first_moment=m, second_moment=v, t=t
     )
     return new_state, new_params
 

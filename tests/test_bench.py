@@ -150,6 +150,15 @@ def test_nested_benchmark_tunes_per_fold():
     assert np.isfinite(report.mean_rmse)
 
 
+def test_fold_count_checked_before_the_search(monkeypatch):
+    def no_search(*args, **kwargs):
+        raise AssertionError("searched before the fold plan was checked")
+
+    monkeypatch.setattr(bench, "run_search", no_search)
+    with pytest.raises(ValueError, match="n_folds"):
+        run_benchmark(_tiny_config(), dataset=_sin_dataset(n=3))
+
+
 def test_benchmark_fold_hygiene(monkeypatch):
     """Per-fold scalers are fit on exactly the outer training rows."""
     ds = _sin_dataset()
@@ -199,9 +208,9 @@ def test_report_text_structure():
 def test_checkpoint_file_written_and_completed(tmp_path):
     ds = _sin_dataset()
     path = tmp_path / "check.txt"
-    run_benchmark(_tiny_config(), dataset=ds, checkpoint_path=path)
+    report = run_benchmark(_tiny_config(), dataset=ds, checkpoint_path=path)
     text = path.read_text()
-    assert text.startswith("format = pcegp-checkpoint-1\n")
+    assert text == report_text(report)
     assert "fold_0.rmse = " in text and "fold_3.rmse = " in text
 
 
@@ -220,9 +229,23 @@ def test_interrupt_flushes_partial_checkpoint(tmp_path, monkeypatch):
     monkeypatch.setattr(bench, "_fit_ard_baseline", bomb)
     with pytest.raises(KeyboardInterrupt):
         run_baseline(_tiny_config(), dataset=ds, checkpoint_path=path)
-    text = path.read_text()
-    assert "fold_1.rmse = " in text
-    assert "fold_2.rmse = " not in text
+    monkeypatch.undo()
+    full_path = tmp_path / "full.txt"
+    run_baseline(_tiny_config(), dataset=ds, checkpoint_path=full_path)
+
+    def fold_lines(text, fold):
+        return [
+            line for line in text.splitlines()
+            if line.startswith((f"fold_{fold}.rmse = ", f"fold_{fold}.theta = "))
+        ]
+
+    partial, full = path.read_text(), full_path.read_text()
+    assert partial.startswith("format = pcegp-report-1\n")
+    for fold in (0, 1):
+        assert len(fold_lines(partial, fold)) == 2
+        assert fold_lines(partial, fold) == fold_lines(full, fold)
+    assert not fold_lines(partial, 2)
+    assert not list(tmp_path.glob("*.tmp"))
 
 
 # --- stationary baseline ------------------------------------------------------

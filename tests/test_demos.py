@@ -38,6 +38,7 @@ def run_python(args, tmp_path):
         "03_exact_gp_inference.py",
         "04_hyperparameter_search.py",
         "05_benchmark_workflow.py",
+        "06_recover_a_varying_lengthscale.py",
     ],
 )
 def test_demo_exits_cleanly(demo, tmp_path):

@@ -259,8 +259,6 @@ def test_adam_descends_a_quadratic():
 def test_adam_validation():
     with pytest.raises(ValueError):
         AdamState.initial(2, step_size=0.0)
-    with pytest.raises(ValueError):
-        AdamState.initial(2, beta1=1.0)
     state = AdamState.initial(2)
     with pytest.raises(ValueError):
         adam_step(state, np.zeros(3), np.zeros(3))
