@@ -103,11 +103,15 @@ def _as_points(points, n_inputs: int) -> np.ndarray:
 
 
 def _terms_eval(terms, coords: np.ndarray) -> np.ndarray:
-    """Sum of all expansions evaluated element-wise over ``coords``."""
+    """Sum of all expansions evaluated element-wise over ``coords``.
+
+    The einsum, unlike a BLAS product, rounds every column alike, so two
+    copies of one point warp to the same bits (zero distance, not 1e-35).
+    """
     flat = coords.ravel()
     total = np.zeros(flat.size)
     for kind, coeffs in terms:
-        total += coeffs @ eval_basis(kind, coeffs.size - 1, flat)
+        total += np.einsum("m,mk->k", coeffs, eval_basis(kind, coeffs.size - 1, flat))
     return total.reshape(coords.shape)
 
 

@@ -107,7 +107,7 @@ def _fd_gradient(stack, noise, pts, y, h_rel=1e-5):
 
 
 def test_gradient_matches_finite_differences_many_seeds():
-    worst = 0.0
+    cases = []
     for seed in range(20):
         rng = np.random.default_rng(100 + seed)
         forms = [
@@ -130,9 +130,20 @@ def test_gradient_matches_finite_differences_many_seeds():
             # to 1e-8, |MLL| near 1e8, and central differences dominated by
             # rounding
             pts[5] = pts[2]
-        y = rng.normal(size=8)
+        cases.append((stack, noise, pts, rng.normal(size=8)))
+    # two copies of one point at the ends of the set: a coefficient sum that
+    # rounds by position warps them one ulp apart, and the AE derivative at
+    # that tiny distance puts an order-one error into the gradient
+    pts = np.linspace(0.0, 1.0, 17)[:, None]
+    pts[[0, 16]] = 0.09015444400489915
+    field = LengthscaleField(((Basis.legendre01(), [1.0, 0.0, -2.75]),), 1)
+    stack = KernelStack(((KernelForm.ae(), 1.0, field),))
+    cases.append((stack, NoiseField.fixed(1e-2), pts, pts[:, 0]))
+
+    worst = 0.0
+    for case, (stack, noise, pts, y) in enumerate(cases):
         analytic = mll_gradient(stack, noise, pts, y)
-        assert np.all(np.isfinite(analytic)), seed
+        assert np.all(np.isfinite(analytic)), case
         fd = _fd_gradient(stack, noise, pts, y)
         rel = np.abs(analytic - fd) / np.maximum(np.abs(fd), 1e-6)
         worst = max(worst, rel.max())

@@ -152,6 +152,12 @@ def test_warp_points_is_hadamard_product():
     pts = np.array([[0.25, 0.75]])
     # l(x) = 2x - 1 per coordinate -> w = (2x-1) * x
     np.testing.assert_allclose(warp_points(field, pts), [[-0.125, 0.375]], atol=1e-14)
+    # two copies of one point warp to the same bits wherever they sit
+    pts = np.linspace(0.0, 1.0, 9)[:, None]
+    pts[[0, 8]] = 0.09015444400489915
+    field = LengthscaleField(((Basis.legendre01(), [1.0, 0.0, -2.75]),), 1)
+    w = warp_points(field, pts)
+    assert w[0, 0] == w[8, 0]
 
 
 # ---------------------------------------------------------------------------
@@ -278,6 +284,7 @@ def test_gram_sqdist_matches_cdist_with_duplicate_rows(n_x, rows, data):
     assert np.array_equal(d2, cdist(w, w, "sqeuclidean"))
     assert np.array_equal(d2, d2.T)
     assert np.all(np.diag(d2) == 0.0)
+    assert np.all(d2[np.equal.outer(rows, rows)] == 0.0)
 
 
 # ---------------------------------------------------------------------------
