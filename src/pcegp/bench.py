@@ -30,7 +30,7 @@ from .data import (
     load_csv,
     make_folds,
 )
-from .gp import _likelihood_core, fit_precompute, predict_batch
+from .gp import _likelihood_core, fit_precompute, predict_means
 from .kernels import KernelForm
 from .optim import AdamState, SearchSpace, adam_step, run_search
 from .poly import Basis
@@ -233,8 +233,7 @@ def run_benchmark(
         model = fit_precompute(
             stack, noise, in_sc, out_sc, train.inputs, train.outputs
         )
-        means, _ = predict_batch(model, x_test)
-        return means, best
+        return predict_means(model, x_test), best
 
     return _cross_validate("pcegp", config, ds, checkpoint_path, fit_predict, t0)
 

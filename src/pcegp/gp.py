@@ -38,6 +38,7 @@ from .hyper import (
 )
 from .kernels import (
     KernelStack,
+    Workspace,
     ladder_cholesky,
     noisy_gram,
     sqdist_derivative_from_values,
@@ -46,8 +47,7 @@ from .kernels import (
 
 LOG_2PI = float(np.log(2.0 * np.pi))
 
-# rows per block when sweeping an N x N matrix in place; bounds temporaries
-# to _BLOCK x N
+# rows per block when mirroring a triangle of an N x N matrix in place
 _BLOCK = 128
 
 
@@ -101,15 +101,21 @@ class LikelihoodFit:
     warped: tuple = ()  # each stack entry's warped training points, from the Gram
 
 
-def _chol_inverse(chol: np.ndarray) -> np.ndarray:
+def _chol_inverse(chol: np.ndarray, out=None) -> np.ndarray:
     """K^-1 from the lower Cholesky factor of K, exactly symmetric.
 
-    LAPACK dpotri fills one triangle; the other is mirrored in place, so
-    no N x N temporary is made beyond the result itself.
+    The factor is copied to `out` (a new array when it is not given), LAPACK
+    dpotri overwrites that copy with one triangle of the inverse, and the
+    other triangle is mirrored in place: no N x N temporary is made.
     """
-    # chol.T is the upper factor in Fortran order, so LAPACK reads it as is;
-    # the upper triangle it fills is the lower triangle of the C-order view
-    upper, info = dpotri(chol.T, lower=0)
+    if out is None:
+        inv = chol.copy()
+    else:
+        inv = out
+        np.copyto(inv, chol)
+    # inv.T is the upper factor in Fortran order, so LAPACK works on it in
+    # place; the upper triangle it fills is the lower triangle of `inv`
+    upper, info = dpotri(inv.T, lower=0, overwrite_c=1)
     if info != 0:
         raise np.linalg.LinAlgError(f"dpotri failed with info {info}")
     inv = upper.T
@@ -123,32 +129,48 @@ def _chol_inverse(chol: np.ndarray) -> np.ndarray:
     return inv
 
 
-def _likelihood_core(k: np.ndarray, y: np.ndarray, context: str, gradient=False):
+def _likelihood_core(
+    k: np.ndarray, y: np.ndarray, context: str, gradient=False, workspace=None
+):
     """Marginal likelihood of y under the assembled covariance K.
 
     Factorizes K once through the jitter ladder; with `gradient`, also
     forms A = alpha alpha^T - K^-1, so that dMLL = 0.5 tr(A dK) for any
     parameter of K (Rasmussen & Williams 2006, eq. 5.9). Every likelihood
     in the package, the stationary baseline's included, runs through here.
+    With a `workspace`, the factor and A are its buffers and the next
+    evaluation overwrites them; without one they are new arrays. The
+    factor's diagonal is finite (the ladder checks it), so the solves skip
+    scipy's finiteness scan of it.
     """
-    gram = ladder_cholesky(k, context)
-    alpha = cho_solve((gram.chol, True), y)
+    n = y.size
+    gram = ladder_cholesky(
+        k, context, None if workspace is None else workspace.matrix("factor", n)
+    )
+    # chol.T is the upper factor in Fortran order: LAPACK reads it uncopied
+    alpha = cho_solve((gram.chol.T, False), y, check_finite=False)
     logdet = 2.0 * float(np.sum(np.log(np.diag(gram.chol))))
-    value = float(-0.5 * y @ alpha - 0.5 * logdet - 0.5 * y.size * LOG_2PI)
+    value = float(-0.5 * y @ alpha - 0.5 * logdet - 0.5 * n * LOG_2PI)
     a = None
     if gradient:
-        a = _chol_inverse(gram.chol)
-        for s in range(0, y.size, _BLOCK):
-            rows = a[s : s + _BLOCK]
-            np.subtract(np.outer(alpha[s : s + _BLOCK], alpha), rows, out=rows)
+        ws = workspace if workspace is not None else Workspace()
+        a = _chol_inverse(gram.chol, ws.matrix("inverse", n))
+        outer = np.multiply.outer(alpha, alpha, out=ws.matrix("scratch", n))
+        np.subtract(outer, a, out=a)
     # K itself is not kept: a fit can outlive the step that made it
     return LikelihoodFit(value, gram.chol, gram.jitter_used, alpha, a)
 
 
-def fit_likelihood(stack: KernelStack, noise: NoiseField, x_scaled, y_scaled):
-    """Value-only likelihood fit: the MLL, the factor, the target solve and the warps."""
+def fit_likelihood(
+    stack: KernelStack, noise: NoiseField, x_scaled, y_scaled, workspace=None
+):
+    """Value-only likelihood fit: the MLL, the factor, the target solve and the warps.
+
+    The Gram is assembled in `workspace` when one is given; the factor,
+    which the returned fit keeps, is always a new array.
+    """
     y = np.asarray(y_scaled, dtype=float).ravel()
-    parts, k = noisy_gram(stack, noise, x_scaled)
+    parts, k = noisy_gram(stack, noise, x_scaled, workspace)
     warped = tuple(w for _, _, w, _, _ in parts)
     return replace(_likelihood_core(k, y, stack.describe()), warped=warped)
 
@@ -173,7 +195,12 @@ def gradient_sensitivities(stack: KernelStack, noise: NoiseField, x_scaled):
 
 
 def mll_gradient(
-    stack: KernelStack, noise: NoiseField, x_scaled, y_scaled, sensitivities=None
+    stack: KernelStack,
+    noise: NoiseField,
+    x_scaled,
+    y_scaled,
+    sensitivities=None,
+    workspace=None,
 ):
     """Gradient of the marginal log likelihood over the free parameters.
 
@@ -182,17 +209,20 @@ def mll_gradient(
     then each entry's squared output scale. Matches central finite
     differences within 1e-4 relative error (the public contract).
     `sensitivities` is `gradient_sensitivities` for the same points and
-    field layouts; it is computed here when not given.
+    field layouts; it is computed here when not given. Every N x N array
+    of the evaluation is a buffer of `workspace`, or of a fresh one when
+    none is given; the returned gradient is a new array.
     """
     pts = np.asarray(x_scaled, dtype=float)
     y = np.asarray(y_scaled, dtype=float).ravel()
     if sensitivities is None:
         sensitivities = gradient_sensitivities(stack, noise, pts)
     ls_sens, noise_sens = sensitivities
-    parts, k = noisy_gram(stack, noise, pts)
-    # dMLL = 0.5 tr(a dK); K itself is not needed past its factorization
-    a = _likelihood_core(k, y, stack.describe(), gradient=True).a
-    del k
+    ws = workspace if workspace is not None else Workspace()
+    parts, k = noisy_gram(stack, noise, pts, ws)
+    # dMLL = 0.5 tr(a dK)
+    a = _likelihood_core(k, y, stack.describe(), gradient=True, workspace=ws).a
+    t = ws.matrix("scratch", y.size)
 
     blocks = []
     scale_grad = []
@@ -200,7 +230,7 @@ def mll_gradient(
         stack.entries, parts, ls_sens
     ):
         scale_grad.append(0.5 * float(np.vdot(a, k_part)) / (scale * scale))
-        t = sqdist_derivative_from_values(form, d2, k_part)
+        sqdist_derivative_from_values(form, d2, k_part, out=t)
         t *= a
         r = t.sum(axis=1)[:, None] * w - t @ w
         blocks.append(2.0 * np.tensordot(sens, (r * pts).T, axes=([1, 2], [0, 1])))
@@ -328,12 +358,8 @@ def predict(model: PcegpModel, x_raw) -> Prediction:
     return Prediction(mean=float(means[0]), variance=float(variances[0]))
 
 
-def predict_batch(model: PcegpModel, x_raw):
-    """Posterior predictions at M raw-unit query points.
-
-    Returns (means, variances) in raw output units; the variance includes
-    the query-point noise, clamped at zero after cancellation.
-    """
+def _means_and_cross(model: PcegpModel, x_raw):
+    """Raw-unit posterior means, the scaled queries and the N x M cross covariances."""
     xq = np.asarray(x_raw, dtype=float)
     if xq.ndim != 2 or xq.shape[1] != model.n_inputs:
         raise ValueError(
@@ -341,17 +367,38 @@ def predict_batch(model: PcegpModel, x_raw):
         )
     xq_s = apply_scaler(model.input_scaler, xq)
     k_cross = warped_cross_matrix(model.stack, model.warped, xq_s)  # (N, M)
-    k_diag = sum(scale * scale for _, scale, _ in model.stack.entries)
-
     mean_s = k_cross.T @ model.alpha_solve
-    v = solve_triangular(model.chol, k_cross, lower=True)
+    means = mean_s * float(model.output_scaler.scale[0]) + float(
+        model.output_scaler.loc[0]
+    )
+    return means, xq_s, k_cross
+
+
+def predict_means(model: PcegpModel, x_raw) -> np.ndarray:
+    """Posterior means at M raw-unit query points, without the variances.
+
+    The same means as `predict_batch`, bit for bit, without its N x M
+    triangular solve.
+    """
+    return _means_and_cross(model, x_raw)[0]
+
+
+def predict_batch(model: PcegpModel, x_raw):
+    """Posterior predictions at M raw-unit query points.
+
+    Returns (means, variances) in raw output units; the variance includes
+    the query-point noise, clamped at zero after cancellation.
+    """
+    means, xq_s, k_cross = _means_and_cross(model, x_raw)
+    k_diag = sum(scale * scale for _, scale, _ in model.stack.entries)
+    # chol.T is the upper factor in Fortran order: LAPACK reads it uncopied
+    v = solve_triangular(
+        model.chol.T, k_cross, lower=False, trans="T", check_finite=False
+    )
     noise_q = eval_noise_batch(model.noise, xq_s)
     var_s = np.maximum(0.0, k_diag + noise_q - np.sum(v * v, axis=0))
-
     scale = float(model.output_scaler.scale[0])
-    means = mean_s * scale + float(model.output_scaler.loc[0])
-    variances = var_s * scale * scale
-    return means, variances
+    return means, var_s * scale * scale
 
 
 def log_predictive_density(model: PcegpModel, x_raw, y_raw) -> np.ndarray:

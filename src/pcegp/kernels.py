@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial.distance import cdist, pdist, squareform
+from scipy.spatial.distance import cdist
 
 from .hyper import LengthscaleField, NoiseField, eval_lengthscale_batch, eval_noise_batch
 
@@ -100,22 +100,47 @@ class KernelStack:
 
 @dataclass(frozen=True)
 class GramResult:
-    """Training covariance with noise and whatever jitter Cholesky needed."""
+    """A factor from the jitter ladder and the jitter its diagonal needed."""
 
-    matrix: np.ndarray
     jitter_used: float
-    chol: np.ndarray  # lower-triangular factor of `matrix`
+    chol: np.ndarray  # lower factor of the matrix plus `jitter_used` on its diagonal
+
+
+class Workspace:
+    """Owned N x N float64 buffers, reused from one likelihood evaluation to the next.
+
+    Each buffer is a flat array kept under a key and grown to the largest N
+    it has served; a smaller N gets a C-contiguous view of its first N * N
+    elements, so one workspace serves every training split of a
+    cross-validation. The next evaluation overwrites every buffer, so
+    nothing a caller keeps may be a view into one.
+    """
+
+    def __init__(self):
+        self._buffers = {}
+
+    def matrix(self, key, n: int) -> np.ndarray:
+        """An uninitialized n x n view of the buffer under `key`."""
+        buf = self._buffers.get(key)
+        if buf is None or buf.size < n * n:
+            buf = self._buffers[key] = np.empty(n * n)
+        return buf[: n * n].reshape(n, n)
 
 
 # ---------------------------------------------------------------------------
 # form evaluation on squared distances
 # ---------------------------------------------------------------------------
 
-def form_from_sqdist(form: KernelForm, scale: float, sqdist):
-    """Evaluate a form on squared distances; scale enters as scale**2."""
+def form_from_sqdist(form: KernelForm, scale: float, sqdist, out=None, scratch=None):
+    """Evaluate a form on squared distances; scale enters as scale**2.
+
+    The values go to `out` when it is given (an array of the distances'
+    shape), else to a new array. Matern-3/2 needs one more array of that
+    shape, `scratch`, allocated when it is not given.
+    """
     d2 = np.asarray(sqdist, dtype=float)
-    # one buffer, no N x N temporaries: Gram assembly sets the peak memory
-    out = np.empty_like(d2)
+    if out is None:
+        out = np.empty_like(d2)
     s2 = scale * scale
     if form.tag == "squared_exponential":
         np.multiply(d2, -0.5, out=out)
@@ -127,7 +152,7 @@ def form_from_sqdist(form: KernelForm, scale: float, sqdist):
     elif form.tag == "matern_3_2":
         np.multiply(d2, 3.0, out=out)
         np.sqrt(out, out=out)  # d
-        decay = np.exp(-out)
+        decay = np.exp(np.negative(out, out=scratch), out=scratch)
         out += 1.0
         out *= s2  # (s2 (1 + d)) exp(-d), the closed form's own order
         out *= decay
@@ -163,31 +188,34 @@ def form_sqdist_derivative(form: KernelForm, scale: float, sqdist):
     return -0.5 * s2 * (1.0 + d2 / (2.0 * a)) ** (-a - 1.0)
 
 
-def sqdist_derivative_from_values(form: KernelForm, sqdist, values):
+def sqdist_derivative_from_values(form: KernelForm, sqdist, values, out=None):
     """d(form)/d(squared distance) from the form's own values.
 
     Equal to `form_sqdist_derivative` but reuses the component matrix that
     Gram assembly already holds instead of recomputing the exp or power:
     SE -k/2, M3/2 -1.5k/(1 + sqrt(3 d2)), RQ -k/(2(1 + d2/(2a))), and AE
-    -k/(2 sqrt(d2)), set to 0 at zero distance. Returns a new array.
+    -k/(2 sqrt(d2)), set to 0 at zero distance. Writes to `out` when it is
+    given, else to a new array; the inputs are left alone.
     """
     d2 = np.asarray(sqdist, dtype=float)
     k = np.asarray(values, dtype=float)
+    if out is None:
+        out = np.empty_like(d2)
     if form.tag == "squared_exponential":
-        return -0.5 * k
+        return np.multiply(k, -0.5, out=out)
     if form.tag == "absolute_exponential":
-        out = np.sqrt(d2)
+        np.sqrt(d2, out=out)
         out *= -2.0
         np.divide(k, out, out=out, where=out < 0.0)  # out stays 0 at d2 = 0
         return out
     if form.tag == "matern_3_2":
-        out = 3.0 * d2
+        np.multiply(d2, 3.0, out=out)
         np.sqrt(out, out=out)
         out += 1.0
         np.divide(k, out, out=out)
         out *= -1.5
         return out
-    out = d2 / (2.0 * form.shape)
+    np.divide(d2, 2.0 * form.shape, out=out)
     out += 1.0
     np.divide(k, out, out=out)
     out *= -0.5
@@ -241,41 +269,53 @@ def kernel_nonstationary(
 # Gram assembly
 # ---------------------------------------------------------------------------
 
-def gram_parts(stack: KernelStack, points):
+def gram_parts(stack: KernelStack, points, workspace: Workspace | None = None):
     """Per-entry warped points, squared distances, and component matrices.
 
     Returns a list of (form, scale, warped, sqdist, component) tuples; the
     noise-free Gram is the sum of the components. Shared by Gram assembly
-    and the likelihood gradient so the geometry is computed once.
+    and the likelihood gradient so the geometry is computed once. The
+    distances and components are buffers of `workspace`, or of a fresh
+    one when none is given; the warps are always new arrays.
     """
     pts = np.asarray(points, dtype=float)
     if pts.ndim != 2 or pts.shape[1] != stack.n_inputs:
         raise ValueError(
             f"points must be N x {stack.n_inputs}, got shape {pts.shape}"
         )
+    ws = workspace if workspace is not None else Workspace()
+    n = pts.shape[0]
     parts = []
-    for form, scale, field in stack.entries:
+    for i, (form, scale, field) in enumerate(stack.entries):
         w = warp_points(field, pts)
-        # each pair once: exactly symmetric, with an exactly zero diagonal
-        d2 = squareform(pdist(w, "sqeuclidean"))
-        parts.append((form, scale, w, d2, form_from_sqdist(form, scale, d2)))
+        # per pair a sum of squared differences, which is the same in either
+        # order: exactly symmetric, with an exactly zero diagonal
+        d2 = cdist(w, w, "sqeuclidean", out=ws.matrix(("sqdist", i), n))
+        k_part = form_from_sqdist(
+            form, scale, d2, ws.matrix(("component", i), n), ws.matrix("scratch", n)
+        )
+        parts.append((form, scale, w, d2, k_part))
     return parts
 
 
-def ladder_cholesky(k: np.ndarray, context: str) -> GramResult:
+def ladder_cholesky(k: np.ndarray, context: str, out=None) -> GramResult:
     """Factorize a symmetric matrix, escalating diagonal jitter as needed.
 
     Jitter is added to the diagonal in the fixed ladder `JITTER_LADDER`
-    until the Cholesky factorization succeeds; the returned matrix includes
-    the jitter that was used.
+    until the Cholesky factorization succeeds; `k` itself is left alone.
+    A factor whose diagonal is not finite counts as a failure, since LAPACK
+    does not flag a NaN pivot.
     """
+    trial = out if out is not None else np.empty_like(k)
     for jitter in JITTER_LADDER:
-        trial = k if jitter == 0.0 else k + jitter * np.eye(k.shape[0])
+        np.copyto(trial, k)
+        trial.flat[:: k.shape[0] + 1] += jitter
         try:
             chol = np.linalg.cholesky(trial)
         except np.linalg.LinAlgError:
             continue
-        return GramResult(matrix=trial, jitter_used=jitter, chol=chol)
+        if np.all(np.isfinite(np.diagonal(chol))):
+            return GramResult(jitter_used=jitter, chol=chol)
 
     raise RuntimeError(
         f"covariance matrix is not positive definite even with jitter "
@@ -283,19 +323,22 @@ def ladder_cholesky(k: np.ndarray, context: str) -> GramResult:
     )
 
 
-def noisy_gram(stack: KernelStack, noise: NoiseField, points):
+def noisy_gram(stack: KernelStack, noise: NoiseField, points, workspace=None):
     """Gram components and the noisy training covariance K + noise diagonal.
 
-    Returns (parts, K) with `parts` as from `gram_parts`; K is a new
-    array, so the components stay untouched for the likelihood gradient.
-    This is the one place the training covariance is assembled.
+    Returns (parts, K) with `parts` as from `gram_parts`; K is a buffer of
+    its own, so the components stay untouched for the likelihood gradient.
+    Both live in `workspace`, or in a fresh one when none is given. This is
+    the one place the training covariance is assembled.
     """
     pts = np.asarray(points, dtype=float)
-    parts = gram_parts(stack, pts)
-    k = parts[0][4].copy()
+    ws = workspace if workspace is not None else Workspace()
+    parts = gram_parts(stack, pts, ws)
+    k = ws.matrix("k", pts.shape[0])
+    np.copyto(k, parts[0][4])
     for part in parts[1:]:
         k += part[4]
-    k[np.diag_indices_from(k)] += eval_noise_batch(noise, pts)
+    k.flat[:: k.shape[0] + 1] += eval_noise_batch(noise, pts)
     return parts, k
 
 

@@ -42,7 +42,7 @@ from .gp import (
     with_free_parameters,
 )
 from .hyper import LengthscaleField, NoiseField
-from .kernels import KernelForm, KernelStack
+from .kernels import KernelForm, KernelStack, Workspace
 from .poly import Basis
 
 FAILED_LOSS = float("inf")
@@ -508,6 +508,7 @@ def fine_tune(
     space: SearchSpace,
     train_split,
     n_iterations: int,
+    workspace: Workspace | None = None,
 ) -> FineTuneResult:
     """Refine a trial's active parameters by Adam ascent on the MLL.
 
@@ -515,7 +516,8 @@ def fine_tune(
     scales are optimized through their logarithm so they remain positive.
     Returns (theta_refined, final negative MLL) as a `FineTuneResult`; a
     factorization failure at any step marks the trial failed with an
-    infinite loss.
+    infinite loss. Every step assembles its Gram in `workspace` (a fresh
+    one when none is given); the closing fit keeps a factor of its own.
     """
     x_s, y_s = train_split
     x_s = np.asarray(x_s, dtype=float)
@@ -526,6 +528,7 @@ def fine_tune(
     failed = FineTuneResult(np.asarray(theta, dtype=float).copy(), FAILED_LOSS)
 
     refined = np.asarray(theta, dtype=float).copy()
+    ws = workspace if workspace is not None else Workspace()
     try:
         if n_iterations > 0:
             sensitivities = gradient_sensitivities(stack, noise, x_s)
@@ -534,7 +537,9 @@ def fine_tune(
             n_k = stack.n_entries
             for _ in range(n_iterations):
                 cur_stack, cur_noise = _from_adam_coords(stack, noise, coords)
-                grad = mll_gradient(cur_stack, cur_noise, x_s, y_s, sensitivities)
+                grad = mll_gradient(
+                    cur_stack, cur_noise, x_s, y_s, sensitivities, ws
+                )
                 # descend the negative MLL; chain rule for the log scales
                 loss_grad = -grad
                 loss_grad[-n_k:] *= np.exp(coords[-n_k:])
@@ -543,7 +548,7 @@ def fine_tune(
                 state, coords = adam_step(state, coords, loss_grad)
             stack, noise = _from_adam_coords(stack, noise, coords)
             refined = space.write_back(theta, stack, noise)
-        fit = fit_likelihood(stack, noise, x_s, y_s)
+        fit = fit_likelihood(stack, noise, x_s, y_s, ws)
     except RuntimeError:
         return failed
 
@@ -560,8 +565,12 @@ def _evaluate_trial(
     plan,
     n_iterations: int,
     global_scalers,
+    workspace: Workspace,
 ):
-    """Cross-validate one suggestion; returns (mean loss, fold losses, best fold theta)."""
+    """Cross-validate one suggestion; returns (mean loss, fold losses, best fold theta).
+
+    Every fold refines in `workspace`; the fold models own their arrays.
+    """
     fold_losses = []
     fold_thetas = []
     for f in range(plan.n_folds):
@@ -576,7 +585,7 @@ def _evaluate_trial(
 
         x_tr_s = apply_scaler(in_sc, x_tr)
         y_tr_s = (y_tr - out_sc.loc[0]) / out_sc.scale[0]
-        tuned = fine_tune(theta, space, (x_tr_s, y_tr_s), n_iterations)
+        tuned = fine_tune(theta, space, (x_tr_s, y_tr_s), n_iterations, workspace)
         refined, train_loss = tuned
         if not math.isfinite(train_loss):
             return FAILED_LOSS, fold_losses + [FAILED_LOSS], None
@@ -610,7 +619,8 @@ def run_search(
 
     The retained best is the refined theta from the best-validating fold of
     the lowest-loss trial; the history stores the raw suggestions so the
-    TPE densities stay in suggestion space.
+    TPE densities stay in suggestion space. One likelihood workspace serves
+    every trial and fold of the call and is freed when it returns.
     """
     if n_initial > n_trials:
         raise ValueError("n_initial cannot exceed n_trials")
@@ -626,6 +636,7 @@ def run_search(
             fit_scaler("z_normalize", dataset.outputs),
         )
 
+    workspace = Workspace()
     history: list = []
     best_theta, best_loss = None, FAILED_LOSS
     for trial in range(n_trials):
@@ -640,7 +651,7 @@ def run_search(
                 stage, theta = "random", random_suggest(space, rng)
 
         mean_loss, fold_losses, refined = _evaluate_trial(
-            theta, space, dataset, plan, n_iterations, global_scalers
+            theta, space, dataset, plan, n_iterations, global_scalers, workspace
         )
         history.append(
             TrialRecord(

@@ -23,8 +23,10 @@ IDENTITY_OUT = ScalerState("z_normalize", [0.0], [1.0])
 
 
 def factored_gram(stack, noise, points):
-    """Noisy training covariance through the jitter ladder, as the GP builds it."""
-    return ladder_cholesky(noisy_gram(stack, noise, points)[1], stack.describe())
+    """(K + jitter I, ladder result): the noisy covariance the GP factorizes."""
+    k = noisy_gram(stack, noise, points)[1]
+    gram = ladder_cholesky(k, stack.describe())
+    return k + gram.jitter_used * np.eye(k.shape[0]), gram
 
 
 def const_field(c, n_inputs):
@@ -68,8 +70,8 @@ def test_mll_zero_targets_leave_only_volume_terms():
     noise = NoiseField.fixed(1e-2)
     pts = rng.uniform(size=(7, 2))
     got = mll(stack, noise, pts, np.zeros(7))
-    gram = factored_gram(stack, noise, pts)
-    _, logdet = np.linalg.slogdet(gram.matrix)
+    k, _ = factored_gram(stack, noise, pts)
+    _, logdet = np.linalg.slogdet(k)
     assert got == pytest.approx(-0.5 * logdet - 3.5 * np.log(2.0 * np.pi), rel=1e-10)
 
 
@@ -79,10 +81,10 @@ def test_mll_matches_dense_formula():
     noise = NoiseField.fixed(1e-3)
     pts = rng.uniform(size=(9, 3))
     y = rng.normal(size=9)
-    gram = factored_gram(stack, noise, pts)
+    k, _ = factored_gram(stack, noise, pts)
     expected = (
-        -0.5 * y @ np.linalg.solve(gram.matrix, y)
-        - 0.5 * np.linalg.slogdet(gram.matrix)[1]
+        -0.5 * y @ np.linalg.solve(k, y)
+        - 0.5 * np.linalg.slogdet(k)[1]
         - 4.5 * np.log(2.0 * np.pi)
     )
     assert mll(stack, noise, pts, y) == pytest.approx(expected, rel=1e-10)
@@ -157,11 +159,11 @@ def test_gradient_scale_term_at_zero_targets():
     pts = rng.uniform(size=(6, 2))
     grad = mll_gradient(stack, noise, pts, np.zeros(6))
     # with y = 0 the data-fit term vanishes: d/ds2 = -0.5 tr(K^-1 K_k) / s2
-    gram = factored_gram(stack, noise, pts)
-    k_noise_free = gram.matrix.copy()
+    k, gram = factored_gram(stack, noise, pts)
+    k_noise_free = k.copy()
     k_noise_free[np.diag_indices_from(k_noise_free)] -= 1e-2 + gram.jitter_used
     s2 = stack.entries[0][1] ** 2
-    expected = -0.5 * np.trace(np.linalg.solve(gram.matrix, k_noise_free)) / s2
+    expected = -0.5 * np.trace(np.linalg.solve(k, k_noise_free)) / s2
     assert grad[-1] == pytest.approx(expected, rel=1e-8)
     assert grad[-1] < 0.0
 
@@ -220,12 +222,12 @@ def _fitted_model(rng, n=12, n_inputs=2, noise_value=1e-4):
 def test_fit_precompute_invariants():
     rng = np.random.default_rng(6)
     model, _, _ = _fitted_model(rng)
-    gram = factored_gram(model.stack, model.noise, model.x_scaled)
+    k, _ = factored_gram(model.stack, model.noise, model.x_scaled)
     np.testing.assert_allclose(
-        model.chol @ model.chol.T, gram.matrix, rtol=1e-8, atol=1e-12
+        model.chol @ model.chol.T, k, rtol=1e-8, atol=1e-12
     )
     np.testing.assert_allclose(
-        gram.matrix @ model.alpha_solve, model.y_scaled, rtol=1e-8, atol=1e-10
+        k @ model.alpha_solve, model.y_scaled, rtol=1e-8, atol=1e-10
     )
 
 

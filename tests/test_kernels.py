@@ -48,8 +48,10 @@ def pointwise_sum(stack, x, x2):
 
 
 def factored_gram(stack, noise, points):
-    """Noisy training covariance through the jitter ladder, as the GP builds it."""
-    return ladder_cholesky(noisy_gram(stack, noise, points)[1], stack.describe())
+    """(K + jitter I, ladder result): the noisy covariance the GP factorizes."""
+    k = noisy_gram(stack, noise, points)[1]
+    res = ladder_cholesky(k, stack.describe())
+    return k + res.jitter_used * np.eye(k.shape[0]), res
 
 
 # ---------------------------------------------------------------------------
@@ -203,9 +205,9 @@ def test_stack_validation():
 def test_gram_single_point():
     field = const_field(1.0, 1)
     stack = KernelStack(((KernelForm.se(), 1.0, field),))
-    res = factored_gram(stack, NoiseField.fixed(1e-4), np.array([[0.5]]))
-    assert res.matrix.shape == (1, 1)
-    assert res.matrix[0, 0] == pytest.approx(1.0 + 1e-4 + res.jitter_used)
+    k, res = factored_gram(stack, NoiseField.fixed(1e-4), np.array([[0.5]]))
+    assert k.shape == (1, 1)
+    assert k[0, 0] == pytest.approx(1.0 + 1e-4 + res.jitter_used)
 
 
 def test_gram_symmetry_and_cholesky():
@@ -214,9 +216,9 @@ def test_gram_symmetry_and_cholesky():
         tuple((form, 1.0 + 0.1 * i, random_field(rng, 3)) for i, form in enumerate(ALL_FORMS))
     )
     pts = rng.uniform(size=(20, 3))
-    res = factored_gram(stack, NoiseField.fixed(1e-4), pts)
-    assert np.max(np.abs(res.matrix - res.matrix.T)) <= 1e-12
-    np.testing.assert_allclose(res.chol @ res.chol.T, res.matrix, atol=1e-10)
+    k, res = factored_gram(stack, NoiseField.fixed(1e-4), pts)
+    assert np.max(np.abs(k - k.T)) <= 1e-12
+    np.testing.assert_allclose(res.chol @ res.chol.T, k, atol=1e-10)
 
 
 def test_gram_matches_pointwise_kernels():
@@ -226,13 +228,13 @@ def test_gram_matches_pointwise_kernels():
     )
     pts = rng.uniform(size=(6, 2))
     noise = NoiseField.fixed(1e-3)
-    res = factored_gram(stack, noise, pts)
+    k, res = factored_gram(stack, noise, pts)
     for i in range(6):
         for j in range(6):
             expected = pointwise_sum(stack, pts[i], pts[j])
             if i == j:
                 expected += 1e-3 + res.jitter_used
-            assert res.matrix[i, j] == pytest.approx(expected, abs=1e-12)
+            assert k[i, j] == pytest.approx(expected, abs=1e-12)
 
 
 def test_gram_duplicate_rows_need_jitter():
@@ -240,9 +242,9 @@ def test_gram_duplicate_rows_need_jitter():
     field = const_field(1.0, 1)
     stack = KernelStack(((KernelForm.se(), 1.0, field),))
     pts = np.array([[0.5], [0.5], [0.5]])
-    res = factored_gram(stack, NoiseField.fixed(1e-16), pts)
+    k, res = factored_gram(stack, NoiseField.fixed(1e-16), pts)
     assert res.jitter_used > 0.0
-    np.testing.assert_allclose(res.chol @ res.chol.T, res.matrix, atol=1e-12)
+    np.testing.assert_allclose(res.chol @ res.chol.T, k, atol=1e-12)
 
 
 def test_gram_failure_reports_stack():

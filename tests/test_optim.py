@@ -439,7 +439,7 @@ def test_run_search_all_failures_raise(monkeypatch):
     rng = np.random.default_rng(20)
     ds = synthetic_dataset(rng, n=16)
 
-    def always_fail(theta, space, split, n_iterations):
+    def always_fail(theta, space, split, n_iterations, workspace=None):
         return np.asarray(theta, dtype=float), math.inf
 
     monkeypatch.setattr(optim_mod, "fine_tune", always_fail)
