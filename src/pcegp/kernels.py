@@ -17,6 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg.lapack import dpotrf
 from scipy.spatial.distance import cdist
 
 from .hyper import LengthscaleField, NoiseField, eval_lengthscale_batch, eval_noise_batch
@@ -301,20 +302,24 @@ def gram_parts(stack: KernelStack, points, workspace: Workspace | None = None):
 def ladder_cholesky(k: np.ndarray, context: str, out=None) -> GramResult:
     """Factorize a symmetric matrix, escalating diagonal jitter as needed.
 
-    Jitter is added to the diagonal in the fixed ladder `JITTER_LADDER`
-    until the Cholesky factorization succeeds; `k` itself is left alone.
-    A factor whose diagonal is not finite counts as a failure, since LAPACK
-    does not flag a NaN pivot.
+    Each rung of the fixed ladder `JITTER_LADDER` copies `k` into the
+    factor buffer `out` (a new array when it is not given), adds the rung's
+    jitter to the diagonal and runs LAPACK dpotrf there in place, until the
+    factorization succeeds; `k` itself is left alone. A factor whose
+    diagonal is not finite counts as a failure, since LAPACK does not flag
+    a NaN pivot; a non-finite entry of `k`'s lower triangle always reaches
+    a later diagonal entry of the factor.
     """
-    trial = out if out is not None else np.empty_like(k)
+    n = k.shape[0]
+    factor = out if out is not None else np.empty_like(k)
     for jitter in JITTER_LADDER:
-        np.copyto(trial, k)
-        trial.flat[:: k.shape[0] + 1] += jitter
-        try:
-            chol = np.linalg.cholesky(trial)
-        except np.linalg.LinAlgError:
-            continue
-        if np.all(np.isfinite(np.diagonal(chol))):
+        np.copyto(factor, k)
+        factor.flat[:: n + 1] += jitter
+        # factor.T is Fortran-ordered, so LAPACK works on it in place; its
+        # upper factor, with the rest zeroed, is the C-order lower factor
+        upper, info = dpotrf(factor.T, lower=0, overwrite_a=1, clean=1)
+        chol = upper.T
+        if info == 0 and np.all(np.isfinite(np.diagonal(chol))):
             return GramResult(jitter_used=jitter, chol=chol)
 
     raise RuntimeError(
