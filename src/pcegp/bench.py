@@ -21,6 +21,7 @@ import time
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.spatial.distance import cdist
 
 from .data import (
     Dataset,
@@ -31,7 +32,7 @@ from .data import (
     make_folds,
 )
 from .gp import _likelihood_core, fit_precompute, predict_means
-from .kernels import KernelForm
+from .kernels import KernelForm, Workspace
 from .optim import AdamState, SearchSpace, adam_step, run_search
 from .poly import Basis
 
@@ -242,36 +243,53 @@ def run_benchmark(
 # stationary baseline
 # ---------------------------------------------------------------------------
 
-def _ard_neg_mll_and_grad(log_params, sq_diffs, y, gradient=True):
+def _ard_kernel(log_params, a, b, out=None):
+    """s2 exp(-sum_d (a_d - b_d)^2 / (2 l_d^2)) for every pair of rows of a and b.
+
+    The squared distances of the lengthscale-divided rows come from one
+    `cdist`, written to `out` when it is given.
+    """
+    d = a.shape[1]
+    lengthscales = np.exp(log_params[:d])
+    k = cdist(a / lengthscales, b / lengthscales, "sqeuclidean", out=out)
+    k *= -0.5
+    np.exp(k, out=k)
+    k *= np.exp(log_params[d])
+    return k
+
+
+def _ard_neg_mll_and_grad(log_params, x, y, gradient=True, workspace=None):
     """Negative MLL and gradient for the per-dimension stationary kernel.
 
-    `log_params` is [log l_1..log l_d, log s2, log sn2]; `sq_diffs` is the
-    (d, N, N) tensor of per-dimension squared coordinate differences.
-    Returns (negative MLL, its gradient, K^-1 y); with `gradient=False`
-    the gradient is None and K^-1 is never formed.
+    `log_params` is [log l_1..log l_d, log s2, log sn2] and `x` the N x d
+    scaled inputs. Returns (negative MLL, its gradient, K^-1 y); with
+    `gradient=False` the gradient is None and K^-1 is never formed. The
+    N x N arrays are buffers of `workspace`, or of a fresh one when none is
+    given; no per-dimension N x N tensor is formed.
     """
-    d = sq_diffs.shape[0]
-    inv_l2 = np.exp(-2.0 * log_params[:d])
-    s2 = np.exp(log_params[d])
+    n, d = x.shape
     sn2 = np.exp(log_params[d + 1])
-
-    k0 = np.tensordot(inv_l2, sq_diffs, axes=1)  # sum_d diff_d^2 / l_d^2
-    k0 *= -0.5
-    np.exp(k0, out=k0)
-    k0 *= s2
-    k = k0.copy()
-    k[np.diag_indices_from(k)] += sn2
-    fit = _likelihood_core(k, y, "ard squared_exponential baseline", gradient)
-    del k
+    ws = workspace if workspace is not None else Workspace()
+    k0 = _ard_kernel(log_params, x, x, out=ws.matrix(("component", 0), n))
+    k = ws.matrix("k", n)
+    np.copyto(k, k0)
+    k.flat[:: n + 1] += sn2
+    fit = _likelihood_core(
+        k, y, "ard squared_exponential baseline", gradient, workspace=ws
+    )
     if not gradient:
         return -fit.value, None, fit.alpha
 
-    ak0 = fit.a
-    trace_a = float(np.trace(ak0))
-    ak0 *= k0
+    m = fit.a
+    trace_a = float(np.trace(m))
+    m *= k0  # M = A o K0, symmetric
+    m_rows = m.sum(axis=1)
+    # dK/dlog l_d = K0 o (x_d - x_d^T)^2 / l_d^2, and for symmetric M
+    # 0.5 sum_ij M_ij (x_id - x_jd)^2 = x_d^2 . M1 - x_d . (M x)_d
+    contraction = (x * x).T @ m_rows - np.einsum("id,id->d", x, m @ x)
     grad = np.empty(d + 2)
-    grad[:d] = 0.5 * np.tensordot(sq_diffs, ak0, axes=2) * inv_l2
-    grad[d] = 0.5 * float(np.sum(ak0))
+    grad[:d] = contraction * np.exp(-2.0 * log_params[:d])
+    grad[d] = 0.5 * float(m_rows.sum())
     grad[d + 1] = 0.5 * sn2 * trace_a
     return -fit.value, -grad, fit.alpha  # gradient of the NEGATIVE mll
 
@@ -282,20 +300,21 @@ def _fit_ard_baseline(x_s, y_s, n_iterations):
     The marginal likelihood of a stationary kernel is multi-modal (a
     smooth-plus-noise mode competes with a wiggly low-noise mode), so a
     single start is an initialization lottery; the restarts make the
-    baseline an honest stationary reference.
+    baseline an honest stationary reference. One workspace serves every
+    step of the three restarts and is freed on return.
     """
+    x_s = np.asarray(x_s, dtype=float)
     d = x_s.shape[1]
-    sq_diffs = x_s.T[:, :, None] - x_s.T[:, None, :]
-    np.square(sq_diffs, out=sq_diffs)
+    workspace = Workspace()
     best = None
     for l0 in (1.0, 0.1, 0.01):
         log_params = np.concatenate([np.full(d, np.log(l0)), [0.0, np.log(0.1)]])
         state = AdamState.initial(d + 2, step_size=0.05)
         for _ in range(n_iterations):
-            _, g, _ = _ard_neg_mll_and_grad(log_params, sq_diffs, y_s)
+            _, g, _ = _ard_neg_mll_and_grad(log_params, x_s, y_s, workspace=workspace)
             state, log_params = adam_step(state, log_params, g)
         neg, _, alpha = _ard_neg_mll_and_grad(
-            log_params, sq_diffs, y_s, gradient=False
+            log_params, x_s, y_s, gradient=False, workspace=workspace
         )
         if best is None or neg < best[2]:
             best = (log_params, alpha, neg)
@@ -303,12 +322,7 @@ def _fit_ard_baseline(x_s, y_s, n_iterations):
 
 
 def _ard_predict(log_params, x_train_s, alpha, x_query_s):
-    d = x_train_s.shape[1]
-    inv_l2 = np.exp(-2.0 * log_params[:d])
-    s2 = np.exp(log_params[d])
-    diff = x_train_s[:, None, :] - x_query_s[None, :, :]
-    scaled = np.tensordot(diff * diff, inv_l2, axes=([2], [0]))
-    return (s2 * np.exp(-0.5 * scaled)).T @ alpha
+    return _ard_kernel(log_params, x_train_s, x_query_s).T @ alpha
 
 
 def run_baseline(

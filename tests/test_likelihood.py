@@ -33,6 +33,7 @@ from pcegp.kernels import (
     cross_matrix,
     form_from_sqdist,
     form_sqdist_derivative,
+    Workspace,
     ladder_cholesky,
     noisy_gram,
     sqdist_derivative_from_values,
@@ -297,23 +298,52 @@ def test_ard_gradient_matches_finite_differences():
     rng = np.random.default_rng(7)
     x = rng.uniform(size=(30, 3))
     y = np.sin(4.0 * x[:, 0]) + 0.1 * rng.normal(size=30)
-    sq_diffs = (x.T[:, :, None] - x.T[:, None, :]) ** 2
     log_params = np.array([-0.5, 0.2, 0.7, 0.1, np.log(0.05)])
-    neg, grad, alpha = _ard_neg_mll_and_grad(log_params, sq_diffs, y)
+    neg, grad, alpha = _ard_neg_mll_and_grad(log_params, x, y)
     h = 1e-5
     for m in range(log_params.size):
         up, dn = log_params.copy(), log_params.copy()
         up[m] += h
         dn[m] -= h
-        fd = (_ard_neg_mll_and_grad(up, sq_diffs, y, gradient=False)[0]
-              - _ard_neg_mll_and_grad(dn, sq_diffs, y, gradient=False)[0]) / (2 * h)
+        fd = (_ard_neg_mll_and_grad(up, x, y, gradient=False)[0]
+              - _ard_neg_mll_and_grad(dn, x, y, gradient=False)[0]) / (2 * h)
         assert grad[m] == pytest.approx(fd, rel=1e-5, abs=1e-6)
 
-    neg2, none, alpha2 = _ard_neg_mll_and_grad(log_params, sq_diffs, y,
-                                               gradient=False)
+    neg2, none, alpha2 = _ard_neg_mll_and_grad(log_params, x, y, gradient=False)
     assert none is None
     assert neg2 == neg
     np.testing.assert_array_equal(alpha2, alpha)
+
+
+def _ard_tensor_oracle(log_params, x, y):
+    """The baseline likelihood through its (d, N, N) tensor of squared differences."""
+    n, d = x.shape
+    sq_diffs = (x.T[:, :, None] - x.T[:, None, :]) ** 2
+    inv_l2 = np.exp(-2.0 * log_params[:d])
+    sn2 = np.exp(log_params[d + 1])
+    k0 = np.exp(log_params[d]) * np.exp(-0.5 * np.tensordot(inv_l2, sq_diffs, axes=1))
+    fit = _likelihood_core(k0 + sn2 * np.eye(n), y, "oracle", gradient=True)
+    ak0 = fit.a * k0
+    grad = np.empty(d + 2)
+    grad[:d] = 0.5 * np.tensordot(sq_diffs, ak0, axes=2) * inv_l2
+    grad[d] = 0.5 * np.sum(ak0)
+    grad[d + 1] = 0.5 * sn2 * np.trace(fit.a)
+    return -fit.value, -grad
+
+
+def test_ard_gradient_matches_the_tensor_formula():
+    rng = np.random.default_rng(12)
+    workspace = Workspace()
+    for _ in range(100):
+        n, d = int(rng.integers(2, 40)), int(rng.integers(1, 9))
+        x = rng.uniform(size=(n, d))
+        y = rng.normal(size=n)
+        log_params = np.r_[rng.uniform(-3.0, 1.0, d), rng.uniform(-1.0, 1.0),
+                           rng.uniform(-6.0, -1.0)]
+        neg, grad, _ = _ard_neg_mll_and_grad(log_params, x, y, workspace=workspace)
+        neg_ref, grad_ref = _ard_tensor_oracle(log_params, x, y)
+        assert neg == pytest.approx(neg_ref, rel=1e-10, abs=1e-10)
+        assert np.linalg.norm(grad - grad_ref) <= 1e-8 * np.linalg.norm(grad_ref)
 
 
 # ---------------------------------------------------------------------------
