@@ -11,6 +11,10 @@ atomically after every fold as the report of the folds finished so far.
 The baseline is a single stationary squared-exponential kernel with one
 lengthscale per input dimension, plus a learned noise variance, optimized
 by Adam on the marginal log likelihood. No search stage, no expansions.
+Its covariances come from one distance computation on the inputs divided
+by the lengthscales, and its lengthscale gradient from a contraction with
+the inputs, so no per-dimension N x N tensor is formed; its N x N arrays
+live in one workspace per fit.
 """
 
 from __future__ import annotations

@@ -11,6 +11,15 @@ from the kernel values themselves, plus a rank-structured contraction. The
 public contract for the gradient is agreement with central finite
 differences; the analytic path is an implementation choice for speed.
 
+The factor is LAPACK's: dpotrf runs in place on the Fortran view of a
+C-order buffer, so the C-order array is the lower factor L, and the solves
+pass that same Fortran view to LAPACK uncopied. Within an Adam step the
+Gram, the factor and A = alpha alpha^T - K^-1 are buffers of the caller's
+workspace (see `kernels.Workspace`), overwritten by the next step.
+Anything that outlives the step owns its arrays: a value-only fit, the
+closing fit of a refinement and a fitted model each keep a factor of
+their own.
+
 Prediction follows the scaled pipeline: scale the query, build the cross
 covariances, solve against the stored factor, add the query-point noise
 to the variance, then map mean and variance back to raw output units.

@@ -10,6 +10,16 @@ All four forms are functions of the squared distance only, which lets
 Gram assembly and the likelihood gradient share one pairwise-distance
 computation per stack entry. The training-side warps that assembly makes
 are kept, so that prediction from a fitted model warps only its queries.
+
+Gram assembly writes into a `Workspace`: owned N x N buffers for each
+entry's squared distances and component, for K, the factor, the inverse
+and one scratch array, reused by every evaluation instead of allocated
+afresh. One workspace lives for one search (every trial and fold) or one
+baseline fit and is freed with it; a call given none makes a fresh one.
+A factor is a C-order lower-triangular array with zeros above the
+diagonal. LAPACK factorizes it in place as the upper factor of its
+Fortran-order transpose, and the solves read it through that transpose
+without copying it.
 """
 
 from __future__ import annotations

@@ -225,6 +225,24 @@ def test_predict_schema_mismatch_names_column(tmp_path, train_file, capsys):
     assert "'weird'" in capsys.readouterr().err
 
 
+def test_predict_rejects_a_nan_query_row(tmp_path, train_file, capsys):
+    # the solves skip scipy's finiteness scan, so a NaN query must be
+    # stopped before them, at basis evaluation
+    model_path = fit_interpolator(tmp_path, train_file)
+    src = tmp_path / "nan.csv"
+    src.write_text("x\n0.5\nnan\n")
+    rc = main(
+        [
+            "predict",
+            "--set", f"model={model_path}",
+            "--set", f"inputs={src}",
+            "--output", str(tmp_path / "o.csv"),
+        ]
+    )
+    assert rc == 1
+    assert "finite" in capsys.readouterr().err
+
+
 # --- benchmark / baseline -------------------------------------------------------
 
 BENCH_ARGS = [

@@ -255,6 +255,16 @@ def test_gram_failure_reports_stack():
         factored_gram(stack, NoiseField.fixed(1e-15), pts)
 
 
+@pytest.mark.parametrize("i, j, value", [(2, 3, np.nan), (1, 1, np.inf)])
+def test_ladder_rejects_a_non_finite_factor(i, j, value):
+    # LAPACK factorizes a NaN pivot without an error code; the ladder checks
+    # the factor's diagonal, so every rung fails and the stack is named
+    k = np.eye(5)
+    k[i, j] = k[j, i] = value
+    with pytest.raises(RuntimeError, match="stack: the test stack"):
+        ladder_cholesky(k, "the test stack")
+
+
 def test_noise_free_gram_is_psd():
     rng = np.random.default_rng(8)
     for form in ALL_FORMS:

@@ -7,6 +7,8 @@ computes the coefficient sensitivities once per refinement. A fitted model
 keeps its training warps, so prediction warps only the queries.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy.linalg import solve_triangular
@@ -14,17 +16,19 @@ from scipy.stats import norm
 
 import pcegp.gp as gp_mod
 import pcegp.hyper as hyper_mod
-from pcegp.bench import _ard_neg_mll_and_grad
+from pcegp.bench import _ard_neg_mll_and_grad, benchmark_space
 from pcegp.data import Dataset, apply_scaler, fit_scaler, make_folds
 from pcegp.gp import (
     _chol_inverse,
     _likelihood_core,
+    fit_likelihood,
     fit_precompute,
     gradient_sensitivities,
     mll_gradient,
     model_from_fit,
     predict,
     predict_batch,
+    predict_means,
 )
 from pcegp.hyper import LengthscaleField, NoiseField, eval_noise_batch
 from pcegp.kernels import (
@@ -231,6 +235,76 @@ def test_fold_model_from_closing_fit_matches_a_refit():
 
 
 # ---------------------------------------------------------------------------
+# the likelihood workspace
+# ---------------------------------------------------------------------------
+
+def test_gradient_through_a_workspace_allocates_no_n_by_n_array():
+    n = 300
+    rng = np.random.default_rng(13)
+    space = benchmark_space()
+    theta = random_suggest(space, rng)
+    theta[0] = 7.0
+    pts = rng.uniform(size=(n, 8))
+    y = rng.normal(size=n)
+    stack, noise = space.build_stack(theta, 8)
+    sens = gradient_sensitivities(stack, noise, pts)
+    workspace = Workspace()
+    first = mll_gradient(stack, noise, pts, y, sens, workspace)  # sizes the buffers
+    tracemalloc.start()
+    try:
+        second = mll_gradient(stack, noise, pts, y, sens, workspace)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    np.testing.assert_array_equal(second, first)
+    assert peak < n * n * 8, f"peak {peak / (n * n * 8):.2f} N x N arrays"
+
+
+def test_a_reused_workspace_gives_the_bits_of_a_fresh_one():
+    rng = np.random.default_rng(14)
+    noise = NoiseField.pce(((Basis.legendre01(), [0.05, 0.01]),), floor=1e-6)
+    workspace = Workspace()
+    # first a larger N and a longer stack, then a smaller split
+    big = _stack(rng, 2, [KernelForm.se(), KernelForm.ae(), KernelForm.matern32(),
+                          KernelForm.rq(1.0)])
+    x_big, y_big = rng.uniform(size=(60, 2)), rng.normal(size=60)
+    mll_gradient(big, noise, x_big, y_big, workspace=workspace)
+    fit_likelihood(big, noise, x_big, y_big, workspace)
+
+    stack = _stack(rng, 2, [KernelForm.matern32(), KernelForm.ae()])
+    x, y = rng.uniform(size=(45, 2)), rng.normal(size=45)
+    np.testing.assert_array_equal(
+        mll_gradient(stack, noise, x, y, workspace=workspace),
+        mll_gradient(stack, noise, x, y, workspace=Workspace()),
+    )
+    reused = fit_likelihood(stack, noise, x, y, workspace)
+    fresh = fit_likelihood(stack, noise, x, y)
+    assert reused.value == fresh.value
+    np.testing.assert_array_equal(reused.chol, fresh.chol)
+    np.testing.assert_array_equal(reused.alpha, fresh.alpha)
+
+
+def test_fold_model_survives_the_next_fold_in_its_workspace():
+    rng = np.random.default_rng(15)
+    space = _space()
+    theta = random_suggest(space, rng)
+    workspace = Workspace()
+    splits = [(rng.uniform(size=(n, 2)), rng.normal(size=n)) for n in (21, 20)]
+    in_sc = fit_scaler("min_max_per_column", splits[0][0])
+    out_sc = fit_scaler("z_normalize", splits[0][1])
+
+    tuned = fine_tune(theta, space, splits[0], 3, workspace)
+    model = model_from_fit(tuned.stack, tuned.noise, in_sc, out_sc, *splits[0],
+                           fit=tuned.fit)
+    xq = rng.uniform(size=(9, 2))
+    before = predict_batch(model, xq)
+    fine_tune(theta, space, splits[1], 3, workspace)  # the next fold
+    after = predict_batch(model, xq)
+    for got, want in zip(after, before):
+        np.testing.assert_array_equal(got, want)
+
+
+# ---------------------------------------------------------------------------
 # prediction from the stored training warps
 # ---------------------------------------------------------------------------
 
@@ -288,6 +362,7 @@ def test_stored_warps_predict_like_a_fresh_cross_matrix(tmp_path):
         expected = (k_cross.T @ model.alpha_solve) * scale + float(model.output_scaler.loc[0])
         assert np.array_equal(means, expected)
         assert np.array_equal(variances, var_s * scale * scale)
+        assert np.array_equal(predict_means(model, xq), means)
 
 
 # ---------------------------------------------------------------------------
