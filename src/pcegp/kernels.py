@@ -146,8 +146,9 @@ def form_from_sqdist(form: KernelForm, scale: float, sqdist, out=None, scratch=N
     """Evaluate a form on squared distances; scale enters as scale**2.
 
     The values go to `out` when it is given (an array of the distances'
-    shape), else to a new array. Matern-3/2 needs one more array of that
-    shape, `scratch`, allocated when it is not given.
+    shape, which may be `sqdist` itself), else to a new array. Matern-3/2
+    needs one more array of that shape, `scratch`, allocated when it is
+    not given.
     """
     d2 = np.asarray(sqdist, dtype=float)
     if out is None:
@@ -163,7 +164,8 @@ def form_from_sqdist(form: KernelForm, scale: float, sqdist, out=None, scratch=N
     elif form.tag == "matern_3_2":
         np.multiply(d2, 3.0, out=out)
         np.sqrt(out, out=out)  # d
-        decay = np.exp(np.negative(out, out=scratch), out=scratch)
+        decay = np.negative(out, out=np.empty_like(out) if scratch is None else scratch)
+        np.exp(decay, out=decay)
         out += 1.0
         out *= s2  # (s2 (1 + d)) exp(-d), the closed form's own order
         out *= decay
@@ -375,13 +377,19 @@ def warped_cross_matrix(stack: KernelStack, warped, queries) -> np.ndarray:
     qs = np.asarray(queries, dtype=float)
     if qs.ndim == 1:
         qs = qs[None, :]
-    n_points, n_inputs = warped[0].shape
+    n_inputs = warped[0].shape[1]
     if qs.ndim != 2 or qs.shape[1] != n_inputs:
         raise ValueError(
             f"query dimension {qs.shape} does not match points {warped[0].shape}"
         )
-    out = np.zeros((n_points, qs.shape[0]))
+    out = None
     for (form, scale, field), w in zip(stack.entries, warped):
         wq = warp_points(field, qs)
-        out += form_from_sqdist(form, scale, cdist(w, wq, "sqeuclidean"))
+        d2 = cdist(w, wq, "sqeuclidean")
+        # each form overwrites its distances; the first one becomes the sum
+        k_part = form_from_sqdist(form, scale, d2, out=d2)
+        if out is None:
+            out = k_part
+        else:
+            out += k_part
     return out
