@@ -298,18 +298,19 @@ def _ard_neg_mll_and_grad(log_params, x, y, gradient=True, workspace=None):
     return -fit.value, -grad, fit.alpha  # gradient of the NEGATIVE mll
 
 
-def _fit_ard_baseline(x_s, y_s, n_iterations):
+def _fit_ard_baseline(x_s, y_s, n_iterations, workspace=None):
     """Adam from lengthscales 1, 0.1 and 0.01; keeps the best final likelihood.
 
     The marginal likelihood of a stationary kernel is multi-modal (a
     smooth-plus-noise mode competes with a wiggly low-noise mode), so a
     single start is an initialization lottery; the restarts make the
-    baseline an honest stationary reference. One workspace serves every
-    step of the three restarts and is freed on return.
+    baseline an honest stationary reference. Every step of the three
+    restarts runs in `workspace`, or in a fresh one freed on return.
     """
     x_s = np.asarray(x_s, dtype=float)
     d = x_s.shape[1]
-    workspace = Workspace()
+    if workspace is None:
+        workspace = Workspace()
     best = None
     for l0 in (1.0, 0.1, 0.01):
         log_params = np.concatenate([np.full(d, np.log(l0)), [0.0, np.log(0.1)]])
@@ -337,15 +338,19 @@ def run_baseline(
     """Cross-validated RMSE of the stationary per-dimension baseline.
 
     Same folds, scalers and per-fold report file as `run_benchmark`; the
-    per-fold vector is the baseline's log parameters.
+    per-fold vector is the baseline's log parameters. One workspace serves
+    every fold and is freed on return.
     """
     t0 = time.perf_counter()
     ds = dataset if dataset is not None else _load_target(config)
+    workspace = Workspace()
 
     def fit_predict(fold, train, in_sc, out_sc, x_test):
         x_s = apply_scaler(in_sc, train.inputs)
         y_s = (train.outputs - out_sc.loc[0]) / out_sc.scale[0]
-        log_params, alpha, _ = _fit_ard_baseline(x_s, y_s, config.n_iterations)
+        log_params, alpha, _ = _fit_ard_baseline(
+            x_s, y_s, config.n_iterations, workspace
+        )
         mean_s = _ard_predict(log_params, x_s, alpha, apply_scaler(in_sc, x_test))
         return mean_s * out_sc.scale[0] + out_sc.loc[0], log_params
 
