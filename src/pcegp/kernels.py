@@ -340,7 +340,9 @@ def ladder_cholesky(k: np.ndarray, context: str, out=None) -> GramResult:
     )
 
 
-def noisy_gram(stack: KernelStack, noise: NoiseField, points, workspace=None):
+def noisy_gram(
+    stack: KernelStack, noise: NoiseField, points, workspace: Workspace | None = None
+):
     """Gram components and the noisy training covariance K + noise diagonal.
 
     Returns (parts, K) with `parts` as from `gram_parts`; K is a buffer of
