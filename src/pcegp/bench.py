@@ -12,9 +12,10 @@ The baseline is a single stationary squared-exponential kernel with one
 lengthscale per input dimension, plus a learned noise variance, optimized
 by Adam on the marginal log likelihood. No search stage, no expansions.
 Its covariances come from one distance computation on the inputs divided
-by the lengthscales, and its lengthscale gradient from a contraction with
-the inputs, so no per-dimension N x N tensor is formed; its N x N arrays
-live in one workspace per fit.
+by the lengthscales (`kernels.pairwise_sqdist`, each pair once, for the
+training Gram), and its lengthscale gradient from a contraction with the
+inputs, so no per-dimension N x N tensor is formed; its N x N arrays live
+in one workspace per fit.
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ from .data import (
     make_folds,
 )
 from .gp import _likelihood_core, fit_precompute, predict_means
-from .kernels import KernelForm, Workspace
+from .kernels import KernelForm, Workspace, pairwise_sqdist
 from .optim import AdamState, SearchSpace, adam_step, run_search
 from .poly import Basis
 
@@ -222,6 +223,7 @@ def run_benchmark(
         ).best_theta
 
     seeds = _fold_seeds(config.seed, config.n_folds)
+    workspace = Workspace()  # every fold's refit assembles its Gram here
     # non-nested: one search, run at the first fold, so that make_folds has
     # rejected a bad fold count before the search time is spent
     shared_best = None
@@ -236,7 +238,8 @@ def run_benchmark(
             best = shared_best
         stack, noise = config.space.build_stack(best, ds.n_inputs)
         model = fit_precompute(
-            stack, noise, in_sc, out_sc, train.inputs, train.outputs
+            stack, noise, in_sc, out_sc, train.inputs, train.outputs,
+            workspace=workspace,
         )
         return predict_means(model, x_test), best
 
@@ -247,15 +250,19 @@ def run_benchmark(
 # stationary baseline
 # ---------------------------------------------------------------------------
 
-def _ard_kernel(log_params, a, b, out=None):
+def _ard_kernel(log_params, a, b=None, out=None):
     """s2 exp(-sum_d (a_d - b_d)^2 / (2 l_d^2)) for every pair of rows of a and b.
 
     The squared distances of the lengthscale-divided rows come from one
-    `cdist`, written to `out` when it is given.
+    `cdist`. With `b` None they are those of a with itself, each pair
+    computed once by `pairwise_sqdist` into `out`.
     """
     d = a.shape[1]
     lengthscales = np.exp(log_params[:d])
-    k = cdist(a / lengthscales, b / lengthscales, "sqeuclidean", out=out)
+    if b is None:
+        k = pairwise_sqdist(a / lengthscales, out)
+    else:
+        k = cdist(a / lengthscales, b / lengthscales, "sqeuclidean")
     k *= -0.5
     np.exp(k, out=k)
     k *= np.exp(log_params[d])
@@ -274,7 +281,7 @@ def _ard_neg_mll_and_grad(log_params, x, y, gradient=True, workspace=None):
     n, d = x.shape
     sn2 = np.exp(log_params[d + 1])
     ws = workspace if workspace is not None else Workspace()
-    k0 = _ard_kernel(log_params, x, x, out=ws.matrix(("component", 0), n))
+    k0 = _ard_kernel(log_params, x, out=ws.matrix(("component", 0), n))
     k = ws.matrix("k", n)
     np.copyto(k, k0)
     k.flat[:: n + 1] += sn2

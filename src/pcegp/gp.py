@@ -20,12 +20,20 @@ Anything that outlives the step owns its arrays: a value-only fit, the
 closing fit of a refinement and a fitted model each keep a factor of
 their own.
 
+The chaos-basis values at the training points do not change while the
+coefficients move. Every function here that takes `x_scaled` also takes a
+`hyper.PointBasis` in its place and then reuses its values; given plain
+points it makes one that lives for the call. `optim.fine_tune` makes one
+per training split, shared by the sensitivities, every Adam step and the
+closing fit, and dropped when it returns.
+
 Prediction follows the scaled pipeline: scale the query, build the cross
 covariances, solve against the stored factor, add the query-point noise
 to the variance, then map mean and variance back to raw output units.
 The training points' warps are fixed for a fitted model, so they are kept
 from the Gram assembly at fit or load time and only the queries are warped
-per call; being derived data, the warps are never serialized.
+per call, every stack entry and the noise from one evaluation of each basis
+family at the queries; being derived data, the warps are never serialized.
 """
 
 from __future__ import annotations
@@ -39,6 +47,8 @@ from scipy.linalg.lapack import dpotri
 from .data import ScalerState, apply_scaler
 from .hyper import (
     NoiseField,
+    PointBasis,
+    as_point_basis,
     eval_noise_batch,
     lengthscale_coefficients,
     lengthscale_sensitivity,
@@ -175,8 +185,9 @@ def fit_likelihood(
 ):
     """Value-only likelihood fit: the MLL, the factor, the target solve and the warps.
 
-    The Gram is assembled in `workspace` when one is given; the factor,
-    which the returned fit keeps, is always a new array.
+    `x_scaled` may be a `PointBasis`. The Gram is assembled in `workspace`
+    when one is given; the factor, which the returned fit keeps, is always
+    a new array.
     """
     y = np.asarray(y_scaled, dtype=float).ravel()
     parts, k = noisy_gram(stack, noise, x_scaled, workspace)
@@ -195,12 +206,19 @@ def gradient_sensitivities(stack: KernelStack, noise: NoiseField, x_scaled):
     They depend on the points and on each field's bases and degrees, never
     on the coefficients, so an optimizer moving only coefficients computes
     them once. Returns (one lengthscale tensor per stack entry, noise
-    matrix or None).
+    matrix or None); entries whose fields have the same bases and degrees
+    share one tensor. `x_scaled` may be a `PointBasis`.
     """
-    pts = np.asarray(x_scaled, dtype=float)
-    per_entry = tuple(lengthscale_sensitivity(f, pts) for _, _, f in stack.entries)
-    noise_sens = noise_sensitivity(noise, pts) if noise.mode == "pce" else None
-    return per_entry, noise_sens
+    basis = as_point_basis(x_scaled, stack.fields + (noise,))
+    by_layout = {}
+    per_entry = []
+    for f in stack.fields:
+        layout = tuple((kind, c.size) for kind, c in f.terms)
+        if layout not in by_layout:
+            by_layout[layout] = lengthscale_sensitivity(f, basis)
+        per_entry.append(by_layout[layout])
+    noise_sens = noise_sensitivity(noise, basis) if noise.mode == "pce" else None
+    return tuple(per_entry), noise_sens
 
 
 def mll_gradient(
@@ -218,17 +236,19 @@ def mll_gradient(
     then each entry's squared output scale. Matches central finite
     differences within 1e-4 relative error (the public contract).
     `sensitivities` is `gradient_sensitivities` for the same points and
-    field layouts; it is computed here when not given. Every N x N array
-    of the evaluation is a buffer of `workspace`, or of a fresh one when
-    none is given; the returned gradient is a new array.
+    field layouts; it is computed here when not given. `x_scaled` may be
+    a `PointBasis`. Every N x N array of the evaluation is a buffer of
+    `workspace`, or of a fresh one when none is given; the returned
+    gradient is a new array.
     """
-    pts = np.asarray(x_scaled, dtype=float)
+    basis = as_point_basis(x_scaled, stack.fields + (noise,))
+    pts = basis.points
     y = np.asarray(y_scaled, dtype=float).ravel()
     if sensitivities is None:
-        sensitivities = gradient_sensitivities(stack, noise, pts)
+        sensitivities = gradient_sensitivities(stack, noise, basis)
     ls_sens, noise_sens = sensitivities
     ws = workspace if workspace is not None else Workspace()
-    parts, k = noisy_gram(stack, noise, pts, ws)
+    parts, k = noisy_gram(stack, noise, basis, ws)
     # dMLL = 0.5 tr(a dK)
     a = _likelihood_core(k, y, stack.describe(), gradient=True, workspace=ws).a
     t = ws.matrix("scratch", y.size)
@@ -304,8 +324,13 @@ def fit_precompute(
     x_raw,
     y_raw,
     meta: dict | None = None,
+    workspace: Workspace | None = None,
 ) -> PcegpModel:
-    """Scale the data, factorize the Gram, and precompute the target solve."""
+    """Scale the data, factorize the Gram, and precompute the target solve.
+
+    The Gram is assembled in `workspace` (a fresh one when none is given);
+    the model keeps a factor of its own.
+    """
     x = np.asarray(x_raw, dtype=float)
     y = np.asarray(y_raw, dtype=float).ravel()
     if x.ndim != 2 or x.shape[0] != y.size:
@@ -322,7 +347,10 @@ def fit_precompute(
 
     x_s = apply_scaler(input_scaler, x)
     y_s = (y - output_scaler.loc[0]) / output_scaler.scale[0]
-    return model_from_fit(stack, noise, input_scaler, output_scaler, x_s, y_s, meta)
+    return model_from_fit(
+        stack, noise, input_scaler, output_scaler, x_s, y_s, meta,
+        workspace=workspace,
+    )
 
 
 def model_from_fit(
@@ -334,18 +362,20 @@ def model_from_fit(
     y_scaled,
     meta: dict | None = None,
     fit: LikelihoodFit | None = None,
+    workspace: Workspace | None = None,
 ) -> PcegpModel:
     """Model over already-scaled training data.
 
     `fit` is a `fit_likelihood` result for exactly this stack, noise and
     data, such as the closing likelihood of an optimizer; the Gram is
-    assembled and factorized here only when it is not given. Either way
-    the model keeps the fit's training warps.
+    assembled (in `workspace`, when one is given) and factorized here only
+    when it is not given. Either way the model keeps the fit's training
+    warps and a factor of its own.
     """
     x_s = np.asarray(x_scaled, dtype=float)
     y_s = np.asarray(y_scaled, dtype=float).ravel()
     if fit is None:
-        fit = fit_likelihood(stack, noise, x_s, y_s)
+        fit = fit_likelihood(stack, noise, x_s, y_s, workspace)
     return PcegpModel(
         stack=stack,
         noise=noise,
@@ -368,19 +398,25 @@ def predict(model: PcegpModel, x_raw) -> Prediction:
 
 
 def _means_and_cross(model: PcegpModel, x_raw):
-    """Raw-unit posterior means, the scaled queries and the N x M cross covariances."""
+    """Raw-unit posterior means, the scaled queries and the N x M cross covariances.
+
+    The scaled queries come as a `PointBasis`, which the cross covariances
+    and the query noise share.
+    """
     xq = np.asarray(x_raw, dtype=float)
     if xq.ndim != 2 or xq.shape[1] != model.n_inputs:
         raise ValueError(
             f"queries must be M x {model.n_inputs}, got shape {xq.shape}"
         )
-    xq_s = apply_scaler(model.input_scaler, xq)
-    k_cross = warped_cross_matrix(model.stack, model.warped, xq_s)  # (N, M)
+    queries = PointBasis(
+        apply_scaler(model.input_scaler, xq), model.stack.fields + (model.noise,)
+    )
+    k_cross = warped_cross_matrix(model.stack, model.warped, queries)  # (N, M)
     mean_s = k_cross.T @ model.alpha_solve
     means = mean_s * float(model.output_scaler.scale[0]) + float(
         model.output_scaler.loc[0]
     )
-    return means, xq_s, k_cross
+    return means, queries, k_cross
 
 
 def predict_means(model: PcegpModel, x_raw) -> np.ndarray:
@@ -398,13 +434,13 @@ def predict_batch(model: PcegpModel, x_raw):
     Returns (means, variances) in raw output units; the variance includes
     the query-point noise, clamped at zero after cancellation.
     """
-    means, xq_s, k_cross = _means_and_cross(model, x_raw)
+    means, queries, k_cross = _means_and_cross(model, x_raw)
     k_diag = sum(scale * scale for _, scale, _ in model.stack.entries)
     # chol.T is the upper factor in Fortran order: LAPACK reads it uncopied
     v = solve_triangular(
         model.chol.T, k_cross, lower=False, trans="T", check_finite=False
     )
-    noise_q = eval_noise_batch(model.noise, xq_s)
+    noise_q = eval_noise_batch(model.noise, queries)
     var_s = np.maximum(0.0, k_diag + noise_q - np.sum(v * v, axis=0))
     scale = float(model.output_scaler.scale[0])
     return means, var_s * scale * scale

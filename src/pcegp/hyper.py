@@ -10,6 +10,16 @@ positive floor.
 Both fields are linear in their coefficients (before the noise clamp),
 which the optimizer exploits: the sensitivity of any output to a
 coefficient is just the matching polynomial value.
+
+The polynomial values depend only on the points, so a `PointBasis` keeps
+them with the points they were computed on: one `eval_basis` per basis
+family, at the highest degree any of the given fields needs, serves every
+field evaluated on that point set (a lower degree takes the leading rows,
+which the recurrence makes the same bits). Every evaluator here takes
+either plain points, for which it makes a `PointBasis` that lives for the
+call, or a `PointBasis` its caller made and keeps: `optim.fine_tune` keeps
+one over the training split for all of its Adam steps and its closing
+fit, and a prediction keeps one over its queries.
 """
 
 from __future__ import annotations
@@ -91,44 +101,89 @@ class NoiseField:
 # evaluation
 # ---------------------------------------------------------------------------
 
-def _as_points(points, n_inputs: int) -> np.ndarray:
-    a = np.asarray(points, dtype=float)
-    if a.ndim == 1:
-        a = a[None, :]
-    if a.ndim != 2 or a.shape[1] != n_inputs:
+class PointBasis:
+    """An N x n_x point set and its chaos-basis values, one evaluation per family.
+
+    `fields` (lengthscale or noise fields) name the families and degrees
+    that will be asked for, so that each family is evaluated once, on first
+    use, at the highest of those degrees. The points are a read-only copy,
+    so the values always belong to them.
+    """
+
+    def __init__(self, points, fields=()):
+        pts = np.array(points, dtype=float)
+        if pts.ndim == 1:
+            pts = pts[None, :]
+        if pts.ndim != 2:
+            raise ValueError(
+                f"points must be an N x n_x matrix, got shape {pts.shape}"
+            )
+        pts.setflags(write=False)
+        self.points = pts
+        self._degrees = {}
+        for f in fields:
+            for kind, c in f.terms:
+                self._degrees[kind] = max(self._degrees.get(kind, 0), c.size - 1)
+        self._values = {}
+
+    def values(self, kind: Basis, max_degree: int) -> np.ndarray:
+        """phi_0 .. phi_max_degree of `kind` at every coordinate, row-major.
+
+        Shape (max_degree + 1, N * n_x); column i * n_x + d is point i's
+        coordinate d: a read-only view of the stored values.
+        """
+        have = self._values.get(kind)
+        if have is None or have.shape[0] <= max_degree:
+            degree = max(max_degree, self._degrees.get(kind, 0))
+            have = self._values[kind] = eval_basis(kind, degree, self.points)
+            have.setflags(write=False)
+        return have[: max_degree + 1]
+
+
+def as_point_basis(points, fields=()) -> PointBasis:
+    """`points` itself when it is a `PointBasis`, else a new one over them."""
+    return points if isinstance(points, PointBasis) else PointBasis(points, fields)
+
+
+def _as_points(points, field) -> PointBasis:
+    """A `PointBasis` over points of the field's width."""
+    basis = as_point_basis(points, (field,))
+    if basis.points.shape[1] != field.n_inputs:
         raise ValueError(
-            f"points must have {n_inputs} coordinates, got shape {a.shape}"
+            f"points must have {field.n_inputs} coordinates, "
+            f"got shape {basis.points.shape}"
         )
-    return a
+    return basis
 
 
-def _terms_eval(terms, coords: np.ndarray) -> np.ndarray:
-    """Sum of all expansions evaluated element-wise over ``coords``.
+def _terms_eval(terms, basis: PointBasis) -> np.ndarray:
+    """Sum of all expansions evaluated element-wise over the basis's points.
 
     The einsum, unlike a BLAS product, rounds every column alike, so two
     copies of one point warp to the same bits (zero distance, not 1e-35).
     """
-    flat = coords.ravel()
-    total = np.zeros(flat.size)
+    total = np.zeros(basis.points.size)
     for kind, coeffs in terms:
-        total += np.einsum("m,mk->k", coeffs, eval_basis(kind, coeffs.size - 1, flat))
-    return total.reshape(coords.shape)
+        total += np.einsum("m,mk->k", coeffs, basis.values(kind, coeffs.size - 1))
+    return total.reshape(basis.points.shape)
 
 
 def eval_lengthscale_batch(field: LengthscaleField, points) -> np.ndarray:
-    """Lengthscales for N scaled points as an n_inputs x N matrix."""
-    pts = _as_points(points, field.n_inputs)
-    return _terms_eval(field.terms, pts).T
+    """Lengthscales for N scaled points (or a `PointBasis`) as an n_inputs x N matrix."""
+    return _terms_eval(field.terms, _as_points(points, field)).T
 
 
 def eval_noise_batch(field: NoiseField, points) -> np.ndarray:
-    """Noise variances for N scaled points as a length-N vector."""
-    pts = np.asarray(points, dtype=float)
-    if pts.ndim != 2:
-        raise ValueError("eval_noise_batch expects an N x n_x matrix")
+    """Noise variances for N scaled points (or a `PointBasis`) as a length-N vector."""
+    if isinstance(points, PointBasis):
+        pts = points.points
+    else:
+        pts = np.asarray(points, dtype=float)
+        if pts.ndim != 2:
+            raise ValueError("eval_noise_batch expects an N x n_x matrix")
     if field.mode == "fixed":
         return np.full(pts.shape[0], field.value)
-    raw = _terms_eval(field.terms, pts).mean(axis=1)
+    raw = _terms_eval(field.terms, as_point_basis(points, (field,))).mean(axis=1)
     return np.maximum(field.floor, raw)
 
 
@@ -164,14 +219,14 @@ def lengthscale_sensitivity(field: LengthscaleField, points) -> np.ndarray:
     Returns a tensor ``S`` of shape (n_coefficients, n_inputs, N) with
     ``S[m, d, i] = phi_m(points[i, d])``, so that
     ``eval_lengthscale_batch = tensordot(coeffs, S, 1)``. Rows follow the
-    flat coefficient order of `lengthscale_coefficients`.
+    flat coefficient order of `lengthscale_coefficients`. `points` may be a
+    `PointBasis`, whose values are then reused.
     """
-    pts = _as_points(points, field.n_inputs)
-    n, d = pts.shape
+    basis = _as_points(points, field)
+    n, d = basis.points.shape
     rows = []
-    flat = pts.ravel()
     for kind, c in field.terms:
-        values = eval_basis(kind, c.size - 1, flat)
+        values = basis.values(kind, c.size - 1)
         rows.append(values.reshape(c.size, n, d).transpose(0, 2, 1))
     return np.concatenate(rows, axis=0)
 
@@ -181,17 +236,17 @@ def noise_sensitivity(field: NoiseField, points) -> np.ndarray:
 
     Shape (n_coefficients, N): entry [m, i] is the mean of phi_m over the
     coordinates of point i. Zero rows where the clamp is active must be
-    handled by the caller (the clamped value has zero gradient).
+    handled by the caller (the clamped value has zero gradient). `points`
+    may be a `PointBasis`, whose values are then reused.
     """
     if field.mode != "pce":
         raise ValueError("noise sensitivity is defined only for pce mode")
-    pts = np.asarray(points, dtype=float)
-    if pts.ndim != 2:
+    if not isinstance(points, PointBasis) and np.ndim(points) != 2:
         raise ValueError("noise_sensitivity expects an N x n_x matrix")
-    n, d = pts.shape
+    basis = as_point_basis(points, (field,))
+    n, d = basis.points.shape
     rows = []
-    flat = pts.ravel()
     for kind, c in field.terms:
-        values = eval_basis(kind, c.size - 1, flat)
+        values = basis.values(kind, c.size - 1)
         rows.append(values.reshape(c.size, n, d).mean(axis=2))
     return np.concatenate(rows, axis=0)

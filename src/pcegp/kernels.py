@@ -8,8 +8,12 @@ field l(x) = c reproduces the stationary kernel with lengthscale 1/c.
 
 All four forms are functions of the squared distance only, which lets
 Gram assembly and the likelihood gradient share one pairwise-distance
-computation per stack entry. The training-side warps that assembly makes
-are kept, so that prediction from a fitted model warps only its queries.
+matrix per stack entry. `pairwise_sqdist` fills it computing each
+unordered pair once, so it is exactly symmetric with a zero diagonal. The
+entries' warps read the chaos-basis values of one `hyper.PointBasis` per
+point set, so a stack whose entries share a basis family evaluates it once.
+The training-side warps that assembly makes are kept, so that prediction
+from a fitted model warps only its queries.
 
 Gram assembly writes into a `Workspace`: owned N x N buffers for each
 entry's squared distances and component, for K, the factor, the inverse
@@ -30,7 +34,14 @@ import numpy as np
 from scipy.linalg.lapack import dpotrf
 from scipy.spatial.distance import cdist
 
-from .hyper import LengthscaleField, NoiseField, eval_lengthscale_batch, eval_noise_batch
+from .hyper import (
+    LengthscaleField,
+    NoiseField,
+    PointBasis,
+    as_point_basis,
+    eval_lengthscale_batch,
+    eval_noise_batch,
+)
 
 KERNEL_FORMS = (
     "squared_exponential",
@@ -40,6 +51,10 @@ KERNEL_FORMS = (
 )
 
 JITTER_LADDER = (0.0, 1e-10, 1e-8, 1e-6, 1e-4)
+
+# rows per cdist call in `pairwise_sqdist`: at N of a few hundred, a block of
+# the upper triangle stays in cache while it is copied into both triangles
+SQDIST_BLOCK_ROWS = 64
 
 
 @dataclass(frozen=True)
@@ -101,6 +116,11 @@ class KernelStack:
     @property
     def n_inputs(self) -> int:
         return self.entries[0][2].n_inputs
+
+    @property
+    def fields(self) -> tuple:
+        """The entries' lengthscale fields, in stack order."""
+        return tuple(field for _, _, field in self.entries)
 
     def describe(self) -> str:
         parts = [
@@ -259,12 +279,13 @@ def kernel_stationary(
 
 
 def warp_points(field: LengthscaleField, points) -> np.ndarray:
-    """w(x) = l(x) * x element-wise for each row of an N x n_x matrix."""
-    pts = np.asarray(points, dtype=float)
-    if pts.ndim == 1:
-        pts = pts[None, :]
-    ls = eval_lengthscale_batch(field, pts)  # (n_x, N)
-    return ls.T * pts
+    """w(x) = l(x) * x element-wise for each row of an N x n_x matrix.
+
+    `points` may be a `PointBasis`, whose basis values are then reused.
+    """
+    basis = as_point_basis(points, (field,))
+    ls = eval_lengthscale_batch(field, basis)  # (n_x, N)
+    return ls.T * basis.points
 
 
 def kernel_nonstationary(
@@ -282,17 +303,40 @@ def kernel_nonstationary(
 # Gram assembly
 # ---------------------------------------------------------------------------
 
+def pairwise_sqdist(points, out: np.ndarray) -> np.ndarray:
+    """Squared Euclidean distances between every two rows of `points`, into `out`.
+
+    Each unordered pair is computed once: `cdist` runs on row blocks of
+    the upper triangle, and each block is copied into both triangles. The
+    values are cdist's own (one sum of squared differences per pair, the
+    same in either order), so `out` is exactly symmetric with an exactly
+    zero diagonal. Each block is a new array, not a workspace buffer: a
+    kept block buffer raised a run's peak RSS by about 1 MB (fit-wide and
+    cv-tall shapes) and was no faster.
+    """
+    n = points.shape[0]
+    for s in range(0, n, SQDIST_BLOCK_ROWS):
+        e = min(n, s + SQDIST_BLOCK_ROWS)
+        block = cdist(points[s:e], points[s:], "sqeuclidean")
+        out[s:e, s:] = block
+        out[s:, s:e] = block.T
+    return out
+
+
 def gram_parts(stack: KernelStack, points, workspace: Workspace | None = None):
     """Per-entry warped points, squared distances, and component matrices.
 
     Returns a list of (form, scale, warped, sqdist, component) tuples; the
     noise-free Gram is the sum of the components. Shared by Gram assembly
-    and the likelihood gradient so the geometry is computed once. The
-    distances and components are buffers of `workspace`, or of a fresh
-    one when none is given; the warps are always new arrays.
+    and the likelihood gradient so the geometry is computed once. `points`
+    may be a `PointBasis`; plain points get one for this call, so entries
+    sharing a basis family evaluate it once. The distances and components
+    are buffers of `workspace`, or of a fresh one when none is given; the
+    warps are always new arrays.
     """
-    pts = np.asarray(points, dtype=float)
-    if pts.ndim != 2 or pts.shape[1] != stack.n_inputs:
+    basis = as_point_basis(points, stack.fields)
+    pts = basis.points
+    if pts.shape[1] != stack.n_inputs:
         raise ValueError(
             f"points must be N x {stack.n_inputs}, got shape {pts.shape}"
         )
@@ -300,10 +344,8 @@ def gram_parts(stack: KernelStack, points, workspace: Workspace | None = None):
     n = pts.shape[0]
     parts = []
     for i, (form, scale, field) in enumerate(stack.entries):
-        w = warp_points(field, pts)
-        # per pair a sum of squared differences, which is the same in either
-        # order: exactly symmetric, with an exactly zero diagonal
-        d2 = cdist(w, w, "sqeuclidean", out=ws.matrix(("sqdist", i), n))
+        w = warp_points(field, basis)
+        d2 = pairwise_sqdist(w, ws.matrix(("sqdist", i), n))
         k_part = form_from_sqdist(
             form, scale, d2, ws.matrix(("component", i), n), ws.matrix("scratch", n)
         )
@@ -347,17 +389,19 @@ def noisy_gram(
 
     Returns (parts, K) with `parts` as from `gram_parts`; K is a buffer of
     its own, so the components stay untouched for the likelihood gradient.
-    Both live in `workspace`, or in a fresh one when none is given. This is
-    the one place the training covariance is assembled.
+    Both live in `workspace`, or in a fresh one when none is given. The
+    warps and the noise read one `PointBasis` (`points`, or one made over
+    them for this call). This is the one place the training covariance is
+    assembled.
     """
-    pts = np.asarray(points, dtype=float)
+    basis = as_point_basis(points, stack.fields + (noise,))
     ws = workspace if workspace is not None else Workspace()
-    parts = gram_parts(stack, pts, ws)
-    k = ws.matrix("k", pts.shape[0])
+    parts = gram_parts(stack, basis, ws)
+    k = ws.matrix("k", basis.points.shape[0])
     np.copyto(k, parts[0][4])
     for part in parts[1:]:
         k += part[4]
-    k.flat[:: k.shape[0] + 1] += eval_noise_batch(noise, pts)
+    k.flat[:: k.shape[0] + 1] += eval_noise_batch(noise, basis)
     return parts, k
 
 
@@ -366,7 +410,8 @@ def cross_matrix(stack: KernelStack, points, queries) -> np.ndarray:
     pts = np.asarray(points, dtype=float)
     if pts.ndim != 2:
         raise ValueError(f"points must be an N x n_x matrix, got shape {pts.shape}")
-    warped = tuple(warp_points(field, pts) for _, _, field in stack.entries)
+    basis = PointBasis(pts, stack.fields)
+    warped = tuple(warp_points(field, basis) for field in stack.fields)
     return warped_cross_matrix(stack, warped, queries)
 
 
@@ -374,19 +419,19 @@ def warped_cross_matrix(stack: KernelStack, warped, queries) -> np.ndarray:
     """Covariances between already-warped training points and M queries, N x M.
 
     `warped` holds one N x n_x array per stack entry, as `gram_parts`
-    returns them; only the queries are warped here.
+    returns them; only the queries are warped here, all from one
+    `PointBasis` (`queries`, or one made over them for this call).
     """
-    qs = np.asarray(queries, dtype=float)
-    if qs.ndim == 1:
-        qs = qs[None, :]
+    basis = as_point_basis(queries, stack.fields)
+    qs = basis.points
     n_inputs = warped[0].shape[1]
-    if qs.ndim != 2 or qs.shape[1] != n_inputs:
+    if qs.shape[1] != n_inputs:
         raise ValueError(
             f"query dimension {qs.shape} does not match points {warped[0].shape}"
         )
     out = None
     for (form, scale, field), w in zip(stack.entries, warped):
-        wq = warp_points(field, qs)
+        wq = warp_points(field, basis)
         d2 = cdist(w, wq, "sqeuclidean")
         # each form overwrites its distances; the first one becomes the sum
         k_part = form_from_sqdist(form, scale, d2, out=d2)

@@ -41,7 +41,7 @@ from .gp import (
     model_from_fit,
     with_free_parameters,
 )
-from .hyper import LengthscaleField, NoiseField
+from .hyper import LengthscaleField, NoiseField, PointBasis
 from .kernels import KernelForm, KernelStack, Workspace
 from .poly import Basis
 
@@ -308,8 +308,9 @@ class _IntDim:
         return float(rng.choice(self.values, p=self.p_good))
 
     def log_ratio(self, x):
-        i = int(np.searchsorted(self.values, int(round(x))))
-        return float(np.log(self.p_good[i]) - np.log(self.p_bad[i]))
+        """log p_good - log p_bad at each value of the array `x`."""
+        i = np.searchsorted(self.values, np.rint(x))
+        return np.log(self.p_good[i]) - np.log(self.p_bad[i])
 
 
 class _ContDim:
@@ -350,13 +351,17 @@ class _ContDim:
         return float(np.exp(x)) if self.log_scale else float(x)
 
     def _log_density(self, x, mu, sd):
-        # the Gaussian density written out, in the same floating-point
-        # operations as scipy.stats.norm.pdf at a fraction of its call cost
-        z = (x - mu) / sd
+        """Log mixture density at each value of the array `x`.
+
+        The Gaussian density written out, in the same floating-point
+        operations as scipy.stats.norm.pdf, one row of components per value.
+        """
+        z = (np.asarray(x, dtype=float)[:, None] - mu) / sd
         pdf = np.exp(-z**2 / 2.0) / _SQRT_2PI / sd
-        return float(np.log(np.mean(pdf) + 1e-300))
+        return np.log(np.mean(pdf, axis=1) + 1e-300)
 
     def log_ratio(self, x):
+        """log good density - log bad density at each value of the array `x`."""
         if self.log_scale:
             x = np.log(x)
         return self._log_density(x, self.good_mu, self.good_sd) - self._log_density(
@@ -380,7 +385,9 @@ def tpe_suggest(
     Densities are per-dimension Parzen estimators fit to the gamma-quantile
     split of the history. Candidates are drawn from the good-set densities;
     coefficient entries above a candidate's sampled degree are drawn from
-    the prior and excluded from its score.
+    the prior and excluded from its score. All candidates are drawn first,
+    then scored one dimension at a time over every candidate; a score sums
+    its active dimensions in index order, and the first best one wins.
     """
     if rng is None:
         rng = np.random.default_rng()
@@ -396,21 +403,19 @@ def tpe_suggest(
     for m in range(space._scale_start, space.n_parameters):
         dims[m] = _ContDim(s_lo, s_hi, good[:, m], bad[:, m], log_scale=True)
 
-    best_theta, best_score = None, -np.inf
-    for _ in range(n_candidates):
-        theta = np.empty(space.n_parameters)
+    thetas = np.empty((n_candidates, space.n_parameters))
+    masks = np.empty(thetas.shape, dtype=bool)
+    for theta, mask in zip(thetas, masks):
         theta[0] = dims[0].sample(rng)
         if space.searches_noise:
             theta[1] = dims[1].sample(rng)
-        mask = space.active_mask(theta)
+        mask[:] = space.active_mask(theta)
         for m in range(space._coeff_start, space.n_parameters):
             theta[m] = dims[m].sample(rng) if mask[m] else dims[m].sample_prior(rng)
-        score = sum(
-            dims[m].log_ratio(theta[m]) for m in range(space.n_parameters) if mask[m]
-        )
-        if score > best_score:
-            best_theta, best_score = theta, score
-    return best_theta
+    scores = np.zeros(n_candidates)
+    for m in range(space.n_parameters):
+        scores += np.where(masks[:, m], dims[m].log_ratio(thetas[:, m]), 0.0)
+    return thetas[int(np.argmax(scores))].copy()
 
 
 # ---------------------------------------------------------------------------
@@ -518,6 +523,9 @@ def fine_tune(
     factorization failure at any step marks the trial failed with an
     infinite loss. Every step assembles its Gram in `workspace` (a fresh
     one when none is given); the closing fit keeps a factor of its own.
+    The chaos-basis values at the training points are evaluated once, into
+    a `PointBasis` that the sensitivities, every step and the closing fit
+    share and that is dropped on return.
     """
     x_s, y_s = train_split
     x_s = np.asarray(x_s, dtype=float)
@@ -529,16 +537,17 @@ def fine_tune(
 
     refined = np.asarray(theta, dtype=float).copy()
     ws = workspace if workspace is not None else Workspace()
+    points = PointBasis(x_s, stack.fields + (noise,))
     try:
         if n_iterations > 0:
-            sensitivities = gradient_sensitivities(stack, noise, x_s)
+            sensitivities = gradient_sensitivities(stack, noise, points)
             coords = _to_adam_coords(stack, noise)
             state = AdamState.initial(coords.size)
             n_k = stack.n_entries
             for _ in range(n_iterations):
                 cur_stack, cur_noise = _from_adam_coords(stack, noise, coords)
                 grad = mll_gradient(
-                    cur_stack, cur_noise, x_s, y_s, sensitivities, ws
+                    cur_stack, cur_noise, points, y_s, sensitivities, ws
                 )
                 # descend the negative MLL; chain rule for the log scales
                 loss_grad = -grad
@@ -548,7 +557,7 @@ def fine_tune(
                 state, coords = adam_step(state, coords, loss_grad)
             stack, noise = _from_adam_coords(stack, noise, coords)
             refined = space.write_back(theta, stack, noise)
-        fit = fit_likelihood(stack, noise, x_s, y_s, ws)
+        fit = fit_likelihood(stack, noise, points, y_s, ws)
     except RuntimeError:
         return failed
 

@@ -6,8 +6,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.spatial.distance import cdist
 
+from pcegp.bench import _ard_kernel
 from pcegp.hyper import LengthscaleField, NoiseField
 from pcegp.kernels import (
+    SQDIST_BLOCK_ROWS,
     KernelForm,
     KernelStack,
     cross_matrix,
@@ -297,6 +299,31 @@ def test_gram_sqdist_matches_cdist_with_duplicate_rows(n_x, rows, data):
     assert np.array_equal(d2, d2.T)
     assert np.all(np.diag(d2) == 0.0)
     assert np.all(d2[np.equal.outer(rows, rows)] == 0.0)
+
+
+@pytest.mark.parametrize(
+    "n_rows",
+    [SQDIST_BLOCK_ROWS - 1, SQDIST_BLOCK_ROWS, SQDIST_BLOCK_ROWS + 1,
+     2 * SQDIST_BLOCK_ROWS + 1],
+)
+def test_sqdist_matches_cdist_across_row_blocks(n_rows):
+    # distances are filled one block of rows at a time; rows drawn from a
+    # small pool repeat, within a block and across block edges
+    rng = np.random.default_rng(n_rows)
+    rows = rng.integers(0, 9, size=n_rows)
+    x = rng.uniform(size=(9, 3))[rows]
+    stack = KernelStack(((KernelForm.ae(), 1.0, random_field(rng, 3)),))
+    [(_, _, w, d2, _)] = gram_parts(stack, x)
+    assert np.array_equal(d2, cdist(w, w, "sqeuclidean"))
+    assert np.array_equal(d2, d2.T)
+    assert np.all(np.diag(d2) == 0.0)
+    assert np.all(d2[np.equal.outer(rows, rows)] == 0.0)
+
+    # the baseline's K0, against its cdist path for two point sets
+    log_params = np.r_[rng.uniform(-2.0, 1.0, 3), 0.3, -4.0]
+    k0 = _ard_kernel(log_params, x, out=np.empty((n_rows, n_rows)))
+    assert np.array_equal(k0, _ard_kernel(log_params, x, x))
+    assert np.array_equal(k0, k0.T)
 
 
 # ---------------------------------------------------------------------------

@@ -189,7 +189,38 @@ def test_fine_tune_computes_sensitivities_once(monkeypatch):
     y_s = rng.normal(size=15)
     _, loss = fine_tune(theta, space, (x_s, y_s), 6)
     assert np.isfinite(loss)
-    assert len(calls) == 2  # once per kernel, not once per step (six steps)
+    # the two kernels' fields share one basis and degree, so one tensor
+    # serves both, and it is not rebuilt per step (six steps)
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("n_iterations", [0, 1, 5])
+@pytest.mark.parametrize("noise_fixed", [True, False])
+def test_fine_tune_evaluates_the_basis_on_its_training_points_once(
+    monkeypatch, n_iterations, noise_fixed
+):
+    # four kernel entries sharing one basis; a searched noise expansion on
+    # the same family may need a higher degree than the lengthscales
+    space = benchmark_space()
+    if not noise_fixed:
+        space = SearchSpace(
+            kernel_forms=space.kernel_forms, bases=space.bases, q_range=(2, 3),
+            r_range=(5, 5), noise_fixed=None,
+        )
+    rng = np.random.default_rng(16)
+    theta = random_suggest(space, rng)
+    x_s = rng.uniform(size=(30, 3))
+    y_s = rng.normal(size=30)
+    sizes = []
+
+    def counting(kind, max_degree, points):
+        sizes.append(np.size(points))
+        return eval_basis(kind, max_degree, points)
+
+    monkeypatch.setattr(hyper_mod, "eval_basis", counting)
+    tuned = fine_tune(theta, space, (x_s, y_s), n_iterations)
+    assert np.isfinite(tuned.loss)
+    assert sizes == [x_s.size]
 
 
 def test_each_inner_fold_factorizes_n_iterations_plus_one_times(monkeypatch):
@@ -294,14 +325,21 @@ def test_fold_model_survives_the_next_fold_in_its_workspace():
     out_sc = fit_scaler("z_normalize", splits[0][1])
 
     tuned = fine_tune(theta, space, splits[0], 3, workspace)
-    model = model_from_fit(tuned.stack, tuned.noise, in_sc, out_sc, *splits[0],
-                           fit=tuned.fit)
+    models = (
+        model_from_fit(tuned.stack, tuned.noise, in_sc, out_sc, *splits[0],
+                       fit=tuned.fit),
+        # a refit, as the outer folds of run_benchmark make in their workspace
+        fit_precompute(tuned.stack, tuned.noise, in_sc, out_sc, *splits[0],
+                       workspace=workspace),
+    )
     xq = rng.uniform(size=(9, 2))
-    before = predict_batch(model, xq)
+    before = [predict_batch(model, xq) for model in models]
     fine_tune(theta, space, splits[1], 3, workspace)  # the next fold
-    after = predict_batch(model, xq)
-    for got, want in zip(after, before):
-        np.testing.assert_array_equal(got, want)
+    fit_precompute(tuned.stack, tuned.noise, in_sc, out_sc, *splits[1],
+                   workspace=workspace)  # and its refit
+    for model, want in zip(models, before):
+        for got, expected in zip(predict_batch(model, xq), want):
+            np.testing.assert_array_equal(got, expected)
 
 
 # ---------------------------------------------------------------------------
@@ -328,8 +366,9 @@ def test_single_row_predict_warps_only_the_query(monkeypatch, tmp_path):
 
     monkeypatch.setattr(hyper_mod, "eval_basis", counting)
     predict(loaded, ds.inputs[0])
-    # one single-term field per entry, evaluated on the query's n_x coordinates
-    assert sizes == [ds.n_inputs] * stack.n_entries
+    # both entries use one basis family: one evaluation on the query's n_x
+    # coordinates serves them
+    assert sizes == [ds.n_inputs]
 
 
 def test_stored_warps_predict_like_a_fresh_cross_matrix(tmp_path):
@@ -428,7 +467,12 @@ def test_ard_gradient_matches_the_tensor_formula():
 def test_tpe_density_matches_scipy_bit_for_bit():
     rng = np.random.default_rng(8)
     dim = _ContDim(-2.0, 2.0, rng.uniform(-2, 2, 5), rng.uniform(-2, 2, 9))
-    for x in rng.uniform(-2.5, 2.5, 50):
-        for mu, sd in ((dim.good_mu, dim.good_sd), (dim.bad_mu, dim.bad_sd)):
-            expected = float(np.log(np.mean(norm.pdf(x, loc=mu, scale=sd)) + 1e-300))
-            assert dim._log_density(x, mu, sd) == expected
+    xs = rng.uniform(-2.5, 2.5, 50)
+    for mu, sd in ((dim.good_mu, dim.good_sd), (dim.bad_mu, dim.bad_sd)):
+        # every candidate at once, each bit for bit as scipy scores it alone
+        got = dim._log_density(xs, mu, sd)
+        expected = [
+            float(np.log(np.mean(norm.pdf(x, loc=mu, scale=sd)) + 1e-300))
+            for x in xs
+        ]
+        assert got.tolist() == expected

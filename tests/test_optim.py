@@ -12,6 +12,9 @@ from pcegp.optim import (
     AdamState,
     SearchSpace,
     TrialRecord,
+    _ContDim,
+    _IntDim,
+    _split_history,
     adam_step,
     fine_tune,
     history_to_text,
@@ -224,6 +227,78 @@ def test_tpe_ignores_failed_trials():
     ]
     theta = tpe_suggest(history, space, rng=np.random.default_rng(8))
     assert np.all(np.isfinite(theta))
+
+
+def _scalar_log_ratio(dim, x):
+    """One candidate's log density ratio in one dimension, scored alone."""
+    if isinstance(dim, _IntDim):
+        i = int(np.searchsorted(dim.values, int(round(x))))
+        return float(np.log(dim.p_good[i]) - np.log(dim.p_bad[i]))
+    if dim.log_scale:
+        x = np.log(x)
+
+    def log_density(mu, sd):
+        z = (x - mu) / sd
+        pdf = np.exp(-z**2 / 2.0) / float(np.sqrt(2.0 * np.pi)) / sd
+        return float(np.log(np.mean(pdf) + 1e-300))
+
+    return log_density(dim.good_mu, dim.good_sd) - log_density(dim.bad_mu, dim.bad_sd)
+
+
+def _scalar_tpe_suggest(history, space, rng, gamma=0.25, n_candidates=24):
+    """TPE as a loop over candidates: draw one, score it, keep the first best."""
+    good, bad = _split_history(history, gamma)
+    dims = {0: _IntDim(*space.q_range, good[:, 0], bad[:, 0])}
+    if space.searches_noise:
+        dims[1] = _IntDim(*space.r_range, good[:, 1], bad[:, 1])
+    for m in range(space._coeff_start, space._scale_start):
+        dims[m] = _ContDim(*space.coeff_range, good[:, m], bad[:, m])
+    for m in range(space._scale_start, space.n_parameters):
+        dims[m] = _ContDim(*space.scale_range, good[:, m], bad[:, m], log_scale=True)
+    best_theta, best_score = None, -np.inf
+    for _ in range(n_candidates):
+        theta = np.empty(space.n_parameters)
+        theta[0] = dims[0].sample(rng)
+        if space.searches_noise:
+            theta[1] = dims[1].sample(rng)
+        mask = space.active_mask(theta)
+        for m in range(space._coeff_start, space.n_parameters):
+            theta[m] = dims[m].sample(rng) if mask[m] else dims[m].sample_prior(rng)
+        score = sum(
+            _scalar_log_ratio(dims[m], theta[m])
+            for m in range(space.n_parameters) if mask[m]
+        )
+        if score > best_score:
+            best_theta, best_score = theta, score
+    return best_theta
+
+
+@pytest.mark.parametrize("searched_noise", [False, True])
+def test_tpe_scores_like_one_candidate_at_a_time(searched_noise):
+    kwargs = dict(
+        kernel_forms=(KernelForm.se(), KernelForm.ae()),
+        bases=(Basis.legendre01(), Basis.hermite()),
+        q_range=(0, 4),
+    )
+    if searched_noise:
+        kwargs.update(r_range=(0, 3), noise_fixed=None)
+    space = small_space(**kwargs)
+    rng = np.random.default_rng(11)
+    for case in range(40):
+        history = []
+        for i in range(int(rng.integers(2, 30))):
+            # ties and failed trials included
+            loss = math.inf if rng.uniform() < 0.1 else float(rng.integers(0, 6))
+            history.append(_record(random_suggest(space, rng), loss, i))
+        if sum(not t.failed for t in history) < 2:
+            continue
+        gamma = float(rng.choice([0.1, 0.25, 0.5]))
+        n_candidates = int(rng.integers(1, 30))
+        got = tpe_suggest(history, space, gamma, n_candidates,
+                          rng=np.random.default_rng(case))
+        want = _scalar_tpe_suggest(history, space, np.random.default_rng(case),
+                                   gamma, n_candidates)
+        assert got.tobytes() == want.tobytes()
 
 
 # ---------------------------------------------------------------------------
