@@ -156,6 +156,13 @@ def _as_points(points, field) -> PointBasis:
     return basis
 
 
+def _as_matrix_points(points, field) -> PointBasis:
+    """A `PointBasis` over an N x n_x matrix; a single 1-D point is refused."""
+    if not isinstance(points, PointBasis) and np.ndim(points) != 2:
+        raise ValueError("noise fields are evaluated on an N x n_x matrix")
+    return as_point_basis(points, (field,))
+
+
 def _terms_eval(terms, basis: PointBasis) -> np.ndarray:
     """Sum of all expansions evaluated element-wise over the basis's points.
 
@@ -169,21 +176,16 @@ def _terms_eval(terms, basis: PointBasis) -> np.ndarray:
 
 
 def eval_lengthscale_batch(field: LengthscaleField, points) -> np.ndarray:
-    """Lengthscales for N scaled points (or a `PointBasis`) as an n_inputs x N matrix."""
+    """Lengthscales for N scaled points (or a `PointBasis`), n_inputs x N."""
     return _terms_eval(field.terms, _as_points(points, field)).T
 
 
 def eval_noise_batch(field: NoiseField, points) -> np.ndarray:
-    """Noise variances for N scaled points (or a `PointBasis`) as a length-N vector."""
-    if isinstance(points, PointBasis):
-        pts = points.points
-    else:
-        pts = np.asarray(points, dtype=float)
-        if pts.ndim != 2:
-            raise ValueError("eval_noise_batch expects an N x n_x matrix")
+    """Noise variances for N scaled points (or a `PointBasis`), length N."""
+    basis = _as_matrix_points(points, field)
     if field.mode == "fixed":
-        return np.full(pts.shape[0], field.value)
-    raw = _terms_eval(field.terms, as_point_basis(points, (field,))).mean(axis=1)
+        return np.full(basis.points.shape[0], field.value)
+    raw = _terms_eval(field.terms, basis).mean(axis=1)
     return np.maximum(field.floor, raw)
 
 
@@ -241,9 +243,7 @@ def noise_sensitivity(field: NoiseField, points) -> np.ndarray:
     """
     if field.mode != "pce":
         raise ValueError("noise sensitivity is defined only for pce mode")
-    if not isinstance(points, PointBasis) and np.ndim(points) != 2:
-        raise ValueError("noise_sensitivity expects an N x n_x matrix")
-    basis = as_point_basis(points, (field,))
+    basis = _as_matrix_points(points, field)
     n, d = basis.points.shape
     rows = []
     for kind, c in field.terms:
