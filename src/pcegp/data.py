@@ -204,14 +204,6 @@ def fit_scaler(kind: str, data) -> ScalerState:
     raise ValueError(f"unknown scaler kind {kind!r}")
 
 
-def _check_width(state: ScalerState, a: np.ndarray):
-    if a.shape[-1] != state.n_columns:
-        raise ValueError(
-            f"point has {a.shape[-1]} columns, scaler was fitted on "
-            f"{state.n_columns}"
-        )
-
-
 def apply_scaler(state: ScalerState, point):
     """Apply the fitted affine map to a point (vector) or matrix of rows.
 
@@ -221,19 +213,12 @@ def apply_scaler(state: ScalerState, point):
     squeeze = a.ndim == 1
     if squeeze:
         a = a[None, :]
-    _check_width(state, a)
+    if a.shape[-1] != state.n_columns:
+        raise ValueError(
+            f"point has {a.shape[-1]} columns, scaler was fitted on "
+            f"{state.n_columns}"
+        )
     out = (a - state.loc) / state.scale
-    return out[0] if squeeze else out
-
-
-def inverse_scale(state: ScalerState, scaled):
-    """Invert apply_scaler exactly (up to float rounding)."""
-    a = np.asarray(scaled, dtype=float)
-    squeeze = a.ndim == 1
-    if squeeze:
-        a = a[None, :]
-    _check_width(state, a)
-    out = a * state.scale + state.loc
     return out[0] if squeeze else out
 
 

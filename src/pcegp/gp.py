@@ -24,8 +24,9 @@ The chaos-basis values at the training points do not change while the
 coefficients move. Every function here that takes `x_scaled` also takes a
 `hyper.PointBasis` in its place and then reuses its values; given plain
 points it makes one that lives for the call. `optim.fine_tune` makes one
-per training split, shared by the sensitivities, every Adam step and the
-closing fit, and dropped when it returns.
+per training split, shared by every Adam step and the closing fit, and
+dropped when it returns. The gradient reads its coefficient sensitivities
+from that same `PointBasis`, since they are the basis values themselves.
 
 Prediction follows the scaled pipeline: scale the query, build the cross
 covariances, solve against the stored factor, add the query-point noise
@@ -51,8 +52,6 @@ from .hyper import (
     as_point_basis,
     eval_noise_batch,
     lengthscale_coefficients,
-    lengthscale_sensitivity,
-    noise_sensitivity,
     with_lengthscale_coefficients,
 )
 from .kernels import (
@@ -200,34 +199,14 @@ def mll(stack: KernelStack, noise: NoiseField, x_scaled, y_scaled) -> float:
     return fit_likelihood(stack, noise, x_scaled, y_scaled).value
 
 
-def gradient_sensitivities(stack: KernelStack, noise: NoiseField, x_scaled):
-    """The coefficient sensitivities `mll_gradient` contracts against.
-
-    They depend on the points and on each field's bases and degrees, never
-    on the coefficients, so an optimizer moving only coefficients computes
-    them once. Returns (one lengthscale tensor per stack entry, noise
-    matrix or None); entries whose fields have the same bases and degrees
-    share one tensor. `x_scaled` may be a `PointBasis`.
-    """
-    basis = as_point_basis(x_scaled, stack.fields + (noise,))
-    by_layout = {}
-    per_entry = []
-    for f in stack.fields:
-        layout = tuple((kind, c.size) for kind, c in f.terms)
-        if layout not in by_layout:
-            by_layout[layout] = lengthscale_sensitivity(f, basis)
-        per_entry.append(by_layout[layout])
-    noise_sens = noise_sensitivity(noise, basis) if noise.mode == "pce" else None
-    return tuple(per_entry), noise_sens
+def _term_values(basis: PointBasis, terms) -> list:
+    """Each term's basis values at the points, shaped (coefficients, N, n_x)."""
+    n, d = basis.points.shape
+    return [basis.values(kind, c.size - 1).reshape(c.size, n, d) for kind, c in terms]
 
 
 def mll_gradient(
-    stack: KernelStack,
-    noise: NoiseField,
-    x_scaled,
-    y_scaled,
-    sensitivities=None,
-    workspace=None,
+    stack: KernelStack, noise: NoiseField, x_scaled, y_scaled, workspace=None
 ):
     """Gradient of the marginal log likelihood over the free parameters.
 
@@ -235,18 +214,16 @@ def mll_gradient(
     order, then the noise coefficients when the noise is an expansion,
     then each entry's squared output scale. Matches central finite
     differences within 1e-4 relative error (the public contract).
-    `sensitivities` is `gradient_sensitivities` for the same points and
-    field layouts; it is computed here when not given. `x_scaled` may be
-    a `PointBasis`. Every N x N array of the evaluation is a buffer of
-    `workspace`, or of a fresh one when none is given; the returned
+    `x_scaled` may be a `PointBasis`. The fields are linear in their
+    coefficients, so the sensitivity of a lengthscale or of the unclamped
+    noise to a coefficient is the basis's own value, read from the
+    `PointBasis` each call. Every N x N array of the evaluation is a buffer
+    of `workspace`, or of a fresh one when none is given; the returned
     gradient is a new array.
     """
     basis = as_point_basis(x_scaled, stack.fields + (noise,))
     pts = basis.points
     y = np.asarray(y_scaled, dtype=float).ravel()
-    if sensitivities is None:
-        sensitivities = gradient_sensitivities(stack, noise, basis)
-    ls_sens, noise_sens = sensitivities
     ws = workspace if workspace is not None else Workspace()
     parts, k = noisy_gram(stack, noise, basis, ws)
     # dMLL = 0.5 tr(a dK)
@@ -255,20 +232,26 @@ def mll_gradient(
 
     blocks = []
     scale_grad = []
-    for (form, scale, _), (_, _, w, d2, k_part), sens in zip(
-        stack.entries, parts, ls_sens
-    ):
+    for (form, scale, field), (_, _, w, d2, k_part) in zip(stack.entries, parts):
         scale_grad.append(0.5 * float(np.vdot(a, k_part)) / (scale * scale))
         sqdist_derivative_from_values(form, d2, k_part, out=t)
         t *= a
         r = t.sum(axis=1)[:, None] * w - t @ w
+        # sens[m, d, i] = phi_m(x_id) = d l_d(x_i) / d c_m, in coefficient order
+        sens = np.concatenate(
+            [v.transpose(0, 2, 1) for v in _term_values(basis, field.terms)]
+        )
         blocks.append(2.0 * np.tensordot(sens, (r * pts).T, axes=([1, 2], [0, 1])))
 
     if noise.mode == "pce":
-        raw = noise_sens.T @ np.concatenate([c for _, c in noise.terms])
+        # sens[m, i]: phi_m averaged over the coordinates of point i
+        sens = np.concatenate(
+            [v.mean(axis=2) for v in _term_values(basis, noise.terms)]
+        )
+        raw = sens.T @ np.concatenate([c for _, c in noise.terms])
         active = raw > noise.floor  # clamped points contribute no gradient
         diag_a = np.diag(a) * active
-        blocks.append(0.5 * noise_sens @ diag_a)
+        blocks.append(0.5 * sens @ diag_a)
 
     blocks.append(np.array(scale_grad))
     return np.concatenate(blocks)

@@ -8,8 +8,9 @@ variance or an expansion averaged over coordinates and clamped to a
 positive floor.
 
 Both fields are linear in their coefficients (before the noise clamp),
-which the optimizer exploits: the sensitivity of any output to a
-coefficient is just the matching polynomial value.
+which the likelihood gradient exploits: the sensitivity of any output to
+a coefficient is just the matching polynomial value, which `gp.mll_gradient`
+reads from the same `PointBasis` as the fields themselves.
 
 The polynomial values depend only on the points, so a `PointBasis` keeps
 them with the points they were computed on: one `eval_basis` per basis
@@ -145,24 +146,6 @@ def as_point_basis(points, fields=()) -> PointBasis:
     return points if isinstance(points, PointBasis) else PointBasis(points, fields)
 
 
-def _as_points(points, field) -> PointBasis:
-    """A `PointBasis` over points of the field's width."""
-    basis = as_point_basis(points, (field,))
-    if basis.points.shape[1] != field.n_inputs:
-        raise ValueError(
-            f"points must have {field.n_inputs} coordinates, "
-            f"got shape {basis.points.shape}"
-        )
-    return basis
-
-
-def _as_matrix_points(points, field) -> PointBasis:
-    """A `PointBasis` over an N x n_x matrix; a single 1-D point is refused."""
-    if not isinstance(points, PointBasis) and np.ndim(points) != 2:
-        raise ValueError("noise fields are evaluated on an N x n_x matrix")
-    return as_point_basis(points, (field,))
-
-
 def _terms_eval(terms, basis: PointBasis) -> np.ndarray:
     """Sum of all expansions evaluated element-wise over the basis's points.
 
@@ -177,12 +160,20 @@ def _terms_eval(terms, basis: PointBasis) -> np.ndarray:
 
 def eval_lengthscale_batch(field: LengthscaleField, points) -> np.ndarray:
     """Lengthscales for N scaled points (or a `PointBasis`), n_inputs x N."""
-    return _terms_eval(field.terms, _as_points(points, field)).T
+    basis = as_point_basis(points, (field,))
+    if basis.points.shape[1] != field.n_inputs:
+        raise ValueError(
+            f"points must have {field.n_inputs} coordinates, "
+            f"got shape {basis.points.shape}"
+        )
+    return _terms_eval(field.terms, basis).T
 
 
 def eval_noise_batch(field: NoiseField, points) -> np.ndarray:
     """Noise variances for N scaled points (or a `PointBasis`), length N."""
-    basis = _as_matrix_points(points, field)
+    if not isinstance(points, PointBasis) and np.ndim(points) != 2:
+        raise ValueError("noise fields are evaluated on an N x n_x matrix")
+    basis = as_point_basis(points, (field,))
     if field.mode == "fixed":
         return np.full(basis.points.shape[0], field.value)
     raw = _terms_eval(field.terms, basis).mean(axis=1)
@@ -214,39 +205,3 @@ def with_lengthscale_coefficients(
         k += c.size
     return LengthscaleField(terms=tuple(terms), n_inputs=field.n_inputs)
 
-
-def lengthscale_sensitivity(field: LengthscaleField, points) -> np.ndarray:
-    """Polynomial values pairing each coefficient with each output entry.
-
-    Returns a tensor ``S`` of shape (n_coefficients, n_inputs, N) with
-    ``S[m, d, i] = phi_m(points[i, d])``, so that
-    ``eval_lengthscale_batch = tensordot(coeffs, S, 1)``. Rows follow the
-    flat coefficient order of `lengthscale_coefficients`. `points` may be a
-    `PointBasis`, whose values are then reused.
-    """
-    basis = _as_points(points, field)
-    n, d = basis.points.shape
-    rows = []
-    for kind, c in field.terms:
-        values = basis.values(kind, c.size - 1)
-        rows.append(values.reshape(c.size, n, d).transpose(0, 2, 1))
-    return np.concatenate(rows, axis=0)
-
-
-def noise_sensitivity(field: NoiseField, points) -> np.ndarray:
-    """Per-coefficient sensitivity of the unclamped noise at each point.
-
-    Shape (n_coefficients, N): entry [m, i] is the mean of phi_m over the
-    coordinates of point i. Zero rows where the clamp is active must be
-    handled by the caller (the clamped value has zero gradient). `points`
-    may be a `PointBasis`, whose values are then reused.
-    """
-    if field.mode != "pce":
-        raise ValueError("noise sensitivity is defined only for pce mode")
-    basis = _as_matrix_points(points, field)
-    n, d = basis.points.shape
-    rows = []
-    for kind, c in field.terms:
-        values = basis.values(kind, c.size - 1)
-        rows.append(values.reshape(c.size, n, d).mean(axis=2))
-    return np.concatenate(rows, axis=0)

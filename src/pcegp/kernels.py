@@ -37,7 +37,6 @@ from scipy.spatial.distance import cdist
 from .hyper import (
     LengthscaleField,
     NoiseField,
-    PointBasis,
     as_point_basis,
     eval_lengthscale_batch,
     eval_noise_batch,
@@ -198,37 +197,16 @@ def form_from_sqdist(form: KernelForm, scale: float, sqdist, out=None, scratch=N
     return out
 
 
-def form_sqdist_derivative(form: KernelForm, scale: float, sqdist):
-    """d(form)/d(squared distance), used by the likelihood gradient.
-
-    The absolute-exponential derivative is unbounded at zero distance; it
-    is set to 0 there, which is exact wherever it matters because the
-    squared distance of coincident warped points has zero sensitivity to
-    the warp.
-    """
-    d2 = np.asarray(sqdist, dtype=float)
-    s2 = scale * scale
-    if form.tag == "squared_exponential":
-        return -0.5 * s2 * np.exp(-0.5 * d2)
-    if form.tag == "absolute_exponential":
-        d = np.sqrt(d2)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            out = -s2 * np.exp(-d) / (2.0 * d)
-        return np.where(d > 0.0, out, 0.0)
-    if form.tag == "matern_3_2":
-        return -1.5 * s2 * np.exp(-np.sqrt(3.0 * d2))
-    a = form.shape
-    return -0.5 * s2 * (1.0 + d2 / (2.0 * a)) ** (-a - 1.0)
-
-
 def sqdist_derivative_from_values(form: KernelForm, sqdist, values, out=None):
     """d(form)/d(squared distance) from the form's own values.
 
-    Equal to `form_sqdist_derivative` but reuses the component matrix that
+    Used by the likelihood gradient, it reuses the component matrix that
     Gram assembly already holds instead of recomputing the exp or power:
     SE -k/2, M3/2 -1.5k/(1 + sqrt(3 d2)), RQ -k/(2(1 + d2/(2a))), and AE
-    -k/(2 sqrt(d2)), set to 0 at zero distance. Writes to `out` when it is
-    given, else to a new array; the inputs are left alone.
+    -k/(2 sqrt(d2)). The AE derivative is unbounded at zero distance and is
+    set to 0 there, which is exact wherever it matters: the squared distance
+    of coincident warped points has zero sensitivity to the warp. Writes to
+    `out` when it is given, else to a new array; the inputs are left alone.
     """
     d2 = np.asarray(sqdist, dtype=float)
     k = np.asarray(values, dtype=float)
@@ -403,16 +381,6 @@ def noisy_gram(
         k += part[4]
     k.flat[:: k.shape[0] + 1] += eval_noise_batch(noise, basis)
     return parts, k
-
-
-def cross_matrix(stack: KernelStack, points, queries) -> np.ndarray:
-    """Covariances between N training points and M query points, N x M."""
-    pts = np.asarray(points, dtype=float)
-    if pts.ndim != 2:
-        raise ValueError(f"points must be an N x n_x matrix, got shape {pts.shape}")
-    basis = PointBasis(pts, stack.fields)
-    warped = tuple(warp_points(field, basis) for field in stack.fields)
-    return warped_cross_matrix(stack, warped, queries)
 
 
 def warped_cross_matrix(stack: KernelStack, warped, queries) -> np.ndarray:

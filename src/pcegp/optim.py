@@ -35,7 +35,6 @@ from .gp import (
     LikelihoodFit,
     fit_likelihood,
     free_parameters,
-    gradient_sensitivities,
     log_predictive_density,
     mll_gradient,
     model_from_fit,
@@ -491,7 +490,7 @@ def _from_adam_coords(stack, noise, coords):
 
 @dataclass(frozen=True)
 class FineTuneResult:
-    """Refined theta and final negative MLL; unpacks as (theta, loss).
+    """Refined theta and final negative MLL.
 
     A successful refinement also carries the stack, noise and factorization
     behind its closing likelihood, so the fold model is built without
@@ -503,9 +502,6 @@ class FineTuneResult:
     stack: KernelStack | None = None
     noise: NoiseField | None = None
     fit: LikelihoodFit | None = None
-
-    def __iter__(self):
-        return iter((self.theta, self.loss))
 
 
 def fine_tune(
@@ -519,13 +515,14 @@ def fine_tune(
 
     `train_split` is (x_scaled, y_scaled). Degrees stay frozen; squared
     scales are optimized through their logarithm so they remain positive.
-    Returns (theta_refined, final negative MLL) as a `FineTuneResult`; a
+    Returns the refined theta and final negative MLL as a `FineTuneResult`; a
     factorization failure at any step marks the trial failed with an
     infinite loss. Every step assembles its Gram in `workspace` (a fresh
     one when none is given); the closing fit keeps a factor of its own.
     The chaos-basis values at the training points are evaluated once, into
-    a `PointBasis` that the sensitivities, every step and the closing fit
-    share and that is dropped on return.
+    a `PointBasis` that every step and the closing fit share and that is
+    dropped on return; the gradient takes its coefficient sensitivities
+    from it.
     """
     x_s, y_s = train_split
     x_s = np.asarray(x_s, dtype=float)
@@ -540,15 +537,12 @@ def fine_tune(
     points = PointBasis(x_s, stack.fields + (noise,))
     try:
         if n_iterations > 0:
-            sensitivities = gradient_sensitivities(stack, noise, points)
             coords = _to_adam_coords(stack, noise)
             state = AdamState.initial(coords.size)
             n_k = stack.n_entries
             for _ in range(n_iterations):
                 cur_stack, cur_noise = _from_adam_coords(stack, noise, coords)
-                grad = mll_gradient(
-                    cur_stack, cur_noise, points, y_s, sensitivities, ws
-                )
+                grad = mll_gradient(cur_stack, cur_noise, points, y_s, ws)
                 # descend the negative MLL; chain rule for the log scales
                 loss_grad = -grad
                 loss_grad[-n_k:] *= np.exp(coords[-n_k:])
@@ -595,8 +589,7 @@ def _evaluate_trial(
         x_tr_s = apply_scaler(in_sc, x_tr)
         y_tr_s = (y_tr - out_sc.loc[0]) / out_sc.scale[0]
         tuned = fine_tune(theta, space, (x_tr_s, y_tr_s), n_iterations, workspace)
-        refined, train_loss = tuned
-        if not math.isfinite(train_loss):
+        if not math.isfinite(tuned.loss):
             return FAILED_LOSS, fold_losses + [FAILED_LOSS], None
 
         # the fold model reuses the factorization of the closing likelihood
@@ -605,7 +598,7 @@ def _evaluate_trial(
         )
         lpd = log_predictive_density(model, x_va, y_va)
         fold_losses.append(float(-np.mean(lpd)))
-        fold_thetas.append(refined)
+        fold_thetas.append(tuned.theta)
 
     mean_loss = float(np.mean(fold_losses))
     if not math.isfinite(mean_loss):

@@ -141,6 +141,24 @@ def test_gradient_matches_finite_differences_many_seeds():
     field = LengthscaleField(((Basis.legendre01(), [1.0, 0.0, -2.75]),), 1)
     stack = KernelStack(((KernelForm.ae(), 1.0, field),))
     cases.append((stack, NoiseField.fixed(1e-2), pts, pts[:, 0]))
+    # fields of two basis families, terms of unequal length, and a two-term
+    # noise expansion: each coefficient's gradient must pair with the basis
+    # values of its own term, in term order
+    rng = np.random.default_rng(140)
+    entries = []
+    for form in (KernelForm.se(), KernelForm.matern32()):
+        terms = (
+            (Basis.legendre01(), np.r_[1.5, 0.4 * rng.normal(size=3)]),
+            (Basis.jacobi(1.0, 0.5), 0.3 * rng.normal(size=2)),
+        )
+        entries.append((form, float(rng.uniform(0.5, 1.5)), LengthscaleField(terms, 3)))
+    stack = KernelStack(tuple(entries))
+    noise_terms = [
+        (Basis.legendre01(), [0.3, 0.05, 0.02]),
+        (Basis.jacobi(1.0, 0.5), [0.1, 0.03]),
+    ]
+    noise = NoiseField.pce(noise_terms, floor=1e-8)
+    cases.append((stack, noise, rng.uniform(size=(8, 3)), rng.normal(size=8)))
 
     worst = 0.0
     for case, (stack, noise, pts, y) in enumerate(cases):

@@ -6,11 +6,10 @@ import pytest
 from pcegp.hyper import (
     LengthscaleField,
     NoiseField,
+    PointBasis,
     eval_lengthscale_batch,
     eval_noise_batch,
     lengthscale_coefficients,
-    lengthscale_sensitivity,
-    noise_sensitivity,
     with_lengthscale_coefficients,
 )
 from pcegp.poly import Basis, eval_basis
@@ -190,27 +189,14 @@ def test_flat_coefficient_round_trip():
         with_lengthscale_coefficients(f, np.zeros(4))
 
 
-def test_lengthscale_sensitivity_is_exact_linearization():
-    rng = np.random.default_rng(14)
-    f = LengthscaleField(
-        terms=(
-            (Basis.legendre01(), rng.normal(size=4)),
-            (Basis.jacobi(1.0, 0.5), rng.normal(size=3)),
-        ),
-        n_inputs=3,
-    )
-    pts = rng.uniform(size=(6, 3))
-    sens = lengthscale_sensitivity(f, pts)
-    assert sens.shape == (7, 3, 6)
-    rebuilt = np.tensordot(lengthscale_coefficients(f), sens, axes=1)
-    np.testing.assert_allclose(rebuilt, eval_lengthscale_batch(f, pts), atol=1e-12)
-
-
 def test_lengthscale_sensitivity_matches_finite_difference():
+    # the lengthscales are linear in the coefficients, so the derivative of
+    # l_d(x_i) by coefficient m is the basis value the gradient reads from
+    # the points' PointBasis, at column i * n_x + d
     rng = np.random.default_rng(15)
     f = LengthscaleField(((Basis.legendre01(), rng.normal(size=4)),), 2)
     pts = rng.uniform(size=(5, 2))
-    sens = lengthscale_sensitivity(f, pts)
+    values = PointBasis(pts, (f,)).values(Basis.legendre01(), 3)
     flat = lengthscale_coefficients(f)
     h = 1e-6
     for m in range(flat.size):
@@ -220,25 +206,21 @@ def test_lengthscale_sensitivity_matches_finite_difference():
             eval_lengthscale_batch(with_lengthscale_coefficients(f, bumped), pts)
             - eval_lengthscale_batch(f, pts)
         ) / h
-        np.testing.assert_allclose(fd, sens[m], atol=1e-8)
+        np.testing.assert_allclose(fd, values[m].reshape(5, 2).T, atol=1e-8)
 
 
 def test_noise_sensitivity_matches_finite_difference():
+    # the unclamped noise is linear in its coefficients: its derivative by
+    # coefficient m is the basis value averaged over each point's coordinates
     rng = np.random.default_rng(16)
     coeffs = np.abs(rng.normal(size=3)) + 0.5  # keep well above the floor
     f = NoiseField.pce([(Basis.legendre01(), coeffs)], floor=1e-12)
     pts = rng.uniform(size=(7, 2))
-    sens = noise_sensitivity(f, pts)
-    assert sens.shape == (3, 7)
+    values = PointBasis(pts, (f,)).values(Basis.legendre01(), 2)
     h = 1e-6
     for m in range(3):
         bumped = coeffs.copy()
         bumped[m] += h
         g = NoiseField.pce([(Basis.legendre01(), bumped)], floor=1e-12)
         fd = (eval_noise_batch(g, pts) - eval_noise_batch(f, pts)) / h
-        np.testing.assert_allclose(fd, sens[m], atol=1e-8)
-
-
-def test_noise_sensitivity_requires_pce_mode():
-    with pytest.raises(ValueError):
-        noise_sensitivity(NoiseField.fixed(1e-4), np.zeros((2, 2)))
+        np.testing.assert_allclose(fd, values[m].reshape(7, 2).mean(axis=1), atol=1e-8)

@@ -3,8 +3,8 @@
 The core factorizes once per evaluation, forms K^-1 with LAPACK from the
 factor, and derives each kernel form's distance derivative from the form's
 values; the search reuses the closing factorization for the fold model and
-computes the coefficient sensitivities once per refinement. A fitted model
-keeps its training warps, so prediction warps only the queries.
+evaluates the chaos basis on its training points once per refinement. A
+fitted model keeps its training warps, so prediction warps only the queries.
 """
 
 import tracemalloc
@@ -23,7 +23,6 @@ from pcegp.gp import (
     _likelihood_core,
     fit_likelihood,
     fit_precompute,
-    gradient_sensitivities,
     mll_gradient,
     model_from_fit,
     predict,
@@ -34,9 +33,7 @@ from pcegp.hyper import LengthscaleField, NoiseField, eval_noise_batch
 from pcegp.kernels import (
     KernelForm,
     KernelStack,
-    cross_matrix,
     form_from_sqdist,
-    form_sqdist_derivative,
     Workspace,
     ladder_cholesky,
     noisy_gram,
@@ -45,6 +42,8 @@ from pcegp.kernels import (
 from pcegp.optim import SearchSpace, _ContDim, fine_tune, random_suggest, run_search
 from pcegp.poly import Basis, eval_basis
 from pcegp.serialize import load_model, save_model
+
+from oracles import cross_matrix, form_sqdist_derivative
 
 
 def _stack(rng, n_inputs, forms):
@@ -158,41 +157,8 @@ def test_derivative_from_values_leaves_its_inputs_alone():
 
 
 # ---------------------------------------------------------------------------
-# sensitivities, factorization counts, and the reused closing fit
+# basis and factorization counts, and the reused closing fit
 # ---------------------------------------------------------------------------
-
-def test_cached_sensitivities_give_the_same_gradient():
-    rng = np.random.default_rng(3)
-    pts = rng.uniform(size=(20, 2))
-    y = rng.normal(size=20)
-    stack = _stack(rng, 2, [KernelForm.se(), KernelForm.ae()])
-    noise = NoiseField.pce(((Basis.legendre01(), [0.05, 0.01]),), floor=1e-6)
-    sens = gradient_sensitivities(stack, noise, pts)
-    np.testing.assert_array_equal(
-        mll_gradient(stack, noise, pts, y, sens), mll_gradient(stack, noise, pts, y)
-    )
-
-
-def test_fine_tune_computes_sensitivities_once(monkeypatch):
-    calls = []
-    orig = gp_mod.lengthscale_sensitivity
-
-    def counting(field, points):
-        calls.append(1)
-        return orig(field, points)
-
-    monkeypatch.setattr(gp_mod, "lengthscale_sensitivity", counting)
-    rng = np.random.default_rng(4)
-    space = _space()
-    theta = random_suggest(space, rng)
-    x_s = rng.uniform(size=(15, 2))
-    y_s = rng.normal(size=15)
-    _, loss = fine_tune(theta, space, (x_s, y_s), 6)
-    assert np.isfinite(loss)
-    # the two kernels' fields share one basis and degree, so one tensor
-    # serves both, and it is not rebuilt per step (six steps)
-    assert len(calls) == 1
-
 
 @pytest.mark.parametrize("n_iterations", [0, 1, 5])
 @pytest.mark.parametrize("noise_fixed", [True, False])
@@ -278,12 +244,11 @@ def test_gradient_through_a_workspace_allocates_no_n_by_n_array():
     pts = rng.uniform(size=(n, 8))
     y = rng.normal(size=n)
     stack, noise = space.build_stack(theta, 8)
-    sens = gradient_sensitivities(stack, noise, pts)
     workspace = Workspace()
-    first = mll_gradient(stack, noise, pts, y, sens, workspace)  # sizes the buffers
+    first = mll_gradient(stack, noise, pts, y, workspace=workspace)  # sizes the buffers
     tracemalloc.start()
     try:
-        second = mll_gradient(stack, noise, pts, y, sens, workspace)
+        second = mll_gradient(stack, noise, pts, y, workspace=workspace)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()

@@ -354,9 +354,9 @@ def test_fine_tune_zero_iterations_is_identity():
     space = small_space(q_range=(1, 2))
     rng = np.random.default_rng(9)
     theta = random_suggest(space, rng)
-    refined, loss = fine_tune(theta, space, _scaled_split(rng), 0)
-    np.testing.assert_array_equal(refined, theta)
-    assert math.isfinite(loss)
+    tuned = fine_tune(theta, space, _scaled_split(rng), 0)
+    np.testing.assert_array_equal(tuned.theta, theta)
+    assert math.isfinite(tuned.loss)
 
 
 def test_fine_tune_descends_negative_mll():
@@ -366,7 +366,7 @@ def test_fine_tune_descends_negative_mll():
     theta = random_suggest(space, rng)
     stack0, noise0 = space.build_stack(theta, 1)
     initial = -mll(stack0, noise0, *split)
-    refined, final = fine_tune(theta, space, split, 50)
+    final = fine_tune(theta, space, split, 50).loss
     assert final <= initial + 1e-6
     assert final < initial  # 50 steps should make real progress here
 
@@ -375,7 +375,7 @@ def test_fine_tune_freezes_degrees():
     space = small_space(q_range=(1, 3), r_range=(0, 2), noise_fixed=None)
     rng = np.random.default_rng(11)
     theta = random_suggest(space, rng)
-    refined, _ = fine_tune(theta, space, _scaled_split(rng), 5)
+    refined = fine_tune(theta, space, _scaled_split(rng), 5).theta
     assert space.degrees(refined) == space.degrees(theta)
 
 
@@ -384,7 +384,7 @@ def test_fine_tune_updates_only_active_slots():
     rng = np.random.default_rng(12)
     theta = random_suggest(space, rng)
     theta[0] = 1  # degree 1: slots for degrees 2, 3 inactive
-    refined, _ = fine_tune(theta, space, _scaled_split(rng), 10)
+    refined = fine_tune(theta, space, _scaled_split(rng), 10).theta
     inactive = ~space.active_mask(theta)
     np.testing.assert_array_equal(refined[inactive], theta[inactive])
     active = space.active_mask(theta).copy()
@@ -399,9 +399,9 @@ def test_fine_tune_factorization_failure_returns_sentinel():
     theta[1:3] = 0.0  # zero warp: all points coincide, Gram is a huge ones matrix
     x_s = np.full((6, 1), 0.5)
     y_s = rng.normal(size=6)
-    refined, loss = fine_tune(theta, space, (x_s, y_s), 3)
-    assert loss == math.inf
-    np.testing.assert_array_equal(refined, theta)
+    tuned = fine_tune(theta, space, (x_s, y_s), 3)
+    assert tuned.loss == math.inf
+    np.testing.assert_array_equal(tuned.theta, theta)
 
 
 # ---------------------------------------------------------------------------
@@ -515,7 +515,7 @@ def test_run_search_all_failures_raise(monkeypatch):
     ds = synthetic_dataset(rng, n=16)
 
     def always_fail(theta, space, split, n_iterations, workspace=None):
-        return np.asarray(theta, dtype=float), math.inf
+        return optim_mod.FineTuneResult(np.asarray(theta, dtype=float), math.inf)
 
     monkeypatch.setattr(optim_mod, "fine_tune", always_fail)
     with pytest.raises(RuntimeError, match="trial 0"):
