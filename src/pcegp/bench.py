@@ -82,6 +82,8 @@ class BenchmarkConfig:
             raise ValueError("need at least 2 inner folds")
         if not 1 <= self.n_initial <= self.n_trials:
             raise ValueError("need 1 <= n_initial <= n_trials")
+        if self.n_iterations < 0:
+            raise ValueError("n_iterations cannot be negative")
 
     def echo(self) -> dict:
         space = self.space

@@ -5,8 +5,10 @@ run; `--set key=value` and the dedicated flags override it, so a committed
 config plus a recorded command line reproduces any result. Exit codes:
 0 success, 1 runtime failure, 2 usage or configuration error.
 
-No subcommand writes anywhere except the configured output path (plus, for
-`fit`, the search history at `<output>.history` — two artifacts, one stem).
+No subcommand writes anywhere except under the configured output path's
+stem: `fit` writes the model there and the search history at
+`<output>.history`; `benchmark` and `baseline` write each fold's report to
+`<output>.tmp` and rename it over `<output>`, so only the output remains.
 """
 
 from __future__ import annotations
@@ -237,25 +239,33 @@ def _load_dataset(cfg: dict):
 def cmd_fit(cfg: dict) -> int:
     """Search hyperparameters, fit on the full file, write model + history."""
     output = _require(cfg, "output")
+    n_trials = _get_int(cfg, "n_trials", 30)
+    n_initial = _get_int(cfg, "n_initial", 10)
+    n_iterations = _get_int(cfg, "n_iterations", 50)
+    n_folds = _get_int(cfg, "inner_n_folds", 5)
+    if n_trials < 1:
+        raise UsageError("need at least one trial")
+    if not 0 <= n_initial <= n_trials:
+        raise UsageError(
+            f"n_initial ({n_initial}) must be in [0, n_trials ({n_trials})]"
+        )
+    if n_iterations < 0:
+        raise UsageError("n_iterations cannot be negative")
+    if n_folds < 2:
+        raise UsageError("need at least 2 inner folds")
     ds = _load_dataset(cfg)
     space = build_space(cfg)
     seed = _get_int(cfg, "seed", 0)
     history_path = output + ".history"
 
-    n_trials = _get_int(cfg, "n_trials", 30)
-    n_initial = _get_int(cfg, "n_initial", 10)
-    if n_initial > n_trials:
-        raise UsageError(
-            f"n_initial ({n_initial}) cannot exceed n_trials ({n_trials})"
-        )
     try:
         result = run_search(
             ds,
             space,
             n_trials=n_trials,
             n_initial=n_initial,
-            n_iterations=_get_int(cfg, "n_iterations", 50),
-            n_folds=_get_int(cfg, "inner_n_folds", 5),
+            n_iterations=n_iterations,
+            n_folds=n_folds,
             seed=seed,
             global_scaling=_get_bool(cfg, "global_scaling", False),
         )

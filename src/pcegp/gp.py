@@ -11,6 +11,10 @@ from the kernel values themselves, plus a rank-structured contraction. The
 public contract for the gradient is agreement with central finite
 differences; the analytic path is an implementation choice for speed.
 
+The gradient's coordinates are the free parameters; `free_parameters`
+and `with_free_parameters` are the one map between them and a (stack,
+noise), and a search vector holds them in the same order.
+
 The factor is LAPACK's: dpotrf runs in place on the Fortran view of a
 C-order buffer, so the C-order array is the lower factor L, and the solves
 pass that same Fortran view to LAPACK uncopied. Within an Adam step the
@@ -47,12 +51,11 @@ from scipy.linalg.lapack import dpotri
 
 from .data import ScalerState, apply_scaler
 from .hyper import (
+    LengthscaleField,
     NoiseField,
     PointBasis,
     as_point_basis,
     eval_noise_batch,
-    lengthscale_coefficients,
-    with_lengthscale_coefficients,
 )
 from .kernels import (
     KernelStack,
@@ -210,9 +213,7 @@ def mll_gradient(
 ):
     """Gradient of the marginal log likelihood over the free parameters.
 
-    Parameter order: the lengthscale coefficients of each stack entry in
-    order, then the noise coefficients when the noise is an expansion,
-    then each entry's squared output scale. Matches central finite
+    Parameter order is `free_parameters` order. Matches central finite
     differences within 1e-4 relative error (the public contract).
     `x_scaled` may be a `PointBasis`. The fields are linear in their
     coefficients, so the sensitivity of a lengthscale or of the unclamped
@@ -260,14 +261,13 @@ def mll_gradient(
 def free_parameters(stack: KernelStack, noise: NoiseField) -> np.ndarray:
     """Flatten the gradient's coordinate system into one vector.
 
-    Order: each entry's lengthscale coefficients in stack order, then the
-    noise coefficients when the noise is an expansion, then each entry's
-    squared output scale. `mll_gradient` returns derivatives in exactly
-    this order.
+    Order: each entry's lengthscale coefficients in stack order (its terms
+    in basis order), then the noise coefficients when the noise is an
+    expansion, then each entry's squared output scale. `mll_gradient`
+    returns derivatives in exactly this order.
     """
-    blocks = [lengthscale_coefficients(f) for _, _, f in stack.entries]
-    if noise.mode == "pce":
-        blocks.append(np.concatenate([c for _, c in noise.terms]))
+    fields = stack.fields + ((noise,) if noise.mode == "pce" else ())
+    blocks = [c for f in fields for _, c in f.terms]
     blocks.append(np.array([s * s for _, s, _ in stack.entries]))
     return np.concatenate(blocks)
 
@@ -275,26 +275,21 @@ def free_parameters(stack: KernelStack, noise: NoiseField) -> np.ndarray:
 def with_free_parameters(stack: KernelStack, noise: NoiseField, flat):
     """Rebuild (stack, noise) from a flat vector in `free_parameters` order."""
     flat = np.asarray(flat, dtype=float).ravel()
-    k = 0
-    fields = []
-    for _, _, f in stack.entries:
-        fields.append(with_lengthscale_coefficients(f, flat[k : k + f.n_coefficients]))
-        k += f.n_coefficients
-    if noise.mode == "pce":
-        terms = []
-        for kind, c in noise.terms:
-            terms.append((kind, flat[k : k + c.size]))
-            k += c.size
-        noise = NoiseField.pce(tuple(terms), floor=noise.floor)
-    scales2 = flat[k : k + stack.n_entries]
-    k += stack.n_entries
-    if k != flat.size:
-        raise ValueError(f"expected {k} parameters, got {flat.size}")
+    fields = stack.fields + ((noise,) if noise.mode == "pce" else ())
+    sizes = [c.size for f in fields for _, c in f.terms]
+    n_expected = sum(sizes) + stack.n_entries
+    if flat.size != n_expected:
+        raise ValueError(f"expected {n_expected} parameters, got {flat.size}")
+    parts = iter(np.split(flat, np.cumsum(sizes)))
+    terms = [tuple((kind, next(parts)) for kind, _ in f.terms) for f in fields]
+    scales2 = next(parts)
     if np.any(scales2 <= 0.0):
         raise ValueError("squared output scales must stay positive")
+    if noise.mode == "pce":
+        noise = NoiseField.pce(terms.pop(), floor=noise.floor)
     entries = tuple(
-        (form, float(np.sqrt(s2)), f)
-        for (form, _, _), s2, f in zip(stack.entries, scales2, fields)
+        (form, float(np.sqrt(s2)), LengthscaleField(t, f.n_inputs))
+        for (form, _, f), s2, t in zip(stack.entries, scales2, terms)
     )
     return KernelStack(entries), noise
 

@@ -10,7 +10,9 @@ positive floor.
 Both fields are linear in their coefficients (before the noise clamp),
 which the likelihood gradient exploits: the sensitivity of any output to
 a coefficient is just the matching polynomial value, which `gp.mll_gradient`
-reads from the same `PointBasis` as the fields themselves.
+reads from the same `PointBasis` as the fields themselves. The fields hold
+their coefficients as (basis, vector) terms; `gp.free_parameters` is their
+one flattening.
 
 The polynomial values depend only on the points, so a `PointBasis` keeps
 them with the points they were computed on: one `eval_basis` per basis
@@ -60,10 +62,6 @@ class LengthscaleField:
         if self.n_inputs < 1:
             raise ValueError("n_inputs must be >= 1")
 
-    @property
-    def n_coefficients(self) -> int:
-        return sum(c.size for _, c in self.terms)
-
 
 @dataclass(frozen=True)
 class NoiseField:
@@ -92,10 +90,6 @@ class NoiseField:
     @classmethod
     def pce(cls, terms, floor: float = 1e-8) -> "NoiseField":
         return cls(mode="pce", terms=tuple(terms), floor=floor)
-
-    @property
-    def n_coefficients(self) -> int:
-        return sum(c.size for _, c in self.terms) if self.mode == "pce" else 0
 
 
 # ---------------------------------------------------------------------------
@@ -178,30 +172,3 @@ def eval_noise_batch(field: NoiseField, points) -> np.ndarray:
         return np.full(basis.points.shape[0], field.value)
     raw = _terms_eval(field.terms, basis).mean(axis=1)
     return np.maximum(field.floor, raw)
-
-
-# ---------------------------------------------------------------------------
-# coefficient plumbing for the optimizer
-# ---------------------------------------------------------------------------
-
-def lengthscale_coefficients(field: LengthscaleField) -> np.ndarray:
-    """All expansion coefficients as one flat vector, term order preserved."""
-    return np.concatenate([c for _, c in field.terms])
-
-
-def with_lengthscale_coefficients(
-    field: LengthscaleField, flat
-) -> LengthscaleField:
-    """Rebuild the field with coefficients taken from a flat vector."""
-    flat = np.asarray(flat, dtype=float).ravel()
-    if flat.size != field.n_coefficients:
-        raise ValueError(
-            f"expected {field.n_coefficients} coefficients, got {flat.size}"
-        )
-    terms = []
-    k = 0
-    for kind, c in field.terms:
-        terms.append((kind, flat[k : k + c.size]))
-        k += c.size
-    return LengthscaleField(terms=tuple(terms), n_inputs=field.n_inputs)
-

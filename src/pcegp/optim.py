@@ -6,12 +6,14 @@ The search operates on a flat trial vector theta:
 
 where q is the shared lengthscale expansion degree, r the noise expansion
 degree (present only when the noise is searched), one coefficient block of
-length q_max + 1 exists per (kernel, basis) pair, and the squared output
-scales close the vector. Blocks are allocated at the maximum degree so the
-vector has a fixed length; entries above the sampled degree are inactive.
-They are filled from the prior when suggesting and ignored when building
-a model, which keeps the Parzen estimators fixed-dimensional even though
-the effective dimensionality depends on the sampled degree.
+length q_max + 1 exists per (kernel, basis) pair, kernel-major, and the
+squared output scales close the vector. Blocks are allocated at the maximum
+degree so the vector has a fixed length; entries above the sampled degree
+are inactive. They are filled from the prior when suggesting and ignored
+when building a model, which keeps the Parzen estimators fixed-dimensional
+even though the effective dimensionality depends on the sampled degree.
+The live entries after the degrees are the built model's free parameters,
+in order (see `SearchSpace`).
 
 Each trial is scored by k-fold cross-validation: Adam refines the active
 coefficients and scales on every training split by gradient ascent on the
@@ -60,6 +62,11 @@ class SearchSpace:
     a searched noise expansion (None, with `r_range` giving the degree
     bounds). `scale_range` bounds the squared output scales, sampled
     log-uniformly.
+
+    `active_mask` is the one statement of the layout. Past the degree
+    slots, the entries it marks are `gp.free_parameters(*build_stack(theta))`
+    in order: the coefficients bit for bit, the squared scales up to the
+    rounding of sqrt(s2)**2. `fine_tune` stores Adam's result through them.
     """
 
     kernel_forms: tuple
@@ -119,12 +126,8 @@ class SearchSpace:
         return self.q_range[1] + 1
 
     @property
-    def _n_blocks(self) -> int:
-        return self.n_kernels * len(self.bases)
-
-    @property
     def _noise_start(self) -> int:
-        return self._coeff_start + self._n_blocks * self._block_len
+        return self._coeff_start + self.n_kernels * len(self.bases) * self._block_len
 
     @property
     def _noise_len(self) -> int:
@@ -147,20 +150,19 @@ class SearchSpace:
     def active_mask(self, theta) -> np.ndarray:
         """Which entries of theta are live for its sampled degrees."""
         q, r = self.degrees(theta)
-        mask = np.zeros(self.n_parameters, dtype=bool)
-        mask[0] = True
+        mask = np.ones(self.n_parameters, dtype=bool)
+        blocks = mask[self._coeff_start : self._noise_start]  # a view
+        blocks.reshape(-1, self._block_len)[:, q + 1 :] = False
         if self.searches_noise:
-            mask[1] = True
-        for b in range(self._n_blocks):
-            start = self._coeff_start + b * self._block_len
-            mask[start : start + q + 1] = True
-        if self.searches_noise:
-            mask[self._noise_start : self._noise_start + r + 1] = True
-        mask[self._scale_start :] = True
+            mask[self._noise_start + r + 1 : self._scale_start] = False
         return mask
 
-    def build(self, theta):
-        """Materialize (KernelStack, NoiseField) from a trial vector."""
+    def _free_positions(self, theta) -> np.ndarray:
+        """Indices of theta's live entries in `gp.free_parameters` order."""
+        return np.flatnonzero(self.active_mask(theta))[self._coeff_start :]
+
+    def build_stack(self, theta, n_inputs: int):
+        """(KernelStack, NoiseField) for data with the given input width."""
         theta = np.asarray(theta, dtype=float)
         if theta.size != self.n_parameters:
             raise ValueError(
@@ -171,18 +173,18 @@ class SearchSpace:
         if not q0 <= q <= q1:
             raise ValueError(f"degree {q} outside q_range {self.q_range}")
 
+        blocks = theta[self._coeff_start : self._noise_start].reshape(
+            self.n_kernels, len(self.bases), self._block_len
+        )
         entries = []
-        block = self._coeff_start
-        for k, form in enumerate(self.kernel_forms):
-            terms = []
-            for basis in self.bases:
-                coeffs = theta[block : block + q + 1]
-                block += self._block_len
-                terms.append((basis, coeffs))
-            scale2 = float(theta[self._scale_start + k])
+        for form, kernel_blocks, scale2 in zip(
+            self.kernel_forms, blocks, theta[self._scale_start :]
+        ):
             if scale2 <= 0.0:
                 raise ValueError(f"squared scale must be positive, got {scale2}")
-            entries.append((form, float(np.sqrt(scale2)), terms))
+            terms = tuple(zip(self.bases, kernel_blocks[:, : q + 1]))
+            field = LengthscaleField(terms, n_inputs)
+            entries.append((form, float(np.sqrt(scale2)), field))
 
         if self.searches_noise:
             r0, r1 = self.r_range
@@ -194,33 +196,7 @@ class SearchSpace:
             noise = NoiseField.pce(noise_terms, floor=self.noise_floor)
         else:
             noise = NoiseField.fixed(self.noise_fixed, floor=self.noise_floor)
-        return entries, noise
-
-    def build_stack(self, theta, n_inputs: int):
-        """(KernelStack, NoiseField) for data with the given input width."""
-        entries, noise = self.build(theta)
-        stack = KernelStack(
-            tuple(
-                (form, scale, LengthscaleField(tuple(terms), n_inputs))
-                for form, scale, terms in entries
-            )
-        )
-        return stack, noise
-
-    def write_back(self, theta, stack: KernelStack, noise: NoiseField) -> np.ndarray:
-        """Store refined active coefficients and scales into a theta copy."""
-        theta = np.asarray(theta, dtype=float).copy()
-        q, r = self.degrees(theta)
-        block = self._coeff_start
-        for k, (_, scale, ls_field) in enumerate(stack.entries):
-            for _, coeffs in ls_field.terms:
-                theta[block : block + coeffs.size] = coeffs
-                block += self._block_len
-            theta[self._scale_start + k] = scale * scale
-        if self.searches_noise and noise.mode == "pce":
-            coeffs = noise.terms[0][1]
-            theta[self._noise_start : self._noise_start + coeffs.size] = coeffs
-        return theta
+        return KernelStack(tuple(entries)), noise
 
 
 @dataclass(frozen=True)
@@ -474,11 +450,9 @@ def adam_step(state: AdamState, params, gradient):
 
 def _to_adam_coords(stack, noise):
     """Free parameters with squared scales mapped to log space."""
-    theta = free_parameters(stack, noise)
-    n_k = stack.n_entries
-    out = theta.copy()
-    out[-n_k:] = np.log(theta[-n_k:])
-    return out
+    coords = free_parameters(stack, noise)
+    coords[-stack.n_entries :] = np.log(coords[-stack.n_entries :])
+    return coords
 
 
 def _from_adam_coords(stack, noise, coords):
@@ -550,7 +524,7 @@ def fine_tune(
                     return failed
                 state, coords = adam_step(state, coords, loss_grad)
             stack, noise = _from_adam_coords(stack, noise, coords)
-            refined = space.write_back(theta, stack, noise)
+            refined[space._free_positions(theta)] = free_parameters(stack, noise)
         fit = fit_likelihood(stack, noise, points, y_s, ws)
     except RuntimeError:
         return failed

@@ -318,6 +318,44 @@ def test_bad_config_value_is_usage_error(tmp_path, capsys):
     assert "n_folds" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "sub, settings, message",
+    [
+        ("fit", ["inner_n_folds=1"], "inner folds"),
+        ("fit", ["n_trials=0", "n_initial=0"], "at least one trial"),
+        ("fit", ["n_initial=-1"], "n_initial"),
+        ("fit", ["n_iterations=-1"], "n_iterations"),
+        ("benchmark", ["inner_n_folds=1"], "inner folds"),
+        ("benchmark", ["n_iterations=-1"], "n_iterations"),
+        ("baseline", ["n_iterations=-1"], "n_iterations"),
+    ],
+    ids=[
+        "fit-one-fold", "fit-no-trials", "fit-negative-initial",
+        "fit-negative-iterations", "benchmark-one-fold",
+        "benchmark-negative-iterations", "baseline-negative-iterations",
+    ],
+)
+def test_impossible_search_settings_are_usage_errors(
+    tmp_path, capsys, sub, settings, message
+):
+    data = bench_csv(tmp_path)
+    base = FAST_FIT if sub == "fit" else BENCH_ARGS
+    overrides = [arg for item in settings for arg in ("--set", item)]
+    rc = main(
+        [
+            sub,
+            "--set", f"dataset={data}",
+            "--set", "target=y",
+            "--output", str(tmp_path / "out.txt"),
+            *base,
+            *overrides,
+        ]
+    )
+    assert rc == 2
+    assert message in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == [data]  # nothing written
+
+
 # --- inspect --------------------------------------------------------------------
 
 def test_inspect_round_trips_coefficients(tmp_path, train_file, capsys):

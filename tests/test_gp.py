@@ -1,8 +1,11 @@
 """Tests for exact GP inference: likelihood, gradient, prediction."""
 
+import math
+
 import numpy as np
 import pytest
 
+from pcegp.bench import benchmark_space
 from pcegp.data import ScalerState, fit_scaler
 from pcegp.gp import (
     fit_precompute,
@@ -16,6 +19,7 @@ from pcegp.gp import (
 )
 from pcegp.hyper import LengthscaleField, NoiseField
 from pcegp.kernels import KernelForm, KernelStack, ladder_cholesky, noisy_gram
+from pcegp.optim import random_suggest
 from pcegp.poly import Basis
 
 IDENTITY_IN = ScalerState("min_max_per_column", [0.0], [1.0])
@@ -193,8 +197,7 @@ def test_gradient_zero_for_constant_kernel():
     rng = np.random.default_rng(3)
     pts = rng.uniform(size=(5, 2))
     grad = mll_gradient(stack, noise, pts, np.zeros(5))
-    n_coeffs = stack.entries[0][2].n_coefficients
-    np.testing.assert_allclose(grad[:n_coeffs], 0.0, atol=1e-12)
+    np.testing.assert_allclose(grad[:-1], 0.0, atol=1e-12)  # all but the scale
 
 
 def test_gradient_clamped_noise_has_zero_sensitivity():
@@ -205,19 +208,35 @@ def test_gradient_clamped_noise_has_zero_sensitivity():
     pts = rng.uniform(size=(6, 2))
     y = rng.normal(size=6)
     grad = mll_gradient(stack, noise, pts, y)
-    n_coeffs = stack.entries[0][2].n_coefficients
-    np.testing.assert_allclose(grad[n_coeffs : n_coeffs + 2], 0.0, atol=1e-12)
+    # the noise coefficients sit between the lengthscale block and the scale
+    np.testing.assert_allclose(grad[-3:-1], 0.0, atol=1e-12)
 
 
 def test_parameter_round_trip():
     rng = np.random.default_rng(5)
     stack = random_stack(rng, 2)
+    # a second basis family in the first entry: its terms flatten in order
+    form, scale, field = stack.entries[0]
+    two_family = LengthscaleField(
+        field.terms + ((Basis.hermite(), rng.normal(size=2)),), 2
+    )
+    stack = KernelStack(((form, scale, two_family),) + stack.entries[1:])
     noise = NoiseField.pce([(Basis.legendre01(), [0.5, 0.1])])
     theta = free_parameters(stack, noise)
+    assert theta.size == 5 + 3 + 2 + 2
     s2, n2 = with_free_parameters(stack, noise, theta)
     np.testing.assert_allclose(free_parameters(s2, n2), theta, atol=1e-15)
-    with pytest.raises(ValueError):
-        with_free_parameters(stack, noise, theta[:-1])
+
+    moved = theta.copy()
+    moved[:-2] += 1.0  # every coefficient, not the squared scales
+    s3, n3 = with_free_parameters(stack, noise, moved)
+    np.testing.assert_array_equal(s3.entries[0][2].terms[1][1], theta[3:5] + 1.0)
+    np.testing.assert_array_equal(n3.terms[0][1], [1.5, 1.1])
+    np.testing.assert_allclose(free_parameters(s3, n3), moved, atol=1e-15)
+    np.testing.assert_array_equal(free_parameters(stack, noise), theta)  # untouched
+    for wrong in (theta[:-1], np.append(theta, 1.0)):
+        with pytest.raises(ValueError):
+            with_free_parameters(stack, noise, wrong)
 
 
 # ---------------------------------------------------------------------------
@@ -358,6 +377,35 @@ def test_predict_batch_matches_single():
         p = predict(model, queries[i])
         assert p.mean == pytest.approx(means[i], rel=1e-12, abs=1e-12)
         assert p.variance == pytest.approx(variances[i], rel=1e-12, abs=1e-12)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_degree_10_benchmark_stack_extrapolates_to_finite_predictions(seed):
+    # a degree-10 shifted-Legendre field is very large half a box width past
+    # the training data, so only finiteness and the variance's sign are
+    # checked, not the values
+    space = benchmark_space()
+    rng = np.random.default_rng(seed)
+    theta = random_suggest(space, rng)
+    theta[0] = 10
+    x = rng.uniform(-3.0, 5.0, size=(40, 3))
+    y = np.sin(x).sum(axis=1) + 0.1 * rng.normal(size=40)
+    stack, noise = space.build_stack(theta, n_inputs=3)
+    model = fit_precompute(
+        stack, noise, fit_scaler("min_max_per_column", x),
+        fit_scaler("z_normalize", y), x, y,
+    )
+    lo, hi = x.min(axis=0), x.max(axis=0)
+    u = rng.uniform(-0.5, 1.5, size=(200, 3))
+    u[:8] = [[-0.5, -0.5, -0.5], [1.5, 1.5, 1.5], [-0.5, 1.5, 0.5], [1.5, -0.5, 0.5],
+             [0.5, 0.5, -0.5], [0.5, 0.5, 1.5], [-0.5, 0.5, 1.5], [1.5, 0.5, -0.5]]
+    queries = lo + u * (hi - lo)  # up to half a box width outside every side
+    means, variances = predict_batch(model, queries)
+    assert np.all(np.isfinite(means))
+    assert np.all(np.isfinite(variances)) and np.all(variances >= 0.0)
+    single = predict(model, queries[1])
+    assert math.isfinite(single.mean) and math.isfinite(single.variance)
+    assert single.variance >= 0.0
 
 
 def test_predict_dimension_mismatch():

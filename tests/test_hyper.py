@@ -9,8 +9,6 @@ from pcegp.hyper import (
     PointBasis,
     eval_lengthscale_batch,
     eval_noise_batch,
-    lengthscale_coefficients,
-    with_lengthscale_coefficients,
 )
 from pcegp.poly import Basis, eval_basis
 
@@ -167,45 +165,24 @@ def test_noise_batch_matches_single():
 
 
 # ---------------------------------------------------------------------------
-# coefficient plumbing and sensitivities
+# sensitivities
 # ---------------------------------------------------------------------------
-
-def test_flat_coefficient_round_trip():
-    rng = np.random.default_rng(13)
-    f = LengthscaleField(
-        terms=(
-            (Basis.legendre01(), rng.normal(size=3)),
-            (Basis.hermite(), rng.normal(size=2)),
-        ),
-        n_inputs=2,
-    )
-    flat = lengthscale_coefficients(f)
-    assert flat.size == 5 == f.n_coefficients
-    g = with_lengthscale_coefficients(f, flat + 1.0)
-    np.testing.assert_allclose(lengthscale_coefficients(g), flat + 1.0)
-    # original untouched
-    np.testing.assert_allclose(lengthscale_coefficients(f), flat)
-    with pytest.raises(ValueError):
-        with_lengthscale_coefficients(f, np.zeros(4))
-
 
 def test_lengthscale_sensitivity_matches_finite_difference():
     # the lengthscales are linear in the coefficients, so the derivative of
     # l_d(x_i) by coefficient m is the basis value the gradient reads from
     # the points' PointBasis, at column i * n_x + d
     rng = np.random.default_rng(15)
-    f = LengthscaleField(((Basis.legendre01(), rng.normal(size=4)),), 2)
+    coeffs = rng.normal(size=4)
+    f = LengthscaleField(((Basis.legendre01(), coeffs),), 2)
     pts = rng.uniform(size=(5, 2))
     values = PointBasis(pts, (f,)).values(Basis.legendre01(), 3)
-    flat = lengthscale_coefficients(f)
     h = 1e-6
-    for m in range(flat.size):
-        bumped = flat.copy()
+    for m in range(coeffs.size):
+        bumped = coeffs.copy()
         bumped[m] += h
-        fd = (
-            eval_lengthscale_batch(with_lengthscale_coefficients(f, bumped), pts)
-            - eval_lengthscale_batch(f, pts)
-        ) / h
+        g = LengthscaleField(((Basis.legendre01(), bumped),), 2)
+        fd = (eval_lengthscale_batch(g, pts) - eval_lengthscale_batch(f, pts)) / h
         np.testing.assert_allclose(fd, values[m].reshape(5, 2).T, atol=1e-8)
 
 

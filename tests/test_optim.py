@@ -4,9 +4,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pcegp.data import Dataset, make_folds
-from pcegp.gp import mll
+from pcegp.gp import free_parameters, mll, with_free_parameters
 from pcegp.kernels import KernelForm
 from pcegp.optim import (
     AdamState,
@@ -101,13 +103,73 @@ def test_space_build_uses_active_slots_only():
     assert mask.sum() == 1 + 3 + 1
 
 
-def test_space_write_back_round_trip():
-    space = small_space(q_range=(1, 3))
-    rng = np.random.default_rng(0)
+FORMS = (KernelForm.se(), KernelForm.ae(), KernelForm.matern32(), KernelForm.rq(1.5))
+BASES = (Basis.legendre01(), Basis.jacobi(1.0, 0.5))
+
+
+def assert_same_model(got, want):
+    """Two (stack, noise) pairs agree bit for bit, term by term."""
+    (stack_g, noise_g), (stack_w, noise_w) = got, want
+    assert len(stack_g.entries) == len(stack_w.entries)
+    pairs = [(noise_g.terms, noise_w.terms)]
+    for (form_g, scale_g, field_g), (form_w, scale_w, field_w) in zip(
+        stack_g.entries, stack_w.entries
+    ):
+        assert (form_g, field_g.n_inputs) == (form_w, field_w.n_inputs)
+        assert np.float64(scale_g).tobytes() == np.float64(scale_w).tobytes()
+        pairs.append((field_g.terms, field_w.terms))
+    assert (noise_g.mode, noise_g.value, noise_g.floor) == (
+        noise_w.mode, noise_w.value, noise_w.floor
+    )
+    for terms_g, terms_w in pairs:
+        assert [kind for kind, _ in terms_g] == [kind for kind, _ in terms_w]
+        for (_, c_g), (_, c_w) in zip(terms_g, terms_w):
+            assert c_g.tobytes() == c_w.tobytes()
+
+
+@settings(max_examples=60, deadline=None, database=None, derandomize=True)
+@given(
+    n_forms=st.integers(1, 4),
+    n_bases=st.integers(1, 2),
+    q_max=st.integers(0, 4),
+    r_max=st.one_of(st.none(), st.integers(0, 4)),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_live_entries_are_the_free_parameters_in_order(
+    n_forms, n_bases, q_max, r_max, seed
+):
+    # the live entries of theta after its degrees are free_parameters of the
+    # model it builds, so a refinement is stored back by index alone
+    noise = {} if r_max is None else {"noise_fixed": None, "r_range": (0, r_max)}
+    space = small_space(
+        kernel_forms=FORMS[:n_forms], bases=BASES[:n_bases], q_range=(0, q_max),
+        **noise,
+    )
+    rng = np.random.default_rng(seed)
     theta = random_suggest(space, rng)
-    stack, noise = space.build_stack(theta, n_inputs=1)
-    back = space.write_back(theta, stack, noise)
-    np.testing.assert_allclose(back, theta, atol=1e-15)
+    model = space.build_stack(theta, n_inputs=2)
+    positions = space._free_positions(theta)
+    flat = free_parameters(*model)
+    n_k = space.n_kernels
+    assert positions.size == flat.size
+    assert theta[positions][:-n_k].tobytes() == flat[:-n_k].tobytes()
+    np.testing.assert_allclose(flat[-n_k:], theta[positions][-n_k:], rtol=1e-15)
+
+    # the map back rebuilds the model from theta's live entries alone
+    other = random_suggest(space, rng)
+    other[: space._coeff_start] = theta[: space._coeff_start]  # same degrees
+    template = space.build_stack(other, n_inputs=2)
+    assert_same_model(with_free_parameters(*template, theta[positions]), model)
+
+    # a refinement written through the positions builds the refined model
+    moved = flat + rng.normal(scale=0.1, size=flat.size)
+    moved[-n_k:] = flat[-n_k:] * np.exp(rng.normal(size=n_k))
+    refined_model = with_free_parameters(*model, moved)
+    refined = theta.copy()
+    refined[positions] = free_parameters(*refined_model)
+    assert_same_model(space.build_stack(refined, n_inputs=2), refined_model)
+    inactive = ~space.active_mask(theta)
+    assert refined[inactive].tobytes() == theta[inactive].tobytes()
 
 
 def test_space_pce_noise_build():
