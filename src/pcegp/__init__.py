@@ -14,32 +14,40 @@ built around it. The usual entry points:
     save_model / load_model     flat-text persistence
 
 Everything else lives in the submodules (`pcegp.kernels`, `pcegp.gp`, ...).
+The names above load their submodule on first use (PEP 562), so importing
+the package alone imports no numeric code: the `pcegp` script can still
+size the BLAS thread pools before numpy loads.
 """
 
-from .bench import BenchmarkConfig, run_baseline, run_benchmark
-from .data import Dataset, fit_scaler, load_csv
-from .gp import fit_precompute, predict, predict_batch
-from .kernels import KernelForm
-from .optim import SearchSpace, run_search
-from .poly import Basis
-from .serialize import load_model, save_model
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "Basis",
-    "BenchmarkConfig",
-    "Dataset",
-    "KernelForm",
-    "SearchSpace",
-    "fit_precompute",
-    "fit_scaler",
-    "load_csv",
-    "load_model",
-    "predict",
-    "predict_batch",
-    "run_baseline",
-    "run_benchmark",
-    "run_search",
-    "save_model",
-]
+_HOMES = {
+    "BenchmarkConfig": "bench",
+    "run_baseline": "bench",
+    "run_benchmark": "bench",
+    "Dataset": "data",
+    "fit_scaler": "data",
+    "load_csv": "data",
+    "fit_precompute": "gp",
+    "predict": "gp",
+    "predict_batch": "gp",
+    "KernelForm": "kernels",
+    "SearchSpace": "optim",
+    "run_search": "optim",
+    "Basis": "poly",
+    "load_model": "serialize",
+    "save_model": "serialize",
+}
+
+__all__ = sorted(_HOMES)
+
+
+def __getattr__(name):
+    home = _HOMES.get(name)
+    if home is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{home}", __name__), name)
+    globals()[name] = value
+    return value

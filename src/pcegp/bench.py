@@ -277,8 +277,9 @@ def _ard_neg_mll_and_grad(log_params, x, y, gradient=True, workspace=None):
     `log_params` is [log l_1..log l_d, log s2, log sn2] and `x` the N x d
     scaled inputs. Returns (negative MLL, its gradient, K^-1 y); with
     `gradient=False` the gradient is None and K^-1 is never formed. The
-    N x N arrays are buffers of `workspace`, or of a fresh one when none is
-    given; no per-dimension N x N tensor is formed.
+    two N x N arrays, K0 and K (which becomes the factor and then A), are
+    buffers of `workspace`, or of a fresh one when none is given; no
+    per-dimension N x N tensor is formed.
     """
     n, d = x.shape
     sn2 = np.exp(log_params[d + 1])
@@ -287,9 +288,7 @@ def _ard_neg_mll_and_grad(log_params, x, y, gradient=True, workspace=None):
     k = ws.matrix("k", n)
     np.copyto(k, k0)
     k.flat[:: n + 1] += sn2
-    fit = _likelihood_core(
-        k, y, "ard squared_exponential baseline", gradient, workspace=ws
-    )
+    fit = _likelihood_core(k, y, "ard squared_exponential baseline", gradient)
     if not gradient:
         return -fit.value, None, fit.alpha
 

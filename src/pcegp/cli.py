@@ -29,11 +29,10 @@ from .bench import (
 from .data import _sniff_delimiter, fit_scaler, load_csv
 from .gp import fit_precompute, predict_batch
 from .kernels import KernelForm
+from .launch import THREADS_ENV_VAR, set_thread_vars
 from .optim import SearchSpace, history_to_text, run_search
 from .poly import Basis
 from .serialize import describe_model, load_model, save_model
-
-THREADS_ENV_VAR = "PCEGP_THREADS"
 
 
 class UsageError(Exception):
@@ -212,7 +211,12 @@ def build_space(cfg: dict) -> SearchSpace:
 
 
 def _apply_thread_limit(n: int | None) -> None:
-    """Cap BLAS/OpenMP pools; deterministic runs want --threads 1."""
+    """Cap BLAS/OpenMP pools; deterministic runs want --threads 1.
+
+    numpy is loaded by now, so without threadpoolctl this only affects
+    pools created later: the `pcegp` script (`pcegp.launch`) sets the same
+    variables before numpy is imported.
+    """
     if n is None:
         return
     if n < 1:
@@ -222,9 +226,7 @@ def _apply_thread_limit(n: int | None) -> None:
 
         threadpoolctl.threadpool_limits(limits=n)
     except ImportError:
-        # best effort: only affects pools created after this point
-        for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-            os.environ[var] = str(n)
+        set_thread_vars(n)
 
 
 def _load_dataset(cfg: dict):

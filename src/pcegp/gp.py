@@ -16,13 +16,14 @@ and `with_free_parameters` are the one map between them and a (stack,
 noise), and a search vector holds them in the same order.
 
 The factor is LAPACK's: dpotrf runs in place on the Fortran view of a
-C-order buffer, so the C-order array is the lower factor L, and the solves
-pass that same Fortran view to LAPACK uncopied. Within an Adam step the
-Gram, the factor and A = alpha alpha^T - K^-1 are buffers of the caller's
-workspace (see `kernels.Workspace`), overwritten by the next step.
-Anything that outlives the step owns its arrays: a value-only fit, the
-closing fit of a refinement and a fitted model each keep a factor of
-their own.
+C-order buffer, so the lower triangle of the C-order array is the factor
+L, and the solves pass that same Fortran view to LAPACK uncopied. The
+Gram, its factor and A = alpha alpha^T - K^-1 share one buffer of the
+caller's workspace, each overwriting the one before, and the next
+evaluation overwrites them all (see `kernels.Workspace` for what borrows
+that buffer and what owns a copy). A value-only fit's factor is that
+buffer: the search scores each fold from it, and a model that
+`model_from_fit` factorizes keeps a lower-triangular copy.
 
 The chaos-basis values at the training points do not change while the
 coefficients move. Every function here that takes `x_scaled` also takes a
@@ -39,6 +40,8 @@ The training points' warps are fixed for a fitted model, so they are kept
 from the Gram assembly at fit or load time and only the queries are warped
 per call, every stack entry and the noise from one evaluation of each basis
 family at the queries; being derived data, the warps are never serialized.
+Queries go through in blocks of `PREDICT_BLOCK_ROWS`, so the N x M arrays
+of a call stay bounded in M.
 """
 
 from __future__ import annotations
@@ -58,18 +61,24 @@ from .hyper import (
     eval_noise_batch,
 )
 from .kernels import (
+    TRIANGLE_BLOCK_ROWS,
     KernelStack,
     Workspace,
     ladder_cholesky,
+    mirror_lower,
     noisy_gram,
     sqdist_derivative_from_values,
+    warp_stack,
     warped_cross_matrix,
 )
 
 LOG_2PI = float(np.log(2.0 * np.pi))
 
-# rows per block when mirroring a triangle of an N x N matrix in place
-_BLOCK = 128
+# queries per block in prediction, in the manner of SQDIST_BLOCK_ROWS: bounds
+# the N x M cross covariances and their solve. Up to one block the bits are
+# those of one wide solve; past it, BLAS may round a few columns of a later
+# block an ulp or so differently
+PREDICT_BLOCK_ROWS = 256
 
 
 @dataclass(frozen=True)
@@ -115,71 +124,54 @@ class LikelihoodFit:
     """One factorization of the noisy Gram and what the likelihood takes from it."""
 
     value: float  # marginal log likelihood
-    chol: np.ndarray  # lower factor of K plus `jitter_used` on the diagonal
+    # lower triangle: the factor of K plus `jitter_used` on the diagonal;
+    # None when a gradient is wanted, since A overwrites it
+    chol: np.ndarray | None
     jitter_used: float
     alpha: np.ndarray  # K^-1 y
     a: np.ndarray | None = None  # alpha alpha^T - K^-1, when a gradient is wanted
     warped: tuple = ()  # each stack entry's warped training points, from the Gram
 
 
-def _chol_inverse(chol: np.ndarray, out=None) -> np.ndarray:
-    """K^-1 from the lower Cholesky factor of K, exactly symmetric.
+def _chol_inverse(chol: np.ndarray) -> np.ndarray:
+    """K^-1 from the lower Cholesky factor of K, in place and exactly symmetric.
 
-    The factor is copied to `out` (a new array when it is not given), LAPACK
-    dpotri overwrites that copy with one triangle of the inverse, and the
-    other triangle is mirrored in place: no N x N temporary is made.
+    LAPACK dpotri overwrites the factor's lower triangle with that of the
+    inverse, and the upper triangle, whatever it held, is then mirrored
+    from it: no N x N temporary is made. Returns the same buffer.
     """
-    if out is None:
-        inv = chol.copy()
-    else:
-        inv = out
-        np.copyto(inv, chol)
-    # inv.T is the upper factor in Fortran order, so LAPACK works on it in
-    # place; the upper triangle it fills is the lower triangle of `inv`
-    upper, info = dpotri(inv.T, lower=0, overwrite_c=1)
+    # chol.T is the upper factor in Fortran order, so LAPACK works on it in
+    # place; the upper triangle it fills is the lower triangle of `chol`
+    upper, info = dpotri(chol.T, lower=0, overwrite_c=1)
     if info != 0:
         raise np.linalg.LinAlgError(f"dpotri failed with info {info}")
-    inv = upper.T
-    n = inv.shape[0]
-    for s in range(0, n, _BLOCK):
-        e = min(n, s + _BLOCK)
-        inv[s:e, e:] = inv[e:, s:e].T
-        block = inv[s:e, s:e]
-        iu = np.triu_indices(e - s, 1)
-        block[iu] = block.T[iu]
-    return inv
+    return mirror_lower(upper.T)
 
 
-def _likelihood_core(
-    k: np.ndarray, y: np.ndarray, context: str, gradient=False, workspace=None
-):
+def _likelihood_core(k: np.ndarray, y: np.ndarray, context: str, gradient=False):
     """Marginal likelihood of y under the assembled covariance K.
 
-    Factorizes K once through the jitter ladder; with `gradient`, also
-    forms A = alpha alpha^T - K^-1, so that dMLL = 0.5 tr(A dK) for any
-    parameter of K (Rasmussen & Williams 2006, eq. 5.9). Every likelihood
+    Factorizes K once through the jitter ladder, in place: K's buffer
+    becomes the factor. With `gradient` it then becomes A = alpha alpha^T -
+    K^-1, so that dMLL = 0.5 tr(A dK) for any parameter of K (Rasmussen &
+    Williams 2006, eq. 5.9), and the fit keeps no factor. Every likelihood
     in the package, the stationary baseline's included, runs through here.
-    With a `workspace`, the factor and A are its buffers and the next
-    evaluation overwrites them; without one they are new arrays. The
-    factor's diagonal is finite (the ladder checks it), so the solves skip
-    scipy's finiteness scan of it.
+    The factor's diagonal is finite (the ladder checks it), so the solves
+    skip scipy's finiteness scan of it.
     """
     n = y.size
-    gram = ladder_cholesky(
-        k, context, None if workspace is None else workspace.matrix("factor", n)
-    )
+    gram = ladder_cholesky(k, context, k)
     # chol.T is the upper factor in Fortran order: LAPACK reads it uncopied
     alpha = cho_solve((gram.chol.T, False), y, check_finite=False)
     logdet = 2.0 * float(np.sum(np.log(np.diag(gram.chol))))
     value = float(-0.5 * y @ alpha - 0.5 * logdet - 0.5 * n * LOG_2PI)
-    a = None
-    if gradient:
-        ws = workspace if workspace is not None else Workspace()
-        a = _chol_inverse(gram.chol, ws.matrix("inverse", n))
-        outer = np.multiply.outer(alpha, alpha, out=ws.matrix("scratch", n))
-        np.subtract(outer, a, out=a)
-    # K itself is not kept: a fit can outlive the step that made it
-    return LikelihoodFit(value, gram.chol, gram.jitter_used, alpha, a)
+    if not gradient:
+        return LikelihoodFit(value, gram.chol, gram.jitter_used, alpha)
+    a = _chol_inverse(gram.chol)
+    for s in range(0, n, TRIANGLE_BLOCK_ROWS):
+        e = min(n, s + TRIANGLE_BLOCK_ROWS)
+        np.subtract(np.multiply.outer(alpha[s:e], alpha), a[s:e], out=a[s:e])
+    return LikelihoodFit(value, None, gram.jitter_used, alpha, a)
 
 
 def fit_likelihood(
@@ -187,9 +179,10 @@ def fit_likelihood(
 ):
     """Value-only likelihood fit: the MLL, the factor, the target solve and the warps.
 
-    `x_scaled` may be a `PointBasis`. The Gram is assembled in `workspace`
-    when one is given; the factor, which the returned fit keeps, is always
-    a new array.
+    `x_scaled` may be a `PointBasis`. The Gram is assembled and factorized
+    in `workspace` when one is given, and the returned factor borrows K's
+    buffer there until the next evaluation (see `kernels.Workspace`);
+    without one, the factor is the only user of a fresh buffer.
     """
     y = np.asarray(y_scaled, dtype=float).ravel()
     parts, k = noisy_gram(stack, noise, x_scaled, workspace)
@@ -218,24 +211,23 @@ def mll_gradient(
     `x_scaled` may be a `PointBasis`. The fields are linear in their
     coefficients, so the sensitivity of a lengthscale or of the unclamped
     noise to a coefficient is the basis's own value, read from the
-    `PointBasis` each call. Every N x N array of the evaluation is a buffer
-    of `workspace`, or of a fresh one when none is given; the returned
-    gradient is a new array.
+    `PointBasis` each call. The N x N arrays of the evaluation are the
+    2E + 1 buffers of `workspace` (a fresh one when none is given) that
+    `kernels.Workspace` describes; the returned gradient is a new array.
     """
     basis = as_point_basis(x_scaled, stack.fields + (noise,))
     pts = basis.points
     y = np.asarray(y_scaled, dtype=float).ravel()
-    ws = workspace if workspace is not None else Workspace()
-    parts, k = noisy_gram(stack, noise, basis, ws)
+    parts, k = noisy_gram(stack, noise, basis, workspace)
     # dMLL = 0.5 tr(a dK)
-    a = _likelihood_core(k, y, stack.describe(), gradient=True, workspace=ws).a
-    t = ws.matrix("scratch", y.size)
+    a = _likelihood_core(k, y, stack.describe(), gradient=True).a
 
     blocks = []
     scale_grad = []
     for (form, scale, field), (_, _, w, d2, k_part) in zip(stack.entries, parts):
         scale_grad.append(0.5 * float(np.vdot(a, k_part)) / (scale * scale))
-        sqdist_derivative_from_values(form, d2, k_part, out=t)
+        # the distances are dead once their derivative is taken
+        t = sqdist_derivative_from_values(form, d2, k_part, out=d2)
         t *= a
         r = t.sum(axis=1)[:, None] * w - t @ w
         # sens[m, d, i] = phi_m(x_id) = d l_d(x_i) / d c_m, in coefficient order
@@ -307,7 +299,7 @@ def fit_precompute(
     """Scale the data, factorize the Gram, and precompute the target solve.
 
     The Gram is assembled in `workspace` (a fresh one when none is given);
-    the model keeps a factor of its own.
+    the model keeps a lower-triangular copy of the factor.
     """
     x = np.asarray(x_raw, dtype=float)
     y = np.asarray(y_raw, dtype=float).ravel()
@@ -345,15 +337,18 @@ def model_from_fit(
     """Model over already-scaled training data.
 
     `fit` is a `fit_likelihood` result for exactly this stack, noise and
-    data, such as the closing likelihood of an optimizer; the Gram is
-    assembled (in `workspace`, when one is given) and factorized here only
-    when it is not given. Either way the model keeps the fit's training
-    warps and a factor of its own.
+    data, such as the closing likelihood of an optimizer; the model then
+    borrows its factor, which may be a workspace buffer (see
+    `kernels.Workspace`). Without `fit` the Gram is assembled (in
+    `workspace`, when one is given) and factorized here, and the model
+    keeps `np.tril` of the factor, so it outlives the workspace. Either way
+    the model keeps the fit's training warps.
     """
     x_s = np.asarray(x_scaled, dtype=float)
     y_s = np.asarray(y_scaled, dtype=float).ravel()
     if fit is None:
         fit = fit_likelihood(stack, noise, x_s, y_s, workspace)
+        fit = replace(fit, chol=np.tril(fit.chol))
     return PcegpModel(
         stack=stack,
         noise=noise,
@@ -375,26 +370,37 @@ def predict(model: PcegpModel, x_raw) -> Prediction:
     return Prediction(mean=float(means[0]), variance=float(variances[0]))
 
 
-def _means_and_cross(model: PcegpModel, x_raw):
-    """Raw-unit posterior means, the scaled queries and the N x M cross covariances.
-
-    The scaled queries come as a `PointBasis`, which the cross covariances
-    and the query noise share.
-    """
+def _scaled_queries(model: PcegpModel, x_raw) -> np.ndarray:
+    """M raw-unit query rows, checked and mapped by the model's input scaler."""
     xq = np.asarray(x_raw, dtype=float)
     if xq.ndim != 2 or xq.shape[1] != model.n_inputs:
         raise ValueError(
             f"queries must be M x {model.n_inputs}, got shape {xq.shape}"
         )
-    queries = PointBasis(
-        apply_scaler(model.input_scaler, xq), model.stack.fields + (model.noise,)
-    )
-    k_cross = warped_cross_matrix(model.stack, model.warped, queries)  # (N, M)
-    mean_s = k_cross.T @ model.alpha_solve
-    means = mean_s * float(model.output_scaler.scale[0]) + float(
-        model.output_scaler.loc[0]
-    )
-    return means, queries, k_cross
+    return apply_scaler(model.input_scaler, xq)
+
+
+def _query_blocks(model: PcegpModel, xq_s):
+    """Scaled queries in blocks of `PREDICT_BLOCK_ROWS` rows, with what each needs.
+
+    Yields (rows, raw-unit means, scaled query noise, N x B cross
+    covariances) per block. A block's queries get a `PointBasis` of their
+    own, which the warps and the query noise read; it is dropped before the
+    cross covariances are built.
+    """
+    fields = model.stack.fields + (model.noise,)
+    for s in range(0, xq_s.shape[0], PREDICT_BLOCK_ROWS):
+        rows = slice(s, s + PREDICT_BLOCK_ROWS)
+        basis = PointBasis(xq_s[rows], fields)
+        warped_q = warp_stack(model.stack, basis)
+        noise_q = eval_noise_batch(model.noise, basis)
+        del basis
+        k_cross = warped_cross_matrix(model.stack, model.warped, warped_q)  # (N, B)
+        mean_s = k_cross.T @ model.alpha_solve
+        means = mean_s * float(model.output_scaler.scale[0]) + float(
+            model.output_scaler.loc[0]
+        )
+        yield rows, means, noise_q, k_cross
 
 
 def predict_means(model: PcegpModel, x_raw) -> np.ndarray:
@@ -403,7 +409,11 @@ def predict_means(model: PcegpModel, x_raw) -> np.ndarray:
     The same means as `predict_batch`, bit for bit, without its N x M
     triangular solve.
     """
-    return _means_and_cross(model, x_raw)[0]
+    xq_s = _scaled_queries(model, x_raw)
+    means = np.empty(xq_s.shape[0])
+    for rows, block_means, _, _ in _query_blocks(model, xq_s):
+        means[rows] = block_means
+    return means
 
 
 def predict_batch(model: PcegpModel, x_raw):
@@ -412,16 +422,20 @@ def predict_batch(model: PcegpModel, x_raw):
     Returns (means, variances) in raw output units; the variance includes
     the query-point noise, clamped at zero after cancellation.
     """
-    means, queries, k_cross = _means_and_cross(model, x_raw)
+    xq_s = _scaled_queries(model, x_raw)
+    means, variances = np.empty(xq_s.shape[0]), np.empty(xq_s.shape[0])
     k_diag = sum(scale * scale for _, scale, _ in model.stack.entries)
-    # chol.T is the upper factor in Fortran order: LAPACK reads it uncopied
-    v = solve_triangular(
-        model.chol.T, k_cross, lower=False, trans="T", check_finite=False
-    )
-    noise_q = eval_noise_batch(model.noise, queries)
-    var_s = np.maximum(0.0, k_diag + noise_q - np.sum(v * v, axis=0))
     scale = float(model.output_scaler.scale[0])
-    return means, var_s * scale * scale
+    for rows, block_means, noise_q, k_cross in _query_blocks(model, xq_s):
+        # chol.T is the upper factor in Fortran order: LAPACK reads it uncopied
+        v = solve_triangular(
+            model.chol.T, k_cross, lower=False, trans="T", check_finite=False
+        )
+        v *= v
+        var_s = np.maximum(0.0, k_diag + noise_q - np.sum(v, axis=0))
+        means[rows] = block_means
+        variances[rows] = var_s * scale * scale
+    return means, variances
 
 
 def log_predictive_density(model: PcegpModel, x_raw, y_raw) -> np.ndarray:

@@ -16,14 +16,14 @@ The training-side warps that assembly makes are kept, so that prediction
 from a fitted model warps only its queries.
 
 Gram assembly writes into a `Workspace`: owned N x N buffers for each
-entry's squared distances and component, for K, the factor, the inverse
-and one scratch array, reused by every evaluation instead of allocated
-afresh. One workspace lives for one search (every trial and fold) or one
-baseline fit and is freed with it; a call given none makes a fresh one.
-A factor is a C-order lower-triangular array with zeros above the
-diagonal. LAPACK factorizes it in place as the upper factor of its
-Fortran-order transpose, and the solves read it through that transpose
-without copying it.
+entry's squared distances and component, and one for K, reused by every
+evaluation instead of allocated afresh. One workspace lives for one search
+(every trial and fold) or one baseline fit and is freed with it; a call
+given none makes a fresh one. K's buffer also holds its factor and, for the
+likelihood gradient, A = alpha alpha^T - K^-1: `ladder_cholesky` factorizes
+K in place. A factor is the lower triangle of a C-order array. LAPACK
+factorizes it in place as the upper factor of its Fortran-order transpose,
+and the solves read it through that transpose without copying it.
 """
 
 from __future__ import annotations
@@ -54,6 +54,9 @@ JITTER_LADDER = (0.0, 1e-10, 1e-8, 1e-6, 1e-4)
 # rows per cdist call in `pairwise_sqdist`: at N of a few hundred, a block of
 # the upper triangle stays in cache while it is copied into both triangles
 SQDIST_BLOCK_ROWS = 64
+
+# rows per block when one triangle of an N x N matrix is mirrored in place
+TRIANGLE_BLOCK_ROWS = 128
 
 
 @dataclass(frozen=True)
@@ -133,7 +136,10 @@ class GramResult:
     """A factor from the jitter ladder and the jitter its diagonal needed."""
 
     jitter_used: float
-    chol: np.ndarray  # lower factor of the matrix plus `jitter_used` on its diagonal
+    # lower triangle: the factor of the matrix plus `jitter_used` on its
+    # diagonal; the strict upper triangle is zero, or the matrix's own when
+    # the factorization ran in a given buffer
+    chol: np.ndarray
 
 
 class Workspace:
@@ -142,8 +148,17 @@ class Workspace:
     Each buffer is a flat array kept under a key and grown to the largest N
     it has served; a smaller N gets a C-contiguous view of its first N * N
     elements, so one workspace serves every training split of a
-    cross-validation. The next evaluation overwrites every buffer, so
-    nothing a caller keeps may be a view into one.
+    cross-validation. A gradient evaluation of an E-entry stack holds
+    2E + 1 of them: each entry's distances and component, and K, which
+    becomes the factor and then A.
+
+    What an evaluation returns from a workspace borrows its buffers until
+    the next evaluation there, which overwrites them: a value-only fit's
+    factor is K's buffer. So `optim` scores each fold from it before the
+    next fold starts, and anything that outlives an evaluation owns a copy
+    of what it keeps: a model that `gp.model_from_fit` factorizes (a refit,
+    a loaded model, the closing fit of `pcegp fit`) holds `np.tril` of the
+    factor.
     """
 
     def __init__(self):
@@ -301,58 +316,93 @@ def pairwise_sqdist(points, out: np.ndarray) -> np.ndarray:
     return out
 
 
+def warp_stack(stack: KernelStack, points) -> tuple:
+    """Each stack entry's warped points, N x n_x, all from one `PointBasis`.
+
+    `points` may be a `PointBasis`; plain points get one for this call,
+    freed when it returns.
+    """
+    basis = as_point_basis(points, stack.fields)
+    if basis.points.shape[1] != stack.n_inputs:
+        raise ValueError(
+            f"points must be N x {stack.n_inputs}, got shape {basis.points.shape}"
+        )
+    return tuple(warp_points(field, basis) for field in stack.fields)
+
+
 def gram_parts(stack: KernelStack, points, workspace: Workspace | None = None):
     """Per-entry warped points, squared distances, and component matrices.
 
     Returns a list of (form, scale, warped, sqdist, component) tuples; the
     noise-free Gram is the sum of the components. Shared by Gram assembly
     and the likelihood gradient so the geometry is computed once. `points`
-    may be a `PointBasis`; plain points get one for this call, so entries
-    sharing a basis family evaluate it once. The distances and components
-    are buffers of `workspace`, or of a fresh one when none is given; the
-    warps are always new arrays.
+    may be a `PointBasis`, or the tuple of warps that `warp_stack` makes;
+    plain points get a basis for this call, so entries sharing a basis
+    family evaluate it once, and it is freed before the N x N arrays are
+    filled. The distances and components are buffers of `workspace`, or of
+    a fresh one when none is given; Matern-3/2 takes K's buffer as its
+    scratch, which `noisy_gram` fills only after the parts.
     """
-    basis = as_point_basis(points, stack.fields)
-    pts = basis.points
-    if pts.shape[1] != stack.n_inputs:
-        raise ValueError(
-            f"points must be N x {stack.n_inputs}, got shape {pts.shape}"
-        )
+    warped = points if isinstance(points, tuple) else warp_stack(stack, points)
     ws = workspace if workspace is not None else Workspace()
-    n = pts.shape[0]
+    n = warped[0].shape[0]
     parts = []
-    for i, (form, scale, field) in enumerate(stack.entries):
-        w = warp_points(field, basis)
+    for i, ((form, scale, _), w) in enumerate(zip(stack.entries, warped)):
         d2 = pairwise_sqdist(w, ws.matrix(("sqdist", i), n))
         k_part = form_from_sqdist(
-            form, scale, d2, ws.matrix(("component", i), n), ws.matrix("scratch", n)
+            form, scale, d2, ws.matrix(("component", i), n), ws.matrix("k", n)
         )
         parts.append((form, scale, w, d2, k_part))
     return parts
 
 
+def mirror_lower(a: np.ndarray) -> np.ndarray:
+    """Copy the lower triangle of a square array over its upper one, in place.
+
+    Works in blocks of `TRIANGLE_BLOCK_ROWS` rows, so no N x N temporary is
+    made; `mirror_lower(a.T)` copies the upper triangle over the lower one.
+    """
+    n = a.shape[0]
+    for s in range(0, n, TRIANGLE_BLOCK_ROWS):
+        e = min(n, s + TRIANGLE_BLOCK_ROWS)
+        a[s:e, e:] = a[e:, s:e].T
+        block = a[s:e, s:e]
+        iu = np.triu_indices(e - s, 1)
+        block[iu] = block.T[iu]
+    return a
+
+
 def ladder_cholesky(k: np.ndarray, context: str, out=None) -> GramResult:
     """Factorize a symmetric matrix, escalating diagonal jitter as needed.
 
-    Each rung of the fixed ladder `JITTER_LADDER` copies `k` into the
-    factor buffer `out` (a new array when it is not given), adds the rung's
-    jitter to the diagonal and runs LAPACK dpotrf there in place, until the
-    factorization succeeds; `k` itself is left alone. A factor whose
+    The factorization runs in place in `out`, which may be `k` itself, as
+    in the likelihood; `k` is copied there first otherwise. Without `out` it
+    runs in a new array, whose strict upper triangle is zeroed on success,
+    and `k` is left alone. Each rung of the fixed ladder `JITTER_LADDER`
+    adds its jitter to the diagonal and runs LAPACK dpotrf, which reads and
+    writes only the lower triangle, until the factorization succeeds. The
+    strict upper triangle keeps K, so before a later rung the lower
+    triangle is restored from it and the diagonal from a saved copy: the
+    factor has the bits of one made in a fresh copy of K. A factor whose
     diagonal is not finite counts as a failure, since LAPACK does not flag
-    a NaN pivot; a non-finite entry of `k`'s lower triangle always reaches
-    a later diagonal entry of the factor.
+    a NaN pivot; a non-finite entry of a symmetric K always reaches a later
+    diagonal entry of the factor, at every rung.
     """
     n = k.shape[0]
-    factor = out if out is not None else np.empty_like(k)
-    for jitter in JITTER_LADDER:
+    factor = np.empty((n, n)) if out is None else out
+    if factor is not k:
         np.copyto(factor, k)
-        factor.flat[:: n + 1] += jitter
+    diagonal = np.diagonal(factor).copy()
+    for rung, jitter in enumerate(JITTER_LADDER):
+        if rung:
+            mirror_lower(factor.T)
+        factor.flat[:: n + 1] = diagonal + jitter
         # factor.T is Fortran-ordered, so LAPACK works on it in place; its
-        # upper factor, with the rest zeroed, is the C-order lower factor
-        upper, info = dpotrf(factor.T, lower=0, overwrite_a=1, clean=1)
+        # upper factor is the C-order lower factor
+        upper, info = dpotrf(factor.T, lower=0, overwrite_a=1, clean=0)
         chol = upper.T
         if info == 0 and np.all(np.isfinite(np.diagonal(chol))):
-            return GramResult(jitter_used=jitter, chol=chol)
+            return GramResult(jitter, np.tril(chol) if out is None else chol)
 
     raise RuntimeError(
         f"covariance matrix is not positive definite even with jitter "
@@ -369,42 +419,36 @@ def noisy_gram(
     its own, so the components stay untouched for the likelihood gradient.
     Both live in `workspace`, or in a fresh one when none is given. The
     warps and the noise read one `PointBasis` (`points`, or one made over
-    them for this call). This is the one place the training covariance is
-    assembled.
+    them for this call and freed before the N x N arrays are filled). This
+    is the one place the training covariance is assembled.
     """
     basis = as_point_basis(points, stack.fields + (noise,))
+    warped = warp_stack(stack, basis)
+    noise_diagonal = eval_noise_batch(noise, basis)
+    del basis
     ws = workspace if workspace is not None else Workspace()
-    parts = gram_parts(stack, basis, ws)
-    k = ws.matrix("k", basis.points.shape[0])
+    parts = gram_parts(stack, warped, ws)
+    k = ws.matrix("k", warped[0].shape[0])
     np.copyto(k, parts[0][4])
     for part in parts[1:]:
         k += part[4]
-    k.flat[:: k.shape[0] + 1] += eval_noise_batch(noise, basis)
+    k.flat[:: k.shape[0] + 1] += noise_diagonal
     return parts, k
 
 
-def warped_cross_matrix(stack: KernelStack, warped, queries) -> np.ndarray:
-    """Covariances between already-warped training points and M queries, N x M.
+def warped_cross_matrix(stack: KernelStack, warped, warped_queries) -> np.ndarray:
+    """Covariances between N training points and M queries, both already warped.
 
-    `warped` holds one N x n_x array per stack entry, as `gram_parts`
-    returns them; only the queries are warped here, all from one
-    `PointBasis` (`queries`, or one made over them for this call).
+    `warped` and `warped_queries` hold one array per stack entry, N x n_x
+    and M x n_x, as `warp_stack` makes them. Returns the N x M matrix; the
+    entries after the first share one more N x M array for their distances.
     """
-    basis = as_point_basis(queries, stack.fields)
-    qs = basis.points
-    n_inputs = warped[0].shape[1]
-    if qs.shape[1] != n_inputs:
-        raise ValueError(
-            f"query dimension {qs.shape} does not match points {warped[0].shape}"
-        )
-    out = None
-    for (form, scale, field), w in zip(stack.entries, warped):
-        wq = warp_points(field, basis)
-        d2 = cdist(w, wq, "sqeuclidean")
+    out = d2 = None
+    for (form, scale, _), w, wq in zip(stack.entries, warped, warped_queries):
+        d2 = cdist(w, wq, "sqeuclidean", out=d2)
         # each form overwrites its distances; the first one becomes the sum
-        k_part = form_from_sqdist(form, scale, d2, out=d2)
         if out is None:
-            out = k_part
+            out, d2 = form_from_sqdist(form, scale, d2, out=d2), None
         else:
-            out += k_part
+            out += form_from_sqdist(form, scale, d2, out=d2)
     return out

@@ -468,7 +468,8 @@ class FineTuneResult:
 
     A successful refinement also carries the stack, noise and factorization
     behind its closing likelihood, so the fold model is built without
-    factorizing the same Gram a second time.
+    factorizing the same Gram a second time. The factorization borrows the
+    refinement's workspace until its next evaluation.
     """
 
     theta: np.ndarray
@@ -491,8 +492,9 @@ def fine_tune(
     scales are optimized through their logarithm so they remain positive.
     Returns the refined theta and final negative MLL as a `FineTuneResult`; a
     factorization failure at any step marks the trial failed with an
-    infinite loss. Every step assembles its Gram in `workspace` (a fresh
-    one when none is given); the closing fit keeps a factor of its own.
+    infinite loss. Every step and the closing fit run in `workspace` (a
+    fresh one when none is given), whose K buffer holds the closing fit's
+    factor until the next evaluation there.
     The chaos-basis values at the training points are evaluated once, into
     a `PointBasis` that every step and the closing fit share and that is
     dropped on return; the gradient takes its coefficient sensitivities
@@ -546,7 +548,8 @@ def _evaluate_trial(
 ):
     """Cross-validate one suggestion; returns (mean loss, fold losses, best fold theta).
 
-    Every fold refines in `workspace`; the fold models own their arrays.
+    Every fold refines in `workspace`, and its model, built on the closing
+    fit's factor in that workspace, is scored before the next fold starts.
     """
     fold_losses = []
     fold_thetas = []

@@ -5,8 +5,15 @@ computes another way: the tests compare the two.
 """
 
 import numpy as np
+from scipy.linalg.lapack import dpotrf
 
-from pcegp.kernels import KernelForm, KernelStack, warp_points, warped_cross_matrix
+from pcegp.kernels import (
+    JITTER_LADDER,
+    KernelForm,
+    KernelStack,
+    warp_points,
+    warped_cross_matrix,
+)
 
 
 def cross_matrix(stack: KernelStack, points, queries) -> np.ndarray:
@@ -16,7 +23,9 @@ def cross_matrix(stack: KernelStack, points, queries) -> np.ndarray:
     warps kept from its Gram assembly.
     """
     warped = tuple(warp_points(field, points) for field in stack.fields)
-    return warped_cross_matrix(stack, warped, queries)
+    queries = np.atleast_2d(np.asarray(queries, dtype=float))
+    warped_q = tuple(warp_points(field, queries) for field in stack.fields)
+    return warped_cross_matrix(stack, warped, warped_q)
 
 
 def form_sqdist_derivative(form: KernelForm, scale: float, sqdist):
@@ -38,3 +47,19 @@ def form_sqdist_derivative(form: KernelForm, scale: float, sqdist):
         return -1.5 * s2 * np.exp(-np.sqrt(3.0 * d2))
     a = form.shape
     return -0.5 * s2 * (1.0 + d2 / (2.0 * a)) ** (-a - 1.0)
+
+
+def ladder_by_copies(k):
+    """(jitter, factor) from the jitter ladder run on a fresh copy of K per rung.
+
+    The factor has zeros above the diagonal; (None, None) when every rung
+    fails.
+    """
+    n = k.shape[0]
+    for jitter in JITTER_LADDER:
+        factor = k.copy()
+        factor.flat[:: n + 1] += jitter
+        upper, info = dpotrf(factor.T, lower=0, overwrite_a=1, clean=1)
+        if info == 0 and np.all(np.isfinite(np.diagonal(upper))):
+            return jitter, upper.T
+    return None, None

@@ -1,5 +1,10 @@
 """End-to-end command-line behavior: artifacts, exit codes, determinism."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -397,6 +402,44 @@ def test_threads_flag_and_env(tmp_path, train_file, monkeypatch, capsys):
 
     monkeypatch.setenv("PCEGP_THREADS", "1")
     assert main(["inspect", "--set", f"model={model_path}"]) == 0
+
+
+_THREADS_AFTER_A_MATMUL = """
+import os, sys
+from pcegp.launch import main
+assert "numpy" not in sys.modules  # the package import is lazy
+code = main(sys.argv[1:])
+import numpy as np
+a = np.ones((800, 800))
+a @ a
+print(code, len(os.listdir("/proc/self/task")))
+"""
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="needs /proc")
+def test_threads_flag_sizes_the_blas_pool_before_numpy_loads(tmp_path, train_file):
+    model_path = tmp_path / "model.txt"
+    assert run_fit(train_file, model_path) == 0
+    env = {k: v for k, v in os.environ.items()
+           if k not in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS",
+                        "MKL_NUM_THREADS", "PCEGP_THREADS")}
+    env["PYTHONPATH"] = str(Path(__file__).resolve().parent.parent / "src")
+
+    def threads_after(*flags, extra_env=()):
+        out = subprocess.run(
+            [sys.executable, "-c", _THREADS_AFTER_A_MATMUL,
+             "inspect", "--set", f"model={model_path}", *flags],
+            env={**env, **dict(extra_env)}, capture_output=True, text=True,
+            check=True, timeout=120,
+        ).stdout.split()
+        assert out[-2] == "0"
+        return int(out[-1])
+
+    assert threads_after("--threads", "1") == 1
+    assert threads_after(extra_env={"PCEGP_THREADS": "1"}) == 1
+    if (os.cpu_count() or 1) > 1:
+        # the control: uncapped, OpenBLAS starts a pool of its own
+        assert threads_after() > 1
 
 
 def test_malformed_set_is_usage_error(capsys):

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.spatial.distance import cdist
 
+import pcegp.kernels as kernels_mod
 from pcegp.bench import _ard_kernel
 from pcegp.hyper import LengthscaleField, NoiseField
 from pcegp.kernels import (
@@ -23,7 +24,7 @@ from pcegp.kernels import (
 )
 from pcegp.poly import Basis
 
-from oracles import cross_matrix, form_sqdist_derivative
+from oracles import cross_matrix, form_sqdist_derivative, ladder_by_copies
 
 ALL_FORMS = [
     KernelForm.se(),
@@ -266,6 +267,51 @@ def test_ladder_rejects_a_non_finite_factor(i, j, value):
     k[i, j] = k[j, i] = value
     with pytest.raises(RuntimeError, match="stack: the test stack"):
         ladder_cholesky(k, "the test stack")
+
+
+@pytest.mark.parametrize("n", [7, 130, 300, 700])
+def test_ladder_in_place_gives_the_bits_of_a_copy_per_rung(n):
+    # duplicated rows make K exactly singular, so rung 0 fails and the
+    # in-place ladder restores K's lower triangle from its upper one
+    rng = np.random.default_rng(n)
+    x = rng.uniform(size=(n, 2))
+    x[n // 2:] = x[: n - n // 2]
+    stack = KernelStack(((KernelForm.se(), 1.0, const_field(1.5, 2)),))
+    k = noisy_gram(stack, NoiseField.fixed(1e-16), x)[1]
+    jitter, reference = ladder_by_copies(k)
+    assert jitter is not None and jitter > 0.0
+
+    fresh = ladder_cholesky(k, "test")
+    assert fresh.jitter_used == jitter
+    np.testing.assert_array_equal(fresh.chol, reference)
+
+    buffer = k.copy()
+    in_place = ladder_cholesky(buffer, "test", buffer)
+    assert in_place.jitter_used == jitter
+    assert np.shares_memory(in_place.chol, buffer)
+    np.testing.assert_array_equal(np.tril(in_place.chol), reference)
+    # the strict upper triangle still holds K
+    iu = np.triu_indices(n, 1)
+    np.testing.assert_array_equal(in_place.chol[iu], k[iu])
+
+
+def test_ladder_in_place_fails_every_rung_on_a_nan(monkeypatch):
+    calls = []
+    dpotrf = kernels_mod.dpotrf
+
+    def counting(a, **kwargs):
+        calls.append(a.shape[0])
+        return dpotrf(a, **kwargs)
+
+    monkeypatch.setattr(kernels_mod, "dpotrf", counting)
+    rng = np.random.default_rng(3)
+    x = rng.uniform(size=(40, 2))
+    stack = KernelStack(((KernelForm.se(), 1.0, const_field(1.0, 2)),))
+    k = noisy_gram(stack, NoiseField.fixed(1e-6), x)[1]
+    k[30, 4] = k[4, 30] = np.nan  # a non-finite Gram entry, in both triangles
+    with pytest.raises(RuntimeError, match="stack: nan"):
+        ladder_cholesky(k, "nan", k)
+    assert calls == [40] * 5
 
 
 def test_noise_free_gram_is_psd():

@@ -8,6 +8,7 @@ fitted model keeps its training warps, so prediction warps only the queries.
 """
 
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -23,6 +24,7 @@ from pcegp.gp import (
     _likelihood_core,
     fit_likelihood,
     fit_precompute,
+    log_predictive_density,
     mll_gradient,
     model_from_fit,
     predict,
@@ -39,7 +41,14 @@ from pcegp.kernels import (
     noisy_gram,
     sqdist_derivative_from_values,
 )
-from pcegp.optim import SearchSpace, _ContDim, fine_tune, random_suggest, run_search
+from pcegp.optim import (
+    SearchSpace,
+    _ContDim,
+    _evaluate_trial,
+    fine_tune,
+    random_suggest,
+    run_search,
+)
 from pcegp.poly import Basis, eval_basis
 from pcegp.serialize import load_model, save_model
 
@@ -109,11 +118,14 @@ def test_core_weights_are_alpha_outer_minus_inverse():
     y = rng.normal(size=150)
     stack = _stack(rng, 2, [KernelForm.matern32()])
     _, k = noisy_gram(stack, NoiseField.fixed(1e-3), pts)
-    fit = _likelihood_core(k, y, "test", gradient=True)
-    expected = np.outer(fit.alpha, fit.alpha) - _chol_inverse(fit.chol)
+    # the core factorizes K in place, and A then overwrites the factor
+    value_only = _likelihood_core(k.copy(), y, "test")
+    k_buffer = k.copy()
+    fit = _likelihood_core(k_buffer, y, "test", gradient=True)
+    assert np.shares_memory(fit.a, k_buffer) and fit.chol is None
+    expected = np.outer(fit.alpha, fit.alpha) - _chol_inverse(value_only.chol)
     np.testing.assert_array_equal(fit.a, expected)
 
-    value_only = _likelihood_core(k, y, "test")
     assert value_only.a is None
     assert value_only.value == fit.value
     np.testing.assert_array_equal(value_only.alpha, fit.alpha)
@@ -280,7 +292,7 @@ def test_a_reused_workspace_gives_the_bits_of_a_fresh_one():
     np.testing.assert_array_equal(reused.alpha, fresh.alpha)
 
 
-def test_fold_model_survives_the_next_fold_in_its_workspace():
+def test_models_that_outlive_an_evaluation_own_their_factor():
     rng = np.random.default_rng(15)
     space = _space()
     theta = random_suggest(space, rng)
@@ -288,23 +300,80 @@ def test_fold_model_survives_the_next_fold_in_its_workspace():
     splits = [(rng.uniform(size=(n, 2)), rng.normal(size=n)) for n in (21, 20)]
     in_sc = fit_scaler("min_max_per_column", splits[0][0])
     out_sc = fit_scaler("z_normalize", splits[0][1])
+    xq = rng.uniform(size=(9, 2))
 
     tuned = fine_tune(theta, space, splits[0], 3, workspace)
+    fold_model = model_from_fit(tuned.stack, tuned.noise, in_sc, out_sc,
+                                *splits[0], fit=tuned.fit)
+    # the fold model borrows K's buffer, and is scored before the next fold
+    assert np.shares_memory(fold_model.chol, workspace.matrix("k", 21))
+    scored = predict_batch(fold_model, xq)
     models = (
-        model_from_fit(tuned.stack, tuned.noise, in_sc, out_sc, *splits[0],
-                       fit=tuned.fit),
+        # a fold model kept past its fold takes the lower triangle
+        replace(fold_model, chol=np.tril(fold_model.chol)),
         # a refit, as the outer folds of run_benchmark make in their workspace
         fit_precompute(tuned.stack, tuned.noise, in_sc, out_sc, *splits[0],
                        workspace=workspace),
     )
-    xq = rng.uniform(size=(9, 2))
     before = [predict_batch(model, xq) for model in models]
+    for got, expected in zip(before[0], scored):
+        np.testing.assert_array_equal(got, expected)
+    assert not np.shares_memory(models[1].chol, workspace.matrix("k", 21))
+    np.testing.assert_array_equal(models[1].chol, np.tril(models[1].chol))
+
     fine_tune(theta, space, splits[1], 3, workspace)  # the next fold
     fit_precompute(tuned.stack, tuned.noise, in_sc, out_sc, *splits[1],
                    workspace=workspace)  # and its refit
     for model, want in zip(models, before):
         for got, expected in zip(predict_batch(model, xq), want):
             np.testing.assert_array_equal(got, expected)
+
+
+def _buffer_floats(workspace):
+    return sum(buffer.size for buffer in workspace._buffers.values())
+
+
+def test_a_gradient_holds_two_buffers_per_entry_and_one_for_k():
+    rng = np.random.default_rng(17)
+    space = benchmark_space()
+    n = 50
+    x, y = rng.uniform(size=(n, 3)), rng.normal(size=n)
+    stack, noise = space.build_stack(random_suggest(space, rng), 3)
+    workspace = Workspace()
+    mll_gradient(stack, noise, x, y, workspace=workspace)
+    assert _buffer_floats(workspace) == (2 * stack.n_entries + 1) * n * n
+    # the value-only fit needs no buffer the gradient did not
+    fit_likelihood(stack, noise, x, y, workspace)
+    mll_gradient(stack, noise, x, y, workspace=workspace)
+    assert _buffer_floats(workspace) == (2 * stack.n_entries + 1) * n * n
+
+    baseline = Workspace()
+    log_params = np.array([-0.5, 0.2, 0.7, 0.1, np.log(0.05)])
+    _ard_neg_mll_and_grad(log_params, x, y, workspace=baseline)
+    _ard_neg_mll_and_grad(log_params, x, y, gradient=False, workspace=baseline)
+    assert _buffer_floats(baseline) == 2 * n * n
+
+
+def test_warm_fold_refinement_and_scoring_allocate_no_n_by_n_array():
+    rng = np.random.default_rng(18)
+    space = benchmark_space()
+    theta = random_suggest(space, rng)
+    theta[0] = 7.0
+    ds = Dataset(rng.uniform(size=(500, 8)), rng.normal(size=500),
+                 tuple("abcdefgh"), "y")
+    plan = make_folds(ds.n_points, 5, seed=4)
+    n = plan.train_indices(0).size
+    assert all(plan.train_indices(f).size == n for f in range(5))
+    workspace = Workspace()
+    first = _evaluate_trial(theta, space, ds, plan, 2, None, workspace)  # warms it
+    tracemalloc.start()
+    try:
+        second = _evaluate_trial(theta, space, ds, plan, 2, None, workspace)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert np.isfinite(first[0]) and second[:2] == first[:2]
+    assert peak < n * n * 8, f"peak {peak / (n * n * 8):.2f} N x N arrays"
 
 
 # ---------------------------------------------------------------------------
@@ -367,6 +436,41 @@ def test_stored_warps_predict_like_a_fresh_cross_matrix(tmp_path):
         assert np.array_equal(means, expected)
         assert np.array_equal(variances, var_s * scale * scale)
         assert np.array_equal(predict_means(model, xq), means)
+
+
+@pytest.mark.parametrize("noise", [
+    NoiseField.fixed(1e-2),
+    NoiseField.pce(((Basis.legendre01(), [0.05, 0.02, -0.01]),), floor=1e-6),
+])
+def test_blocked_prediction_matches_one_block(monkeypatch, noise):
+    # up to one block the calls are those of a one-shot prediction, so the
+    # bits are too; past it, BLAS may round a column of a later block
+    # differently from the same column of one wide solve, by an ulp or so
+    rng = np.random.default_rng(19)
+    ds = _dataset(rng, n=150)
+    stack = _stack(rng, ds.n_inputs, [KernelForm.ae(), KernelForm.matern32()])
+    model = fit_precompute(
+        stack, noise,
+        fit_scaler("min_max_per_column", ds.inputs),
+        fit_scaler("z_normalize", ds.outputs),
+        ds.inputs, ds.outputs,
+    )
+    b = gp_mod.PREDICT_BLOCK_ROWS
+    for m in (1, b - 1, b, b + 1, 3 * b + 7):
+        xq = rng.uniform(-0.2, 1.2, size=(m, ds.n_inputs))
+        yq = rng.normal(size=m)
+        blocked = (*predict_batch(model, xq), predict_means(model, xq),
+                   log_predictive_density(model, xq, yq))
+        monkeypatch.setattr(gp_mod, "PREDICT_BLOCK_ROWS", 10**9)
+        one_shot = (*predict_batch(model, xq), predict_means(model, xq),
+                    log_predictive_density(model, xq, yq))
+        monkeypatch.undo()
+        for got, want in zip(blocked, one_shot):
+            assert got.shape == (m,)
+            if m <= b:
+                np.testing.assert_array_equal(got, want)
+            else:
+                np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-15)
 
 
 # ---------------------------------------------------------------------------
