@@ -35,8 +35,9 @@ from .data import (
     fit_scaler,
     load_csv,
     make_folds,
+    write_text_atomic,
 )
-from .gp import _likelihood_core, fit_precompute, predict_means
+from .gp import _likelihood_core, fit_likelihood, model_from_fit, predict_means
 from .kernels import KernelForm, Workspace, pairwise_sqdist
 from .optim import AdamState, SearchSpace, adam_step, run_search
 from .poly import Basis
@@ -163,8 +164,8 @@ def _cross_validate(method, config, ds, output_path, fit_predict, t0):
     training rows and calls `fit_predict(fold, train, in_sc, out_sc,
     x_test)`, which returns the test means in raw output units and the
     fold's parameter vector. After every fold the report of the folds
-    finished so far replaces `output_path` atomically (a `.tmp` file, then
-    `os.replace`), so the last write is the final report and an
+    finished so far replaces `output_path` atomically
+    (`data.write_text_atomic`), so the last write is the final report and an
     interrupted run leaves a valid report of its finished folds.
     """
     plan = make_folds(ds.n_points, config.n_folds, config.seed)
@@ -190,10 +191,7 @@ def _cross_validate(method, config, ds, output_path, fit_predict, t0):
             best_thetas=tuple(thetas),
         )
         if output_path is not None:
-            tmp = f"{output_path}.tmp"
-            with open(tmp, "w", encoding="utf-8") as fh:
-                fh.write(report_text(report))
-            os.replace(tmp, output_path)
+            write_text_atomic(output_path, report_text(report))
     return report
 
 
@@ -239,10 +237,12 @@ def run_benchmark(
                 shared_best = search(ds, config.seed)
             best = shared_best
         stack, noise = config.space.build_stack(best, ds.n_inputs)
-        model = fit_precompute(
-            stack, noise, in_sc, out_sc, train.inputs, train.outputs,
-            workspace=workspace,
-        )
+        x_s = apply_scaler(in_sc, train.inputs)
+        y_s = (train.outputs - out_sc.loc[0]) / out_sc.scale[0]
+        # the model borrows the workspace's factor and is dropped before the
+        # next fold's refit overwrites it
+        fit = fit_likelihood(stack, noise, x_s, y_s, workspace)
+        model = model_from_fit(stack, noise, in_sc, out_sc, x_s, y_s, fit=fit)
         return predict_means(model, x_test), best
 
     return _cross_validate("pcegp", config, ds, checkpoint_path, fit_predict, t0)

@@ -7,8 +7,10 @@ config plus a recorded command line reproduces any result. Exit codes:
 
 No subcommand writes anywhere except under the configured output path's
 stem: `fit` writes the model there and the search history at
-`<output>.history`; `benchmark` and `baseline` write each fold's report to
-`<output>.tmp` and rename it over `<output>`, so only the output remains.
+`<output>.history`, `predict` its predictions, and `benchmark` and
+`baseline` the report after each fold. Each file is written to
+`<path>.tmp` and renamed over `<path>`, so only the outputs remain and a
+failed write leaves the previous file whole.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ from .bench import (
     run_baseline,
     run_benchmark,
 )
-from .data import _sniff_delimiter, fit_scaler, load_csv
+from .data import _sniff_delimiter, fit_scaler, load_csv, write_text_atomic
 from .gp import fit_precompute, predict_batch
 from .kernels import KernelForm
 from .launch import THREADS_ENV_VAR, set_thread_vars
@@ -274,8 +276,7 @@ def cmd_fit(cfg: dict) -> int:
     except RuntimeError as err:
         partial = getattr(err, "partial_result", None)
         if partial is not None:
-            with open(history_path, "w", encoding="utf-8") as fh:
-                fh.write(history_to_text(partial))
+            write_text_atomic(history_path, history_to_text(partial))
         raise
 
     stack, noise = space.build_stack(result.best_theta, ds.n_inputs)
@@ -289,8 +290,7 @@ def cmd_fit(cfg: dict) -> int:
     }
     model = fit_precompute(stack, noise, in_sc, out_sc, ds.inputs, ds.outputs, meta)
     save_model(model, output)
-    with open(history_path, "w", encoding="utf-8") as fh:
-        fh.write(history_to_text(result))
+    write_text_atomic(history_path, history_to_text(result))
     print(
         f"fit: {ds.n_points} points, {ds.n_inputs} inputs; "
         f"best validation loss {result.best_loss:.6g}; model -> {output}"
@@ -349,8 +349,7 @@ def cmd_predict(cfg: dict) -> int:
         lines.extend(
             f"{float(m)!r},{float(v)!r}" for m, v in zip(means, variances)
         )
-    with open(output, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
+    write_text_atomic(output, "\n".join(lines) + "\n")
     n = 0 if matrix is None else len(matrix)
     print(f"predict: {n} rows -> {output}")
     return 0

@@ -9,6 +9,7 @@ with the population standard deviation.
 from __future__ import annotations
 
 import csv
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -57,6 +58,23 @@ class Dataset:
 def _sniff_delimiter(header_line: str) -> str:
     # restricted to the two supported delimiters
     return ";" if header_line.count(";") > header_line.count(",") else ","
+
+
+def write_text_atomic(path, text: str, newline=None) -> None:
+    """Write `text` to `<path>.tmp`, then rename it over `path`.
+
+    A write that fails part-way leaves `path` as it was and removes the
+    `.tmp` file. `newline` is passed to `open`.
+    """
+    tmp = f"{path}.tmp"
+    try:
+        with open(tmp, "w", encoding="utf-8", newline=newline) as fh:
+            fh.write(text)
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+        raise
 
 
 def load_csv(path, target_columns) -> list:

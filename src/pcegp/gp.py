@@ -21,9 +21,14 @@ L, and the solves pass that same Fortran view to LAPACK uncopied. The
 Gram, its factor and A = alpha alpha^T - K^-1 share one buffer of the
 caller's workspace, each overwriting the one before, and the next
 evaluation overwrites them all (see `kernels.Workspace` for what borrows
-that buffer and what owns a copy). A value-only fit's factor is that
-buffer: the search scores each fold from it, and a model that
-`model_from_fit` factorizes keeps a lower-triangular copy.
+that buffer and what owns a copy). A value-only fit (`fit_likelihood`, and
+through it every refit, load and closing fit) reads nothing of the
+assembly but K, so `kernels.noisy_gram` adds each kernel entry into K as
+it is formed and the fit holds at most three N x N buffers; only the
+gradient keeps each entry's distances and component. A value-only fit's
+factor is K's buffer: the search scores each fold, and a benchmark each
+outer fold's refit, from it, and a model that `model_from_fit` factorizes
+keeps a lower-triangular copy.
 
 The chaos-basis values at the training points do not change while the
 coefficients move. Every function here that takes `x_scaled` also takes a
@@ -63,7 +68,6 @@ from .hyper import (
 from .kernels import (
     TRIANGLE_BLOCK_ROWS,
     KernelStack,
-    Workspace,
     ladder_cholesky,
     mirror_lower,
     noisy_gram,
@@ -179,14 +183,14 @@ def fit_likelihood(
 ):
     """Value-only likelihood fit: the MLL, the factor, the target solve and the warps.
 
-    `x_scaled` may be a `PointBasis`. The Gram is assembled and factorized
-    in `workspace` when one is given, and the returned factor borrows K's
-    buffer there until the next evaluation (see `kernels.Workspace`);
-    without one, the factor is the only user of a fresh buffer.
+    `x_scaled` may be a `PointBasis`. The Gram is assembled without its
+    per-entry parts and factorized in `workspace` when one is given, and
+    the returned factor borrows K's buffer there until the next evaluation
+    (see `kernels.Workspace`); without one, the factor is the only user of
+    a fresh buffer.
     """
     y = np.asarray(y_scaled, dtype=float).ravel()
-    parts, k = noisy_gram(stack, noise, x_scaled, workspace)
-    warped = tuple(w for _, _, w, _, _ in parts)
+    warped, k, _ = noisy_gram(stack, noise, x_scaled, workspace)
     return replace(_likelihood_core(k, y, stack.describe()), warped=warped)
 
 
@@ -212,19 +216,22 @@ def mll_gradient(
     coefficients, so the sensitivity of a lengthscale or of the unclamped
     noise to a coefficient is the basis's own value, read from the
     `PointBasis` each call. The N x N arrays of the evaluation are the
-    2E + 1 buffers of `workspace` (a fresh one when none is given) that
-    `kernels.Workspace` describes; the returned gradient is a new array.
+    E + (non-squared-exponential entries) + 1 buffers of `workspace` (a
+    fresh one when none is given) that `kernels.Workspace` describes; the
+    returned gradient is a new array.
     """
     basis = as_point_basis(x_scaled, stack.fields + (noise,))
     pts = basis.points
     y = np.asarray(y_scaled, dtype=float).ravel()
-    parts, k = noisy_gram(stack, noise, basis, workspace)
+    _, k, parts = noisy_gram(stack, noise, basis, workspace, gradient=True)
     # dMLL = 0.5 tr(a dK)
     a = _likelihood_core(k, y, stack.describe(), gradient=True).a
 
     blocks = []
     scale_grad = []
     for (form, scale, field), (_, _, w, d2, k_part) in zip(stack.entries, parts):
+        # before the derivative, which overwrites a squared-exponential
+        # entry's values (its d2 and k_part are one buffer)
         scale_grad.append(0.5 * float(np.vdot(a, k_part)) / (scale * scale))
         # the distances are dead once their derivative is taken
         t = sqdist_derivative_from_values(form, d2, k_part, out=d2)
@@ -294,12 +301,10 @@ def fit_precompute(
     x_raw,
     y_raw,
     meta: dict | None = None,
-    workspace: Workspace | None = None,
 ) -> PcegpModel:
     """Scale the data, factorize the Gram, and precompute the target solve.
 
-    The Gram is assembled in `workspace` (a fresh one when none is given);
-    the model keeps a lower-triangular copy of the factor.
+    The model keeps a lower-triangular copy of the factor.
     """
     x = np.asarray(x_raw, dtype=float)
     y = np.asarray(y_raw, dtype=float).ravel()
@@ -317,10 +322,7 @@ def fit_precompute(
 
     x_s = apply_scaler(input_scaler, x)
     y_s = (y - output_scaler.loc[0]) / output_scaler.scale[0]
-    return model_from_fit(
-        stack, noise, input_scaler, output_scaler, x_s, y_s, meta,
-        workspace=workspace,
-    )
+    return model_from_fit(stack, noise, input_scaler, output_scaler, x_s, y_s, meta)
 
 
 def model_from_fit(
@@ -332,22 +334,21 @@ def model_from_fit(
     y_scaled,
     meta: dict | None = None,
     fit: LikelihoodFit | None = None,
-    workspace: Workspace | None = None,
 ) -> PcegpModel:
     """Model over already-scaled training data.
 
     `fit` is a `fit_likelihood` result for exactly this stack, noise and
     data, such as the closing likelihood of an optimizer; the model then
     borrows its factor, which may be a workspace buffer (see
-    `kernels.Workspace`). Without `fit` the Gram is assembled (in
-    `workspace`, when one is given) and factorized here, and the model
-    keeps `np.tril` of the factor, so it outlives the workspace. Either way
-    the model keeps the fit's training warps.
+    `kernels.Workspace`). Without `fit` the Gram is assembled and
+    factorized here, in a workspace of its own, and the model keeps
+    `np.tril` of the factor. Either way the model keeps the fit's training
+    warps.
     """
     x_s = np.asarray(x_scaled, dtype=float)
     y_s = np.asarray(y_scaled, dtype=float).ravel()
     if fit is None:
-        fit = fit_likelihood(stack, noise, x_s, y_s, workspace)
+        fit = fit_likelihood(stack, noise, x_s, y_s)
         fit = replace(fit, chol=np.tril(fit.chol))
     return PcegpModel(
         stack=stack,

@@ -15,15 +15,20 @@ point set, so a stack whose entries share a basis family evaluates it once.
 The training-side warps that assembly makes are kept, so that prediction
 from a fitted model warps only its queries.
 
-Gram assembly writes into a `Workspace`: owned N x N buffers for each
-entry's squared distances and component, and one for K, reused by every
-evaluation instead of allocated afresh. One workspace lives for one search
-(every trial and fold) or one baseline fit and is freed with it; a call
-given none makes a fresh one. K's buffer also holds its factor and, for the
-likelihood gradient, A = alpha alpha^T - K^-1: `ladder_cholesky` factorizes
-K in place. A factor is the lower triangle of a C-order array. LAPACK
-factorizes it in place as the upper factor of its Fortran-order transpose,
-and the solves read it through that transpose without copying it.
+Gram assembly writes into a `Workspace`: owned N x N buffers, reused by
+every evaluation instead of allocated afresh. What it holds depends on the
+consumer. The likelihood gradient keeps each entry's squared distances and
+component (one buffer for a squared-exponential entry, whose values
+overwrite its distances) and K. A value-only fit adds each component into
+K as soon as it is formed, so it holds K, one distance buffer and, for a
+Matern-3/2 entry, one scratch. One workspace lives for one search (every
+trial and fold), one benchmark's refits or one baseline fit and is freed
+with it; a call given none makes a fresh one. K's buffer also holds its
+factor and, for the likelihood gradient, A = alpha alpha^T - K^-1:
+`ladder_cholesky` factorizes K in place. A factor is the lower triangle of
+a C-order array. LAPACK factorizes it in place as the upper factor of its
+Fortran-order transpose, and the solves read it through that transpose
+without copying it.
 """
 
 from __future__ import annotations
@@ -149,16 +154,22 @@ class Workspace:
     it has served; a smaller N gets a C-contiguous view of its first N * N
     elements, so one workspace serves every training split of a
     cross-validation. A gradient evaluation of an E-entry stack holds
-    2E + 1 of them: each entry's distances and component, and K, which
-    becomes the factor and then A.
+    E + (non-squared-exponential entries) + 1 of them: each entry's
+    distances, each entry's component except where a squared-exponential
+    entry's values overwrite its distances, and K, which becomes the
+    factor and then A. A value-only fit holds at most 3: K, which becomes
+    the factor, one distance buffer, and a scratch when the stack has a
+    Matern-3/2 entry; all three are among a gradient's buffers for the same
+    stack, so after one it allocates nothing (see `noisy_gram`).
 
     What an evaluation returns from a workspace borrows its buffers until
     the next evaluation there, which overwrites them: a value-only fit's
-    factor is K's buffer. So `optim` scores each fold from it before the
-    next fold starts, and anything that outlives an evaluation owns a copy
-    of what it keeps: a model that `gp.model_from_fit` factorizes (a refit,
-    a loaded model, the closing fit of `pcegp fit`) holds `np.tril` of the
-    factor.
+    factor is K's buffer. So whatever reads a fit made in a workspace does
+    so before the next evaluation there: `optim` scores each search fold,
+    and `bench.run_benchmark` each outer fold's refit, from that buffer.
+    Anything that outlives an evaluation owns a copy of what it keeps: a
+    model that `gp.model_from_fit` factorizes (a loaded model, the closing
+    fit of `pcegp fit`) holds `np.tril` of the factor.
     """
 
     def __init__(self):
@@ -334,14 +345,16 @@ def gram_parts(stack: KernelStack, points, workspace: Workspace | None = None):
     """Per-entry warped points, squared distances, and component matrices.
 
     Returns a list of (form, scale, warped, sqdist, component) tuples; the
-    noise-free Gram is the sum of the components. Shared by Gram assembly
-    and the likelihood gradient so the geometry is computed once. `points`
+    noise-free Gram is the sum of the components. This is the assembly the
+    likelihood gradient reads, so the geometry is computed once. `points`
     may be a `PointBasis`, or the tuple of warps that `warp_stack` makes;
     plain points get a basis for this call, so entries sharing a basis
     family evaluate it once, and it is freed before the N x N arrays are
     filled. The distances and components are buffers of `workspace`, or of
-    a fresh one when none is given; Matern-3/2 takes K's buffer as its
-    scratch, which `noisy_gram` fills only after the parts.
+    a fresh one when none is given. A squared-exponential entry's values
+    overwrite its distances, since its derivative reads only the values:
+    its sqdist and component are one array. Matern-3/2 takes K's buffer as
+    its scratch, which `noisy_gram` fills only after the parts.
     """
     warped = points if isinstance(points, tuple) else warp_stack(stack, points)
     ws = workspace if workspace is not None else Workspace()
@@ -349,9 +362,9 @@ def gram_parts(stack: KernelStack, points, workspace: Workspace | None = None):
     parts = []
     for i, ((form, scale, _), w) in enumerate(zip(stack.entries, warped)):
         d2 = pairwise_sqdist(w, ws.matrix(("sqdist", i), n))
-        k_part = form_from_sqdist(
-            form, scale, d2, ws.matrix(("component", i), n), ws.matrix("k", n)
-        )
+        se = form.tag == "squared_exponential"
+        out = d2 if se else ws.matrix(("component", i), n)
+        k_part = form_from_sqdist(form, scale, d2, out, ws.matrix("k", n))
         parts.append((form, scale, w, d2, k_part))
     return parts
 
@@ -411,29 +424,56 @@ def ladder_cholesky(k: np.ndarray, context: str, out=None) -> GramResult:
 
 
 def noisy_gram(
-    stack: KernelStack, noise: NoiseField, points, workspace: Workspace | None = None
+    stack: KernelStack,
+    noise: NoiseField,
+    points,
+    workspace: Workspace | None = None,
+    gradient: bool = False,
 ):
-    """Gram components and the noisy training covariance K + noise diagonal.
+    """The noisy training covariance K + noise diagonal, with what made it.
 
-    Returns (parts, K) with `parts` as from `gram_parts`; K is a buffer of
-    its own, so the components stay untouched for the likelihood gradient.
-    Both live in `workspace`, or in a fresh one when none is given. The
-    warps and the noise read one `PointBasis` (`points`, or one made over
-    them for this call and freed before the N x N arrays are filled). This
-    is the one place the training covariance is assembled.
+    Returns (warped, K, parts): each entry's warped training points, K,
+    and, with `gradient`, the parts as `gram_parts` makes them, else None.
+    This is the one place the training covariance is assembled, for two
+    consumers. The gradient keeps every entry's distances and component,
+    so K is their sum in a buffer of its own. A value-only fit reads only
+    K, so each component is added into K as soon as it is formed, through
+    one distance buffer: the first entry's values go straight to K, each
+    later entry's overwrite its distances and are then added. Either way K
+    is the same sum in stack order, then the noise diagonal, so it has the
+    same bits. A Matern-3/2 entry of a value-only fit takes as scratch the
+    component buffer of the stack's first Matern-3/2 entry, which a
+    gradient of the same stack holds too. The buffers are those of
+    `workspace`, or of a fresh one when none is given. The warps and the
+    noise read one `PointBasis` (`points`, or one made over them for this
+    call and freed before the N x N arrays are filled).
     """
     basis = as_point_basis(points, stack.fields + (noise,))
     warped = warp_stack(stack, basis)
     noise_diagonal = eval_noise_batch(noise, basis)
     del basis
     ws = workspace if workspace is not None else Workspace()
-    parts = gram_parts(stack, warped, ws)
-    k = ws.matrix("k", warped[0].shape[0])
-    np.copyto(k, parts[0][4])
-    for part in parts[1:]:
-        k += part[4]
-    k.flat[:: k.shape[0] + 1] += noise_diagonal
-    return parts, k
+    n = warped[0].shape[0]
+    k = ws.matrix("k", n)
+    parts = None
+    if gradient:
+        parts = gram_parts(stack, warped, ws)
+        np.copyto(k, parts[0][4])
+        for part in parts[1:]:
+            k += part[4]
+    else:
+        d2 = ws.matrix(("sqdist", 0), n)
+        m32 = [i for i, (form, _, _) in enumerate(stack.entries)
+               if form.tag == "matern_3_2"]
+        scratch = ws.matrix(("component", m32[0]), n) if m32 else None
+        for i, ((form, scale, _), w) in enumerate(zip(stack.entries, warped)):
+            pairwise_sqdist(w, d2)
+            if i == 0:
+                form_from_sqdist(form, scale, d2, out=k, scratch=scratch)
+            else:
+                k += form_from_sqdist(form, scale, d2, out=d2, scratch=scratch)
+    k.flat[:: n + 1] += noise_diagonal
+    return warped, k, parts
 
 
 def warped_cross_matrix(stack: KernelStack, warped, warped_queries) -> np.ndarray:

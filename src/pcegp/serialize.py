@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .data import ScalerState
+from .data import ScalerState, write_text_atomic
 from .gp import PcegpModel, model_from_fit
 from .hyper import LengthscaleField, NoiseField
 from .kernels import KernelForm, KernelStack
@@ -84,8 +84,8 @@ def model_to_text(model: PcegpModel) -> str:
 
 
 def save_model(model: PcegpModel, path) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(model_to_text(model))
+    """Write the model's text through `<path>.tmp` (`data.write_text_atomic`)."""
+    write_text_atomic(path, model_to_text(model), newline="\n")
 
 
 def _read_kv(text: str) -> dict:

@@ -7,10 +7,12 @@ computes another way: the tests compare the two.
 import numpy as np
 from scipy.linalg.lapack import dpotrf
 
+from pcegp.hyper import NoiseField, PointBasis, eval_noise_batch
 from pcegp.kernels import (
     JITTER_LADDER,
     KernelForm,
     KernelStack,
+    gram_parts,
     warp_points,
     warped_cross_matrix,
 )
@@ -63,3 +65,19 @@ def ladder_by_copies(k):
         if info == 0 and np.all(np.isfinite(np.diagonal(upper))):
             return jitter, upper.T
     return None, None
+
+
+def gram_by_parts(stack: KernelStack, noise: NoiseField, points):
+    """K + noise diagonal as the sum of the `gram_parts` components.
+
+    Every entry's component is a buffer of its own, and K a copy of the
+    first plus each later one in stack order, then the noise diagonal: the
+    assembly the likelihood gradient makes.
+    """
+    basis = PointBasis(points, stack.fields + (noise,))
+    parts = gram_parts(stack, basis)
+    k = parts[0][4].copy()
+    for part in parts[1:]:
+        k += part[4]
+    k.flat[:: k.shape[0] + 1] += eval_noise_batch(noise, basis)
+    return k

@@ -1,15 +1,20 @@
 """End-to-end command-line behavior: artifacts, exit codes, determinism."""
 
+import errno
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import pcegp.cli as cli_mod
+import pcegp.data as data_mod
 from pcegp.cli import main
-from pcegp.serialize import load_model, parse_description
+from pcegp.optim import run_search
+from pcegp.serialize import load_model, model_to_text, parse_description, save_model
 
 
 def write_csv(path, x, y):
@@ -359,6 +364,103 @@ def test_impossible_search_settings_are_usage_errors(
     assert rc == 2
     assert message in capsys.readouterr().err
     assert list(tmp_path.iterdir()) == [data]  # nothing written
+
+
+# --- writes that fail part-way -------------------------------------------------
+
+class _HalfWriter:
+    """A file that takes half of the first text written to it, then fails
+    as a full disk does."""
+
+    def __init__(self, fh):
+        self._fh = fh
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self._fh.close()
+
+    def write(self, text):
+        self._fh.write(text[: len(text) // 2])
+        self._fh.flush()
+        raise OSError(errno.ENOSPC, "No space left on device")
+
+
+def _fail_writes_to(monkeypatch, suffix):
+    """Make every file that `pcegp.data` opens for writing at a path ending
+    in `suffix` fail part-way; reads are left alone."""
+    real_open = open
+
+    def fake_open(path, mode="r", *args, **kwargs):
+        fh = real_open(path, mode, *args, **kwargs)
+        return _HalfWriter(fh) if "w" in mode and str(path).endswith(suffix) else fh
+
+    monkeypatch.setattr(data_mod, "open", fake_open, raising=False)
+
+
+def _assert_left_alone(path, before):
+    assert path.read_bytes() == before
+    assert not list(path.parent.glob("*.tmp"))
+
+
+def test_failed_model_write_leaves_the_previous_file(tmp_path, train_file, monkeypatch):
+    model_path = tmp_path / "model.txt"
+    assert run_fit(train_file, model_path) == 0
+    model = load_model(model_path)
+    before = model_path.read_bytes()
+    assert before == model_to_text(model).encode("utf-8")
+    _fail_writes_to(monkeypatch, "model.txt.tmp")
+    with pytest.raises(OSError):
+        save_model(replace(model, meta={"seed": "other"}), model_path)
+    _assert_left_alone(model_path, before)
+
+
+def test_failed_history_write_leaves_the_previous_file(
+    tmp_path, train_file, monkeypatch, capsys
+):
+    model_path = tmp_path / "model.txt"
+    history = tmp_path / "model.txt.history"
+    assert run_fit(train_file, model_path) == 0
+    before = history.read_bytes()
+    _fail_writes_to(monkeypatch, ".history.tmp")
+    assert run_fit(train_file, model_path, extra=["--seed", "5"]) == 1
+    _assert_left_alone(history, before)
+
+
+def test_all_failed_search_history_is_written_whole_or_not_at_all(
+    tmp_path, train_file, monkeypatch, capsys
+):
+    model_path = tmp_path / "model.txt"
+    history = tmp_path / "model.txt.history"
+
+    def failing_search(*args, **kwargs):
+        err = RuntimeError("every trial failed: trial 0 (random)")
+        err.partial_result = run_search(*args, **kwargs)
+        raise err
+
+    monkeypatch.setattr(cli_mod, "run_search", failing_search)
+    assert run_fit(train_file, model_path) == 1
+    before = history.read_bytes()
+    assert before.startswith(b"format = pcegp-search-1\n")
+    assert not model_path.exists()
+    _fail_writes_to(monkeypatch, ".history.tmp")
+    assert run_fit(train_file, model_path, extra=["--seed", "5"]) == 1
+    _assert_left_alone(history, before)
+
+
+def test_failed_prediction_write_leaves_the_previous_file(
+    tmp_path, train_file, monkeypatch, capsys
+):
+    model_path = fit_interpolator(tmp_path, train_file)
+    out = tmp_path / "preds.csv"
+    args = ["predict", "--set", f"model={model_path}",
+            "--set", f"inputs={train_file}", "--output", str(out)]
+    assert main(args) == 0
+    before = out.read_bytes()
+    _fail_writes_to(monkeypatch, "preds.csv.tmp")
+    assert main(args) == 1
+    _assert_left_alone(out, before)
 
 
 # --- inspect --------------------------------------------------------------------

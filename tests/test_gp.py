@@ -163,6 +163,31 @@ def test_gradient_matches_finite_differences_many_seeds():
     ]
     noise = NoiseField.pce(noise_terms, floor=1e-8)
     cases.append((stack, noise, rng.uniform(size=(8, 3)), rng.normal(size=8)))
+    # a squared-exponential entry first, last and alone, on duplicated rows:
+    # its values and its derivative share one buffer, so its scale term must
+    # be taken before the derivative overwrites them. The case where both
+    # copies of a duplicated row clamp at the noise floor is excluded by
+    # construction: the noise is fixed, or an expansion whose constant term
+    # (0.2 to 0.4) outweighs its linear one (|c| <= 0.1, |phi_1| <= 1 on
+    # [0, 1]), so no point clamps
+    for seed in range(6):
+        rng = np.random.default_rng(150 + seed)
+        forms = [
+            [KernelForm.se(), KernelForm.ae(), KernelForm.matern32()],
+            [KernelForm.rq(1.5), KernelForm.matern32(), KernelForm.se()],
+            [KernelForm.se()],
+        ][seed % 3]
+        stack = random_stack(rng, 3, forms=forms)
+        if seed < 3:
+            noise = NoiseField.fixed(1e-2)
+        else:
+            noise = NoiseField.pce(
+                [(Basis.legendre01(), [rng.uniform(0.2, 0.4), rng.uniform(-0.1, 0.1)])],
+                floor=1e-8,
+            )
+        pts = rng.uniform(size=(9, 3))
+        pts[[6, 7, 8]] = pts[[1, 4, 1]]  # row 1 three times, row 4 twice
+        cases.append((stack, noise, pts, rng.normal(size=9)))
 
     worst = 0.0
     for case, (stack, noise, pts, y) in enumerate(cases):

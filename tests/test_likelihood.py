@@ -12,6 +12,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.linalg import solve_triangular
 from scipy.stats import norm
 
@@ -33,6 +35,7 @@ from pcegp.gp import (
 )
 from pcegp.hyper import LengthscaleField, NoiseField, eval_noise_batch
 from pcegp.kernels import (
+    SQDIST_BLOCK_ROWS,
     KernelForm,
     KernelStack,
     form_from_sqdist,
@@ -52,7 +55,7 @@ from pcegp.optim import (
 from pcegp.poly import Basis, eval_basis
 from pcegp.serialize import load_model, save_model
 
-from oracles import cross_matrix, form_sqdist_derivative
+from oracles import cross_matrix, form_sqdist_derivative, gram_by_parts
 
 
 def _stack(rng, n_inputs, forms):
@@ -117,7 +120,7 @@ def test_core_weights_are_alpha_outer_minus_inverse():
     pts = rng.uniform(size=(150, 2))
     y = rng.normal(size=150)
     stack = _stack(rng, 2, [KernelForm.matern32()])
-    _, k = noisy_gram(stack, NoiseField.fixed(1e-3), pts)
+    k = noisy_gram(stack, NoiseField.fixed(1e-3), pts)[1]
     # the core factorizes K in place, and A then overwrites the factor
     value_only = _likelihood_core(k.copy(), y, "test")
     k_buffer = k.copy()
@@ -311,22 +314,79 @@ def test_models_that_outlive_an_evaluation_own_their_factor():
     models = (
         # a fold model kept past its fold takes the lower triangle
         replace(fold_model, chol=np.tril(fold_model.chol)),
-        # a refit, as the outer folds of run_benchmark make in their workspace
-        fit_precompute(tuned.stack, tuned.noise, in_sc, out_sc, *splits[0],
-                       workspace=workspace),
+        # a refit made outside the workspace, as `pcegp fit` makes its model
+        fit_precompute(tuned.stack, tuned.noise, in_sc, out_sc, *splits[0]),
     )
     before = [predict_batch(model, xq) for model in models]
     for got, expected in zip(before[0], scored):
         np.testing.assert_array_equal(got, expected)
-    assert not np.shares_memory(models[1].chol, workspace.matrix("k", 21))
     np.testing.assert_array_equal(models[1].chol, np.tril(models[1].chol))
 
     fine_tune(theta, space, splits[1], 3, workspace)  # the next fold
-    fit_precompute(tuned.stack, tuned.noise, in_sc, out_sc, *splits[1],
-                   workspace=workspace)  # and its refit
+    # and its refit in the workspace, as run_benchmark's outer folds make it:
+    # the model borrows K's buffer, and is dropped before the next fold
+    x_s, y_s = splits[1]
+    refit = model_from_fit(tuned.stack, tuned.noise, in_sc, out_sc, x_s, y_s,
+                           fit=fit_likelihood(tuned.stack, tuned.noise, x_s, y_s,
+                                              workspace))
+    assert np.shares_memory(refit.chol, workspace.matrix("k", 20))
     for model, want in zip(models, before):
         for got, expected in zip(predict_batch(model, xq), want):
             np.testing.assert_array_equal(got, expected)
+
+
+FORMS = (KernelForm.se(), KernelForm.ae(), KernelForm.matern32(), KernelForm.rq(1.5))
+BASES = (Basis.legendre01(), Basis.jacobi(1.0, 0.5))
+
+
+@settings(max_examples=80, deadline=None, database=None, derandomize=True)
+@given(
+    forms=st.lists(st.sampled_from(FORMS), min_size=1, max_size=4),
+    n_bases=st.integers(1, 2),
+    q_max=st.integers(0, 4),
+    noise_degree=st.one_of(st.none(), st.integers(0, 4)),
+    n_x=st.integers(1, 3),
+    rows=st.lists(st.integers(0, 7), min_size=2, max_size=40),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_value_only_fit_gives_the_bits_of_the_summed_parts(
+    forms, n_bases, q_max, noise_degree, n_x, rows, seed
+):
+    # the value-only path adds each entry into K as it is formed; the
+    # gradient's assembly keeps every component and sums them. Rows index a
+    # pool of eight points, so they repeat
+    rng = np.random.default_rng(seed)
+
+    def terms(degree, low, high):
+        return tuple(
+            (kind, rng.uniform(low, high, size=int(rng.integers(0, degree + 1)) + 1))
+            for kind in BASES[:n_bases]
+        )
+
+    stack = KernelStack(tuple(
+        (form, float(rng.uniform(0.3, 2.0)), LengthscaleField(terms(q_max, -3.0, 3.0), n_x))
+        for form in forms
+    ))
+    if noise_degree is None:
+        noise = NoiseField.fixed(float(10.0 ** rng.uniform(-14, -1)))
+    else:
+        noise = NoiseField.pce(terms(noise_degree, -0.05, 0.1), floor=1e-6)
+    x = rng.uniform(size=(8, n_x))[rows]
+    y = rng.normal(size=len(rows))
+
+    k = gram_by_parts(stack, noise, x)
+    assert noisy_gram(stack, noise, x)[1].tobytes() == k.tobytes()
+    try:
+        expected = _likelihood_core(k, y, "oracle")
+    except RuntimeError:
+        with pytest.raises(RuntimeError):
+            fit_likelihood(stack, noise, x, y)
+        return
+    got = fit_likelihood(stack, noise, x, y)
+    assert np.float64(got.value).tobytes() == np.float64(expected.value).tobytes()
+    assert got.jitter_used == expected.jitter_used
+    assert got.alpha.tobytes() == expected.alpha.tobytes()
+    assert got.chol.tobytes() == expected.chol.tobytes()
 
 
 def _buffer_floats(workspace):
@@ -334,24 +394,70 @@ def _buffer_floats(workspace):
 
 
 def test_a_gradient_holds_two_buffers_per_entry_and_one_for_k():
+    # each entry's distances, each entry's component unless it is squared
+    # exponential (whose values overwrite its distances), and K
     rng = np.random.default_rng(17)
     space = benchmark_space()
     n = 50
     x, y = rng.uniform(size=(n, 3)), rng.normal(size=n)
     stack, noise = space.build_stack(random_suggest(space, rng), 3)
+    tags = [form.tag for form, _, _ in stack.entries]
+    assert tags.count("squared_exponential") == 1 and "matern_3_2" in tags
+    held = (stack.n_entries + (stack.n_entries - 1) + 1) * n * n
     workspace = Workspace()
     mll_gradient(stack, noise, x, y, workspace=workspace)
-    assert _buffer_floats(workspace) == (2 * stack.n_entries + 1) * n * n
+    assert _buffer_floats(workspace) == held
     # the value-only fit needs no buffer the gradient did not
     fit_likelihood(stack, noise, x, y, workspace)
     mll_gradient(stack, noise, x, y, workspace=workspace)
-    assert _buffer_floats(workspace) == (2 * stack.n_entries + 1) * n * n
+    assert _buffer_floats(workspace) == held
+
+    # a cold value-only fit: K, one distance buffer, and a scratch only when
+    # there is a Matern-3/2 entry, however many there are
+    se, ae, m32, rq = (KernelForm.se(), KernelForm.ae(), KernelForm.matern32(),
+                       KernelForm.rq(1.5))
+    for forms, expected in (
+        ([se, ae, m32, rq], 3), ([m32, se, m32], 3), ([rq, ae, se], 2), ([se], 2),
+    ):
+        cold = Workspace()
+        fit_likelihood(_stack(rng, 3, forms), noise, x, y, cold)
+        assert _buffer_floats(cold) == expected * n * n, forms
+
+    # one squared-exponential entry, as in a stationary search: its values
+    # and K
+    alone = Workspace()
+    mll_gradient(_stack(rng, 3, [se]), noise, x, y, workspace=alone)
+    assert _buffer_floats(alone) == 2 * n * n
 
     baseline = Workspace()
     log_params = np.array([-0.5, 0.2, 0.7, 0.1, np.log(0.05)])
     _ard_neg_mll_and_grad(log_params, x, y, workspace=baseline)
     _ard_neg_mll_and_grad(log_params, x, y, gradient=False, workspace=baseline)
     assert _buffer_floats(baseline) == 2 * n * n
+
+
+def test_a_cold_refit_peaks_near_three_n_by_n_arrays():
+    # fit_precompute, as `pcegp fit` and a model load make it, on the
+    # benchmark stack at degree 10: the N x N arrays are K, one distance
+    # buffer and the Matern-3/2 scratch; the rest is O(N) (the warps and a
+    # few blocks of distance rows)
+    n, d = 506, 13
+    rng = np.random.default_rng(21)
+    space = benchmark_space()
+    theta = random_suggest(space, rng)
+    theta[0] = 10.0
+    x, y = rng.uniform(size=(n, d)), rng.normal(size=n)
+    stack, noise = space.build_stack(theta, d)
+    in_sc, out_sc = fit_scaler("min_max_per_column", x), fit_scaler("z_normalize", y)
+    tracemalloc.start()
+    try:
+        model = fit_precompute(stack, noise, in_sc, out_sc, x, y)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert model.jitter_used == 0.0
+    bound = 8 * (3 * n * n + 4 * SQDIST_BLOCK_ROWS * n + stack.n_entries * n * d)
+    assert peak < bound, f"peak {peak / (n * n * 8):.2f} N x N arrays"
 
 
 def test_warm_fold_refinement_and_scoring_allocate_no_n_by_n_array():
