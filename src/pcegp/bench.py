@@ -33,13 +33,14 @@ from .data import (
     _sniff_delimiter,
     apply_scaler,
     fit_scaler,
+    format_floats,
     load_csv,
     make_folds,
     write_text_atomic,
 )
 from .gp import _likelihood_core, fit_likelihood, model_from_fit, predict_means
 from .kernels import KernelForm, Workspace, pairwise_sqdist
-from .optim import AdamState, SearchSpace, adam_step, run_search
+from .optim import AdamState, SearchSpace, adam_step, check_search_settings, run_search
 from .poly import Basis
 
 
@@ -79,12 +80,9 @@ class BenchmarkConfig:
     def __post_init__(self):
         if self.n_folds < 2:
             raise ValueError("need at least 2 outer folds")
-        if self.inner_n_folds < 2:
-            raise ValueError("need at least 2 inner folds")
-        if not 1 <= self.n_initial <= self.n_trials:
-            raise ValueError("need 1 <= n_initial <= n_trials")
-        if self.n_iterations < 0:
-            raise ValueError("n_iterations cannot be negative")
+        check_search_settings(
+            self.n_trials, self.n_initial, self.n_iterations, self.inner_n_folds
+        )
 
     def echo(self) -> dict:
         space = self.space
@@ -382,7 +380,7 @@ def report_text(report: BenchmarkReport) -> str:
     lines.append(f"mean_rmse = {report.mean_rmse!r}")
     lines.append(f"std_rmse = {report.std_rmse!r}")
     for i, theta in enumerate(report.best_thetas):
-        lines.append(f"fold_{i}.theta = {' '.join(repr(v) for v in theta)}")
+        lines.append(f"fold_{i}.theta = {format_floats(theta)}")
     return "\n".join(lines) + "\n"
 
 

@@ -3,11 +3,12 @@
 A config file of flat `key = value` lines is the source of truth for each
 run; `--set key=value` and the dedicated flags override it, so a committed
 config plus a recorded command line reproduces any result. Exit codes:
-0 success, 1 runtime failure, 2 usage or configuration error.
+0 success, 1 runtime failure, 2 usage or configuration error. Config and
+CSV files are read by `data.read_kv` and `data.read_csv`.
 
 No subcommand writes anywhere except under the configured output path's
-stem: `fit` writes the model there and the search history at
-`<output>.history`, `predict` its predictions, and `benchmark` and
+stem: `fit` writes the search history at `<output>.history` after every
+trial and then the model, `predict` its predictions, and `benchmark` and
 `baseline` the report after each fold. Each file is written to
 `<path>.tmp` and renamed over `<path>`, so only the outputs remain and a
 failed write leaves the previous file whole.
@@ -16,11 +17,8 @@ failed write leaves the previous file whole.
 from __future__ import annotations
 
 import argparse
-import csv
 import os
 import sys
-
-import numpy as np
 
 from .bench import (
     BenchmarkConfig,
@@ -28,11 +26,11 @@ from .bench import (
     run_baseline,
     run_benchmark,
 )
-from .data import _sniff_delimiter, fit_scaler, load_csv, write_text_atomic
+from .data import fit_scaler, load_csv, read_csv, read_kv, write_text_atomic
 from .gp import fit_precompute, predict_batch
 from .kernels import KernelForm
 from .launch import THREADS_ENV_VAR, set_thread_vars
-from .optim import SearchSpace, history_to_text, run_search
+from .optim import SearchSpace, check_search_settings, run_search
 from .poly import Basis
 from .serialize import describe_model, load_model, save_model
 
@@ -72,19 +70,12 @@ ALLOWED_KEYS = {
 def _read_config_file(path: str) -> dict:
     if not os.path.exists(path):
         raise UsageError(f"config file not found: {path}")
-    cfg = {}
     with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            if " = " not in line:
-                raise UsageError(
-                    f"{path}:{lineno}: expected 'key = value', got {line!r}"
-                )
-            key, value = line.split(" = ", 1)
-            cfg[key.strip()] = value.strip()
-    return cfg
+        text = fh.read()
+    try:
+        return {key: value.strip() for key, value in read_kv(text, path).items()}
+    except ValueError as err:
+        raise UsageError(str(err))
 
 
 def build_config(subcommand: str, args) -> dict:
@@ -140,11 +131,14 @@ def _get_bool(cfg, key, default):
     return value == "true"
 
 
-_KERNEL_ALIASES = {
-    "se": "se", "squared_exponential": "se",
-    "ae": "ae", "absolute_exponential": "ae",
-    "m32": "m32", "matern_3_2": "m32",
-    "rq": "rq", "rational_quadratic": "rq",
+_FORMS = {
+    "se": KernelForm.se, "squared_exponential": KernelForm.se,
+    "ae": KernelForm.ae, "absolute_exponential": KernelForm.ae,
+    "m32": KernelForm.matern32, "matern_3_2": KernelForm.matern32,
+}
+_BASES = {
+    "legendre_shifted_01": Basis.legendre01, "legendre": Basis.legendre,
+    "hermite": Basis.hermite, "laguerre": Basis.laguerre,
 }
 
 
@@ -152,31 +146,20 @@ def build_space(cfg: dict) -> SearchSpace:
     """Search space from config keys; defaults follow the benchmark setup."""
     forms = []
     for name in cfg.get("kernels", "se ae m32 rq").split():
-        alias = _KERNEL_ALIASES.get(name.lower())
-        if alias is None:
-            raise UsageError(f"unknown kernel '{name}' in config key 'kernels'")
-        if alias == "se":
-            forms.append(KernelForm.se())
-        elif alias == "ae":
-            forms.append(KernelForm.ae())
-        elif alias == "m32":
-            forms.append(KernelForm.matern32())
-        else:
+        if name.lower() in ("rq", "rational_quadratic"):
             forms.append(KernelForm.rq(_get_float(cfg, "rq_shape", 1.0)))
+        elif name.lower() in _FORMS:
+            forms.append(_FORMS[name.lower()]())
+        else:
+            raise UsageError(f"unknown kernel '{name}' in config key 'kernels'")
 
     basis_name = cfg.get("basis", "legendre_shifted_01")
-    if basis_name == "legendre_shifted_01":
-        basis = Basis.legendre01()
-    elif basis_name == "legendre":
-        basis = Basis.legendre()
-    elif basis_name == "hermite":
-        basis = Basis.hermite()
-    elif basis_name == "laguerre":
-        basis = Basis.laguerre()
-    elif basis_name == "jacobi":
+    if basis_name == "jacobi":
         basis = Basis.jacobi(
             _get_float(cfg, "jacobi_alpha", 0.0), _get_float(cfg, "jacobi_beta", 0.0)
         )
+    elif basis_name in _BASES:
+        basis = _BASES[basis_name]()
     else:
         raise UsageError(f"unknown basis '{basis_name}'")
 
@@ -247,38 +230,24 @@ def cmd_fit(cfg: dict) -> int:
     n_initial = _get_int(cfg, "n_initial", 10)
     n_iterations = _get_int(cfg, "n_iterations", 50)
     n_folds = _get_int(cfg, "inner_n_folds", 5)
-    if n_trials < 1:
-        raise UsageError("need at least one trial")
-    if not 0 <= n_initial <= n_trials:
-        raise UsageError(
-            f"n_initial ({n_initial}) must be in [0, n_trials ({n_trials})]"
-        )
-    if n_iterations < 0:
-        raise UsageError("n_iterations cannot be negative")
-    if n_folds < 2:
-        raise UsageError("need at least 2 inner folds")
+    try:
+        check_search_settings(n_trials, n_initial, n_iterations, n_folds)
+    except ValueError as err:
+        raise UsageError(str(err))
     ds = _load_dataset(cfg)
     space = build_space(cfg)
     seed = _get_int(cfg, "seed", 0)
-    history_path = output + ".history"
-
-    try:
-        result = run_search(
-            ds,
-            space,
-            n_trials=n_trials,
-            n_initial=n_initial,
-            n_iterations=n_iterations,
-            n_folds=n_folds,
-            seed=seed,
-            global_scaling=_get_bool(cfg, "global_scaling", False),
-        )
-    except RuntimeError as err:
-        partial = getattr(err, "partial_result", None)
-        if partial is not None:
-            write_text_atomic(history_path, history_to_text(partial))
-        raise
-
+    result = run_search(
+        ds,
+        space,
+        n_trials=n_trials,
+        n_initial=n_initial,
+        n_iterations=n_iterations,
+        n_folds=n_folds,
+        seed=seed,
+        global_scaling=_get_bool(cfg, "global_scaling", False),
+        checkpoint_path=output + ".history",
+    )
     stack, noise = space.build_stack(result.best_theta, ds.n_inputs)
     in_sc = fit_scaler("min_max_per_column", ds.inputs)
     out_sc = fit_scaler("z_normalize", ds.outputs)
@@ -290,47 +259,11 @@ def cmd_fit(cfg: dict) -> int:
     }
     model = fit_precompute(stack, noise, in_sc, out_sc, ds.inputs, ds.outputs, meta)
     save_model(model, output)
-    write_text_atomic(history_path, history_to_text(result))
     print(
         f"fit: {ds.n_points} points, {ds.n_inputs} inputs; "
         f"best validation loss {result.best_loss:.6g}; model -> {output}"
     )
     return 0
-
-
-def _read_prediction_inputs(path: str, training_columns, target_name):
-    """Input matrix in training column order; tolerates the target column."""
-    if not os.path.exists(path):
-        raise FileNotFoundError(f"input file not found: {path}")
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        sample = fh.readline()
-        if not sample.strip():
-            return None  # headerless empty file: nothing to predict
-        fh.seek(0)
-        rows = list(csv.reader(fh, delimiter=_sniff_delimiter(sample)))
-
-    header = [name.strip() for name in rows[0]]
-    for name in training_columns:
-        if name not in header:
-            raise ValueError(f"input file is missing column '{name}'")
-    for name in header:
-        if name not in training_columns and name != target_name:
-            raise ValueError(f"input file has unexpected column '{name}'")
-
-    order = [header.index(name) for name in training_columns]
-    matrix = []
-    for i, row in enumerate(rows[1:], start=2):
-        if not row or all(not c.strip() for c in row):
-            continue  # tolerate blank lines, as load_csv does
-        if len(row) != len(header):
-            raise ValueError(
-                f"{path}:{i}: expected {len(header)} fields, got {len(row)}"
-            )
-        try:
-            matrix.append([float(row[j]) for j in order])
-        except ValueError:
-            raise ValueError(f"{path}:{i}: non-numeric value in inputs")
-    return matrix
 
 
 def cmd_predict(cfg: dict) -> int:
@@ -342,16 +275,24 @@ def cmd_predict(cfg: dict) -> int:
         raise ValueError("model file lacks the training column list")
     target = model.meta.get("target", "")
 
-    matrix = _read_prediction_inputs(_require(cfg, "inputs"), columns, target)
+    def training_columns(header):  # in training order; the target may be present
+        for name in columns:
+            if name not in header:
+                raise ValueError(f"input file is missing column '{name}'")
+        for name in header:
+            if name not in columns and name != target:
+                raise ValueError(f"input file has unexpected column '{name}'")
+        return [header.index(name) for name in columns]
+
+    _, queries = read_csv(_require(cfg, "inputs"), training_columns)
     lines = ["mean,variance"]
-    if matrix:
-        means, variances = predict_batch(model, np.asarray(matrix, dtype=float))
+    if len(queries):
+        means, variances = predict_batch(model, queries)
         lines.extend(
             f"{float(m)!r},{float(v)!r}" for m, v in zip(means, variances)
         )
     write_text_atomic(output, "\n".join(lines) + "\n")
-    n = 0 if matrix is None else len(matrix)
-    print(f"predict: {n} rows -> {output}")
+    print(f"predict: {len(queries)} rows -> {output}")
     return 0
 
 

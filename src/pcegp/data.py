@@ -1,9 +1,14 @@
-"""Dataset ingestion, scaling, and shuffled k-fold splitting.
+"""Dataset ingestion, the file formats, scaling, and shuffled k-fold splitting.
 
-Inputs are kept in raw units inside `Dataset`; scaling is explicit and
-carries its state so predictions can be mapped back. Min-max scaling to
-[0, 1] matches the shifted-Legendre basis domain; outputs use z-scores
-with the population standard deviation.
+Each input format has one reader here: `read_csv` for the delimited
+tables (training data and `pcegp predict`'s queries), `read_kv` for the
+`key = value` files (configs and models); `format_floats` and
+`parse_floats` are the exact float vectors of models, histories and
+reports, and `write_text_atomic` writes every output. Inputs are kept in
+raw units inside `Dataset`; scaling is explicit and carries its state so
+predictions can be mapped back. Min-max scaling to [0, 1] matches the
+shifted-Legendre basis domain; outputs use z-scores with the population
+standard deviation.
 """
 
 from __future__ import annotations
@@ -77,73 +82,107 @@ def write_text_atomic(path, text: str, newline=None) -> None:
         raise
 
 
+def format_floats(values) -> str:
+    """Space-joined shortest round-trip reprs; `parse_floats` inverts it exactly."""
+    return " ".join(map(repr, np.asarray(values, dtype=float).ravel().tolist()))
+
+
+def parse_floats(text: str) -> np.ndarray:
+    """The float vector of a `format_floats` string, bit for bit."""
+    return np.array([float(t) for t in text.split()], dtype=float)
+
+
+def read_kv(text: str, source) -> dict:
+    """The `key = value` lines of `text`: the stripped key, the value as written.
+
+    Blank and `#` lines are skipped; each other line splits at its first
+    ` = `, and a line without one raises a ValueError naming `source` (the
+    file) and the line.
+    """
+    kv = {}
+    for lineno, line in enumerate(text.splitlines(), start=1):
+        stripped = line.strip()
+        if not stripped or stripped.startswith("#"):
+            continue
+        if " = " not in line:
+            raise ValueError(
+                f"{source}:{lineno}: expected 'key = value', got {stripped!r}"
+            )
+        key, value = line.split(" = ", 1)
+        kv[key.strip()] = value
+    return kv
+
+
+def read_csv(path, select) -> tuple:
+    """(header, cells) of a UTF-8 table: the float cells of the columns chosen.
+
+    The header row's more frequent of `,` and `;` is the delimiter.
+    `select(header)` returns the indices of the columns to parse, in order,
+    or raises for a missing or unexpected column. Blank lines are skipped,
+    and a blank first line gives ([], a 0 x 0 array). A ragged row, or a
+    missing or non-numeric cell, raises a ValueError naming the file:line
+    and, for a cell, the column.
+    """
+    with open(path, "r", encoding="utf-8", newline="") as fh:
+        first = fh.readline()
+        if not first.strip():
+            return [], np.empty((0, 0))
+        delim = _sniff_delimiter(first)
+        header = [h.strip() for h in next(csv.reader([first], delimiter=delim))]
+        columns = list(select(header))
+        width = len(header)
+        rows = []
+        for lineno, row in enumerate(csv.reader(fh, delimiter=delim), start=2):
+            if len(row) == width:
+                try:
+                    rows.append([float(row[j]) for j in columns])
+                    continue
+                except ValueError:
+                    pass  # a blank line, or the error below
+            if not any(c.strip() for c in row):
+                continue  # a blank line
+            if len(row) != width:
+                raise ValueError(
+                    f"{path}:{lineno}: expected {width} fields, got {len(row)}"
+                )
+            for j in columns:  # the first bad cell
+                text = row[j].strip()
+                try:
+                    float(text)
+                except ValueError:
+                    what = f"non-numeric value {text!r}" if text else "missing value"
+                    raise ValueError(
+                        f"{path}:{lineno}: {what} in column {header[j]!r}"
+                    ) from None
+    return header, np.array(rows, dtype=float).reshape(len(rows), len(columns))
+
+
 def load_csv(path, target_columns) -> list:
-    """Load a numeric CSV with a header row into one Dataset per target.
+    """One Dataset per entry of `target_columns`, from a `read_csv` table.
 
-    Parameters
-    ----------
-    path : str or Path
-        File to read. Comma or semicolon delimited, UTF-8, header row.
-    target_columns : list of str
-        Column names to split out as regression targets. All listed
-        columns are removed from the inputs of every returned Dataset.
-
-    Returns
-    -------
-    list of Dataset
-        One per entry of ``target_columns``, in the same order.
-
-    Raises
-    ------
-    FileNotFoundError
-        If the file does not exist.
-    ValueError
-        For a missing target column, a non-numeric or empty cell, or a
-        ragged row; each with a distinct message locating the problem.
+    Every target column is removed from the inputs of every Dataset. A
+    missing target column, an empty file or a file without data rows
+    raises a ValueError, as do `read_csv`'s row errors; a missing file
+    raises FileNotFoundError.
     """
     targets = list(target_columns)
     if not targets:
         raise ValueError("at least one target column is required")
 
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        first = fh.readline()
-        if not first.strip():
-            raise ValueError(f"{path}: empty file or blank header row")
-        delim = _sniff_delimiter(first)
-        header = [h.strip() for h in next(csv.reader([first], delimiter=delim))]
-        rows = []
-        for lineno, row in enumerate(csv.reader(fh, delimiter=delim), start=2):
-            if not row or all(not c.strip() for c in row):
-                continue  # tolerate trailing blank lines
-            if len(row) != len(header):
+    def every_column(header):
+        for t in targets:
+            if t not in header:
                 raise ValueError(
-                    f"{path}:{lineno}: expected {len(header)} fields, got {len(row)}"
+                    f"{path}: target column {t!r} not found; columns are {header}"
                 )
-            parsed = []
-            for name, cell in zip(header, row):
-                text = cell.strip()
-                if not text:
-                    raise ValueError(
-                        f"{path}:{lineno}: missing value in column {name!r}"
-                    )
-                try:
-                    parsed.append(float(text))
-                except ValueError:
-                    raise ValueError(
-                        f"{path}:{lineno}: non-numeric value {text!r} "
-                        f"in column {name!r}"
-                    ) from None
-            rows.append(parsed)
+        return range(len(header))
 
-    for t in targets:
-        if t not in header:
-            raise ValueError(
-                f"{path}: target column {t!r} not found; columns are {header}"
-            )
-    if not rows:
+    header, table = read_csv(path, every_column)
+    if not header:
+        raise ValueError(f"{path}: empty file or blank header row")
+    if not table.shape[0]:
         raise ValueError(f"{path}: no data rows")
 
-    table = np.asarray(rows, dtype=float)
     target_idx = [header.index(t) for t in targets]
     input_idx = [i for i in range(len(header)) if i not in target_idx]
     input_names = [header[i] for i in input_idx]

@@ -28,7 +28,8 @@ it is formed and the fit holds at most three N x N buffers; only the
 gradient keeps each entry's distances and component. A value-only fit's
 factor is K's buffer: the search scores each fold, and a benchmark each
 outer fold's refit, from it, and a model that `model_from_fit` factorizes
-keeps a lower-triangular copy.
+keeps the K buffer of a workspace of its own, its strict upper triangle
+zeroed in place.
 
 The chaos-basis values at the training points do not change while the
 coefficients move. Every function here that takes `x_scaled` also takes a
@@ -74,6 +75,7 @@ from .kernels import (
     sqdist_derivative_from_values,
     warp_stack,
     warped_cross_matrix,
+    zero_upper,
 )
 
 LOG_2PI = float(np.log(2.0 * np.pi))
@@ -304,7 +306,7 @@ def fit_precompute(
 ) -> PcegpModel:
     """Scale the data, factorize the Gram, and precompute the target solve.
 
-    The model keeps a lower-triangular copy of the factor.
+    The model keeps the lower-triangular factor in a buffer of its own.
     """
     x = np.asarray(x_raw, dtype=float)
     y = np.asarray(y_raw, dtype=float).ravel()
@@ -341,15 +343,16 @@ def model_from_fit(
     data, such as the closing likelihood of an optimizer; the model then
     borrows its factor, which may be a workspace buffer (see
     `kernels.Workspace`). Without `fit` the Gram is assembled and
-    factorized here, in a workspace of its own, and the model keeps
-    `np.tril` of the factor. Either way the model keeps the fit's training
+    factorized here, in a workspace of its own, and the model keeps that
+    buffer with its strict upper triangle, which held K, zeroed in place
+    (`kernels.zero_upper`). Either way the model keeps the fit's training
     warps.
     """
     x_s = np.asarray(x_scaled, dtype=float)
     y_s = np.asarray(y_scaled, dtype=float).ravel()
     if fit is None:
         fit = fit_likelihood(stack, noise, x_s, y_s)
-        fit = replace(fit, chol=np.tril(fit.chol))
+        zero_upper(fit.chol)
     return PcegpModel(
         stack=stack,
         noise=noise,

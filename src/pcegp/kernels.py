@@ -167,9 +167,10 @@ class Workspace:
     factor is K's buffer. So whatever reads a fit made in a workspace does
     so before the next evaluation there: `optim` scores each search fold,
     and `bench.run_benchmark` each outer fold's refit, from that buffer.
-    Anything that outlives an evaluation owns a copy of what it keeps: a
-    model that `gp.model_from_fit` factorizes (a loaded model, the closing
-    fit of `pcegp fit`) holds `np.tril` of the factor.
+    Anything that outlives an evaluation owns what it keeps: a model that
+    `gp.model_from_fit` factorizes (a loaded model, the closing fit of
+    `pcegp fit`) holds the factor in the buffer of a workspace of its own,
+    its strict upper triangle zeroed in place (`zero_upper`).
     """
 
     def __init__(self):
@@ -385,6 +386,14 @@ def mirror_lower(a: np.ndarray) -> np.ndarray:
     return a
 
 
+def zero_upper(a: np.ndarray) -> np.ndarray:
+    """Zero the strict upper triangle of a square array in place, row by row:
+    `np.tril` without its N x N copy and mask, and no temporary at all."""
+    for i in range(a.shape[0] - 1):
+        a[i, i + 1 :] = 0.0
+    return a
+
+
 def ladder_cholesky(k: np.ndarray, context: str, out=None) -> GramResult:
     """Factorize a symmetric matrix, escalating diagonal jitter as needed.
 
@@ -415,7 +424,7 @@ def ladder_cholesky(k: np.ndarray, context: str, out=None) -> GramResult:
         upper, info = dpotrf(factor.T, lower=0, overwrite_a=1, clean=0)
         chol = upper.T
         if info == 0 and np.all(np.isfinite(np.diagonal(chol))):
-            return GramResult(jitter, np.tril(chol) if out is None else chol)
+            return GramResult(jitter, zero_upper(chol) if out is None else chol)
 
     raise RuntimeError(
         f"covariance matrix is not positive definite even with jitter "

@@ -32,7 +32,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .data import Dataset, apply_scaler, fit_scaler, make_folds
+from .data import (
+    Dataset,
+    apply_scaler,
+    fit_scaler,
+    format_floats,
+    make_folds,
+    write_text_atomic,
+)
 from .gp import (
     LikelihoodFit,
     fit_likelihood,
@@ -584,6 +591,26 @@ def _evaluate_trial(
     return mean_loss, fold_losses, fold_thetas[best_fold]
 
 
+def check_search_settings(
+    n_trials: int, n_initial: int, n_iterations: int, n_folds: int
+) -> None:
+    """Raise a ValueError for settings `run_search` cannot run.
+
+    `n_initial` may be 0: TPE then falls back to random draws until two
+    trials have finished.
+    """
+    if n_trials < 1:
+        raise ValueError("need at least one trial")
+    if not 0 <= n_initial <= n_trials:
+        raise ValueError(
+            f"n_initial ({n_initial}) must be in [0, n_trials ({n_trials})]"
+        )
+    if n_iterations < 0:
+        raise ValueError("n_iterations cannot be negative")
+    if n_folds < 2:
+        raise ValueError("need at least 2 inner folds")
+
+
 def run_search(
     dataset: Dataset,
     space: SearchSpace,
@@ -593,6 +620,7 @@ def run_search(
     n_folds: int,
     seed: int,
     global_scaling: bool = False,
+    checkpoint_path=None,
 ) -> SearchResult:
     """Full two-stage search: random warmup, then TPE, each trial cross-validated.
 
@@ -600,12 +628,11 @@ def run_search(
     the lowest-loss trial; the history stores the raw suggestions so the
     TPE densities stay in suggestion space. One likelihood workspace serves
     every trial and fold of the call and is freed when it returns.
+    `checkpoint_path`, when given, receives `history_to_text` of the
+    finished trials after every trial (`data.write_text_atomic`), so an
+    interrupted or wholly failed search leaves the history of its trials.
     """
-    if n_initial > n_trials:
-        raise ValueError("n_initial cannot exceed n_trials")
-    if n_trials < 1:
-        raise ValueError("need at least one trial")
-
+    check_search_settings(n_trials, n_initial, n_iterations, n_folds)
     rng = np.random.default_rng(seed)
     plan = make_folds(dataset.n_points, n_folds, seed)
     global_scalers = None
@@ -644,30 +671,22 @@ def run_search(
         )
         if refined is not None and mean_loss < best_loss:
             best_theta, best_loss = refined, mean_loss
+        result = SearchResult(best_theta, best_loss, history, n_folds, seed)
+        if checkpoint_path is not None:
+            write_text_atomic(checkpoint_path, history_to_text(result))
 
     if best_theta is None:
         failures = ", ".join(f"trial {t.trial_index} ({t.stage})" for t in history)
-        err = RuntimeError(f"every trial failed: {failures}")
-        # callers can still persist the failed trials for post-mortem
-        err.partial_result = SearchResult(
-            best_theta=None, best_loss=FAILED_LOSS, history=history,
-            n_folds=n_folds, seed=seed,
-        )
-        raise err
-    return SearchResult(
-        best_theta=best_theta,
-        best_loss=best_loss,
-        history=history,
-        n_folds=n_folds,
-        seed=seed,
-    )
+        raise RuntimeError(f"every trial failed: {failures}")
+    return result
 
 
 def history_to_text(result: SearchResult) -> str:
     """Persist the search history as flat structured text, one record per trial.
 
-    A result with ``best_theta is None`` (a fully failed search flushed for
-    post-mortem) omits the best lines but keeps every trial record.
+    A result with ``best_theta is None`` (a search whose trials so far all
+    failed) omits the best lines but keeps every trial record. Float
+    vectors are `data.format_floats` strings.
     """
     lines = [
         "format = pcegp-search-1",
@@ -677,16 +696,12 @@ def history_to_text(result: SearchResult) -> str:
     ]
     if result.best_theta is not None:
         lines.append(f"best_loss = {result.best_loss!r}")
-        lines.append(
-            f"best_theta = {' '.join(repr(float(v)) for v in result.best_theta)}"
-        )
+        lines.append(f"best_theta = {format_floats(result.best_theta)}")
     for t in result.history:
         p = f"trial_{t.trial_index}"
         lines.append(f"{p}.stage = {t.stage}")
         lines.append(f"{p}.loss = {t.loss!r}")
-        lines.append(
-            f"{p}.fold_losses = {' '.join(repr(float(v)) for v in t.fold_losses)}"
-        )
-        lines.append(f"{p}.theta = {' '.join(repr(float(v)) for v in t.theta)}")
+        lines.append(f"{p}.fold_losses = {format_floats(t.fold_losses)}")
+        lines.append(f"{p}.theta = {format_floats(t.theta)}")
         lines.append(f"{p}.wall_time = {t.wall_time:.6f}")
     return "\n".join(lines) + "\n"

@@ -1,18 +1,20 @@
 """Flat text serialization of fitted models.
 
 The format is deterministic `key = value` lines in a fixed order, so two
-identical models serialize to identical bytes. Floats are written with
-Python's shortest round-trip repr and parse back to the exact same bit
-pattern; the Gram factorization is recomputed from the stored scaled
-training data on load, which is deterministic, so a loaded model predicts
-bit-identically to the saved one.
+identical models serialize to identical bytes; `data.read_kv`, the reader
+of config files too, reads them back. Floats are written with Python's
+shortest round-trip repr, vectors as `data.format_floats` strings, and
+parse back (`data.parse_floats`) to the exact same bit pattern; the Gram
+factorization is recomputed from the stored scaled training data on load,
+which is deterministic, so a loaded model predicts bit-identically to the
+saved one.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .data import ScalerState, write_text_atomic
+from .data import ScalerState, format_floats, parse_floats, read_kv, write_text_atomic
 from .gp import PcegpModel, model_from_fit
 from .hyper import LengthscaleField, NoiseField
 from .kernels import KernelForm, KernelStack
@@ -25,20 +27,12 @@ def _f(x) -> str:
     return repr(float(x))
 
 
-def _vec(v) -> str:
-    return " ".join(_f(x) for x in np.asarray(v, dtype=float).ravel())
-
-
-def _parse_vec(text: str) -> np.ndarray:
-    return np.array([float(t) for t in text.split()], dtype=float)
-
-
 def _basis_lines(prefix: str, kind: Basis, coeffs) -> list:
     return [
         f"{prefix}.family = {kind.family}",
         f"{prefix}.alpha = {_f(kind.alpha)}",
         f"{prefix}.beta = {_f(kind.beta)}",
-        f"{prefix}.coefficients = {_vec(coeffs)}",
+        f"{prefix}.coefficients = {format_floats(coeffs)}",
     ]
 
 
@@ -72,32 +66,20 @@ def model_to_text(model: PcegpModel) -> str:
         ("output_scaler", model.output_scaler),
     ):
         lines.append(f"{name}.kind = {sc.kind}")
-        lines.append(f"{name}.loc = {_vec(sc.loc)}")
-        lines.append(f"{name}.scale = {_vec(sc.scale)}")
+        lines.append(f"{name}.loc = {format_floats(sc.loc)}")
+        lines.append(f"{name}.scale = {format_floats(sc.scale)}")
 
     lines.append(f"training.n_points = {model.n_points}")
     lines.append(f"training.n_inputs = {model.n_inputs}")
     for i in range(model.n_points):
-        lines.append(f"training.x_scaled_{i} = {_vec(model.x_scaled[i])}")
-    lines.append(f"training.y_scaled = {_vec(model.y_scaled)}")
+        lines.append(f"training.x_scaled_{i} = {format_floats(model.x_scaled[i])}")
+    lines.append(f"training.y_scaled = {format_floats(model.y_scaled)}")
     return "\n".join(lines) + "\n"
 
 
 def save_model(model: PcegpModel, path) -> None:
     """Write the model's text through `<path>.tmp` (`data.write_text_atomic`)."""
     write_text_atomic(path, model_to_text(model), newline="\n")
-
-
-def _read_kv(text: str) -> dict:
-    kv = {}
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        if not line.strip():
-            continue
-        if " = " not in line:
-            raise ValueError(f"model file line {lineno}: expected 'key = value'")
-        key, value = line.split(" = ", 1)
-        kv[key.strip()] = value
-    return kv
 
 
 def _need(kv: dict, key: str) -> str:
@@ -116,13 +98,17 @@ def _parse_terms(kv: dict, prefix: str) -> tuple:
             alpha=float(_need(kv, f"{b}.alpha")),
             beta=float(_need(kv, f"{b}.beta")),
         )
-        terms.append((kind, _parse_vec(_need(kv, f"{b}.coefficients"))))
+        terms.append((kind, parse_floats(_need(kv, f"{b}.coefficients"))))
     return tuple(terms)
 
 
-def text_to_model(text: str) -> PcegpModel:
-    """Rebuild a model from its flat text form, refactorizing the Gram."""
-    kv = _read_kv(text)
+def text_to_model(text: str, source="model text") -> PcegpModel:
+    """Rebuild a model from its flat text form, refactorizing the Gram.
+
+    `source` names the text in the error for a line that is not
+    `key = value` (`data.read_kv`).
+    """
+    kv = read_kv(text, source)
     if _need(kv, "format") != FORMAT_TAG:
         raise ValueError(f"unsupported model format {kv.get('format')!r}")
     meta = {k[len("meta."):]: v for k, v in kv.items() if k.startswith("meta.")}
@@ -130,9 +116,9 @@ def text_to_model(text: str) -> PcegpModel:
     n_points = int(_need(kv, "training.n_points"))
     n_inputs = int(_need(kv, "training.n_inputs"))
     x_s = np.vstack(
-        [_parse_vec(_need(kv, f"training.x_scaled_{i}")) for i in range(n_points)]
+        [parse_floats(_need(kv, f"training.x_scaled_{i}")) for i in range(n_points)]
     )
-    y_s = _parse_vec(_need(kv, "training.y_scaled"))
+    y_s = parse_floats(_need(kv, "training.y_scaled"))
     if x_s.shape != (n_points, n_inputs) or y_s.shape != (n_points,):
         raise ValueError("model file training block has inconsistent shapes")
 
@@ -155,8 +141,8 @@ def text_to_model(text: str) -> PcegpModel:
     for name in ("input_scaler", "output_scaler"):
         scalers[name] = ScalerState(
             kind=_need(kv, f"{name}.kind"),
-            loc=_parse_vec(_need(kv, f"{name}.loc")),
-            scale=_parse_vec(_need(kv, f"{name}.scale")),
+            loc=parse_floats(_need(kv, f"{name}.loc")),
+            scale=parse_floats(_need(kv, f"{name}.scale")),
         )
 
     return model_from_fit(
@@ -172,7 +158,7 @@ def text_to_model(text: str) -> PcegpModel:
 
 def load_model(path) -> PcegpModel:
     with open(path, "r", encoding="utf-8") as fh:
-        return text_to_model(fh.read())
+        return text_to_model(fh.read(), path)
 
 
 def _signed(c: float) -> str:

@@ -10,10 +10,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-import pcegp.cli as cli_mod
 import pcegp.data as data_mod
+import pcegp.optim as optim_mod
 from pcegp.cli import main
-from pcegp.optim import run_search
+from pcegp.optim import FAILED_LOSS
 from pcegp.serialize import load_model, model_to_text, parse_description, save_model
 
 
@@ -124,6 +124,13 @@ def test_config_file_with_flag_overrides(tmp_path, train_file):
 
 def test_missing_config_file_is_usage_error(capsys):
     assert main(["fit", "--config", "/nonexistent/run.cfg"]) == 2
+
+
+def test_bad_config_line_is_usage_error_naming_the_line(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("# a comment\n\ntarget = y\nn_trials 3\n")
+    assert main(["fit", "--config", str(cfg)]) == 2
+    assert f"{cfg}:4: expected 'key = value', got 'n_trials 3'" in capsys.readouterr().err
 
 
 # --- predict -------------------------------------------------------------------
@@ -366,6 +373,47 @@ def test_impossible_search_settings_are_usage_errors(
     assert list(tmp_path.iterdir()) == [data]  # nothing written
 
 
+@pytest.mark.parametrize(
+    "settings",
+    [
+        ["n_trials=0", "n_initial=0"],
+        ["n_trials=2", "n_initial=3"],
+        ["n_initial=-1"],
+        ["n_iterations=-1"],
+        ["inner_n_folds=1"],
+    ],
+    ids=["no-trials", "initial-above-trials", "negative-initial",
+         "negative-iterations", "one-inner-fold"],
+)
+def test_fit_benchmark_and_baseline_share_one_rule_for_the_search_settings(
+    tmp_path, capsys, settings
+):
+    data = bench_csv(tmp_path)
+    overrides = [arg for item in settings for arg in ("--set", item)]
+    codes = []
+    for sub, base in (("fit", FAST_FIT), ("benchmark", BENCH_ARGS),
+                      ("baseline", BENCH_ARGS)):
+        codes.append(main([
+            sub, "--set", f"dataset={data}", "--set", "target=y",
+            "--output", str(tmp_path / f"{sub}.txt"), *base, *overrides,
+        ]))
+    assert codes == [2, 2, 2]
+    assert list(tmp_path.iterdir()) == [data]  # nothing written
+
+
+def test_no_random_trials_is_a_valid_setting_for_every_command(tmp_path, capsys):
+    # trial 0 then falls back to a random draw, since TPE needs two trials
+    data = bench_csv(tmp_path)
+    for sub, base in (("fit", FAST_FIT), ("benchmark", BENCH_ARGS),
+                      ("baseline", BENCH_ARGS)):
+        out = tmp_path / f"{sub}.txt"
+        assert main([
+            sub, "--set", f"dataset={data}", "--set", "target=y",
+            "--output", str(out), *base, "--set", "n_initial=0",
+        ]) == 0
+        assert out.exists()
+
+
 # --- writes that fail part-way -------------------------------------------------
 
 class _HalfWriter:
@@ -434,19 +482,52 @@ def test_all_failed_search_history_is_written_whole_or_not_at_all(
     model_path = tmp_path / "model.txt"
     history = tmp_path / "model.txt.history"
 
-    def failing_search(*args, **kwargs):
-        err = RuntimeError("every trial failed: trial 0 (random)")
-        err.partial_result = run_search(*args, **kwargs)
-        raise err
+    def failing_trial(theta, *args):
+        return FAILED_LOSS, [FAILED_LOSS], None
 
-    monkeypatch.setattr(cli_mod, "run_search", failing_search)
+    monkeypatch.setattr(optim_mod, "_evaluate_trial", failing_trial)
     assert run_fit(train_file, model_path) == 1
+    assert "every trial failed" in capsys.readouterr().err
     before = history.read_bytes()
-    assert before.startswith(b"format = pcegp-search-1\n")
+    assert before.startswith(b"format = pcegp-search-1\nseed = 4\n")
+    assert b"trial_2.loss = inf\n" in before and b"best_" not in before
     assert not model_path.exists()
     _fail_writes_to(monkeypatch, ".history.tmp")
     assert run_fit(train_file, model_path, extra=["--seed", "5"]) == 1
     _assert_left_alone(history, before)
+
+
+def _without_wall_times(text):
+    return [line for line in text.splitlines() if ".wall_time = " not in line]
+
+
+@pytest.mark.parametrize("k", [1, 3])
+def test_an_interrupted_fit_leaves_the_history_of_its_finished_trials(
+    tmp_path, train_file, monkeypatch, capsys, k
+):
+    whole = tmp_path / "whole.txt"
+    assert run_fit(train_file, whole, extra=["--set", "n_trials=4"]) == 0
+    real = optim_mod._evaluate_trial
+    calls = []
+
+    def interrupted_at_trial_k(*args):
+        if len(calls) == k:
+            raise KeyboardInterrupt
+        calls.append(None)
+        return real(*args)
+
+    monkeypatch.setattr(optim_mod, "_evaluate_trial", interrupted_at_trial_k)
+    cut = tmp_path / "cut.txt"
+    assert run_fit(train_file, cut, extra=["--set", "n_trials=4"]) == 1
+    assert "interrupted" in capsys.readouterr().err
+    assert not cut.exists()
+    lines = _without_wall_times((tmp_path / "cut.txt.history").read_text())
+    assert f"n_trials = {k}" in lines
+    trials = [line for line in lines if line.startswith("trial_")]
+    assert len(trials) == 4 * k
+    expected = _without_wall_times((tmp_path / "whole.txt.history").read_text())
+    assert trials == [line for line in expected if line.startswith("trial_")][: 4 * k]
+    assert not list(tmp_path.glob("*.tmp"))
 
 
 def test_failed_prediction_write_leaves_the_previous_file(

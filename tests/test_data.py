@@ -1,8 +1,14 @@
 """Tests for CSV ingestion, scalers, and fold plans."""
 
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import pcegp.cli as cli_mod
 from pcegp.data import (
     Dataset,
     FoldPlan,
@@ -11,6 +17,11 @@ from pcegp.data import (
     load_csv,
     make_folds,
 )
+from pcegp.gp import fit_precompute
+from pcegp.hyper import LengthscaleField, NoiseField
+from pcegp.kernels import KernelForm, KernelStack
+from pcegp.poly import Basis
+from pcegp.serialize import save_model
 
 
 # ---------------------------------------------------------------------------
@@ -90,6 +101,107 @@ def test_load_csv_distinct_diagnostics(tmp_path):
     p_ragged = _write(tmp_path, "ragged.csv", "a,t\n1,2,3\n")
     with pytest.raises(ValueError, match="expected 2 fields"):
         load_csv(p_ragged, ["t"])
+
+
+def test_load_csv_names_the_file_line_and_column_of_a_bad_cell(tmp_path):
+    p = _write(tmp_path, "cells.csv", "a;b;t\n1;2;3\n\n4; ;6\n")
+    with pytest.raises(ValueError, match=r"cells.csv:4: missing value in column 'b'"):
+        load_csv(p, ["t"])
+    p.write_text("a,b,t\n1,2,3\n4,5,six\n")
+    with pytest.raises(ValueError, match=r"cells.csv:3: non-numeric value 'six' in column 't'"):
+        load_csv(p, ["t"])
+    for text, message in (("", "empty file"), ("a,t\n\n", "no data rows")):
+        p.write_text(text)
+        with pytest.raises(ValueError, match=message):
+            load_csv(p, ["t"])
+
+
+def _predict_model_file(folder, n_x):
+    """A tiny model over inputs a0.. and target y, saved for `pcegp predict`."""
+    rng = np.random.default_rng(n_x)
+    x, y = rng.uniform(size=(6, n_x)), rng.normal(size=6)
+    field = LengthscaleField(((Basis.legendre01(), np.array([1.0])),), n_x)
+    stack = KernelStack(((KernelForm.se(), 1.0, field),))
+    names = [f"a{i}" for i in range(n_x)]
+    model = fit_precompute(
+        stack, NoiseField.fixed(1e-2),
+        fit_scaler("min_max_per_column", x), fit_scaler("z_normalize", y), x, y,
+        meta={"columns": ",".join(names), "target": "y"},
+    )
+    path = folder / "model.txt"
+    save_model(model, path)
+    return path, names
+
+
+def _predict_queries(model_path, inputs, out):
+    """The query matrix `pcegp predict` reads from `inputs`."""
+    seen = []
+    real = cli_mod.predict_batch
+
+    def recording(model, queries):
+        seen.append(np.array(queries))
+        return real(model, queries)
+
+    cli_mod.predict_batch = recording
+    try:
+        cli_mod.main(["predict", "--set", f"model={model_path}",
+                      "--set", f"inputs={inputs}", "--output", str(out)])
+    finally:
+        cli_mod.predict_batch = real
+    return seen[0] if seen else np.empty((0, 0))
+
+
+@settings(max_examples=60, deadline=None, database=None, derandomize=True)
+@given(data=st.data())
+def test_every_reader_of_a_table_returns_its_exact_floats(data):
+    # drawn: the delimiter, the line ending, blank lines, the column order
+    # and the target's position; cells are repr floats
+    n_x = data.draw(st.integers(1, 3), label="n_x")
+    n_rows = data.draw(st.integers(2, 8), label="n_rows")
+    delim = data.draw(st.sampled_from([",", ";"]), label="delimiter")
+    ending = data.draw(st.sampled_from(["\n", "\r\n"]), label="line ending")
+    order = data.draw(st.permutations(range(n_x)), label="column order")
+    target_at = data.draw(st.integers(0, n_x), label="target position")
+    cells = np.array(data.draw(st.lists(
+        st.floats(allow_nan=False, allow_infinity=False),
+        min_size=n_rows * (n_x + 1), max_size=n_rows * (n_x + 1),
+    ), label="cells")).reshape(n_rows, n_x + 1)  # inputs a0.., then y
+    # a blank line: nothing, spaces, or empty cells
+    blanks = data.draw(st.lists(
+        st.sampled_from(["", "  ", "{}", " {} "]), min_size=n_rows, max_size=n_rows,
+    ), label="blank lines")
+    gaps = data.draw(st.lists(st.booleans(), min_size=n_rows, max_size=n_rows),
+                     label="blank line before row")
+
+    columns = list(order)
+    columns.insert(target_at, n_x)  # the file's columns, as indices into cells
+    names = [f"a{i}" for i in range(n_x)] + ["y"]
+
+    def table(cols):
+        lines = [delim.join(names[c] for c in cols)]
+        for row, blank, gap in zip(cells, blanks, gaps):
+            lines += [blank.format(delim * (len(cols) - 1))] if gap else []
+            lines.append(delim.join(repr(float(row[c])) for c in cols))
+        return ending.join(lines) + data.draw(st.sampled_from(["", ending]))
+
+    with tempfile.TemporaryDirectory() as folder:
+        folder = Path(folder)
+        path = folder / "table.csv"
+        path.write_bytes(table(columns).encode("utf-8"))
+        (ds,) = load_csv(path, ["y"])
+        inputs = [c for c in columns if c != n_x]
+        assert ds.column_names == [names[c] for c in inputs]
+        assert ds.inputs.tobytes() == cells[:, inputs].tobytes()
+        assert ds.outputs.tobytes() == cells[:, n_x].tobytes()
+
+        # predict reads the training columns in training order, with or
+        # without the target column
+        model_path, _ = _predict_model_file(folder, n_x)
+        no_target = folder / "queries.csv"
+        no_target.write_bytes(table(order).encode("utf-8"))
+        expected = cells[:, :n_x].tobytes()
+        assert _predict_queries(model_path, path, folder / "p1").tobytes() == expected
+        assert _predict_queries(model_path, no_target, folder / "p2").tobytes() == expected
 
 
 # ---------------------------------------------------------------------------
@@ -178,20 +290,20 @@ def test_folds_deterministic_and_seed_sensitive():
     assert not np.array_equal(a, c)
 
 
-def test_folds_partition_properties():
-    rng = np.random.default_rng(11)
-    for _ in range(20):
-        n = int(rng.integers(5, 200))
-        k = int(rng.integers(2, min(n, 12) + 1))
-        plan = make_folds(n, k, seed=int(rng.integers(0, 1 << 30)))
-        seen = np.concatenate([plan.test_indices(f) for f in range(k)])
-        assert sorted(seen) == list(range(n))
-        sizes = np.bincount(plan.assignments, minlength=k)
-        assert sizes.max() - sizes.min() <= 1
-        # train/test complement
-        f = int(rng.integers(0, k))
-        assert set(plan.train_indices(f)) | set(plan.test_indices(f)) == set(range(n))
-        assert not set(plan.train_indices(f)) & set(plan.test_indices(f))
+@settings(max_examples=100, deadline=None, database=None, derandomize=True)
+@given(data=st.data())
+def test_folds_partition_properties(data):
+    n = data.draw(st.integers(2, 200), label="n")
+    k = data.draw(st.integers(2, n), label="k")
+    plan = make_folds(n, k, seed=data.draw(st.integers(0, 2**32 - 1), label="seed"))
+    tests = [plan.test_indices(f) for f in range(k)]
+    # every row in exactly one test fold, and each training set its complement
+    assert np.array_equal(np.sort(np.concatenate(tests)), np.arange(n))
+    for f, test in enumerate(tests):
+        assert test.size in (n // k, -(-n // k))
+        assert np.array_equal(
+            np.sort(np.concatenate([plan.train_indices(f), test])), np.arange(n)
+        )
 
 
 def test_folds_range_validation():

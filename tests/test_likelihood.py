@@ -460,6 +460,46 @@ def test_a_cold_refit_peaks_near_three_n_by_n_arrays():
     assert peak < bound, f"peak {peak / (n * n * 8):.2f} N x N arrays"
 
 
+def test_a_cold_refit_of_one_se_entry_keeps_k_as_its_factor(monkeypatch):
+    # one squared-exponential entry at the cv-tall training size: the
+    # assembly holds K and one distance buffer (plus the two 64-row cdist
+    # blocks of `pairwise_sqdist` alive at once); after it the model keeps
+    # K's buffer as its factor, upper triangle zeroed in place, so building
+    # the model adds no N x N array (an `np.tril` copy with its mask would
+    # add 1.125 N x N floats)
+    n, d = 687, 8
+    rng = np.random.default_rng(22)
+    space = SearchSpace(
+        kernel_forms=(KernelForm.se(),), bases=(Basis.legendre01(),), q_range=(5, 10)
+    )
+    stack, noise = space.build_stack(random_suggest(space, rng), d)
+    x, y = rng.uniform(size=(n, d)), rng.normal(size=n)
+    in_sc, out_sc = fit_scaler("min_max_per_column", x), fit_scaler("z_normalize", y)
+    peaks = []
+
+    def fit_then_reset_peak(*args, **kwargs):
+        fit = fit_likelihood(*args, **kwargs)
+        peaks.append(tracemalloc.get_traced_memory()[1])
+        tracemalloc.reset_peak()
+        return fit
+
+    monkeypatch.setattr(gp_mod, "fit_likelihood", fit_then_reset_peak)
+    tracemalloc.start()
+    try:
+        model = fit_precompute(stack, noise, in_sc, out_sc, x, y)
+        peaks.append(tracemalloc.get_traced_memory()[1])
+    finally:
+        tracemalloc.stop()
+    assembly, after = peaks
+    small = 4 * n * d  # the scaled inputs, the warp and O(N) vectors
+    assert model.jitter_used == 0.0
+    assert assembly < 8 * (2 * n * n + 2 * SQDIST_BLOCK_ROWS * n + small), (
+        f"assembly peak {assembly / (n * n * 8):.3f} N x N arrays"
+    )
+    assert after < 8 * (n * n + small), f"peak {after / (n * n * 8):.3f} N x N arrays"
+    assert model.chol.tobytes() == np.tril(model.chol).tobytes()
+
+
 def test_warm_fold_refinement_and_scoring_allocate_no_n_by_n_array():
     rng = np.random.default_rng(18)
     space = benchmark_space()

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pcegp.data import fit_scaler
 from pcegp.gp import fit_precompute, predict_batch
@@ -114,6 +116,70 @@ def test_awkward_floats_survive():
     loaded = text_to_model(model_to_text(model2))
     assert np.array_equal(loaded.stack.entries[0][2].terms[0][1], c)
     assert loaded.stack.entries[0][1] == float(np.sqrt(2.0))
+
+
+FORMS = (KernelForm.se(), KernelForm.ae(), KernelForm.matern32(), KernelForm.rq(1.5))
+FAMILIES = (Basis.legendre01(), Basis.legendre(), Basis.hermite(), Basis.laguerre())
+# meta values are one line each (no control, line or paragraph separators),
+# kept as written, surrounding spaces too
+META_TEXT = st.builds(
+    lambda head, body, tail: head + body + tail,
+    st.sampled_from(["", " "]),
+    st.text(st.characters(blacklist_categories=("Cc", "Cs", "Zl", "Zp"))),
+    st.sampled_from(["", " "]),
+)
+
+
+@settings(max_examples=60, deadline=None, database=None, derandomize=True)
+@given(
+    forms=st.lists(st.sampled_from(FORMS), min_size=1, max_size=4),
+    families=st.lists(
+        st.one_of(
+            st.sampled_from(FAMILIES),
+            st.builds(Basis.jacobi, st.floats(-0.9, 3.0), st.floats(-0.9, 3.0)),
+        ),
+        min_size=1, max_size=2,
+    ),
+    degrees=st.lists(st.integers(0, 6), min_size=8, max_size=8),
+    noise_degree=st.one_of(st.none(), st.integers(0, 6)),
+    meta=st.dictionaries(st.from_regex(r"[a-z][a-z_]{0,7}", fullmatch=True), META_TEXT,
+                         max_size=3),
+    n_x=st.integers(1, 3),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_saving_a_loaded_model_gives_its_bytes(
+    forms, families, degrees, noise_degree, meta, n_x, seed
+):
+    rng = np.random.default_rng(seed)
+    sizes = iter(degrees)
+
+    def terms(low, high):
+        return tuple(
+            (kind, rng.uniform(low, high, size=next(sizes) + 1)) for kind in families
+        )
+
+    stack = KernelStack(tuple(
+        (form, float(rng.uniform(0.3, 2.0)), LengthscaleField(terms(-2.0, 2.0), n_x))
+        for form in forms
+    ))
+    if noise_degree is None:
+        noise = NoiseField.fixed(float(10.0 ** rng.uniform(-4, -1)))
+    else:
+        coeffs = rng.uniform(0.0, 0.1, size=noise_degree + 1)
+        noise = NoiseField.pce(((families[0], coeffs),), floor=1e-3)
+    x = rng.uniform(-2.0, 5.0, size=(7, n_x))
+    y = rng.normal(size=7)
+    in_sc, out_sc = fit_scaler("min_max_per_column", x), fit_scaler("z_normalize", y)
+    try:
+        model = fit_precompute(stack, noise, in_sc, out_sc, x, y, meta)
+    except RuntimeError:  # an exhausted jitter ladder: no model to save
+        return
+    text = model_to_text(model)
+    loaded = text_to_model(text)
+    assert model_to_text(loaded) == text
+    queries = rng.uniform(-3.0, 6.0, size=(5, n_x))  # some outside the box
+    for got, want in zip(predict_batch(loaded, queries), predict_batch(model, queries)):
+        assert got.tobytes() == want.tobytes()
 
 
 def test_missing_key_diagnostic():
