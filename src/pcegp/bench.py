@@ -26,8 +26,8 @@ import time
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.spatial.distance import cdist
 
+from ._native import cdist_sqeuclidean
 from .data import (
     Dataset,
     _sniff_delimiter,
@@ -254,15 +254,15 @@ def _ard_kernel(log_params, a, b=None, out=None):
     """s2 exp(-sum_d (a_d - b_d)^2 / (2 l_d^2)) for every pair of rows of a and b.
 
     The squared distances of the lengthscale-divided rows come from one
-    `cdist`. With `b` None they are those of a with itself, each pair
-    computed once by `pairwise_sqdist` into `out`.
+    call of scipy's `cdist` kernel. With `b` None they are those of a with
+    itself, each pair computed once by `pairwise_sqdist` into `out`.
     """
     d = a.shape[1]
     lengthscales = np.exp(log_params[:d])
     if b is None:
         k = pairwise_sqdist(a / lengthscales, out)
     else:
-        k = cdist(a / lengthscales, b / lengthscales, "sqeuclidean")
+        k = cdist_sqeuclidean(a / lengthscales, b / lengthscales)
     k *= -0.5
     np.exp(k, out=k)
     k *= np.exp(log_params[d])

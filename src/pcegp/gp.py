@@ -17,7 +17,11 @@ noise), and a search vector holds them in the same order.
 
 The factor is LAPACK's: dpotrf runs in place on the Fortran view of a
 C-order buffer, so the lower triangle of the C-order array is the factor
-L, and the solves pass that same Fortran view to LAPACK uncopied. The
+L, and the solves (dpotrs for the targets, dtrtrs for the predictive
+variances) pass that same Fortran view to LAPACK uncopied. The LAPACK
+routines come from `pcegp._native`, without importing `scipy.linalg`; the
+solves get the arrays that scipy's `cho_solve` and `solve_triangular`
+would pass, so they give those wrappers' bits and raise their errors. The
 Gram, its factor and A = alpha alpha^T - K^-1 share one buffer of the
 caller's workspace, each overwriting the one before, and the next
 evaluation overwrites them all (see `kernels.Workspace` for what borrows
@@ -55,9 +59,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-from scipy.linalg import cho_solve, solve_triangular
-from scipy.linalg.lapack import dpotri
 
+from ._native import dpotri, dpotrs, dtrtrs
 from .data import ScalerState, apply_scaler
 from .hyper import (
     LengthscaleField,
@@ -162,13 +165,11 @@ def _likelihood_core(k: np.ndarray, y: np.ndarray, context: str, gradient=False)
     K^-1, so that dMLL = 0.5 tr(A dK) for any parameter of K (Rasmussen &
     Williams 2006, eq. 5.9), and the fit keeps no factor. Every likelihood
     in the package, the stationary baseline's included, runs through here.
-    The factor's diagonal is finite (the ladder checks it), so the solves
-    skip scipy's finiteness scan of it.
     """
     n = y.size
     gram = ladder_cholesky(k, context, k)
     # chol.T is the upper factor in Fortran order: LAPACK reads it uncopied
-    alpha = cho_solve((gram.chol.T, False), y, check_finite=False)
+    alpha = dpotrs(gram.chol.T, y, lower=0)
     logdet = 2.0 * float(np.sum(np.log(np.diag(gram.chol))))
     value = float(-0.5 * y @ alpha - 0.5 * logdet - 0.5 * n * LOG_2PI)
     if not gradient:
@@ -432,9 +433,7 @@ def predict_batch(model: PcegpModel, x_raw):
     scale = float(model.output_scaler.scale[0])
     for rows, block_means, noise_q, k_cross in _query_blocks(model, xq_s):
         # chol.T is the upper factor in Fortran order: LAPACK reads it uncopied
-        v = solve_triangular(
-            model.chol.T, k_cross, lower=False, trans="T", check_finite=False
-        )
+        v = dtrtrs(model.chol.T, k_cross, lower=0, trans=1)
         v *= v
         var_s = np.maximum(0.0, k_diag + noise_q - np.sum(v, axis=0))
         means[rows] = block_means

@@ -10,6 +10,9 @@ All four forms are functions of the squared distance only, which lets
 Gram assembly and the likelihood gradient share one pairwise-distance
 matrix per stack entry. `pairwise_sqdist` fills it computing each
 unordered pair once, so it is exactly symmetric with a zero diagonal. The
+distances come from scipy's compiled squared-Euclidean `cdist` kernel and
+the factorization from LAPACK dpotrf, both through `pcegp._native`, which
+loads them without the `scipy.spatial` and `scipy.linalg` packages. The
 entries' warps read the chaos-basis values of one `hyper.PointBasis` per
 point set, so a stack whose entries share a basis family evaluates it once.
 The training-side warps that assembly makes are kept, so that prediction
@@ -36,9 +39,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg.lapack import dpotrf
-from scipy.spatial.distance import cdist
 
+from ._native import cdist_sqeuclidean, dpotrf
 from .hyper import (
     LengthscaleField,
     NoiseField,
@@ -62,6 +64,9 @@ SQDIST_BLOCK_ROWS = 64
 
 # rows per block when one triangle of an N x N matrix is mirrored in place
 TRIANGLE_BLOCK_ROWS = 128
+
+# where a diagonal block of `mirror_lower` takes its transpose's values
+_STRICT_UPPER = np.triu(np.ones((TRIANGLE_BLOCK_ROWS,) * 2, dtype=bool), 1)
 
 
 @dataclass(frozen=True)
@@ -322,9 +327,10 @@ def pairwise_sqdist(points, out: np.ndarray) -> np.ndarray:
     n = points.shape[0]
     for s in range(0, n, SQDIST_BLOCK_ROWS):
         e = min(n, s + SQDIST_BLOCK_ROWS)
-        block = cdist(points[s:e], points[s:], "sqeuclidean")
+        block = cdist_sqeuclidean(points[s:e], points[s:])
         out[s:e, s:] = block
         out[s:, s:e] = block.T
+        del block  # so that only one block is alive at the next call
     return out
 
 
@@ -381,8 +387,7 @@ def mirror_lower(a: np.ndarray) -> np.ndarray:
         e = min(n, s + TRIANGLE_BLOCK_ROWS)
         a[s:e, e:] = a[e:, s:e].T
         block = a[s:e, s:e]
-        iu = np.triu_indices(e - s, 1)
-        block[iu] = block.T[iu]
+        np.copyto(block, block.T, where=_STRICT_UPPER[: e - s, : e - s])
     return a
 
 
@@ -494,7 +499,7 @@ def warped_cross_matrix(stack: KernelStack, warped, warped_queries) -> np.ndarra
     """
     out = d2 = None
     for (form, scale, _), w, wq in zip(stack.entries, warped, warped_queries):
-        d2 = cdist(w, wq, "sqeuclidean", out=d2)
+        d2 = cdist_sqeuclidean(w, wq, out=d2)
         # each form overwrites its distances; the first one becomes the sum
         if out is None:
             out, d2 = form_from_sqdist(form, scale, d2, out=d2), None

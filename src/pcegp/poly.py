@@ -25,7 +25,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import special
 
 FAMILIES = (
     "hermite_probabilists",
@@ -148,8 +147,11 @@ def gauss_rule(kind: Basis, n_points: int):
 
     The returned rule satisfies ``sum_k w_k f(x_k) ~= int f(x) p(x) dx`` with
     ``p`` the density the family is orthogonal to, exactly for polynomial
-    ``f`` of degree <= 2 n_points - 1.
+    ``f`` of degree <= 2 n_points - 1. `scipy.special` is imported here, not
+    with the module: no fit, prediction or benchmark needs it.
     """
+    from scipy import special
+
     if n_points < 1:
         raise ValueError("quadrature needs at least one point")
     fam = kind.family

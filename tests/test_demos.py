@@ -56,8 +56,31 @@ def test_readme_quick_tour_runs(tmp_path):
     assert proc.returncode == 0, proc.stderr[-2000:]
 
 
-def test_cli_import_leaves_scipy_stats_unloaded(tmp_path):
-    # a fresh process: other test modules import scipy.stats themselves
-    check = "import sys, pcegp.cli; sys.exit('scipy.stats' in sys.modules)"
-    proc = run_python(["-c", check], tmp_path)
-    assert proc.returncode == 0, proc.stderr[-2000:] or "scipy.stats was imported"
+# run in a fresh process, since other test modules import these subpackages:
+# every command goes through `cli.main` on a tiny table first, so that a
+# subpackage imported lazily on a run path is caught too
+RUN_EVERY_COMMAND_THEN_CHECK_IMPORTS = """
+import math, sys
+from pcegp.cli import main
+with open("t.csv", "w") as f:
+    f.write("x,y\\n" + "".join(f"{i / 11!r},{math.sin(3 * i / 11)!r}\\n" for i in range(12)))
+search = ["--threads", "1", "--set", "dataset=t.csv", "--set", "target=y",
+          "--set", "n_trials=2", "--set", "n_initial=1", "--set", "n_iterations=2",
+          "--set", "inner_n_folds=2", "--set", "kernels=se", "--set", "q_min=0",
+          "--set", "q_max=1"]
+cv = search + ["--set", "n_folds=2", "--set", "nested=false"]
+for argv in (["fit", *search, "--output", "m.txt"],
+             ["predict", "--set", "model=m.txt", "--set", "inputs=t.csv", "--output", "p.csv"],
+             ["benchmark", *cv, "--output", "b.txt"],
+             ["baseline", *cv, "--output", "a.txt"]):
+    if main(argv) != 0:
+        sys.exit(f"{argv[0]} failed")
+loaded = [m for m in ("scipy.linalg", "scipy.spatial", "scipy.special", "scipy.stats")
+          if m in sys.modules]
+sys.exit(f"loaded: {loaded}" if loaded else 0)
+"""
+
+
+def test_cli_commands_leave_scipy_subpackages_unloaded(tmp_path):
+    proc = run_python(["-c", RUN_EVERY_COMMAND_THEN_CHECK_IMPORTS], tmp_path)
+    assert proc.returncode == 0, proc.stderr[-2000:]

@@ -11,6 +11,7 @@ from pcegp.bench import _ard_kernel
 from pcegp.hyper import LengthscaleField, NoiseField
 from pcegp.kernels import (
     SQDIST_BLOCK_ROWS,
+    TRIANGLE_BLOCK_ROWS,
     KernelForm,
     KernelStack,
     form_from_sqdist,
@@ -18,6 +19,7 @@ from pcegp.kernels import (
     kernel_nonstationary,
     kernel_stationary,
     ladder_cholesky,
+    mirror_lower,
     noisy_gram,
     sqdist_derivative_from_values,
     warp_points,
@@ -312,6 +314,22 @@ def test_ladder_in_place_fails_every_rung_on_a_nan(monkeypatch):
     with pytest.raises(RuntimeError, match="stack: nan"):
         ladder_cholesky(k, "nan", k)
     assert calls == [40] * 5
+
+
+@pytest.mark.parametrize(
+    "n",
+    [1, TRIANGLE_BLOCK_ROWS - 1, TRIANGLE_BLOCK_ROWS, TRIANGLE_BLOCK_ROWS + 1,
+     2 * TRIANGLE_BLOCK_ROWS + 3],
+)
+def test_mirror_lower_copies_the_lower_triangle_over_the_upper(n):
+    rng = np.random.default_rng(n)
+    a = rng.normal(size=(n, n))
+    want = np.tril(a) + np.tril(a, -1).T
+    assert mirror_lower(a.copy()).tobytes() == want.tobytes()
+    # the transposed view of a C-order buffer that `ladder_cholesky` passes
+    buffer = a.T.copy()
+    mirror_lower(buffer.T)
+    assert buffer.T.tobytes() == want.tobytes()
 
 
 def test_noise_free_gram_is_psd():

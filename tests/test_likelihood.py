@@ -462,8 +462,8 @@ def test_a_cold_refit_peaks_near_three_n_by_n_arrays():
 
 def test_a_cold_refit_of_one_se_entry_keeps_k_as_its_factor(monkeypatch):
     # one squared-exponential entry at the cv-tall training size: the
-    # assembly holds K and one distance buffer (plus the two 64-row cdist
-    # blocks of `pairwise_sqdist` alive at once); after it the model keeps
+    # assembly holds K and one distance buffer (plus the one 64-row cdist
+    # block of `pairwise_sqdist` alive at a time); after it the model keeps
     # K's buffer as its factor, upper triangle zeroed in place, so building
     # the model adds no N x N array (an `np.tril` copy with its mask would
     # add 1.125 N x N floats)
@@ -493,7 +493,7 @@ def test_a_cold_refit_of_one_se_entry_keeps_k_as_its_factor(monkeypatch):
     assembly, after = peaks
     small = 4 * n * d  # the scaled inputs, the warp and O(N) vectors
     assert model.jitter_used == 0.0
-    assert assembly < 8 * (2 * n * n + 2 * SQDIST_BLOCK_ROWS * n + small), (
+    assert assembly < 8 * (2 * n * n + SQDIST_BLOCK_ROWS * n + small), (
         f"assembly peak {assembly / (n * n * 8):.3f} N x N arrays"
     )
     assert after < 8 * (n * n + small), f"peak {after / (n * n * 8):.3f} N x N arrays"
