@@ -84,10 +84,16 @@ def dpotrs(c, b, lower: int = 0):
     return _checked("potrs", *_flapack.dpotrs(c, b, lower=lower))
 
 
-def dtrtrs(a, b, lower: int = 0, trans: int = 0):
+def dtrtrs(a, b, lower: int = 0, trans: int = 0, overwrite_b: int = 0):
     """Solve a triangular system op(a) x = b, as `solve_triangular` does.
 
-    `b` is left alone. Raises `LinAlgError` for a zero on the diagonal of
-    `a` (info > 0) and `ValueError` for an illegal argument.
+    `b` is left alone unless `overwrite_b` is set and `b` is a
+    Fortran-contiguous float64 array: LAPACK then writes x over `b` and
+    returns `b` itself. Any other `b` is copied first, as the wrapper does.
+    Raises `LinAlgError` for a zero on the diagonal of `a` (info > 0) and
+    `ValueError` for an illegal argument.
     """
-    return _checked("trtrs", *_flapack.dtrtrs(a, b, lower=lower, trans=trans))
+    return _checked(
+        "trtrs",
+        *_flapack.dtrtrs(a, b, lower=lower, trans=trans, overwrite_b=overwrite_b),
+    )

@@ -38,7 +38,13 @@ from .data import (
     make_folds,
     write_text_atomic,
 )
-from .gp import _likelihood_core, fit_likelihood, model_from_fit, predict_means
+from .gp import (
+    PREDICT_BLOCK_ROWS,
+    _likelihood_core,
+    fit_likelihood,
+    model_from_fit,
+    predict_means,
+)
 from .kernels import KernelForm, Workspace, pairwise_sqdist
 from .optim import AdamState, SearchSpace, adam_step, check_search_settings, run_search
 from .poly import Basis
@@ -155,8 +161,8 @@ def _fold_seeds(seed: int, n: int):
     return [int(s) for s in np.random.SeedSequence(seed).generate_state(n)]
 
 
-def _cross_validate(method, config, ds, output_path, fit_predict, t0):
-    """The outer k-fold protocol that both methods share.
+def _cross_validate(method, config, ds, plan, output_path, fit_predict, t0):
+    """The outer k-fold protocol that both methods share, over the folds of `plan`.
 
     Each fold fits the min-max input and z-score output scalers on its own
     training rows and calls `fit_predict(fold, train, in_sc, out_sc,
@@ -166,7 +172,6 @@ def _cross_validate(method, config, ds, output_path, fit_predict, t0):
     (`data.write_text_atomic`), so the last write is the final report and an
     interrupted run leaves a valid report of its finished folds.
     """
-    plan = make_folds(ds.n_points, config.n_folds, config.seed)
     fold_rmses: list = []
     thetas: list = []
     for f in range(config.n_folds):
@@ -207,6 +212,10 @@ def run_benchmark(
     """
     t0 = time.perf_counter()
     ds = dataset if dataset is not None else _load_target(config)
+    plan = make_folds(ds.n_points, config.n_folds, config.seed)
+    # one workspace for the command: the searches reserve it at their own
+    # training splits, and each refit at the largest outer one
+    workspace = Workspace()
 
     def search(data, seed):
         return run_search(
@@ -218,12 +227,11 @@ def run_benchmark(
             n_folds=config.inner_n_folds,
             seed=seed,
             global_scaling=config.global_scaling,
+            workspace=workspace,
         ).best_theta
 
     seeds = _fold_seeds(config.seed, config.n_folds)
-    workspace = Workspace()  # every fold's refit assembles its Gram here
-    # non-nested: one search, run at the first fold, so that make_folds has
-    # rejected a bad fold count before the search time is spent
+    # non-nested: one search, run at the first fold
     shared_best = None
 
     def fit_predict(fold, train, in_sc, out_sc, x_test):
@@ -237,13 +245,16 @@ def run_benchmark(
         stack, noise = config.space.build_stack(best, ds.n_inputs)
         x_s = apply_scaler(in_sc, train.inputs)
         y_s = (train.outputs - out_sc.loc[0]) / out_sc.scale[0]
-        # the model borrows the workspace's factor and is dropped before the
-        # next fold's refit overwrites it
+        # only the buffers a value-only fit reads grow to the outer split; in
+        # nested mode the search's others stay at its inner splits. The model
+        # borrows the workspace's factor and is dropped before the next
+        # fold's search or refit overwrites it
+        workspace.reserve(plan.largest_train_size)
         fit = fit_likelihood(stack, noise, x_s, y_s, workspace)
         model = model_from_fit(stack, noise, in_sc, out_sc, x_s, y_s, fit=fit)
         return predict_means(model, x_test), best
 
-    return _cross_validate("pcegp", config, ds, checkpoint_path, fit_predict, t0)
+    return _cross_validate("pcegp", config, ds, plan, checkpoint_path, fit_predict, t0)
 
 
 # ---------------------------------------------------------------------------
@@ -275,16 +286,20 @@ def _ard_neg_mll_and_grad(log_params, x, y, gradient=True, workspace=None):
     `log_params` is [log l_1..log l_d, log s2, log sn2] and `x` the N x d
     scaled inputs. Returns (negative MLL, its gradient, K^-1 y); with
     `gradient=False` the gradient is None and K^-1 is never formed. The
-    two N x N arrays, K0 and K (which becomes the factor and then A), are
-    buffers of `workspace`, or of a fresh one when none is given; no
-    per-dimension N x N tensor is formed.
+    N x N arrays are buffers of `workspace`, or of a fresh one when none is
+    given: with the gradient K0 and K (which becomes the factor and then
+    A), without it only K, in whose buffer K0 is made; no per-dimension
+    N x N tensor is formed.
     """
     n, d = x.shape
     sn2 = np.exp(log_params[d + 1])
     ws = workspace if workspace is not None else Workspace()
-    k0 = _ard_kernel(log_params, x, out=ws.matrix(("component", 0), n))
     k = ws.matrix("k", n)
-    np.copyto(k, k0)
+    if gradient:
+        k0 = _ard_kernel(log_params, x, out=ws.matrix(("component", 0), n))
+        np.copyto(k, k0)
+    else:
+        _ard_kernel(log_params, x, out=k)
     k.flat[:: n + 1] += sn2
     fit = _likelihood_core(k, y, "ard squared_exponential baseline", gradient)
     if not gradient:
@@ -333,7 +348,16 @@ def _fit_ard_baseline(x_s, y_s, n_iterations, workspace=None):
 
 
 def _ard_predict(log_params, x_train_s, alpha, x_query_s):
-    return _ard_kernel(log_params, x_train_s, x_query_s).T @ alpha
+    """Posterior means at the scaled queries, in blocks of `PREDICT_BLOCK_ROWS`.
+
+    Each block's N x B cross covariances are freed before the next block's
+    are built.
+    """
+    means = np.empty(x_query_s.shape[0])
+    for s in range(0, x_query_s.shape[0], PREDICT_BLOCK_ROWS):
+        rows = slice(s, s + PREDICT_BLOCK_ROWS)
+        means[rows] = _ard_kernel(log_params, x_train_s, x_query_s[rows]).T @ alpha
+    return means
 
 
 def run_baseline(
@@ -344,12 +368,15 @@ def run_baseline(
     """Cross-validated RMSE of the stationary per-dimension baseline.
 
     Same folds, scalers and per-fold report file as `run_benchmark`; the
-    per-fold vector is the baseline's log parameters. One workspace serves
-    every fold and is freed on return.
+    per-fold vector is the baseline's log parameters. One workspace,
+    reserved at the largest training split, serves every fold and is freed
+    on return.
     """
     t0 = time.perf_counter()
     ds = dataset if dataset is not None else _load_target(config)
+    plan = make_folds(ds.n_points, config.n_folds, config.seed)
     workspace = Workspace()
+    workspace.reserve(plan.largest_train_size)
 
     def fit_predict(fold, train, in_sc, out_sc, x_test):
         x_s = apply_scaler(in_sc, train.inputs)
@@ -360,7 +387,9 @@ def run_baseline(
         mean_s = _ard_predict(log_params, x_s, alpha, apply_scaler(in_sc, x_test))
         return mean_s * out_sc.scale[0] + out_sc.loc[0], log_params
 
-    return _cross_validate("baseline", config, ds, checkpoint_path, fit_predict, t0)
+    return _cross_validate(
+        "baseline", config, ds, plan, checkpoint_path, fit_predict, t0
+    )
 
 
 # ---------------------------------------------------------------------------

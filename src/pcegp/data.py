@@ -307,6 +307,12 @@ class FoldPlan:
     def train_indices(self, fold: int) -> np.ndarray:
         return np.nonzero(self.assignments != fold)[0]
 
+    @property
+    def largest_train_size(self) -> int:
+        """Rows of the largest training split, the one of the smallest test fold."""
+        sizes = np.bincount(self.assignments, minlength=self.n_folds)
+        return self.assignments.size - int(sizes.min())
+
 
 def make_folds(n: int, n_folds: int, seed: int) -> FoldPlan:
     """Randomly partition {0..n-1} into n_folds near-equal folds.

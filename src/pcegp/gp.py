@@ -50,8 +50,12 @@ The training points' warps are fixed for a fitted model, so they are kept
 from the Gram assembly at fit or load time and only the queries are warped
 per call, every stack entry and the noise from one evaluation of each basis
 family at the queries; being derived data, the warps are never serialized.
-Queries go through in blocks of `PREDICT_BLOCK_ROWS`, so the N x M arrays
-of a call stay bounded in M.
+Queries go through in blocks of `PREDICT_BLOCK_ROWS`, and each block holds
+one N x B array: its cross covariances, built B x N in C order, so that
+their transpose is the Fortran-order right-hand side dtrtrs overwrites
+with its solve, uncopied. The means are a product with that B x N array.
+A block's arrays are freed before the next block's are built, so a call's
+memory stays bounded in M.
 """
 
 from __future__ import annotations
@@ -385,27 +389,23 @@ def _scaled_queries(model: PcegpModel, x_raw) -> np.ndarray:
     return apply_scaler(model.input_scaler, xq)
 
 
-def _query_blocks(model: PcegpModel, xq_s):
-    """Scaled queries in blocks of `PREDICT_BLOCK_ROWS` rows, with what each needs.
+def _query_block(model: PcegpModel, xq_block):
+    """(raw-unit means, scaled query noise, B x N cross covariances) for a block.
 
-    Yields (rows, raw-unit means, scaled query noise, N x B cross
-    covariances) per block. A block's queries get a `PointBasis` of their
-    own, which the warps and the query noise read; it is dropped before the
-    cross covariances are built.
+    `xq_block` holds at most `PREDICT_BLOCK_ROWS` scaled queries. They get a
+    `PointBasis` of their own, which the warps and the query noise read; it
+    is dropped before the cross covariances are built.
     """
-    fields = model.stack.fields + (model.noise,)
-    for s in range(0, xq_s.shape[0], PREDICT_BLOCK_ROWS):
-        rows = slice(s, s + PREDICT_BLOCK_ROWS)
-        basis = PointBasis(xq_s[rows], fields)
-        warped_q = warp_stack(model.stack, basis)
-        noise_q = eval_noise_batch(model.noise, basis)
-        del basis
-        k_cross = warped_cross_matrix(model.stack, model.warped, warped_q)  # (N, B)
-        mean_s = k_cross.T @ model.alpha_solve
-        means = mean_s * float(model.output_scaler.scale[0]) + float(
-            model.output_scaler.loc[0]
-        )
-        yield rows, means, noise_q, k_cross
+    basis = PointBasis(xq_block, model.stack.fields + (model.noise,))
+    warped_q = warp_stack(model.stack, basis)
+    noise_q = eval_noise_batch(model.noise, basis)
+    del basis
+    k_cross = warped_cross_matrix(model.stack, model.warped, warped_q)  # (B, N)
+    mean_s = k_cross @ model.alpha_solve
+    means = mean_s * float(model.output_scaler.scale[0]) + float(
+        model.output_scaler.loc[0]
+    )
+    return means, noise_q, k_cross
 
 
 def predict_means(model: PcegpModel, x_raw) -> np.ndarray:
@@ -416,8 +416,10 @@ def predict_means(model: PcegpModel, x_raw) -> np.ndarray:
     """
     xq_s = _scaled_queries(model, x_raw)
     means = np.empty(xq_s.shape[0])
-    for rows, block_means, _, _ in _query_blocks(model, xq_s):
-        means[rows] = block_means
+    for s in range(0, xq_s.shape[0], PREDICT_BLOCK_ROWS):
+        rows = slice(s, s + PREDICT_BLOCK_ROWS)
+        # the block's cross covariances are unnamed, so they are freed here
+        means[rows] = _query_block(model, xq_s[rows])[0]
     return means
 
 
@@ -425,19 +427,26 @@ def predict_batch(model: PcegpModel, x_raw):
     """Posterior predictions at M raw-unit query points.
 
     Returns (means, variances) in raw output units; the variance includes
-    the query-point noise, clamped at zero after cancellation.
+    the query-point noise, clamped at zero after cancellation. Each block
+    of `PREDICT_BLOCK_ROWS` queries holds one N x B array: its cross
+    covariances, which the triangular solve overwrites with its result and
+    which is freed before the next block's are built.
     """
     xq_s = _scaled_queries(model, x_raw)
     means, variances = np.empty(xq_s.shape[0]), np.empty(xq_s.shape[0])
     k_diag = sum(scale * scale for _, scale, _ in model.stack.entries)
     scale = float(model.output_scaler.scale[0])
-    for rows, block_means, noise_q, k_cross in _query_blocks(model, xq_s):
-        # chol.T is the upper factor in Fortran order: LAPACK reads it uncopied
-        v = dtrtrs(model.chol.T, k_cross, lower=0, trans=1)
+    for s in range(0, xq_s.shape[0], PREDICT_BLOCK_ROWS):
+        rows = slice(s, s + PREDICT_BLOCK_ROWS)
+        means[rows], noise_q, k_cross = _query_block(model, xq_s[rows])
+        # chol.T is the upper factor and k_cross.T the N x B right-hand
+        # side, both in Fortran order: LAPACK reads the one and overwrites
+        # the other, uncopied
+        v = dtrtrs(model.chol.T, k_cross.T, lower=0, trans=1, overwrite_b=1)
         v *= v
         var_s = np.maximum(0.0, k_diag + noise_q - np.sum(v, axis=0))
-        means[rows] = block_means
         variances[rows] = var_s * scale * scale
+        del k_cross, v
     return means, variances
 
 

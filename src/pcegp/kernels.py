@@ -24,9 +24,11 @@ consumer. The likelihood gradient keeps each entry's squared distances and
 component (one buffer for a squared-exponential entry, whose values
 overwrite its distances) and K. A value-only fit adds each component into
 K as soon as it is formed, so it holds K, one distance buffer and, for a
-Matern-3/2 entry, one scratch. One workspace lives for one search (every
-trial and fold), one benchmark's refits or one baseline fit and is freed
-with it; a call given none makes a fresh one. K's buffer also holds its
+Matern-3/2 entry, one scratch. One workspace serves one command and is
+freed with it: a benchmark's searches and refits share one, and a search
+alone or a baseline fit has its own; a call given none makes a fresh one.
+It is sized at the largest training split it serves, so each buffer is
+allocated once, however the fold sizes differ. K's buffer also holds its
 factor and, for the likelihood gradient, A = alpha alpha^T - K^-1:
 `ladder_cholesky` factorizes K in place. A factor is the lower triangle of
 a C-order array. LAPACK factorizes it in place as the upper factor of its
@@ -155,10 +157,15 @@ class GramResult:
 class Workspace:
     """Owned N x N float64 buffers, reused from one likelihood evaluation to the next.
 
-    Each buffer is a flat array kept under a key and grown to the largest N
-    it has served; a smaller N gets a C-contiguous view of its first N * N
-    elements, so one workspace serves every training split of a
-    cross-validation. A gradient evaluation of an E-entry stack holds
+    Each buffer is a flat array kept under a key, made on first use for the
+    rows given to `reserve` (or the N asked for, if larger); a smaller N
+    gets a C-contiguous view of its first N * N elements. A
+    cross-validation reserves its workspace at the largest training split
+    it will serve, so the splits of unequal size share one allocation per
+    buffer. A request past a buffer's size drops
+    the buffer before the larger one is made, so the two are never held
+    together; views of the old one must be dead by then, as the rule below
+    has them. A gradient evaluation of an E-entry stack holds
     E + (non-squared-exponential entries) + 1 of them: each entry's
     distances, each entry's component except where a squared-exponential
     entry's values overwrite its distances, and K, which becomes the
@@ -180,12 +187,27 @@ class Workspace:
 
     def __init__(self):
         self._buffers = {}
+        self._rows = 0
+
+    def reserve(self, rows: int) -> None:
+        """Make the buffers first used or grown from now on for `rows` rows.
+
+        Buffers already made are kept as they are: a search in a benchmark's
+        workspace sizes the buffers its gradients use at its own splits, and
+        a refit afterwards grows only the few a value-only fit reads.
+        """
+        self._rows = rows
 
     def matrix(self, key, n: int) -> np.ndarray:
         """An uninitialized n x n view of the buffer under `key`."""
         buf = self._buffers.get(key)
         if buf is None or buf.size < n * n:
-            buf = self._buffers[key] = np.empty(n * n)
+            # drop the old buffer first, so that it and its successor are
+            # never both held
+            del buf
+            self._buffers.pop(key, None)
+            rows = max(n, self._rows)
+            buf = self._buffers[key] = np.empty(rows * rows)
         return buf[: n * n].reshape(n, n)
 
 
@@ -491,18 +513,28 @@ def noisy_gram(
 
 
 def warped_cross_matrix(stack: KernelStack, warped, warped_queries) -> np.ndarray:
-    """Covariances between N training points and M queries, both already warped.
+    """Covariances between M queries and N training points, both already warped.
 
     `warped` and `warped_queries` hold one array per stack entry, N x n_x
-    and M x n_x, as `warp_stack` makes them. Returns the N x M matrix; the
-    entries after the first share one more N x M array for their distances.
+    and M x n_x, as `warp_stack` makes them. Returns the M x N C-order
+    matrix, whose transpose is the N x M Fortran-order right-hand side that
+    LAPACK solves in place (`gp.predict_batch`). It is the only M x N array
+    made: the queries go through in blocks of `SQDIST_BLOCK_ROWS` rows, the
+    first entry's distances and values are formed in the block's rows of
+    the result, and each later entry's in one block-sized scratch, then
+    added, in stack order.
     """
-    out = d2 = None
-    for (form, scale, _), w, wq in zip(stack.entries, warped, warped_queries):
-        d2 = cdist_sqeuclidean(w, wq, out=d2)
-        # each form overwrites its distances; the first one becomes the sum
-        if out is None:
-            out, d2 = form_from_sqdist(form, scale, d2, out=d2), None
-        else:
-            out += form_from_sqdist(form, scale, d2, out=d2)
+    m, n = warped_queries[0].shape[0], warped[0].shape[0]
+    out = np.empty((m, n))
+    scratch = np.empty((min(m, SQDIST_BLOCK_ROWS), n)) if stack.n_entries > 1 else None
+    for s in range(0, m, SQDIST_BLOCK_ROWS):
+        e = min(m, s + SQDIST_BLOCK_ROWS)
+        for i, ((form, scale, _), w, wq) in enumerate(
+            zip(stack.entries, warped, warped_queries)
+        ):
+            d2 = out[s:e] if i == 0 else scratch[: e - s]
+            cdist_sqeuclidean(wq[s:e], w, out=d2)
+            form_from_sqdist(form, scale, d2, out=d2)
+            if i:
+                out[s:e] += d2
     return out

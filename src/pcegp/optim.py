@@ -544,6 +544,35 @@ def fine_tune(
     return FineTuneResult(refined, final_loss, stack, noise, fit)
 
 
+def _score_fold(theta, space, dataset, plan, fold, n_iterations, global_scalers,
+                workspace):
+    """(held-out loss, refined theta) of one fold, or (FAILED_LOSS, None).
+
+    The fold refines in `workspace`, and its model, built on the closing
+    fit's factor there, is scored before this returns: nothing of the fold
+    outlives it to hold that buffer when the next fold starts.
+    """
+    tr, va = plan.train_indices(fold), plan.test_indices(fold)
+    x_tr, y_tr = dataset.inputs[tr], dataset.outputs[tr]
+    if global_scalers is not None:
+        in_sc, out_sc = global_scalers
+    else:
+        in_sc = fit_scaler("min_max_per_column", x_tr)
+        out_sc = fit_scaler("z_normalize", y_tr)
+
+    x_tr_s = apply_scaler(in_sc, x_tr)
+    y_tr_s = (y_tr - out_sc.loc[0]) / out_sc.scale[0]
+    tuned = fine_tune(theta, space, (x_tr_s, y_tr_s), n_iterations, workspace)
+    if not math.isfinite(tuned.loss):
+        return FAILED_LOSS, None
+    # the fold model reuses the factorization of the closing likelihood
+    model = model_from_fit(
+        tuned.stack, tuned.noise, in_sc, out_sc, x_tr_s, y_tr_s, fit=tuned.fit
+    )
+    lpd = log_predictive_density(model, dataset.inputs[va], dataset.outputs[va])
+    return float(-np.mean(lpd)), tuned.theta
+
+
 def _evaluate_trial(
     theta,
     space: SearchSpace,
@@ -555,34 +584,18 @@ def _evaluate_trial(
 ):
     """Cross-validate one suggestion; returns (mean loss, fold losses, best fold theta).
 
-    Every fold refines in `workspace`, and its model, built on the closing
-    fit's factor in that workspace, is scored before the next fold starts.
+    Every fold refines and is scored in `workspace` (`_score_fold`).
     """
     fold_losses = []
     fold_thetas = []
     for f in range(plan.n_folds):
-        tr, va = plan.train_indices(f), plan.test_indices(f)
-        x_tr, y_tr = dataset.inputs[tr], dataset.outputs[tr]
-        x_va, y_va = dataset.inputs[va], dataset.outputs[va]
-        if global_scalers is not None:
-            in_sc, out_sc = global_scalers
-        else:
-            in_sc = fit_scaler("min_max_per_column", x_tr)
-            out_sc = fit_scaler("z_normalize", y_tr)
-
-        x_tr_s = apply_scaler(in_sc, x_tr)
-        y_tr_s = (y_tr - out_sc.loc[0]) / out_sc.scale[0]
-        tuned = fine_tune(theta, space, (x_tr_s, y_tr_s), n_iterations, workspace)
-        if not math.isfinite(tuned.loss):
-            return FAILED_LOSS, fold_losses + [FAILED_LOSS], None
-
-        # the fold model reuses the factorization of the closing likelihood
-        model = model_from_fit(
-            tuned.stack, tuned.noise, in_sc, out_sc, x_tr_s, y_tr_s, fit=tuned.fit
+        loss, refined = _score_fold(
+            theta, space, dataset, plan, f, n_iterations, global_scalers, workspace
         )
-        lpd = log_predictive_density(model, x_va, y_va)
-        fold_losses.append(float(-np.mean(lpd)))
-        fold_thetas.append(tuned.theta)
+        fold_losses.append(loss)
+        if refined is None:
+            return FAILED_LOSS, fold_losses, None
+        fold_thetas.append(refined)
 
     mean_loss = float(np.mean(fold_losses))
     if not math.isfinite(mean_loss):
@@ -621,16 +634,20 @@ def run_search(
     seed: int,
     global_scaling: bool = False,
     checkpoint_path=None,
+    workspace: Workspace | None = None,
 ) -> SearchResult:
     """Full two-stage search: random warmup, then TPE, each trial cross-validated.
 
     The retained best is the refined theta from the best-validating fold of
     the lowest-loss trial; the history stores the raw suggestions so the
     TPE densities stay in suggestion space. One likelihood workspace serves
-    every trial and fold of the call and is freed when it returns.
-    `checkpoint_path`, when given, receives `history_to_text` of the
-    finished trials after every trial (`data.write_text_atomic`), so an
-    interrupted or wholly failed search leaves the history of its trials.
+    every trial and fold of the call: `workspace` when given (a benchmark
+    passes the one its refits use), else a fresh one freed when the call
+    returns. It is reserved at the largest training split, so each buffer
+    is allocated once. `checkpoint_path`, when given, receives
+    `history_to_text` of the finished trials after every trial
+    (`data.write_text_atomic`), so an interrupted or wholly failed search
+    leaves the history of its trials.
     """
     check_search_settings(n_trials, n_initial, n_iterations, n_folds)
     rng = np.random.default_rng(seed)
@@ -642,7 +659,9 @@ def run_search(
             fit_scaler("z_normalize", dataset.outputs),
         )
 
-    workspace = Workspace()
+    if workspace is None:
+        workspace = Workspace()
+    workspace.reserve(plan.largest_train_size)
     history: list = []
     best_theta, best_loss = None, FAILED_LOSS
     for trial in range(n_trials):

@@ -22,12 +22,14 @@ def cross_matrix(stack: KernelStack, points, queries) -> np.ndarray:
     """Covariances between N training points and M queries, N x M.
 
     The training points are warped afresh, where a fitted model reuses the
-    warps kept from its Gram assembly.
+    warps kept from its Gram assembly. The array is the transpose of the
+    package's M x N one: Fortran-ordered, so its own transpose reads the
+    memory the package's prediction reads.
     """
     warped = tuple(warp_points(field, points) for field in stack.fields)
     queries = np.atleast_2d(np.asarray(queries, dtype=float))
     warped_q = tuple(warp_points(field, queries) for field in stack.fields)
-    return warped_cross_matrix(stack, warped, warped_q)
+    return warped_cross_matrix(stack, warped, warped_q).T
 
 
 def form_sqdist_derivative(form: KernelForm, scale: float, sqdist):

@@ -4,10 +4,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from pcegp.bench import benchmark_space
 from pcegp.data import ScalerState, fit_scaler
 from pcegp.gp import (
+    _likelihood_core,
     fit_precompute,
     free_parameters,
     log_predictive_density,
@@ -20,7 +23,7 @@ from pcegp.gp import (
 from pcegp.hyper import LengthscaleField, NoiseField
 from pcegp.kernels import KernelForm, KernelStack, ladder_cholesky, noisy_gram
 from pcegp.optim import random_suggest
-from pcegp.poly import Basis
+from pcegp.poly import Basis, eval_basis
 
 IDENTITY_IN = ScalerState("min_max_per_column", [0.0], [1.0])
 IDENTITY_OUT = ScalerState("z_normalize", [0.0], [1.0])
@@ -235,6 +238,65 @@ def test_gradient_clamped_noise_has_zero_sensitivity():
     grad = mll_gradient(stack, noise, pts, y)
     # the noise coefficients sit between the lengthscale block and the scale
     np.testing.assert_allclose(grad[-3:-1], 0.0, atol=1e-12)
+
+
+NOISE_BASES = (Basis.legendre01(), Basis.legendre(), Basis.hermite(),
+               Basis.jacobi(1.0, 0.5))
+
+
+@settings(max_examples=60, deadline=None, database=None, derandomize=True)
+@given(
+    families=st.lists(st.sampled_from(NOISE_BASES), min_size=1, max_size=2),
+    degrees=st.tuples(st.integers(1, 4), st.integers(0, 4)),
+    n_x=st.integers(1, 3),
+    n=st.integers(4, 30),
+    clamped_frac=st.floats(0.0, 1.0),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_clamped_noise_points_contribute_no_gradient(
+    families, degrees, n_x, n, clamped_frac, seed
+):
+    # a point whose expansion sits at or below the floor has the floor as its
+    # noise whatever the coefficients, so it adds nothing to their gradient:
+    # the noise block is 0.5 sum_i A_ii phi(x_i) over the unclamped points
+    # alone, and exactly 0 when every point clamps
+    rng = np.random.default_rng(seed)
+    x, y = rng.uniform(size=(n, n_x)), rng.normal(size=n)
+    terms = [(kind, rng.uniform(-0.5, 0.5, size=deg + 1))
+             for kind, deg in zip(families, degrees)]
+    # sens[m, i]: phi_m averaged over the coordinates of point i, term by term
+    sens = np.concatenate([
+        eval_basis(kind, c.size - 1, x).reshape(c.size, n, n_x).mean(axis=2)
+        for kind, c in terms
+    ])
+    raw = sens.T @ np.concatenate([c for _, c in terms])
+    # move the expansion so that the lowest `k` points fall below a floor of
+    # 1e-3, with the threshold halfway between two points' values (the
+    # 0-th function of every family is 1)
+    k = int(round(clamped_frac * n))
+    r = np.sort(raw)
+    # the mask and the noise diagonal round differently: no point right at
+    # the threshold
+    assume(k in (0, n) or r[k] - r[k - 1] > 1e-9)
+    if k in (0, n):
+        threshold = r[0] - 1.0 if k == 0 else r[-1] + 1.0
+    else:
+        threshold = 0.5 * (r[k - 1] + r[k])
+    terms[0][1][0] += 1e-3 - threshold
+    noise = NoiseField.pce(terms, floor=1e-3)
+    stack = random_stack(rng, n_x, forms=[KernelForm.se(), KernelForm.rq(1.5)])
+
+    grad = mll_gradient(stack, noise, x, y)
+    n_ls = sum(c.size for f in stack.fields for _, c in f.terms)
+    got = grad[n_ls : n_ls + sens.shape[0]]
+    a = _likelihood_core(noisy_gram(stack, noise, x)[1], y, "oracle", gradient=True).a
+    unclamped = raw - threshold > 0.0
+    assert unclamped.sum() == n - k
+    if k == n:
+        assert np.all(got == 0.0)
+    want = 0.5 * sens[:, unclamped] @ np.diag(a)[unclamped]
+    scale = 0.5 * np.abs(sens) @ np.abs(np.diag(a))
+    np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-12 * scale.max())
 
 
 def test_parameter_round_trip():

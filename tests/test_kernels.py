@@ -23,6 +23,8 @@ from pcegp.kernels import (
     noisy_gram,
     sqdist_derivative_from_values,
     warp_points,
+    warp_stack,
+    warped_cross_matrix,
 )
 from pcegp.poly import Basis
 
@@ -408,6 +410,29 @@ def test_cross_matrix_matches_brute_force():
     got = cross_matrix(stack, pts, stars)
     brute = np.array([[pointwise_sum(stack, p, s) for s in stars] for p in pts])
     np.testing.assert_allclose(got, brute, atol=1e-14)
+
+
+def test_cross_matrix_in_query_blocks_has_the_bits_of_whole_entries():
+    # the entries go through the queries in blocks of SQDIST_BLOCK_ROWS rows;
+    # each value is one pair's distance and form either way, and the sum is
+    # in stack order, so the bits are those of each entry formed whole
+    rng = np.random.default_rng(12)
+    forms = [KernelForm.matern32(), KernelForm.se(), KernelForm.rq(1.5),
+             KernelForm.ae(), KernelForm.matern32()]
+    stack = KernelStack(tuple(
+        (form, float(rng.uniform(0.5, 1.5)), random_field(rng, 3)) for form in forms
+    ))
+    pts = rng.uniform(size=(40, 3))
+    for m in (1, SQDIST_BLOCK_ROWS, 2 * SQDIST_BLOCK_ROWS + 5):
+        queries = rng.uniform(-0.2, 1.2, size=(m, 3))
+        warped, warped_q = warp_stack(stack, pts), warp_stack(stack, queries)
+        want = None
+        for (form, scale, _), w, wq in zip(stack.entries, warped, warped_q):
+            values = form_from_sqdist(form, scale, cdist(wq, w, "sqeuclidean"))
+            want = values if want is None else want + values
+        got = warped_cross_matrix(stack, warped, warped_q)
+        assert got.flags.c_contiguous and got.shape == (m, 40)
+        assert got.tobytes() == want.tobytes()
 
 
 def test_cross_matrix_at_training_row():

@@ -17,9 +17,16 @@ from hypothesis import strategies as st
 from scipy.linalg import solve_triangular
 from scipy.stats import norm
 
+import pcegp.bench as bench_mod
 import pcegp.gp as gp_mod
 import pcegp.hyper as hyper_mod
-from pcegp.bench import _ard_neg_mll_and_grad, benchmark_space
+from pcegp.bench import (
+    BenchmarkConfig,
+    _ard_neg_mll_and_grad,
+    _ard_predict,
+    benchmark_space,
+    run_benchmark,
+)
 from pcegp.data import Dataset, apply_scaler, fit_scaler, make_folds
 from pcegp.gp import (
     _chol_inverse,
@@ -434,6 +441,10 @@ def test_a_gradient_holds_two_buffers_per_entry_and_one_for_k():
     _ard_neg_mll_and_grad(log_params, x, y, workspace=baseline)
     _ard_neg_mll_and_grad(log_params, x, y, gradient=False, workspace=baseline)
     assert _buffer_floats(baseline) == 2 * n * n
+    # a cold value-only baseline fit makes K0 in K's buffer: one array
+    cold = Workspace()
+    _ard_neg_mll_and_grad(log_params, x, y, gradient=False, workspace=cold)
+    assert _buffer_floats(cold) == n * n
 
 
 def test_a_cold_refit_peaks_near_three_n_by_n_arrays():
@@ -520,6 +531,91 @@ def test_warm_fold_refinement_and_scoring_allocate_no_n_by_n_array():
         tracemalloc.stop()
     assert np.isfinite(first[0]) and second[:2] == first[:2]
     assert peak < n * n * 8, f"peak {peak / (n * n * 8):.2f} N x N arrays"
+
+
+def _recording_buffers(monkeypatch):
+    """Every buffer object each workspace key has held, in order of use."""
+    held = {}
+    matrix = Workspace.matrix
+
+    def recording(self, key, n):
+        view = matrix(self, key, n)
+        seen = held.setdefault(key, [])
+        if not any(buf is self._buffers[key] for buf in seen):
+            seen.append(self._buffers[key])
+        return view
+
+    monkeypatch.setattr(Workspace, "matrix", recording)
+    return held
+
+
+def test_a_benchmark_allocates_each_buffer_once(monkeypatch):
+    # 31 rows in 3 folds: the first training split has 20 rows and the
+    # others 21, in the search's inner folds and in the outer ones alike.
+    # The search and the refits share one workspace, sized at 21 rows, so no
+    # buffer is made twice
+    rng = np.random.default_rng(24)
+    ds = _dataset(rng, n=31)
+    held = _recording_buffers(monkeypatch)
+    config = BenchmarkConfig("unused.csv", "y", n_folds=3, n_trials=2, n_initial=1,
+                             n_iterations=2, inner_n_folds=3, nested=False,
+                             space=_space())
+    run_benchmark(config, ds)
+    assert sorted(map(str, held)) == sorted(map(str, [
+        "k", ("sqdist", 0), ("sqdist", 1), ("component", 1)
+    ]))
+    for key, buffers in held.items():
+        assert [b.size for b in buffers] == [21 * 21], key
+
+
+def test_a_cv_tall_search_holds_k_and_one_distance_buffer():
+    # the cv-tall search: one squared-exponential entry, 1030 x 8 rows in 3
+    # folds, so training splits of 686 and 687 rows. The gradient needs K
+    # and one distance buffer (its values overwrite its distances); the rest
+    # is a prediction block of held-out rows and O(N) vectors. Buffers
+    # regrown per fold, a fold's results held into the next, or a Fortran
+    # copy of each block's cross covariances each added about one N x N
+    # array or more (4.1 N x N in all)
+    n, d = 1030, 8
+    rng = np.random.default_rng(25)
+    ds = Dataset(rng.uniform(size=(n, d)), rng.normal(size=n), tuple("abcdefgh"), "y")
+    space = SearchSpace(kernel_forms=(KernelForm.se(),), bases=(Basis.legendre01(),),
+                        q_range=(1, 3), noise_fixed=1e-4)
+    big = make_folds(n, 3, seed=0).largest_train_size
+    assert big == 687
+    tracemalloc.start()
+    try:
+        run_search(ds, space, n_trials=1, n_initial=1, n_iterations=1, n_folds=3,
+                   seed=0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2.5 * big * big * 8, f"peak {peak / (big * big * 8):.2f} N x N arrays"
+
+
+def test_a_nested_benchmark_grows_only_the_refit_buffers():
+    # the benchmark stack, nested: each outer fold searches its 687 training
+    # rows in 3 inner folds (458-row splits), then refits on all 687. The
+    # search's 8 gradient buffers are sized at its inner split; the refit
+    # grows only the 3 a value-only fit reads (K, one distance buffer, the
+    # Matern-3/2 scratch): 5 (458/687)^2 + 3 = 5.2 N x N arrays, 5.9 with a
+    # prediction block and the O(N) arrays. Sizing all 8 at the outer split
+    # traced 9.2 N x N arrays, and separate workspaces that regrew per split
+    # 7.34
+    n, d = 1030, 8
+    rng = np.random.default_rng(3)
+    ds = Dataset(rng.uniform(size=(n, d)), rng.normal(size=n), tuple("abcdefgh"), "y")
+    config = BenchmarkConfig("unused.csv", "y", n_folds=3, n_trials=1, n_initial=1,
+                             n_iterations=1, inner_n_folds=3, nested=True, seed=5)
+    big = make_folds(n, 3, seed=5).largest_train_size
+    tracemalloc.start()
+    try:
+        report = run_benchmark(config, ds)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert np.isfinite(report.mean_rmse)
+    assert peak < 6.5 * big * big * 8, f"peak {peak / (big * big * 8):.2f} N x N arrays"
 
 
 # ---------------------------------------------------------------------------
@@ -619,6 +715,39 @@ def test_blocked_prediction_matches_one_block(monkeypatch, noise):
                 np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-15)
 
 
+def test_prediction_holds_one_n_by_b_array_per_block():
+    # M = 3B + 7 queries of the four-entry benchmark stack: each block's
+    # cross covariances are the one N x B array, solved in place and freed
+    # before the next block's are built. The entries go through it in blocks
+    # of SQDIST_BLOCK_ROWS queries, with one block of distances for the
+    # entries after the first and one Matern-3/2 scratch; the rest is
+    # O(M n_x). A Fortran copy for the solve, a second N x B distance array
+    # or the previous block kept alive would each add an N x B array
+    n, d = 600, 3
+    rng = np.random.default_rng(23)
+    space = benchmark_space()
+    theta = random_suggest(space, rng)
+    theta[0] = 5.0
+    x, y = rng.uniform(size=(n, d)), rng.normal(size=n)
+    stack, noise = space.build_stack(theta, d)
+    model = fit_precompute(stack, noise, fit_scaler("min_max_per_column", x),
+                           fit_scaler("z_normalize", y), x, y)
+    b = gp_mod.PREDICT_BLOCK_ROWS
+    m = 3 * b + 7
+    xq = rng.uniform(-0.1, 1.1, size=(m, d))
+    expected = predict_batch(model, xq)
+    tracemalloc.start()
+    try:
+        got = predict_batch(model, xq)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    for g, e in zip(got, expected):
+        assert g.tobytes() == e.tobytes()
+    bound = 8 * (n * b + 2 * SQDIST_BLOCK_ROWS * n + 16 * m * d)
+    assert peak < bound, f"peak {peak / (8 * n * b):.2f} N x B arrays"
+
+
 # ---------------------------------------------------------------------------
 # the ARD baseline likelihood
 # ---------------------------------------------------------------------------
@@ -642,6 +771,24 @@ def test_ard_gradient_matches_finite_differences():
     assert none is None
     assert neg2 == neg
     np.testing.assert_array_equal(alpha2, alpha)
+
+
+def test_ard_prediction_in_blocks_has_the_bits_of_one_block(monkeypatch):
+    # each block's N x B cross covariances are those columns of the one-shot
+    # N x M matrix, and the product rounds each row alike
+    rng = np.random.default_rng(26)
+    x, y = rng.uniform(size=(120, 4)), rng.normal(size=120)
+    log_params = np.array([-0.5, 0.2, 0.7, 0.1, 0.3, np.log(0.05)])
+    alpha = _ard_neg_mll_and_grad(log_params, x, y, gradient=False)[2]
+    b = gp_mod.PREDICT_BLOCK_ROWS
+    for m in (1, b, 3 * b + 7):
+        xq = rng.uniform(-0.2, 1.2, size=(m, 4))
+        blocked = _ard_predict(log_params, x, alpha, xq)
+        monkeypatch.setattr(bench_mod, "PREDICT_BLOCK_ROWS", 10**9)
+        one_shot = _ard_predict(log_params, x, alpha, xq)
+        monkeypatch.undo()
+        assert blocked.shape == (m,)
+        assert blocked.tobytes() == one_shot.tobytes()
 
 
 def _ard_tensor_oracle(log_params, x, y):
