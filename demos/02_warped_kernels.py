@@ -47,8 +47,7 @@ stack = KernelStack(
         (KernelForm.rq(1.5), 0.6, LengthscaleField(((Basis.legendre01(), [2.0]),), 2)),
     )
 )
-parts = gram_parts(stack, pts)
-gram = sum(p[4] for p in parts)
+gram, _ = gram_parts(stack, pts)
 eigs = np.linalg.eigvalsh(gram)
 print(f"\ntwo-kernel Gram over {pts.shape[0]} points: eig range [{eigs.min():.2e}, {eigs.max():.2e}]")
 

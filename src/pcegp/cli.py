@@ -196,22 +196,17 @@ def build_space(cfg: dict) -> SearchSpace:
 
 
 def _apply_thread_limit(n: int | None) -> None:
-    """Cap BLAS/OpenMP pools; deterministic runs want --threads 1.
+    """Check a thread count and set the BLAS and OpenMP thread variables to it.
 
-    numpy is loaded by now, so without threadpoolctl this only affects
-    pools created later: the `pcegp` script (`pcegp.launch`) sets the same
-    variables before numpy is imported.
+    numpy is loaded by now, so this sizes only pools created later: the
+    `pcegp` script (`pcegp.launch`) sets the same variables before numpy is
+    imported, which is what caps the pools numpy starts.
     """
     if n is None:
         return
     if n < 1:
         raise UsageError(f"thread count must be >= 1, got {n}")
-    try:
-        import threadpoolctl
-
-        threadpoolctl.threadpool_limits(limits=n)
-    except ImportError:
-        set_thread_vars(n)
+    set_thread_vars(n)
 
 
 def _load_dataset(cfg: dict):

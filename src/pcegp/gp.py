@@ -6,10 +6,14 @@ inverse, which LAPACK forms from the factor (dpotri) rather than by
 solving against the identity. The likelihood gradient is analytic: every
 kernel entry is a function of the pairwise squared distances of warped
 points, and the warp is linear in the expansion coefficients, so the
-chain rule reduces to one pairwise derivative matrix per kernel, taken
-from the kernel values themselves, plus a rank-structured contraction. The
-public contract for the gradient is agreement with central finite
-differences; the analytic path is an implementation choice for speed.
+chain rule reduces to A weighted by one pairwise derivative matrix per
+kernel, plus a rank-structured contraction: the weighted matrix's row sums
+and its product with the warps, from one product with [w | 1]. Assembly
+keeps one N x N array per kernel, the argument of its form, and once A is
+formed each kernel's values and derivative are re-formed from it in one
+shared scratch (`kernels.weighted_derivative`). The public contract for the
+gradient is agreement with central finite differences; the analytic path
+is an implementation choice for speed.
 
 The gradient's coordinates are the free parameters; `free_parameters`
 and `with_free_parameters` are the one map between them and a (stack,
@@ -27,9 +31,9 @@ caller's workspace, each overwriting the one before, and the next
 evaluation overwrites them all (see `kernels.Workspace` for what borrows
 that buffer and what owns a copy). A value-only fit (`fit_likelihood`, and
 through it every refit, load and closing fit) reads nothing of the
-assembly but K, so `kernels.noisy_gram` adds each kernel entry into K as
+assembly but K, so `kernels.gram_parts` adds each kernel entry into K as
 it is formed and the fit holds at most three N x N buffers; only the
-gradient keeps each entry's distances and component. A value-only fit's
+gradient keeps each entry's argument. A value-only fit's
 factor is K's buffer: the search scores each fold, and a benchmark each
 outer fold's refit, from it, and a model that `model_from_fit` factorizes
 keeps the K buffer of a workspace of its own, its strict upper triangle
@@ -79,9 +83,9 @@ from .kernels import (
     ladder_cholesky,
     mirror_lower,
     noisy_gram,
-    sqdist_derivative_from_values,
     warp_stack,
     warped_cross_matrix,
+    weighted_derivative,
     zero_upper,
 )
 
@@ -223,9 +227,11 @@ def mll_gradient(
     coefficients, so the sensitivity of a lengthscale or of the unclamped
     noise to a coefficient is the basis's own value, read from the
     `PointBasis` each call. The N x N arrays of the evaluation are the
-    E + (non-squared-exponential entries) + 1 buffers of `workspace` (a
-    fresh one when none is given) that `kernels.Workspace` describes; the
-    returned gradient is a new array.
+    buffers of `workspace` (a fresh one when none is given) that
+    `kernels.Workspace` describes: each entry's argument, K (which becomes
+    A) and one scratch when an entry is not squared exponential. Each
+    entry is contracted from its argument alone (`weighted_derivative`),
+    which it may then overwrite; the returned gradient is a new array.
     """
     basis = as_point_basis(x_scaled, stack.fields + (noise,))
     pts = basis.points
@@ -233,17 +239,19 @@ def mll_gradient(
     _, k, parts = noisy_gram(stack, noise, basis, workspace, gradient=True)
     # dMLL = 0.5 tr(a dK)
     a = _likelihood_core(k, y, stack.describe(), gradient=True).a
+    n, n_x = pts.shape
 
     blocks = []
     scale_grad = []
-    for (form, scale, field), (_, _, w, d2, k_part) in zip(stack.entries, parts):
-        # before the derivative, which overwrites a squared-exponential
-        # entry's values (its d2 and k_part are one buffer)
-        scale_grad.append(0.5 * float(np.vdot(a, k_part)) / (scale * scale))
-        # the distances are dead once their derivative is taken
-        t = sqdist_derivative_from_values(form, d2, k_part, out=d2)
-        t *= a
-        r = t.sum(axis=1)[:, None] * w - t @ w
+    w1 = np.empty((n, n_x + 1))
+    w1[:, n_x] = 1.0
+    for field, (form, scale, w, argument, scratch) in zip(stack.fields, parts):
+        t, factor, value_sum = weighted_derivative(form, scale, argument, a, scratch)
+        scale_grad.append(0.5 * value_sum)
+        # t @ [w | 1]: t @ w and t's row sums from one product
+        w1[:, :n_x] = w
+        tw = t @ w1
+        r = factor * (tw[:, n_x:] * w - tw[:, :n_x])
         # sens[m, d, i] = phi_m(x_id) = d l_d(x_i) / d c_m, in coefficient order
         sens = np.concatenate(
             [v.transpose(0, 2, 1) for v in _term_values(basis, field.terms)]

@@ -7,12 +7,19 @@ form positive semidefinite regardless of the sign of l(x); a constant
 field l(x) = c reproduces the stationary kernel with lengthscale 1/c.
 
 All four forms are functions of the squared distance only, which lets
-Gram assembly and the likelihood gradient share one pairwise-distance
-matrix per stack entry. `pairwise_sqdist` fills it computing each
-unordered pair once, so it is exactly symmetric with a zero diagonal. The
-distances come from scipy's compiled squared-Euclidean `cdist` kernel and
-the factorization from LAPACK dpotrf, both through `pcegp._native`, which
-loads them without the `scipy.spatial` and `scipy.linalg` packages. The
+Gram assembly and the likelihood gradient share one N x N array per stack
+entry: the form's argument (`form_argument`), which is the values
+themselves for squared exponential and d, sqrt(3) d or 1 + d^2 / (2a) for
+the others. `add_form_values` is the one evaluation of the forms: Gram
+assembly adds each entry's values into K through it on both likelihood
+paths, and prediction its cross covariances. The gradient re-forms each
+entry's values and derivative from the argument (`weighted_derivative`)
+instead of keeping the values. `pairwise_sqdist` fills the distances
+computing each unordered pair once, so they are exactly symmetric with a
+zero diagonal. They come from scipy's compiled squared-Euclidean `cdist`
+kernel and the factorization from LAPACK dpotrf, both through
+`pcegp._native`, which loads them without the `scipy.spatial` and
+`scipy.linalg` packages. The
 entries' warps read the chaos-basis values of one `hyper.PointBasis` per
 point set, so a stack whose entries share a basis family evaluates it once.
 The training-side warps that assembly makes are kept, so that prediction
@@ -20,20 +27,20 @@ from a fitted model warps only its queries.
 
 Gram assembly writes into a `Workspace`: owned N x N buffers, reused by
 every evaluation instead of allocated afresh. What it holds depends on the
-consumer. The likelihood gradient keeps each entry's squared distances and
-component (one buffer for a squared-exponential entry, whose values
-overwrite its distances) and K. A value-only fit adds each component into
-K as soon as it is formed, so it holds K, one distance buffer and, for a
-Matern-3/2 entry, one scratch. One workspace serves one command and is
-freed with it: a benchmark's searches and refits share one, and a search
-alone or a baseline fit has its own; a call given none makes a fresh one.
-It is sized at the largest training split it serves, so each buffer is
-allocated once, however the fold sizes differ. K's buffer also holds its
-factor and, for the likelihood gradient, A = alpha alpha^T - K^-1:
-`ladder_cholesky` factorizes K in place. A factor is the lower triangle of
-a C-order array. LAPACK factorizes it in place as the upper factor of its
-Fortran-order transpose, and the solves read it through that transpose
-without copying it.
+consumer. The likelihood gradient keeps each entry's argument, K and one
+scratch, shared by the entries that are not squared exponential, in which
+each entry's values are formed before they are added into K. A value-only
+fit adds each entry into K as soon as it is formed, so it holds K, one
+argument buffer and, for a Matern-3/2 entry, the scratch. One workspace
+serves one command and is freed with it: a benchmark's searches and refits
+share one, and a search alone or a baseline fit has its own; a call given
+none makes a fresh one. It is sized at the largest training split it
+serves, so each buffer is allocated once, however the fold sizes differ.
+K's buffer also holds its factor and, for the likelihood gradient,
+A = alpha alpha^T - K^-1: `ladder_cholesky` factorizes K in place. A
+factor is the lower triangle of a C-order array. LAPACK factorizes it in
+place as the upper factor of its Fortran-order transpose, and the solves
+read it through that transpose without copying it.
 """
 
 from __future__ import annotations
@@ -165,14 +172,15 @@ class Workspace:
     buffer. A request past a buffer's size drops
     the buffer before the larger one is made, so the two are never held
     together; views of the old one must be dead by then, as the rule below
-    has them. A gradient evaluation of an E-entry stack holds
-    E + (non-squared-exponential entries) + 1 of them: each entry's
-    distances, each entry's component except where a squared-exponential
-    entry's values overwrite its distances, and K, which becomes the
-    factor and then A. A value-only fit holds at most 3: K, which becomes
-    the factor, one distance buffer, and a scratch when the stack has a
-    Matern-3/2 entry; all three are among a gradient's buffers for the same
-    stack, so after one it allocates nothing (see `noisy_gram`).
+    has them. A gradient evaluation of an E-entry stack holds E + 1 of
+    them, plus one: each entry's argument (key ("argument", i)) and K,
+    which becomes the factor and then A, plus a scratch ("scratch") when
+    any entry is not squared exponential. A value-only fit holds at most 3:
+    K, which becomes the factor, one argument buffer (("argument", 0)), and
+    the scratch when the stack has a Matern-3/2 entry; a first entry that
+    is not Matern-3/2 is formed in K itself. All three are among a
+    gradient's buffers for the same stack, so after one it allocates
+    nothing (see `gram_parts`).
 
     What an evaluation returns from a workspace borrows its buffers until
     the next evaluation there, which overwrites them: a value-only fit's
@@ -212,79 +220,115 @@ class Workspace:
 
 
 # ---------------------------------------------------------------------------
-# form evaluation on squared distances
+# form evaluation: the argument, the values, and the derivative
 # ---------------------------------------------------------------------------
 
-def form_from_sqdist(form: KernelForm, scale: float, sqdist, out=None, scratch=None):
-    """Evaluate a form on squared distances; scale enters as scale**2.
+def form_argument(form: KernelForm, scale: float, sqdist: np.ndarray) -> np.ndarray:
+    """Overwrite squared distances d2 with the form's argument, in place.
 
-    The values go to `out` when it is given (an array of the distances'
-    shape, which may be `sqdist` itself), else to a new array. Matern-3/2
-    needs one more array of that shape, `scratch`, allocated when it is
-    not given.
+    The argument is what Gram assembly keeps of an entry for the likelihood
+    gradient: the values k themselves for squared exponential (scale
+    included), d = sqrt(d2) for absolute exponential, d = sqrt(3 d2) for
+    Matern-3/2 and b = 1 + d2 / (2a) for rational quadratic. Returns the
+    same array.
     """
-    d2 = np.asarray(sqdist, dtype=float)
-    if out is None:
-        out = np.empty_like(d2)
+    d2 = sqdist
+    if form.tag == "squared_exponential":
+        d2 *= -0.5
+        np.exp(d2, out=d2)
+        d2 *= scale * scale
+    elif form.tag == "absolute_exponential":
+        np.sqrt(d2, out=d2)
+    elif form.tag == "matern_3_2":
+        d2 *= 3.0
+        np.sqrt(d2, out=d2)
+    else:
+        d2 /= 2.0 * form.shape
+        d2 += 1.0
+    return d2
+
+
+def _accumulate(k, values, first):
+    if not first:
+        k += values
+    elif values is not k:
+        np.copyto(k, values)
+    return k
+
+
+def add_form_values(form, scale, argument, k, scratch, first=False):
+    """Add the form's values at `argument` into `k`; with `first`, write them.
+
+    The values are s2 exp(-d) for absolute exponential, s2 b^-a for
+    rational quadratic, and s2 exp(-d) + (s2 exp(-d)) d, added as those two
+    terms in turn, for Matern-3/2; a squared-exponential argument is its
+    values. They are formed in `scratch`, which may be `argument` itself
+    (overwriting it) for every form but Matern-3/2, whose second term reads
+    both; with `first`, both may also be `k`. This is the one evaluation of
+    the forms: Gram assembly on both likelihood paths and prediction's
+    cross covariances all add their entries through it, so K has the same
+    bits whichever path made it.
+    """
+    if form.tag == "squared_exponential":
+        return _accumulate(k, argument, first)
+    if form.tag == "rational_quadratic":
+        np.power(argument, -form.shape, out=scratch)
+    else:
+        np.negative(argument, out=scratch)
+        np.exp(scratch, out=scratch)
+    scratch *= scale * scale
+    _accumulate(k, scratch, first)
+    if form.tag == "matern_3_2":
+        scratch *= argument
+        k += scratch
+    return k
+
+
+def form_from_sqdist(form: KernelForm, scale: float, sqdist) -> np.ndarray:
+    """The form's values on squared distances, in a new array.
+
+    The scale enters as scale**2.
+    """
+    argument = form_argument(form, scale, np.array(sqdist, dtype=float))
+    scratch = np.empty_like(argument) if form.tag == "matern_3_2" else argument
+    return add_form_values(form, scale, argument, np.empty_like(argument), scratch,
+                           first=True)
+
+
+def weighted_derivative(form: KernelForm, scale: float, argument, a, scratch):
+    """A weighted by the form's squared-distance derivative, from its argument.
+
+    Returns (t, factor, value_sum): factor * t = A o dk/d(d2) elementwise,
+    and value_sum = sum(A o k) / scale^2, the sum the output-scale
+    derivative needs. The derivatives are -k/2 (squared exponential),
+    -s2 exp(-d) / (2d) (absolute exponential), -1.5 s2 exp(-d) (Matern-3/2)
+    and -k / (2b) (rational quadratic), with the constant left in `factor`.
+    The absolute-exponential derivative is unbounded at zero distance and
+    is exactly 0 there, which is exact wherever it matters: the squared
+    distance of coincident warped points has zero sensitivity to the warp.
+    `t` is the buffer of `argument` or of `scratch`, each of which may be
+    overwritten; `scratch` is unused, and may be None, for squared
+    exponential. A is left alone.
+    """
     s2 = scale * scale
     if form.tag == "squared_exponential":
-        np.multiply(d2, -0.5, out=out)
-        np.exp(out, out=out)
-    elif form.tag == "absolute_exponential":
-        np.sqrt(d2, out=out)
-        np.negative(out, out=out)
-        np.exp(out, out=out)
-    elif form.tag == "matern_3_2":
-        np.multiply(d2, 3.0, out=out)
-        np.sqrt(out, out=out)  # d
-        decay = np.negative(out, out=np.empty_like(out) if scratch is None else scratch)
-        np.exp(decay, out=decay)
-        out += 1.0
-        out *= s2  # (s2 (1 + d)) exp(-d), the closed form's own order
-        out *= decay
-        return out
+        t = np.multiply(argument, a, out=argument)
+        return t, -0.5, float(t.sum()) / s2
+    if form.tag == "rational_quadratic":
+        np.power(argument, -form.shape, out=scratch)
     else:
-        np.divide(d2, 2.0 * form.shape, out=out)
-        out += 1.0
-        np.power(out, -form.shape, out=out)
-    out *= s2
-    return out
-
-
-def sqdist_derivative_from_values(form: KernelForm, sqdist, values, out=None):
-    """d(form)/d(squared distance) from the form's own values.
-
-    Used by the likelihood gradient, it reuses the component matrix that
-    Gram assembly already holds instead of recomputing the exp or power:
-    SE -k/2, M3/2 -1.5k/(1 + sqrt(3 d2)), RQ -k/(2(1 + d2/(2a))), and AE
-    -k/(2 sqrt(d2)). The AE derivative is unbounded at zero distance and is
-    set to 0 there, which is exact wherever it matters: the squared distance
-    of coincident warped points has zero sensitivity to the warp. Writes to
-    `out` when it is given, else to a new array; the inputs are left alone.
-    """
-    d2 = np.asarray(sqdist, dtype=float)
-    k = np.asarray(values, dtype=float)
-    if out is None:
-        out = np.empty_like(d2)
-    if form.tag == "squared_exponential":
-        return np.multiply(k, -0.5, out=out)
-    if form.tag == "absolute_exponential":
-        np.sqrt(d2, out=out)
-        out *= -2.0
-        np.divide(k, out, out=out, where=out < 0.0)  # out stays 0 at d2 = 0
-        return out
+        np.negative(argument, out=scratch)
+        np.exp(scratch, out=scratch)
+    scratch *= a
+    value_sum = float(scratch.sum())
     if form.tag == "matern_3_2":
-        np.multiply(d2, 3.0, out=out)
-        np.sqrt(out, out=out)
-        out += 1.0
-        np.divide(k, out, out=out)
-        out *= -1.5
-        return out
-    np.divide(d2, 2.0 * form.shape, out=out)
-    out += 1.0
-    np.divide(k, out, out=out)
-    out *= -0.5
-    return out
+        # k / s2 = exp(-d) (1 + d)
+        return scratch, -1.5 * s2, value_sum + float(np.vdot(scratch, argument))
+    if form.tag == "rational_quadratic":
+        return np.divide(scratch, argument, out=scratch), -0.5 * s2, value_sum
+    # where d = 0 the quotient keeps the argument's own 0
+    t = np.divide(scratch, argument, out=argument, where=argument > 0.0)
+    return t, -0.5 * s2, value_sum
 
 
 # ---------------------------------------------------------------------------
@@ -370,32 +414,54 @@ def warp_stack(stack: KernelStack, points) -> tuple:
     return tuple(warp_points(field, basis) for field in stack.fields)
 
 
-def gram_parts(stack: KernelStack, points, workspace: Workspace | None = None):
-    """Per-entry warped points, squared distances, and component matrices.
+def gram_parts(
+    stack: KernelStack, points, workspace: Workspace | None = None, keep: bool = True
+):
+    """The noise-free Gram K and, with `keep`, each entry's argument.
 
-    Returns a list of (form, scale, warped, sqdist, component) tuples; the
-    noise-free Gram is the sum of the components. This is the assembly the
-    likelihood gradient reads, so the geometry is computed once. `points`
-    may be a `PointBasis`, or the tuple of warps that `warp_stack` makes;
-    plain points get a basis for this call, so entries sharing a basis
-    family evaluate it once, and it is freed before the N x N arrays are
-    filled. The distances and components are buffers of `workspace`, or of
-    a fresh one when none is given. A squared-exponential entry's values
-    overwrite its distances, since its derivative reads only the values:
-    its sqdist and component are one array. Matern-3/2 takes K's buffer as
-    its scratch, which `noisy_gram` fills only after the parts.
+    Returns (K, parts), parts a list of (form, scale, warped, argument,
+    scratch) in stack order, or None without `keep`; an entry's scratch is
+    the shared one, or None for squared exponential, whose contraction
+    needs none (see `weighted_derivative`). This is the one Gram assembly.
+    Each entry's squared distances are overwritten with its argument
+    (`form_argument`), whose values `add_form_values` adds into K, the first
+    entry's written, so K is the sum in stack order. With `keep`, which the
+    likelihood gradient needs, every entry's argument is a buffer of its
+    own and the values are formed in one shared scratch when any entry is
+    not squared exponential: E + 1 N x N buffers, plus that scratch. A
+    value-only fit reads only K, so without `keep` the first entry is
+    formed in K itself (unless it is Matern-3/2) and every later one goes
+    through one argument buffer, in which its values are then formed; the
+    scratch is held only for a Matern-3/2 entry. Either way K has the same
+    bits. `points` may be a `PointBasis`, or the tuple of warps that
+    `warp_stack` makes; plain points get a basis for this call, so entries
+    sharing a basis family evaluate it once, and it is freed before the
+    N x N arrays are filled. The buffers are those of `workspace`, or of a
+    fresh one when none is given.
     """
     warped = points if isinstance(points, tuple) else warp_stack(stack, points)
     ws = workspace if workspace is not None else Workspace()
     n = warped[0].shape[0]
-    parts = []
+    k = ws.matrix("k", n)
+    tags = [form.tag for form, _, _ in stack.entries]
+    if keep:
+        needs_scratch = tags.count("squared_exponential") < len(tags)
+    else:
+        needs_scratch = "matern_3_2" in tags
+    scratch = ws.matrix("scratch", n) if needs_scratch else None
+    parts = [] if keep else None
     for i, ((form, scale, _), w) in enumerate(zip(stack.entries, warped)):
-        d2 = pairwise_sqdist(w, ws.matrix(("sqdist", i), n))
-        se = form.tag == "squared_exponential"
-        out = d2 if se else ws.matrix(("component", i), n)
-        k_part = form_from_sqdist(form, scale, d2, out, ws.matrix("k", n))
-        parts.append((form, scale, w, d2, k_part))
-    return parts
+        se, m32 = form.tag == "squared_exponential", form.tag == "matern_3_2"
+        if keep:
+            argument = ws.matrix(("argument", i), n)
+        else:
+            argument = k if i == 0 and not m32 else ws.matrix(("argument", 0), n)
+        form_argument(form, scale, pairwise_sqdist(w, argument))
+        add_form_values(form, scale, argument, k,
+                        scratch if keep or m32 else argument, first=i == 0)
+        if keep:
+            parts.append((form, scale, w, argument, None if se else scratch))
+    return k, parts
 
 
 def mirror_lower(a: np.ndarray) -> np.ndarray:
@@ -469,46 +535,20 @@ def noisy_gram(
     """The noisy training covariance K + noise diagonal, with what made it.
 
     Returns (warped, K, parts): each entry's warped training points, K,
-    and, with `gradient`, the parts as `gram_parts` makes them, else None.
-    This is the one place the training covariance is assembled, for two
-    consumers. The gradient keeps every entry's distances and component,
-    so K is their sum in a buffer of its own. A value-only fit reads only
-    K, so each component is added into K as soon as it is formed, through
-    one distance buffer: the first entry's values go straight to K, each
-    later entry's overwrite its distances and are then added. Either way K
-    is the same sum in stack order, then the noise diagonal, so it has the
-    same bits. A Matern-3/2 entry of a value-only fit takes as scratch the
-    component buffer of the stack's first Matern-3/2 entry, which a
-    gradient of the same stack holds too. The buffers are those of
-    `workspace`, or of a fresh one when none is given. The warps and the
-    noise read one `PointBasis` (`points`, or one made over them for this
-    call and freed before the N x N arrays are filled).
+    and, with `gradient`, the parts as `gram_parts` keeps them, else None.
+    This is the training covariance of both likelihood paths: `gram_parts`
+    assembles K, keeping each entry's argument only for the gradient, and
+    the noise diagonal is added last. The buffers are those of `workspace`,
+    or of a fresh one when none is given. The warps and the noise read one
+    `PointBasis` (`points`, or one made over them for this call and freed
+    before the N x N arrays are filled).
     """
     basis = as_point_basis(points, stack.fields + (noise,))
     warped = warp_stack(stack, basis)
     noise_diagonal = eval_noise_batch(noise, basis)
     del basis
-    ws = workspace if workspace is not None else Workspace()
-    n = warped[0].shape[0]
-    k = ws.matrix("k", n)
-    parts = None
-    if gradient:
-        parts = gram_parts(stack, warped, ws)
-        np.copyto(k, parts[0][4])
-        for part in parts[1:]:
-            k += part[4]
-    else:
-        d2 = ws.matrix(("sqdist", 0), n)
-        m32 = [i for i, (form, _, _) in enumerate(stack.entries)
-               if form.tag == "matern_3_2"]
-        scratch = ws.matrix(("component", m32[0]), n) if m32 else None
-        for i, ((form, scale, _), w) in enumerate(zip(stack.entries, warped)):
-            pairwise_sqdist(w, d2)
-            if i == 0:
-                form_from_sqdist(form, scale, d2, out=k, scratch=scratch)
-            else:
-                k += form_from_sqdist(form, scale, d2, out=d2, scratch=scratch)
-    k.flat[:: n + 1] += noise_diagonal
+    k, parts = gram_parts(stack, warped, workspace, keep=gradient)
+    k.flat[:: k.shape[0] + 1] += noise_diagonal
     return warped, k, parts
 
 
@@ -519,22 +559,28 @@ def warped_cross_matrix(stack: KernelStack, warped, warped_queries) -> np.ndarra
     and M x n_x, as `warp_stack` makes them. Returns the M x N C-order
     matrix, whose transpose is the N x M Fortran-order right-hand side that
     LAPACK solves in place (`gp.predict_batch`). It is the only M x N array
-    made: the queries go through in blocks of `SQDIST_BLOCK_ROWS` rows, the
-    first entry's distances and values are formed in the block's rows of
-    the result, and each later entry's in one block-sized scratch, then
-    added, in stack order.
+    made: the queries go through in blocks of `SQDIST_BLOCK_ROWS` rows. The
+    first entry is formed in the block's rows of the result, and each later
+    one's distances and argument in one block-sized array, its values then
+    added in stack order (a Matern-3/2 entry's through a second such array),
+    as Gram assembly adds them.
     """
     m, n = warped_queries[0].shape[0], warped[0].shape[0]
     out = np.empty((m, n))
-    scratch = np.empty((min(m, SQDIST_BLOCK_ROWS), n)) if stack.n_entries > 1 else None
+    shape = (min(m, SQDIST_BLOCK_ROWS), n)
+    tags = [form.tag for form, _, _ in stack.entries]
+    block = np.empty(shape) if stack.n_entries > 1 or tags[0] == "matern_3_2" else None
+    scratch = np.empty(shape) if "matern_3_2" in tags else None
     for s in range(0, m, SQDIST_BLOCK_ROWS):
         e = min(m, s + SQDIST_BLOCK_ROWS)
+        rows = out[s:e]
         for i, ((form, scale, _), w, wq) in enumerate(
             zip(stack.entries, warped, warped_queries)
         ):
-            d2 = out[s:e] if i == 0 else scratch[: e - s]
-            cdist_sqeuclidean(wq[s:e], w, out=d2)
-            form_from_sqdist(form, scale, d2, out=d2)
-            if i:
-                out[s:e] += d2
+            m32 = form.tag == "matern_3_2"
+            argument = rows if i == 0 and not m32 else block[: e - s]
+            cdist_sqeuclidean(wq[s:e], w, out=argument)
+            form_argument(form, scale, argument)
+            values = scratch[: e - s] if m32 else argument
+            add_form_values(form, scale, argument, rows, values, first=i == 0)
     return out

@@ -12,6 +12,7 @@ from pcegp.kernels import (
     JITTER_LADDER,
     KernelForm,
     KernelStack,
+    add_form_values,
     gram_parts,
     warp_points,
     warped_cross_matrix,
@@ -70,16 +71,19 @@ def ladder_by_copies(k):
 
 
 def gram_by_parts(stack: KernelStack, noise: NoiseField, points):
-    """K + noise diagonal as the sum of the `gram_parts` components.
+    """K + noise diagonal as the likelihood gradient's assembly makes it.
 
-    Every entry's component is a buffer of its own, and K a copy of the
-    first plus each later one in stack order, then the noise diagonal: the
-    assembly the likelihood gradient makes.
+    Every entry's argument is kept in a buffer of its own, and its values
+    are added into K through the scratch. Each kept argument must still give
+    K's bits afterwards, re-formed in stack order into a fresh array, since
+    the gradient's contraction reads the arguments once K is gone.
     """
     basis = PointBasis(points, stack.fields + (noise,))
-    parts = gram_parts(stack, basis)
-    k = parts[0][4].copy()
-    for part in parts[1:]:
-        k += part[4]
+    k, parts = gram_parts(stack, basis)
+    again = np.empty_like(k)
+    for i, (form, scale, _, argument, _) in enumerate(parts):
+        add_form_values(form, scale, argument.copy(), again, np.empty_like(k),
+                        first=i == 0)
+    assert again.tobytes() == k.tobytes()
     k.flat[:: k.shape[0] + 1] += eval_noise_batch(noise, basis)
     return k

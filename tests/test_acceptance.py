@@ -235,7 +235,7 @@ def test_criterion_07_gram_psd():
             entries.append((form, float(rng.uniform(0.3, 2.0)), field))
         stack = KernelStack(tuple(entries))
         pts = rng.uniform(-1.5, 1.5, size=(n, n_x))
-        k = sum(part[4] for part in gram_parts(stack, pts))
+        k, _ = gram_parts(stack, pts)
         eigs = np.linalg.eigvalsh(k)
         worst = min(worst, float(eigs.min() / eigs.max()))
     _report(7, worst >= -1e-8, f"worst eigenvalue ratio {worst:.2e} >= -1e-8")

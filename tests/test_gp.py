@@ -115,6 +115,26 @@ def _fd_gradient(stack, noise, pts, y, h_rel=1e-5):
     return out
 
 
+def _fd4_gradient(stack, noise, pts, y, h_rel=1e-4):
+    """Central differences on five points, with error O(h^4).
+
+    A step large enough to keep rounding in the likelihood small where K is
+    nearly singular then keeps the truncation error small too.
+    """
+    theta = free_parameters(stack, noise)
+    out = np.empty_like(theta)
+    for m in range(theta.size):
+        h = h_rel * max(1.0, abs(theta[m]))
+        values = []
+        for step in (-2.0, -1.0, 1.0, 2.0):
+            moved = theta.copy()
+            moved[m] += step * h
+            values.append(mll(*with_free_parameters(stack, noise, moved), pts, y))
+        low2, low1, high1, high2 = values
+        out[m] = (low2 - 8.0 * low1 + 8.0 * high1 - high2) / (12.0 * h)
+    return out
+
+
 def test_gradient_matches_finite_differences_many_seeds():
     cases = []
     for seed in range(20):
@@ -167,8 +187,8 @@ def test_gradient_matches_finite_differences_many_seeds():
     noise = NoiseField.pce(noise_terms, floor=1e-8)
     cases.append((stack, noise, rng.uniform(size=(8, 3)), rng.normal(size=8)))
     # a squared-exponential entry first, last and alone, on duplicated rows:
-    # its values and its derivative share one buffer, so its scale term must
-    # be taken before the derivative overwrites them. The case where both
+    # its argument is its values, and its derivative-weighted A overwrites
+    # that buffer, so its scale term must be taken before. The case where both
     # copies of a duplicated row clamp at the noise floor is excluded by
     # construction: the noise is fixed, or an expansion whose constant term
     # (0.2 to 0.4) outweighs its linear one (|c| <= 0.1, |phi_1| <= 1 on
@@ -200,6 +220,53 @@ def test_gradient_matches_finite_differences_many_seeds():
         rel = np.abs(analytic - fd) / np.maximum(np.abs(fd), 1e-6)
         worst = max(worst, rel.max())
     assert worst <= 1e-4, worst
+
+
+@settings(max_examples=40, deadline=None, database=None, derandomize=True)
+@given(
+    n_x=st.integers(1, 3),
+    degree=st.integers(0, 3),
+    rows=st.lists(st.integers(0, 5), min_size=7, max_size=12),
+    shape=st.sampled_from([0.35, 1.0, 4.0]),
+    noise_pce=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_four_form_gradient_on_duplicated_rows_matches_finite_differences(
+    n_x, degree, rows, shape, noise_pce, seed
+):
+    # every form's contraction from its argument, in one stack, with seven
+    # or more rows drawn from a pool of six points, so that at least one
+    # repeats and its warped distances are exactly zero (where the
+    # absolute-exponential derivative is 0). The case where both copies of a
+    # duplicated row clamp at the noise floor is excluded by construction:
+    # the noise is fixed, or an expansion whose constant term is at least
+    # twice its linear one (|phi_1| <= 1 on [0, 1]), so no point clamps.
+    # Repeated rows make K nearly singular, and distinct rows whose warps
+    # nearly meet put the absolute-exponential kink within a step, so no one
+    # step suits every draw: the best of three five-point differences is
+    # the reference, and its denominators are floored at 1e-3 of its largest
+    # entry, where rounding in the differences reached 5e-8 of it
+    rng = np.random.default_rng(seed)
+    forms = [KernelForm.se(), KernelForm.ae(), KernelForm.matern32(),
+             KernelForm.rq(shape)]
+    stack = random_stack(rng, n_x, forms=forms, degree=degree)
+    if noise_pce:
+        c0 = rng.uniform(0.05, 0.4)
+        noise = NoiseField.pce(
+            [(Basis.legendre01(), [c0, rng.uniform(-0.5, 0.5) * c0])], floor=1e-8
+        )
+    else:
+        noise = NoiseField.fixed(float(10.0 ** rng.uniform(-2.0, -1.0)))
+    pts = rng.uniform(size=(6, n_x))[rows]
+    y = rng.normal(size=len(rows))
+    analytic = mll_gradient(stack, noise, pts, y)
+    assert np.all(np.isfinite(analytic))
+    worst = []
+    for h_rel in (1e-3, 1e-4, 1e-5):
+        fd = _fd4_gradient(stack, noise, pts, y, h_rel)
+        floor = max(1e-6, 1e-3 * np.abs(fd).max())
+        worst.append((np.abs(analytic - fd) / np.maximum(np.abs(fd), floor)).max())
+    assert min(worst) <= 1e-4, worst
 
 
 def test_gradient_scale_term_at_zero_targets():

@@ -14,6 +14,8 @@ from pcegp.kernels import (
     TRIANGLE_BLOCK_ROWS,
     KernelForm,
     KernelStack,
+    add_form_values,
+    form_argument,
     form_from_sqdist,
     gram_parts,
     kernel_nonstationary,
@@ -21,10 +23,10 @@ from pcegp.kernels import (
     ladder_cholesky,
     mirror_lower,
     noisy_gram,
-    sqdist_derivative_from_values,
     warp_points,
     warp_stack,
     warped_cross_matrix,
+    weighted_derivative,
 )
 from pcegp.poly import Basis
 
@@ -341,7 +343,7 @@ def test_noise_free_gram_is_psd():
         d = int(rng.integers(1, 5))
         stack = KernelStack(((form, 1.0, random_field(rng, d, scale=1.5)),))
         pts = rng.uniform(size=(n, d))
-        k = sum(p[4] for p in gram_parts(stack, pts))
+        k, _ = gram_parts(stack, pts)
         eig = np.linalg.eigvalsh(k)
         assert eig.min() >= -1e-8 * eig.max(), form.tag
 
@@ -361,11 +363,12 @@ def test_gram_sqdist_matches_cdist_with_duplicate_rows(n_x, rows, data):
     coeffs = data.draw(st.lists(st.floats(-3.0, 3.0), min_size=1, max_size=4))
     field = LengthscaleField(((Basis.legendre01(), coeffs),), n_x)
     stack = KernelStack(((KernelForm.ae(), 1.0, field),))
-    [(_, _, w, d2, _)] = gram_parts(stack, pool[rows])
-    assert np.array_equal(d2, cdist(w, w, "sqeuclidean"))
-    assert np.array_equal(d2, d2.T)
-    assert np.all(np.diag(d2) == 0.0)
-    assert np.all(d2[np.equal.outer(rows, rows)] == 0.0)
+    # an absolute-exponential entry keeps d = sqrt(d2) as its argument
+    [(_, _, w, d, _)] = gram_parts(stack, pool[rows])[1]
+    assert np.array_equal(d, np.sqrt(cdist(w, w, "sqeuclidean")))
+    assert np.array_equal(d, d.T)
+    assert np.all(np.diag(d) == 0.0)
+    assert np.all(d[np.equal.outer(rows, rows)] == 0.0)
 
 
 @pytest.mark.parametrize(
@@ -380,11 +383,11 @@ def test_sqdist_matches_cdist_across_row_blocks(n_rows):
     rows = rng.integers(0, 9, size=n_rows)
     x = rng.uniform(size=(9, 3))[rows]
     stack = KernelStack(((KernelForm.ae(), 1.0, random_field(rng, 3)),))
-    [(_, _, w, d2, _)] = gram_parts(stack, x)
-    assert np.array_equal(d2, cdist(w, w, "sqeuclidean"))
-    assert np.array_equal(d2, d2.T)
-    assert np.all(np.diag(d2) == 0.0)
-    assert np.all(d2[np.equal.outer(rows, rows)] == 0.0)
+    [(_, _, w, d, _)] = gram_parts(stack, x)[1]
+    assert np.array_equal(d, np.sqrt(cdist(w, w, "sqeuclidean")))
+    assert np.array_equal(d, d.T)
+    assert np.all(np.diag(d) == 0.0)
+    assert np.all(d[np.equal.outer(rows, rows)] == 0.0)
 
     # the baseline's K0, against its cdist path for two point sets
     log_params = np.r_[rng.uniform(-2.0, 1.0, 3), 0.3, -4.0]
@@ -414,8 +417,9 @@ def test_cross_matrix_matches_brute_force():
 
 def test_cross_matrix_in_query_blocks_has_the_bits_of_whole_entries():
     # the entries go through the queries in blocks of SQDIST_BLOCK_ROWS rows;
-    # each value is one pair's distance and form either way, and the sum is
-    # in stack order, so the bits are those of each entry formed whole
+    # each value is one pair's distance and form either way, and the values
+    # are added in stack order (a Matern-3/2 entry's as its two terms), so
+    # the bits are those of each entry formed whole and added alike
     rng = np.random.default_rng(12)
     forms = [KernelForm.matern32(), KernelForm.se(), KernelForm.rq(1.5),
              KernelForm.ae(), KernelForm.matern32()]
@@ -426,10 +430,13 @@ def test_cross_matrix_in_query_blocks_has_the_bits_of_whole_entries():
     for m in (1, SQDIST_BLOCK_ROWS, 2 * SQDIST_BLOCK_ROWS + 5):
         queries = rng.uniform(-0.2, 1.2, size=(m, 3))
         warped, warped_q = warp_stack(stack, pts), warp_stack(stack, queries)
-        want = None
-        for (form, scale, _), w, wq in zip(stack.entries, warped, warped_q):
-            values = form_from_sqdist(form, scale, cdist(wq, w, "sqeuclidean"))
-            want = values if want is None else want + values
+        want = np.empty((m, 40))
+        for i, ((form, scale, _), w, wq) in enumerate(
+            zip(stack.entries, warped, warped_q)
+        ):
+            argument = form_argument(form, scale, cdist(wq, w, "sqeuclidean"))
+            add_form_values(form, scale, argument, want, np.empty_like(argument),
+                            first=i == 0)
         got = warped_cross_matrix(stack, warped, warped_q)
         assert got.flags.c_contiguous and got.shape == (m, 40)
         assert got.tobytes() == want.tobytes()
@@ -468,6 +475,9 @@ def test_form_sqdist_derivative_matches_finite_difference():
 def test_absolute_exponential_derivative_is_zero_at_origin():
     d2 = np.array([0.0, 1.0])
     ae = KernelForm.ae()
-    got = sqdist_derivative_from_values(ae, d2, form_from_sqdist(ae, 1.0, d2))
+    argument = form_argument(ae, 1.0, d2.copy())
+    t, factor, _ = weighted_derivative(ae, 1.0, argument, np.ones(2), np.empty(2))
+    got = factor * t
     assert got[0] == 0.0
     assert np.isfinite(got).all()
+    assert got[1] == pytest.approx(form_sqdist_derivative(ae, 1.0, d2)[1], rel=1e-14)

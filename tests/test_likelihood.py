@@ -45,11 +45,13 @@ from pcegp.kernels import (
     SQDIST_BLOCK_ROWS,
     KernelForm,
     KernelStack,
-    form_from_sqdist,
     Workspace,
+    add_form_values,
+    form_argument,
+    form_from_sqdist,
     ladder_cholesky,
     noisy_gram,
-    sqdist_derivative_from_values,
+    weighted_derivative,
 )
 from pcegp.optim import (
     SearchSpace,
@@ -142,7 +144,7 @@ def test_core_weights_are_alpha_outer_minus_inverse():
 
 
 # ---------------------------------------------------------------------------
-# distance derivatives from kernel values
+# distance derivatives from kernel values, re-formed from each argument
 # ---------------------------------------------------------------------------
 
 @pytest.mark.parametrize(
@@ -158,24 +160,39 @@ def test_core_weights_are_alpha_outer_minus_inverse():
     ids=lambda f: f"{f.tag}-{f.shape:g}",
 )
 def test_derivative_from_values_matches_direct_form(form):
+    # the gradient re-forms each entry's values from its argument and weights
+    # A by the derivative; against the closed-form derivative, under a
+    # symmetric A with entries of both signs
     d2 = np.array([[0.0, 1e-12, 0.03], [0.5, 2.0, 30.0]])
     scale = 1.7
+    a = np.random.default_rng(30).normal(size=d2.shape)
+    argument = form_argument(form, scale, d2.copy())
+    t, factor, value_sum = weighted_derivative(
+        form, scale, argument, a, np.empty_like(d2)
+    )
+    expected = form_sqdist_derivative(form, scale, d2) * a
+    np.testing.assert_allclose(factor * t, expected, rtol=1e-12, atol=0.0)
     values = form_from_sqdist(form, scale, d2)
-    got = sqdist_derivative_from_values(form, d2, values)
-    expected = form_sqdist_derivative(form, scale, d2)
-    np.testing.assert_allclose(got, expected, rtol=1e-12, atol=0.0)
+    assert value_sum == pytest.approx(np.sum(values * a) / scale**2, rel=1e-12)
     if form.tag == "absolute_exponential":
-        assert got[0, 0] == 0.0
+        assert t[0, 0] == 0.0
 
 
 def test_derivative_from_values_leaves_its_inputs_alone():
+    # every entry's contraction reads the one A, and the assembly keeps each
+    # argument intact for it while forming the values in a scratch
     d2 = np.array([0.0, 0.4, 1.5])
-    for form in (KernelForm.ae(), KernelForm.matern32(), KernelForm.rq(2.0)):
-        values = form_from_sqdist(form, 1.0, d2)
-        d2_before, values_before = d2.copy(), values.copy()
-        sqdist_derivative_from_values(form, d2, values)
-        np.testing.assert_array_equal(d2, d2_before)
-        np.testing.assert_array_equal(values, values_before)
+    a = np.array([0.3, -1.2, 0.7])
+    for form in FORMS:
+        argument = form_argument(form, 1.3, d2.copy())
+        kept, a_before = argument.copy(), a.copy()
+        k = np.ones(3)
+        add_form_values(form, 1.3, argument, k, np.empty(3))
+        np.testing.assert_array_equal(argument, kept)
+        np.testing.assert_allclose(k, 1.0 + form_from_sqdist(form, 1.3, d2),
+                                   rtol=1e-15)
+        weighted_derivative(form, 1.3, argument, a, np.empty(3))
+        np.testing.assert_array_equal(a, a_before)
 
 
 # ---------------------------------------------------------------------------
@@ -400,9 +417,10 @@ def _buffer_floats(workspace):
     return sum(buffer.size for buffer in workspace._buffers.values())
 
 
-def test_a_gradient_holds_two_buffers_per_entry_and_one_for_k():
-    # each entry's distances, each entry's component unless it is squared
-    # exponential (whose values overwrite its distances), and K
+def test_a_gradient_holds_one_buffer_per_entry_k_and_a_scratch():
+    # each entry's argument, K, and one scratch shared by the entries that
+    # are not squared exponential: 6 for the benchmark stack, where each
+    # entry's distances and values held 8
     rng = np.random.default_rng(17)
     space = benchmark_space()
     n = 50
@@ -410,25 +428,38 @@ def test_a_gradient_holds_two_buffers_per_entry_and_one_for_k():
     stack, noise = space.build_stack(random_suggest(space, rng), 3)
     tags = [form.tag for form, _, _ in stack.entries]
     assert tags.count("squared_exponential") == 1 and "matern_3_2" in tags
-    held = (stack.n_entries + (stack.n_entries - 1) + 1) * n * n
+    held = (stack.n_entries + 1 + 1) * n * n
+    assert held == 6 * n * n
     workspace = Workspace()
     mll_gradient(stack, noise, x, y, workspace=workspace)
     assert _buffer_floats(workspace) == held
+    keys = set(workspace._buffers)
     # the value-only fit needs no buffer the gradient did not
     fit_likelihood(stack, noise, x, y, workspace)
     mll_gradient(stack, noise, x, y, workspace=workspace)
     assert _buffer_floats(workspace) == held
+    # and a cold one takes its Matern-3/2 scratch under the gradient's key
+    cold = Workspace()
+    fit_likelihood(stack, noise, x, y, cold)
+    assert "scratch" in cold._buffers and set(cold._buffers) <= keys
 
-    # a cold value-only fit: K, one distance buffer, and a scratch only when
-    # there is a Matern-3/2 entry, however many there are
+    # a cold value-only fit: K, in which a first entry that is not
+    # Matern-3/2 is formed, one argument buffer for the later entries, and
+    # a scratch only when there is a Matern-3/2 entry, however many there are
     se, ae, m32, rq = (KernelForm.se(), KernelForm.ae(), KernelForm.matern32(),
                        KernelForm.rq(1.5))
     for forms, expected in (
-        ([se, ae, m32, rq], 3), ([m32, se, m32], 3), ([rq, ae, se], 2), ([se], 2),
+        ([se, ae, m32, rq], 3), ([m32, se, m32], 3), ([rq, ae, se], 2), ([se], 1),
+        ([ae], 1), ([m32], 3),
     ):
         cold = Workspace()
         fit_likelihood(_stack(rng, 3, forms), noise, x, y, cold)
         assert _buffer_floats(cold) == expected * n * n, forms
+
+    # a gradient of entries that are all squared exponential needs no scratch
+    both = Workspace()
+    mll_gradient(_stack(rng, 3, [se, se]), noise, x, y, workspace=both)
+    assert _buffer_floats(both) == 3 * n * n
 
     # one squared-exponential entry, as in a stationary search: its values
     # and K
@@ -473,8 +504,9 @@ def test_a_cold_refit_peaks_near_three_n_by_n_arrays():
 
 def test_a_cold_refit_of_one_se_entry_keeps_k_as_its_factor(monkeypatch):
     # one squared-exponential entry at the cv-tall training size: the
-    # assembly holds K and one distance buffer (plus the one 64-row cdist
-    # block of `pairwise_sqdist` alive at a time); after it the model keeps
+    # assembly forms the entry in K itself, so it holds K alone (plus the
+    # one 64-row cdist block of `pairwise_sqdist` alive at a time; a
+    # distance buffer beside K traced 2.1 N x N arrays); after it the model keeps
     # K's buffer as its factor, upper triangle zeroed in place, so building
     # the model adds no N x N array (an `np.tril` copy with its mask would
     # add 1.125 N x N floats)
@@ -504,7 +536,7 @@ def test_a_cold_refit_of_one_se_entry_keeps_k_as_its_factor(monkeypatch):
     assembly, after = peaks
     small = 4 * n * d  # the scaled inputs, the warp and O(N) vectors
     assert model.jitter_used == 0.0
-    assert assembly < 8 * (2 * n * n + SQDIST_BLOCK_ROWS * n + small), (
+    assert assembly < 8 * (n * n + SQDIST_BLOCK_ROWS * n + small), (
         f"assembly peak {assembly / (n * n * 8):.3f} N x N arrays"
     )
     assert after < 8 * (n * n + small), f"peak {after / (n * n * 8):.3f} N x N arrays"
@@ -562,7 +594,7 @@ def test_a_benchmark_allocates_each_buffer_once(monkeypatch):
                              space=_space())
     run_benchmark(config, ds)
     assert sorted(map(str, held)) == sorted(map(str, [
-        "k", ("sqdist", 0), ("sqdist", 1), ("component", 1)
+        "k", ("argument", 0), ("argument", 1), "scratch"
     ]))
     for key, buffers in held.items():
         assert [b.size for b in buffers] == [21 * 21], key
@@ -593,15 +625,39 @@ def test_a_cv_tall_search_holds_k_and_one_distance_buffer():
     assert peak < 2.5 * big * big * 8, f"peak {peak / (big * big * 8):.2f} N x N arrays"
 
 
+def test_a_fit_wide_search_holds_six_buffers():
+    # the fit-wide search: the benchmark stack (one squared-exponential
+    # entry of four), 506 x 13 rows in 5 folds, so 405-row training splits.
+    # The gradient holds each entry's argument, K and one scratch: 6 N x N
+    # arrays; the rest is a prediction block of held-out rows and O(N)
+    # arrays. Keeping each entry's distances and values as well traced 9.46
+    n, d = 506, 13
+    rng = np.random.default_rng(27)
+    ds = Dataset(rng.uniform(size=(n, d)), rng.normal(size=n),
+                 tuple("abcdefghijklm"), "y")
+    big = make_folds(n, 5, seed=0).largest_train_size
+    assert big == 405
+    tracemalloc.start()
+    try:
+        result = run_search(ds, benchmark_space(), n_trials=1, n_initial=1,
+                            n_iterations=2, n_folds=5, seed=0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert not result.history[0].failed
+    assert peak < 8 * big * big * 8, f"peak {peak / (big * big * 8):.2f} N x N arrays"
+
+
 def test_a_nested_benchmark_grows_only_the_refit_buffers():
     # the benchmark stack, nested: each outer fold searches its 687 training
     # rows in 3 inner folds (458-row splits), then refits on all 687. The
-    # search's 8 gradient buffers are sized at its inner split; the refit
-    # grows only the 3 a value-only fit reads (K, one distance buffer, the
-    # Matern-3/2 scratch): 5 (458/687)^2 + 3 = 5.2 N x N arrays, 5.9 with a
-    # prediction block and the O(N) arrays. Sizing all 8 at the outer split
-    # traced 9.2 N x N arrays, and separate workspaces that regrew per split
-    # 7.34
+    # search's 6 gradient buffers are sized at its inner split; the refit
+    # grows only the 3 a value-only fit reads (K, one argument buffer, the
+    # Matern-3/2 scratch): 3 (458/687)^2 + 3 = 4.3 N x N arrays, 5.0 with a
+    # prediction block and the O(N) arrays. With 8 gradient buffers (each
+    # entry's distances and values), sizing all at the outer split traced
+    # 9.2 N x N arrays, separate workspaces that regrew per split 7.34, and
+    # this shared one 5.9
     n, d = 1030, 8
     rng = np.random.default_rng(3)
     ds = Dataset(rng.uniform(size=(n, d)), rng.normal(size=n), tuple("abcdefgh"), "y")
