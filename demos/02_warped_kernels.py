@@ -17,6 +17,7 @@ from pcegp.kernels import (
     kernel_nonstationary,
     kernel_stationary,
     ladder_cholesky,
+    warp_stack,
 )
 from pcegp.poly import Basis
 
@@ -47,11 +48,12 @@ stack = KernelStack(
         (KernelForm.rq(1.5), 0.6, LengthscaleField(((Basis.legendre01(), [2.0]),), 2)),
     )
 )
-gram, _ = gram_parts(stack, pts)
+gram, _ = gram_parts(stack.forms, warp_stack(stack, pts))
 eigs = np.linalg.eigvalsh(gram)
 print(f"\ntwo-kernel Gram over {pts.shape[0]} points: eig range [{eigs.min():.2e}, {eigs.max():.2e}]")
 
-# near-singular matrices are factorized through an escalating jitter ladder
+# near-singular matrices are factorized, in place, through an escalating
+# jitter ladder
 result = ladder_cholesky(gram + 1e-6 * np.eye(40), context="demo gram")
 print(f"cholesky ok, jitter used: {result.jitter_used!r}")
 tight = np.ones((3, 3))  # rank one, needs rescue

@@ -9,13 +9,15 @@ Both methods run through one fold loop, which rewrites the output file
 atomically after every fold as the report of the folds finished so far.
 
 The baseline is a single stationary squared-exponential kernel with one
-lengthscale per input dimension, plus a learned noise variance, optimized
-by Adam on the marginal log likelihood. No search stage, no expansions.
-Its covariances come from one distance computation on the inputs divided
-by the lengthscales (`kernels.pairwise_sqdist`, each pair once, for the
-training Gram), and its lengthscale gradient from a contraction with the
-inputs, so no per-dimension N x N tensor is formed; its N x N arrays live
-in one workspace per fit.
+lengthscale per input dimension (ARD), plus a learned noise variance,
+optimized by Adam on the marginal log likelihood. No search stage, no
+expansions. It is the squared-exponential form on the linear warp
+w = x / l, a warp w(x) = l(x) x whose field does not vary with x, and runs
+through the searched model's code: `kernels.gram_parts` assembles its K,
+`gp.contract_entry` contracts its gradient, which it chains through
+dw/d(log l) = -w, and `kernels.warped_cross_matrix` gives its cross
+covariances. So no per-dimension N x N tensor is formed, and its N x N
+arrays live in one workspace per fit.
 """
 
 from __future__ import annotations
@@ -27,7 +29,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._native import cdist_sqeuclidean
 from .data import (
     Dataset,
     _sniff_delimiter,
@@ -41,11 +42,12 @@ from .data import (
 from .gp import (
     PREDICT_BLOCK_ROWS,
     _likelihood_core,
+    contract_entry,
     fit_likelihood,
     model_from_fit,
     predict_means,
 )
-from .kernels import KernelForm, Workspace, pairwise_sqdist
+from .kernels import KernelForm, Workspace, gram_parts, warped_cross_matrix
 from .optim import AdamState, SearchSpace, adam_step, check_search_settings, run_search
 from .poly import Basis
 
@@ -261,23 +263,10 @@ def run_benchmark(
 # stationary baseline
 # ---------------------------------------------------------------------------
 
-def _ard_kernel(log_params, a, b=None, out=None):
-    """s2 exp(-sum_d (a_d - b_d)^2 / (2 l_d^2)) for every pair of rows of a and b.
-
-    The squared distances of the lengthscale-divided rows come from one
-    call of scipy's `cdist` kernel. With `b` None they are those of a with
-    itself, each pair computed once by `pairwise_sqdist` into `out`.
-    """
-    d = a.shape[1]
-    lengthscales = np.exp(log_params[:d])
-    if b is None:
-        k = pairwise_sqdist(a / lengthscales, out)
-    else:
-        k = cdist_sqeuclidean(a / lengthscales, b / lengthscales)
-    k *= -0.5
-    np.exp(k, out=k)
-    k *= np.exp(log_params[d])
-    return k
+def _ard_entry(log_params, d):
+    """((squared exponential, s),) and the lengthscales l, which warp x to x / l."""
+    forms = ((KernelForm.se(), float(np.exp(0.5 * log_params[d]))),)
+    return forms, np.exp(log_params[:d])
 
 
 def _ard_neg_mll_and_grad(log_params, x, y, gradient=True, workspace=None):
@@ -285,37 +274,28 @@ def _ard_neg_mll_and_grad(log_params, x, y, gradient=True, workspace=None):
 
     `log_params` is [log l_1..log l_d, log s2, log sn2] and `x` the N x d
     scaled inputs. Returns (negative MLL, its gradient, K^-1 y); with
-    `gradient=False` the gradient is None and K^-1 is never formed. The
-    N x N arrays are buffers of `workspace`, or of a fresh one when none is
-    given: with the gradient K0 and K (which becomes the factor and then
-    A), without it only K, in whose buffer K0 is made; no per-dimension
-    N x N tensor is formed.
+    `gradient=False` the gradient is None and K^-1 is never formed. K is
+    `kernels.gram_parts` of one squared-exponential entry on w = x / l, plus
+    sn2 on the diagonal, in `workspace` (a fresh one when none is given):
+    with the gradient the entry's values and K, without it only K. The
+    gradient chains `gp.contract_entry` through dw/d(log l) = -w.
     """
     n, d = x.shape
+    forms, lengthscales = _ard_entry(log_params, d)
+    w = x / lengthscales
+    k, parts = gram_parts(forms, (w,), workspace, keep=gradient)
     sn2 = np.exp(log_params[d + 1])
-    ws = workspace if workspace is not None else Workspace()
-    k = ws.matrix("k", n)
-    if gradient:
-        k0 = _ard_kernel(log_params, x, out=ws.matrix(("component", 0), n))
-        np.copyto(k, k0)
-    else:
-        _ard_kernel(log_params, x, out=k)
     k.flat[:: n + 1] += sn2
     fit = _likelihood_core(k, y, "ard squared_exponential baseline", gradient)
     if not gradient:
         return -fit.value, None, fit.alpha
 
-    m = fit.a
-    trace_a = float(np.trace(m))
-    m *= k0  # M = A o K0, symmetric
-    m_rows = m.sum(axis=1)
-    # dK/dlog l_d = K0 o (x_d - x_d^T)^2 / l_d^2, and for symmetric M
-    # 0.5 sum_ij M_ij (x_id - x_jd)^2 = x_d^2 . M1 - x_d . (M x)_d
-    contraction = (x * x).T @ m_rows - np.einsum("id,id->d", x, m @ x)
+    r, ds2 = contract_entry(fit.a, parts[0])
+    scale = forms[0][1]
     grad = np.empty(d + 2)
-    grad[:d] = contraction * np.exp(-2.0 * log_params[:d])
-    grad[d] = 0.5 * float(m_rows.sum())
-    grad[d + 1] = 0.5 * sn2 * trace_a
+    grad[:d] = -2.0 * np.einsum("id,id->d", r, w)
+    grad[d] = scale * scale * ds2
+    grad[d + 1] = 0.5 * sn2 * float(np.trace(fit.a))
     return -fit.value, -grad, fit.alpha  # gradient of the NEGATIVE mll
 
 
@@ -350,13 +330,17 @@ def _fit_ard_baseline(x_s, y_s, n_iterations, workspace=None):
 def _ard_predict(log_params, x_train_s, alpha, x_query_s):
     """Posterior means at the scaled queries, in blocks of `PREDICT_BLOCK_ROWS`.
 
-    Each block's N x B cross covariances are freed before the next block's
-    are built.
+    The cross covariances are `kernels.warped_cross_matrix` of the
+    baseline's entry on the warps x / l; each block's B x N array is freed
+    before the next block's is built.
     """
+    forms, lengthscales = _ard_entry(log_params, x_train_s.shape[1])
+    warped = (x_train_s / lengthscales,)
     means = np.empty(x_query_s.shape[0])
     for s in range(0, x_query_s.shape[0], PREDICT_BLOCK_ROWS):
         rows = slice(s, s + PREDICT_BLOCK_ROWS)
-        means[rows] = _ard_kernel(log_params, x_train_s, x_query_s[rows]).T @ alpha
+        queries = (x_query_s[rows] / lengthscales,)
+        means[rows] = warped_cross_matrix(forms, warped, queries) @ alpha
     return means
 
 

@@ -118,10 +118,11 @@ def read_csv(path, select) -> tuple:
 
     The header row's more frequent of `,` and `;` is the delimiter.
     `select(header)` returns the indices of the columns to parse, in order,
-    or raises for a missing or unexpected column. Blank lines are skipped,
-    and a blank first line gives ([], a 0 x 0 array). A ragged row, or a
-    missing or non-numeric cell, raises a ValueError naming the file:line
-    and, for a cell, the column.
+    or raises for a missing or unexpected column. Columns are chosen by
+    name, so a name the header repeats raises a ValueError naming the file
+    and the column. Blank lines are skipped, and a blank first line gives
+    ([], a 0 x 0 array). A ragged row, or a missing or non-numeric cell,
+    raises a ValueError naming the file:line and, for a cell, the column.
     """
     with open(path, "r", encoding="utf-8", newline="") as fh:
         first = fh.readline()
@@ -129,6 +130,11 @@ def read_csv(path, select) -> tuple:
             return [], np.empty((0, 0))
         delim = _sniff_delimiter(first)
         header = [h.strip() for h in next(csv.reader([first], delimiter=delim))]
+        for j, name in enumerate(header):
+            if name in header[:j]:
+                raise ValueError(
+                    f"{path}: column {name!r} appears more than once in the header"
+                )
         columns = list(select(header))
         width = len(header)
         rows = []

@@ -11,9 +11,12 @@ kernel, plus a rank-structured contraction: the weighted matrix's row sums
 and its product with the warps, from one product with [w | 1]. Assembly
 keeps one N x N array per kernel, the argument of its form, and once A is
 formed each kernel's values and derivative are re-formed from it in one
-shared scratch (`kernels.weighted_derivative`). The public contract for the
-gradient is agreement with central finite differences; the analytic path
-is an implementation choice for speed.
+shared scratch (`kernels.weighted_derivative`). This one contraction
+(`contract_entry`) serves both methods: `mll_gradient` chains it through
+the fields' coefficients, the ARD baseline (`bench`) through its log
+lengthscales. The public contract for the gradient is agreement with
+central finite differences; the analytic path is an implementation choice
+for speed.
 
 The gradient's coordinates are the free parameters; `free_parameters`
 and `with_free_parameters` are the one map between them and a (stack,
@@ -30,14 +33,11 @@ Gram, its factor and A = alpha alpha^T - K^-1 share one buffer of the
 caller's workspace, each overwriting the one before, and the next
 evaluation overwrites them all (see `kernels.Workspace` for what borrows
 that buffer and what owns a copy). A value-only fit (`fit_likelihood`, and
-through it every refit, load and closing fit) reads nothing of the
-assembly but K, so `kernels.gram_parts` adds each kernel entry into K as
-it is formed and the fit holds at most three N x N buffers; only the
-gradient keeps each entry's argument. A value-only fit's
-factor is K's buffer: the search scores each fold, and a benchmark each
-outer fold's refit, from it, and a model that `model_from_fit` factorizes
-keeps the K buffer of a workspace of its own, its strict upper triangle
-zeroed in place.
+through it every refit, load and closing fit) holds at most three N x N
+buffers (see `kernels.gram_parts`), and its factor is K's buffer: the
+search scores each fold, and a benchmark each outer fold's refit, from it;
+a model that `model_from_fit` factorizes keeps the K buffer of a workspace
+of its own, its strict upper triangle zeroed in place.
 
 The chaos-basis values at the training points do not change while the
 coefficients move. Every function here that takes `x_scaled` also takes a
@@ -175,7 +175,7 @@ def _likelihood_core(k: np.ndarray, y: np.ndarray, context: str, gradient=False)
     in the package, the stationary baseline's included, runs through here.
     """
     n = y.size
-    gram = ladder_cholesky(k, context, k)
+    gram = ladder_cholesky(k, context)
     # chol.T is the upper factor in Fortran order: LAPACK reads it uncopied
     alpha = dpotrs(gram.chol.T, y, lower=0)
     logdet = 2.0 * float(np.sum(np.log(np.diag(gram.chol))))
@@ -216,6 +216,21 @@ def _term_values(basis: PointBasis, terms) -> list:
     return [basis.values(kind, c.size - 1).reshape(c.size, n, d) for kind, c in terms]
 
 
+def contract_entry(a: np.ndarray, part):
+    """A kernel entry's share of the gradient: (r, dMLL/d(scale^2)).
+
+    `part` is (form, scale, warped, argument, scratch) as `kernels.gram_parts`
+    keeps it. dMLL/dw = 2 r by the entry's N x n_x warps w, where
+    r = rowsum(M) w - M w for M = A o dk/d(d2), both from one product with
+    [w | 1]. The argument may be overwritten; A is left alone.
+    """
+    form, scale, w, argument, scratch = part
+    t, factor, value_sum = weighted_derivative(form, scale, argument, a, scratch)
+    tw = t @ np.column_stack((w, np.ones(len(w))))
+    r = factor * (tw[:, -1:] * w - tw[:, :-1])
+    return r, 0.5 * value_sum
+
+
 def mll_gradient(
     stack: KernelStack, noise: NoiseField, x_scaled, y_scaled, workspace=None
 ):
@@ -230,8 +245,8 @@ def mll_gradient(
     buffers of `workspace` (a fresh one when none is given) that
     `kernels.Workspace` describes: each entry's argument, K (which becomes
     A) and one scratch when an entry is not squared exponential. Each
-    entry is contracted from its argument alone (`weighted_derivative`),
-    which it may then overwrite; the returned gradient is a new array.
+    entry is contracted from its argument alone (`contract_entry`), which
+    it may then overwrite; the returned gradient is a new array.
     """
     basis = as_point_basis(x_scaled, stack.fields + (noise,))
     pts = basis.points
@@ -239,19 +254,12 @@ def mll_gradient(
     _, k, parts = noisy_gram(stack, noise, basis, workspace, gradient=True)
     # dMLL = 0.5 tr(a dK)
     a = _likelihood_core(k, y, stack.describe(), gradient=True).a
-    n, n_x = pts.shape
 
     blocks = []
     scale_grad = []
-    w1 = np.empty((n, n_x + 1))
-    w1[:, n_x] = 1.0
-    for field, (form, scale, w, argument, scratch) in zip(stack.fields, parts):
-        t, factor, value_sum = weighted_derivative(form, scale, argument, a, scratch)
-        scale_grad.append(0.5 * value_sum)
-        # t @ [w | 1]: t @ w and t's row sums from one product
-        w1[:, :n_x] = w
-        tw = t @ w1
-        r = factor * (tw[:, n_x:] * w - tw[:, :n_x])
+    for field, part in zip(stack.fields, parts):
+        r, ds2 = contract_entry(a, part)
+        scale_grad.append(ds2)
         # sens[m, d, i] = phi_m(x_id) = d l_d(x_i) / d c_m, in coefficient order
         sens = np.concatenate(
             [v.transpose(0, 2, 1) for v in _term_values(basis, field.terms)]
@@ -408,7 +416,7 @@ def _query_block(model: PcegpModel, xq_block):
     warped_q = warp_stack(model.stack, basis)
     noise_q = eval_noise_batch(model.noise, basis)
     del basis
-    k_cross = warped_cross_matrix(model.stack, model.warped, warped_q)  # (B, N)
+    k_cross = warped_cross_matrix(model.stack.forms, model.warped, warped_q)  # (B, N)
     mean_s = k_cross @ model.alpha_solve
     means = mean_s * float(model.output_scaler.scale[0]) + float(
         model.output_scaler.loc[0]

@@ -14,14 +14,17 @@ the others. `add_form_values` is the one evaluation of the forms: Gram
 assembly adds each entry's values into K through it on both likelihood
 paths, and prediction its cross covariances. The gradient re-forms each
 entry's values and derivative from the argument (`weighted_derivative`)
-instead of keeping the values. `pairwise_sqdist` fills the distances
-computing each unordered pair once, so they are exactly symmetric with a
-zero diagonal. They come from scipy's compiled squared-Euclidean `cdist`
-kernel and the factorization from LAPACK dpotrf, both through
-`pcegp._native`, which loads them without the `scipy.spatial` and
-`scipy.linalg` packages. The
-entries' warps read the chaos-basis values of one `hyper.PointBasis` per
-point set, so a stack whose entries share a basis family evaluates it once.
+instead of keeping the values. Assembly (`gram_parts`) and the cross
+covariances (`warped_cross_matrix`) take each entry's (form, scale) and
+its warps, so they serve both methods: a stack warped by `warp_stack`, and
+the ARD baseline (`bench`), one squared-exponential entry on x / l.
+`pairwise_sqdist` fills the distances computing each unordered pair once,
+so they are exactly symmetric with a zero diagonal. They come from scipy's
+compiled squared-Euclidean `cdist` kernel and the factorization from
+LAPACK dpotrf, both through `pcegp._native`, which loads them without the
+`scipy.spatial` and `scipy.linalg` packages. The entries' warps read the
+chaos-basis values of one `hyper.PointBasis` per point set, so a stack
+whose entries share a basis family evaluates it once.
 The training-side warps that assembly makes are kept, so that prediction
 from a fitted model warps only its queries.
 
@@ -33,14 +36,15 @@ each entry's values are formed before they are added into K. A value-only
 fit adds each entry into K as soon as it is formed, so it holds K, one
 argument buffer and, for a Matern-3/2 entry, the scratch. One workspace
 serves one command and is freed with it: a benchmark's searches and refits
-share one, and a search alone or a baseline fit has its own; a call given
-none makes a fresh one. It is sized at the largest training split it
-serves, so each buffer is allocated once, however the fold sizes differ.
-K's buffer also holds its factor and, for the likelihood gradient,
-A = alpha alpha^T - K^-1: `ladder_cholesky` factorizes K in place. A
-factor is the lower triangle of a C-order array. LAPACK factorizes it in
-place as the upper factor of its Fortran-order transpose, and the solves
-read it through that transpose without copying it.
+share one, a search alone has its own, and so do a baseline run's folds,
+under the same keys as a one-entry stack; a call given none makes a fresh
+one. It is sized at the largest training split it serves, so each buffer
+is allocated once, however the fold sizes differ. K's buffer also holds
+its factor and, for the likelihood gradient, A = alpha alpha^T - K^-1:
+`ladder_cholesky` factorizes K in place, and only in place. A factor is
+the lower triangle of a C-order array. LAPACK factorizes it in place as
+the upper factor of its Fortran-order transpose, and the solves read it
+through that transpose without copying it.
 """
 
 from __future__ import annotations
@@ -143,6 +147,11 @@ class KernelStack:
         """The entries' lengthscale fields, in stack order."""
         return tuple(field for _, _, field in self.entries)
 
+    @property
+    def forms(self) -> tuple:
+        """The entries' (form, output scale) pairs, in stack order."""
+        return tuple((form, scale) for form, scale, _ in self.entries)
+
     def describe(self) -> str:
         parts = [
             f"{form.tag}(scale={scale:g})" for form, scale, _ in self.entries
@@ -156,8 +165,7 @@ class GramResult:
 
     jitter_used: float
     # lower triangle: the factor of the matrix plus `jitter_used` on its
-    # diagonal; the strict upper triangle is zero, or the matrix's own when
-    # the factorization ran in a given buffer
+    # diagonal; the strict upper triangle is the matrix's own
     chol: np.ndarray
 
 
@@ -414,43 +422,39 @@ def warp_stack(stack: KernelStack, points) -> tuple:
     return tuple(warp_points(field, basis) for field in stack.fields)
 
 
-def gram_parts(
-    stack: KernelStack, points, workspace: Workspace | None = None, keep: bool = True
-):
+def gram_parts(forms, warped, workspace: Workspace | None = None, keep: bool = True):
     """The noise-free Gram K and, with `keep`, each entry's argument.
 
-    Returns (K, parts), parts a list of (form, scale, warped, argument,
-    scratch) in stack order, or None without `keep`; an entry's scratch is
-    the shared one, or None for squared exponential, whose contraction
-    needs none (see `weighted_derivative`). This is the one Gram assembly.
-    Each entry's squared distances are overwritten with its argument
-    (`form_argument`), whose values `add_form_values` adds into K, the first
-    entry's written, so K is the sum in stack order. With `keep`, which the
-    likelihood gradient needs, every entry's argument is a buffer of its
-    own and the values are formed in one shared scratch when any entry is
-    not squared exponential: E + 1 N x N buffers, plus that scratch. A
-    value-only fit reads only K, so without `keep` the first entry is
-    formed in K itself (unless it is Matern-3/2) and every later one goes
-    through one argument buffer, in which its values are then formed; the
-    scratch is held only for a Matern-3/2 entry. Either way K has the same
-    bits. `points` may be a `PointBasis`, or the tuple of warps that
-    `warp_stack` makes; plain points get a basis for this call, so entries
-    sharing a basis family evaluate it once, and it is freed before the
-    N x N arrays are filled. The buffers are those of `workspace`, or of a
-    fresh one when none is given.
+    `forms` holds each entry's (form, output scale), as `KernelStack.forms`
+    gives them, and `warped` its N x n_x warped points, as `warp_stack`
+    makes them. Returns (K, parts), parts a list of (form, scale, warped,
+    argument, scratch) in entry order, or None without `keep`; an entry's
+    scratch is the shared one, or None for squared exponential, whose
+    contraction needs none (see `weighted_derivative`). This is the one
+    Gram assembly. Each entry's squared distances are overwritten with its
+    argument (`form_argument`), whose values `add_form_values` adds into K,
+    the first entry's written, so K is the sum in entry order. With `keep`,
+    which the likelihood gradient needs, every entry's argument is a buffer
+    of its own and the values are formed in one shared scratch when any
+    entry is not squared exponential: E + 1 N x N buffers, plus that
+    scratch. A value-only fit reads only K, so without `keep` the first
+    entry is formed in K itself (unless it is Matern-3/2) and every later
+    one goes through one argument buffer, in which its values are then
+    formed; the scratch is held only for a Matern-3/2 entry. Either way K
+    has the same bits. The buffers are those of `workspace`, or of a fresh
+    one when none is given.
     """
-    warped = points if isinstance(points, tuple) else warp_stack(stack, points)
     ws = workspace if workspace is not None else Workspace()
     n = warped[0].shape[0]
     k = ws.matrix("k", n)
-    tags = [form.tag for form, _, _ in stack.entries]
+    tags = [form.tag for form, _ in forms]
     if keep:
         needs_scratch = tags.count("squared_exponential") < len(tags)
     else:
         needs_scratch = "matern_3_2" in tags
     scratch = ws.matrix("scratch", n) if needs_scratch else None
     parts = [] if keep else None
-    for i, ((form, scale, _), w) in enumerate(zip(stack.entries, warped)):
+    for i, ((form, scale), w) in enumerate(zip(forms, warped, strict=True)):
         se, m32 = form.tag == "squared_exponential", form.tag == "matern_3_2"
         if keep:
             argument = ws.matrix(("argument", i), n)
@@ -487,37 +491,32 @@ def zero_upper(a: np.ndarray) -> np.ndarray:
     return a
 
 
-def ladder_cholesky(k: np.ndarray, context: str, out=None) -> GramResult:
-    """Factorize a symmetric matrix, escalating diagonal jitter as needed.
+def ladder_cholesky(k: np.ndarray, context: str) -> GramResult:
+    """Factorize a symmetric matrix in place, escalating diagonal jitter as needed.
 
-    The factorization runs in place in `out`, which may be `k` itself, as
-    in the likelihood; `k` is copied there first otherwise. Without `out` it
-    runs in a new array, whose strict upper triangle is zeroed on success,
-    and `k` is left alone. Each rung of the fixed ladder `JITTER_LADDER`
-    adds its jitter to the diagonal and runs LAPACK dpotrf, which reads and
-    writes only the lower triangle, until the factorization succeeds. The
-    strict upper triangle keeps K, so before a later rung the lower
-    triangle is restored from it and the diagonal from a saved copy: the
-    factor has the bits of one made in a fresh copy of K. A factor whose
-    diagonal is not finite counts as a failure, since LAPACK does not flag
-    a NaN pivot; a non-finite entry of a symmetric K always reaches a later
-    diagonal entry of the factor, at every rung.
+    `k`'s buffer becomes the factor; a caller that needs K afterwards
+    passes a copy. Each rung of the fixed ladder `JITTER_LADDER` adds its
+    jitter to the diagonal and runs LAPACK dpotrf, which reads and writes
+    only the lower triangle, until the factorization succeeds. The strict
+    upper triangle keeps K, so before a later rung the lower triangle is
+    restored from it and the diagonal from a saved copy: the factor has the
+    bits of one made in a fresh copy of K. A factor whose diagonal is not
+    finite counts as a failure, since LAPACK does not flag a NaN pivot; a
+    non-finite entry of a symmetric K always reaches a later diagonal entry
+    of the factor, at every rung.
     """
     n = k.shape[0]
-    factor = np.empty((n, n)) if out is None else out
-    if factor is not k:
-        np.copyto(factor, k)
-    diagonal = np.diagonal(factor).copy()
+    diagonal = np.diagonal(k).copy()
     for rung, jitter in enumerate(JITTER_LADDER):
         if rung:
-            mirror_lower(factor.T)
-        factor.flat[:: n + 1] = diagonal + jitter
-        # factor.T is Fortran-ordered, so LAPACK works on it in place; its
-        # upper factor is the C-order lower factor
-        upper, info = dpotrf(factor.T, lower=0, overwrite_a=1, clean=0)
+            mirror_lower(k.T)
+        k.flat[:: n + 1] = diagonal + jitter
+        # k.T is Fortran-ordered, so LAPACK works on it in place; its upper
+        # factor is the C-order lower factor
+        upper, info = dpotrf(k.T, lower=0, overwrite_a=1, clean=0)
         chol = upper.T
         if info == 0 and np.all(np.isfinite(np.diagonal(chol))):
-            return GramResult(jitter, zero_upper(chol) if out is None else chol)
+            return GramResult(jitter, chol)
 
     raise RuntimeError(
         f"covariance matrix is not positive definite even with jitter "
@@ -547,35 +546,36 @@ def noisy_gram(
     warped = warp_stack(stack, basis)
     noise_diagonal = eval_noise_batch(noise, basis)
     del basis
-    k, parts = gram_parts(stack, warped, workspace, keep=gradient)
+    k, parts = gram_parts(stack.forms, warped, workspace, keep=gradient)
     k.flat[:: k.shape[0] + 1] += noise_diagonal
     return warped, k, parts
 
 
-def warped_cross_matrix(stack: KernelStack, warped, warped_queries) -> np.ndarray:
+def warped_cross_matrix(forms, warped, warped_queries) -> np.ndarray:
     """Covariances between M queries and N training points, both already warped.
 
-    `warped` and `warped_queries` hold one array per stack entry, N x n_x
-    and M x n_x, as `warp_stack` makes them. Returns the M x N C-order
-    matrix, whose transpose is the N x M Fortran-order right-hand side that
-    LAPACK solves in place (`gp.predict_batch`). It is the only M x N array
-    made: the queries go through in blocks of `SQDIST_BLOCK_ROWS` rows. The
-    first entry is formed in the block's rows of the result, and each later
-    one's distances and argument in one block-sized array, its values then
-    added in stack order (a Matern-3/2 entry's through a second such array),
-    as Gram assembly adds them.
+    `forms` holds each entry's (form, output scale), as for `gram_parts`,
+    and `warped` and `warped_queries` its warped points, N x n_x and
+    M x n_x, in the same order. Returns the M x N C-order matrix, whose
+    transpose is the N x M Fortran-order right-hand side that LAPACK solves
+    in place (`gp.predict_batch`). It is the only M x N array made: the
+    queries go through in blocks of `SQDIST_BLOCK_ROWS` rows. The first
+    entry is formed in the block's rows of the result, and each later one's
+    distances and argument in one block-sized array, its values then added
+    in entry order (a Matern-3/2 entry's through a second such array), as
+    Gram assembly adds them.
     """
     m, n = warped_queries[0].shape[0], warped[0].shape[0]
     out = np.empty((m, n))
     shape = (min(m, SQDIST_BLOCK_ROWS), n)
-    tags = [form.tag for form, _, _ in stack.entries]
-    block = np.empty(shape) if stack.n_entries > 1 or tags[0] == "matern_3_2" else None
+    tags = [form.tag for form, _ in forms]
+    block = np.empty(shape) if len(forms) > 1 or tags[0] == "matern_3_2" else None
     scratch = np.empty(shape) if "matern_3_2" in tags else None
     for s in range(0, m, SQDIST_BLOCK_ROWS):
         e = min(m, s + SQDIST_BLOCK_ROWS)
         rows = out[s:e]
-        for i, ((form, scale, _), w, wq) in enumerate(
-            zip(stack.entries, warped, warped_queries)
+        for i, ((form, scale), w, wq) in enumerate(
+            zip(forms, warped, warped_queries, strict=True)
         ):
             m32 = form.tag == "matern_3_2"
             argument = rows if i == 0 and not m32 else block[: e - s]

@@ -15,6 +15,7 @@ from pcegp.kernels import (
     add_form_values,
     gram_parts,
     warp_points,
+    warp_stack,
     warped_cross_matrix,
 )
 
@@ -30,7 +31,7 @@ def cross_matrix(stack: KernelStack, points, queries) -> np.ndarray:
     warped = tuple(warp_points(field, points) for field in stack.fields)
     queries = np.atleast_2d(np.asarray(queries, dtype=float))
     warped_q = tuple(warp_points(field, queries) for field in stack.fields)
-    return warped_cross_matrix(stack, warped, warped_q).T
+    return warped_cross_matrix(stack.forms, warped, warped_q).T
 
 
 def form_sqdist_derivative(form: KernelForm, scale: float, sqdist):
@@ -79,7 +80,7 @@ def gram_by_parts(stack: KernelStack, noise: NoiseField, points):
     the gradient's contraction reads the arguments once K is gone.
     """
     basis = PointBasis(points, stack.fields + (noise,))
-    k, parts = gram_parts(stack, basis)
+    k, parts = gram_parts(stack.forms, warp_stack(stack, basis))
     again = np.empty_like(k)
     for i, (form, scale, _, argument, _) in enumerate(parts):
         add_form_values(form, scale, argument.copy(), again, np.empty_like(k),

@@ -43,6 +43,7 @@ from pcegp.kernels import (
     gram_parts,
     kernel_nonstationary,
     kernel_stationary,
+    warp_stack,
 )
 from pcegp.optim import SearchSpace, run_search
 from pcegp.poly import Basis
@@ -235,7 +236,7 @@ def test_criterion_07_gram_psd():
             entries.append((form, float(rng.uniform(0.3, 2.0)), field))
         stack = KernelStack(tuple(entries))
         pts = rng.uniform(-1.5, 1.5, size=(n, n_x))
-        k, _ = gram_parts(stack, pts)
+        k, _ = gram_parts(stack.forms, warp_stack(stack, pts))
         eigs = np.linalg.eigvalsh(k)
         worst = min(worst, float(eigs.min() / eigs.max()))
     _report(7, worst >= -1e-8, f"worst eigenvalue ratio {worst:.2e} >= -1e-8")

@@ -242,6 +242,34 @@ def test_predict_schema_mismatch_names_column(tmp_path, train_file, capsys):
     assert "'weird'" in capsys.readouterr().err
 
 
+def test_fit_rejects_a_repeated_column_name(tmp_path, capsys):
+    # with two columns named 'a', predict would map both training columns
+    # to the first, so (0.1, 0.9) and (0.1, 0.1) would predict alike
+    src = tmp_path / "twice.csv"
+    rows = "".join(f"{i / 9!r},{(9 - i) / 9!r},{i}\n" for i in range(10))
+    src.write_text("a,a,y\n" + rows)
+    model_path = tmp_path / "model.txt"
+    rc = main(["fit", "--set", f"dataset={src}", "--set", "target=y",
+               "--output", str(model_path), *FAST_FIT])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert "twice.csv" in err and "'a'" in err
+    assert not model_path.exists()
+
+
+def test_predict_rejects_a_repeated_column_name(tmp_path, train_file, capsys):
+    model_path = fit_interpolator(tmp_path, train_file)
+    src = tmp_path / "twice.csv"
+    src.write_text("x,x\n0.1,0.9\n")
+    out = tmp_path / "o.csv"
+    rc = main(["predict", "--set", f"model={model_path}", "--set", f"inputs={src}",
+               "--output", str(out)])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert "twice.csv" in err and "'x'" in err
+    assert not out.exists()
+
+
 def test_predict_rejects_a_nan_query_row(tmp_path, train_file, capsys):
     # the solves skip scipy's finiteness scan, so a NaN query must be
     # stopped before them, at basis evaluation

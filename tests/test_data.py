@@ -16,6 +16,7 @@ from pcegp.data import (
     fit_scaler,
     load_csv,
     make_folds,
+    read_csv,
 )
 from pcegp.gp import fit_precompute
 from pcegp.hyper import LengthscaleField, NoiseField
@@ -101,6 +102,17 @@ def test_load_csv_distinct_diagnostics(tmp_path):
     p_ragged = _write(tmp_path, "ragged.csv", "a,t\n1,2,3\n")
     with pytest.raises(ValueError, match="expected 2 fields"):
         load_csv(p_ragged, ["t"])
+
+
+def test_a_repeated_column_name_is_rejected_naming_the_file_and_column(tmp_path):
+    # columns are chosen by name, so a repeated name would read its first
+    # copy for every other one
+    p = _write(tmp_path, "twice.csv", "a;b;a;t\n1;2;3;4\n")
+    with pytest.raises(ValueError, match=r"twice.csv: column 'a' appears more"):
+        load_csv(p, ["t"])
+    p.write_text("a,t,t,t\n1,2,3,4\n")
+    with pytest.raises(ValueError, match=r"twice.csv: column 't' appears more"):
+        read_csv(p, lambda header: [0])
 
 
 def test_load_csv_names_the_file_line_and_column_of_a_bad_cell(tmp_path):

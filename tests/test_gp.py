@@ -32,7 +32,7 @@ IDENTITY_OUT = ScalerState("z_normalize", [0.0], [1.0])
 def factored_gram(stack, noise, points):
     """(K + jitter I, ladder result): the noisy covariance the GP factorizes."""
     k = noisy_gram(stack, noise, points)[1]
-    gram = ladder_cholesky(k, stack.describe())
+    gram = ladder_cholesky(k.copy(), stack.describe())
     return k + gram.jitter_used * np.eye(k.shape[0]), gram
 
 

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from scipy.spatial.distance import cdist
 
 import pcegp.kernels as kernels_mod
-from pcegp.bench import _ard_kernel
+from pcegp.bench import _ard_entry
 from pcegp.hyper import LengthscaleField, NoiseField
 from pcegp.kernels import (
     SQDIST_BLOCK_ROWS,
@@ -60,7 +60,7 @@ def pointwise_sum(stack, x, x2):
 def factored_gram(stack, noise, points):
     """(K + jitter I, ladder result): the noisy covariance the GP factorizes."""
     k = noisy_gram(stack, noise, points)[1]
-    res = ladder_cholesky(k, stack.describe())
+    res = ladder_cholesky(k.copy(), stack.describe())
     return k + res.jitter_used * np.eye(k.shape[0]), res
 
 
@@ -228,7 +228,8 @@ def test_gram_symmetry_and_cholesky():
     pts = rng.uniform(size=(20, 3))
     k, res = factored_gram(stack, NoiseField.fixed(1e-4), pts)
     assert np.max(np.abs(k - k.T)) <= 1e-12
-    np.testing.assert_allclose(res.chol @ res.chol.T, k, atol=1e-10)
+    chol = np.tril(res.chol)  # the strict upper triangle keeps K
+    np.testing.assert_allclose(chol @ chol.T, k, atol=1e-10)
 
 
 def test_gram_matches_pointwise_kernels():
@@ -254,7 +255,8 @@ def test_gram_duplicate_rows_need_jitter():
     pts = np.array([[0.5], [0.5], [0.5]])
     k, res = factored_gram(stack, NoiseField.fixed(1e-16), pts)
     assert res.jitter_used > 0.0
-    np.testing.assert_allclose(res.chol @ res.chol.T, k, atol=1e-12)
+    chol = np.tril(res.chol)  # the strict upper triangle keeps K
+    np.testing.assert_allclose(chol @ chol.T, k, atol=1e-12)
 
 
 def test_gram_failure_reports_stack():
@@ -287,12 +289,8 @@ def test_ladder_in_place_gives_the_bits_of_a_copy_per_rung(n):
     jitter, reference = ladder_by_copies(k)
     assert jitter is not None and jitter > 0.0
 
-    fresh = ladder_cholesky(k, "test")
-    assert fresh.jitter_used == jitter
-    np.testing.assert_array_equal(fresh.chol, reference)
-
     buffer = k.copy()
-    in_place = ladder_cholesky(buffer, "test", buffer)
+    in_place = ladder_cholesky(buffer, "test")
     assert in_place.jitter_used == jitter
     assert np.shares_memory(in_place.chol, buffer)
     np.testing.assert_array_equal(np.tril(in_place.chol), reference)
@@ -316,7 +314,7 @@ def test_ladder_in_place_fails_every_rung_on_a_nan(monkeypatch):
     k = noisy_gram(stack, NoiseField.fixed(1e-6), x)[1]
     k[30, 4] = k[4, 30] = np.nan  # a non-finite Gram entry, in both triangles
     with pytest.raises(RuntimeError, match="stack: nan"):
-        ladder_cholesky(k, "nan", k)
+        ladder_cholesky(k, "nan")
     assert calls == [40] * 5
 
 
@@ -343,7 +341,7 @@ def test_noise_free_gram_is_psd():
         d = int(rng.integers(1, 5))
         stack = KernelStack(((form, 1.0, random_field(rng, d, scale=1.5)),))
         pts = rng.uniform(size=(n, d))
-        k, _ = gram_parts(stack, pts)
+        k, _ = gram_parts(stack.forms, warp_stack(stack, pts))
         eig = np.linalg.eigvalsh(k)
         assert eig.min() >= -1e-8 * eig.max(), form.tag
 
@@ -364,7 +362,7 @@ def test_gram_sqdist_matches_cdist_with_duplicate_rows(n_x, rows, data):
     field = LengthscaleField(((Basis.legendre01(), coeffs),), n_x)
     stack = KernelStack(((KernelForm.ae(), 1.0, field),))
     # an absolute-exponential entry keeps d = sqrt(d2) as its argument
-    [(_, _, w, d, _)] = gram_parts(stack, pool[rows])[1]
+    [(_, _, w, d, _)] = gram_parts(stack.forms, warp_stack(stack, pool[rows]))[1]
     assert np.array_equal(d, np.sqrt(cdist(w, w, "sqeuclidean")))
     assert np.array_equal(d, d.T)
     assert np.all(np.diag(d) == 0.0)
@@ -383,17 +381,21 @@ def test_sqdist_matches_cdist_across_row_blocks(n_rows):
     rows = rng.integers(0, 9, size=n_rows)
     x = rng.uniform(size=(9, 3))[rows]
     stack = KernelStack(((KernelForm.ae(), 1.0, random_field(rng, 3)),))
-    [(_, _, w, d, _)] = gram_parts(stack, x)[1]
+    [(_, _, w, d, _)] = gram_parts(stack.forms, warp_stack(stack, x))[1]
     assert np.array_equal(d, np.sqrt(cdist(w, w, "sqeuclidean")))
     assert np.array_equal(d, d.T)
     assert np.all(np.diag(d) == 0.0)
     assert np.all(d[np.equal.outer(rows, rows)] == 0.0)
 
-    # the baseline's K0, against its cdist path for two point sets
+    # the baseline's K0, assembled from its one entry on x / l, against the
+    # cross covariances of the same warps, computed in query blocks
     log_params = np.r_[rng.uniform(-2.0, 1.0, 3), 0.3, -4.0]
-    k0 = _ard_kernel(log_params, x, out=np.empty((n_rows, n_rows)))
-    assert np.array_equal(k0, _ard_kernel(log_params, x, x))
-    assert np.array_equal(k0, k0.T)
+    forms, lengthscales = _ard_entry(log_params, 3)
+    warped = (x / lengthscales,)
+    for keep in (True, False):
+        k0, _ = gram_parts(forms, warped, keep=keep)
+        assert np.array_equal(k0, warped_cross_matrix(forms, warped, warped))
+        assert np.array_equal(k0, k0.T)
 
 
 # ---------------------------------------------------------------------------
@@ -437,7 +439,7 @@ def test_cross_matrix_in_query_blocks_has_the_bits_of_whole_entries():
             argument = form_argument(form, scale, cdist(wq, w, "sqeuclidean"))
             add_form_values(form, scale, argument, want, np.empty_like(argument),
                             first=i == 0)
-        got = warped_cross_matrix(stack, warped, warped_q)
+        got = warped_cross_matrix(stack.forms, warped, warped_q)
         assert got.flags.c_contiguous and got.shape == (m, 40)
         assert got.tobytes() == want.tobytes()
 

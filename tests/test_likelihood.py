@@ -108,7 +108,7 @@ def test_chol_inverse_matches_dense_inverse_on_a_gram():
     pts = rng.uniform(size=(300, 3))  # more rows than one symmetrization block
     stack = _stack(rng, 3, [KernelForm.se(), KernelForm.rq(2.5)])
     k = noisy_gram(stack, NoiseField.fixed(1e-2), pts)[1]
-    gram = ladder_cholesky(k, "test")
+    gram = ladder_cholesky(k.copy(), "test")
     assert gram.jitter_used == 0.0
     _assert_inverse(_chol_inverse(gram.chol), k)
 
@@ -119,7 +119,7 @@ def test_chol_inverse_with_a_nonzero_jitter_rung():
     q, _ = np.linalg.qr(rng.normal(size=(7, 7)))
     k = (q * np.array([1.0, 0.8, 0.6, 0.4, 0.2, 0.1, -5e-5])) @ q.T
     k = 0.5 * (k + k.T)
-    gram = ladder_cholesky(k, "test matrix")
+    gram = ladder_cholesky(k.copy(), "test matrix")
     assert gram.jitter_used == 1e-4
     _assert_inverse(_chol_inverse(gram.chol), k + 1e-4 * np.eye(7))
 
@@ -231,9 +231,9 @@ def test_fine_tune_evaluates_the_basis_on_its_training_points_once(
 def test_each_inner_fold_factorizes_n_iterations_plus_one_times(monkeypatch):
     calls = []
 
-    def counting(k, context, out=None):
+    def counting(k, context):
         calls.append(k.shape[0])
-        return ladder_cholesky(k, context, out)
+        return ladder_cholesky(k, context)
 
     monkeypatch.setattr(gp_mod, "ladder_cholesky", counting)
     rng = np.random.default_rng(5)
@@ -467,15 +467,19 @@ def test_a_gradient_holds_one_buffer_per_entry_k_and_a_scratch():
     mll_gradient(_stack(rng, 3, [se]), noise, x, y, workspace=alone)
     assert _buffer_floats(alone) == 2 * n * n
 
+    # the ARD baseline is one squared-exponential entry through the same
+    # assembly: its values and K, under the same keys
     baseline = Workspace()
     log_params = np.array([-0.5, 0.2, 0.7, 0.1, np.log(0.05)])
     _ard_neg_mll_and_grad(log_params, x, y, workspace=baseline)
     _ard_neg_mll_and_grad(log_params, x, y, gradient=False, workspace=baseline)
     assert _buffer_floats(baseline) == 2 * n * n
+    assert set(baseline._buffers) == {"k", ("argument", 0)}
     # a cold value-only baseline fit makes K0 in K's buffer: one array
     cold = Workspace()
     _ard_neg_mll_and_grad(log_params, x, y, gradient=False, workspace=cold)
     assert _buffer_floats(cold) == n * n
+    assert set(cold._buffers) == {"k"}
 
 
 def test_a_cold_refit_peaks_near_three_n_by_n_arrays():
@@ -827,6 +831,31 @@ def test_ard_gradient_matches_finite_differences():
     assert none is None
     assert neg2 == neg
     np.testing.assert_array_equal(alpha2, alpha)
+
+
+@pytest.mark.parametrize("c", [0.4, 1.5, 6.0])
+def test_ard_baseline_at_equal_lengthscales_is_a_one_entry_stack(c):
+    # with every l_d = 1/c the baseline's warp x / l is the constant field's
+    # c x, so its value and gradient are those of mll / mll_gradient on one
+    # squared-exponential entry with fixed noise sn2. Scaling every l_d by
+    # e^t moves c by e^-t, so sum_d dMLL/dlog l_d = -c dMLL/dc, and
+    # dMLL/dlog s2 = s2 dMLL/ds2
+    rng = np.random.default_rng(28)
+    n, d = 35, 3
+    x = rng.uniform(size=(n, d))
+    y = np.sin(3.0 * x[:, 0]) + x[:, 2] + 0.1 * rng.normal(size=n)
+    s2, sn2 = 1.7, 0.02
+    log_params = np.r_[np.full(d, -np.log(c)), np.log(s2), np.log(sn2)]
+    neg, grad, _ = _ard_neg_mll_and_grad(log_params, x, y)
+
+    field = LengthscaleField(((Basis.legendre01(), [c]),), d)
+    stack = KernelStack(((KernelForm.se(), float(np.sqrt(s2)), field),))
+    noise = NoiseField.fixed(sn2)
+    d_c, d_s2 = mll_gradient(stack, noise, x, y)
+    assert -neg == pytest.approx(gp_mod.mll(stack, noise, x, y), rel=1e-10)
+    # the baseline returns the gradient of the negative MLL
+    assert -grad[:d].sum() == pytest.approx(-c * d_c, rel=1e-10)
+    assert -grad[d] == pytest.approx(s2 * d_s2, rel=1e-10)
 
 
 def test_ard_prediction_in_blocks_has_the_bits_of_one_block(monkeypatch):

@@ -25,7 +25,8 @@ def random_field(rng, n_inputs):
 
 
 def factor(n, seed):
-    """The lower factor of a Gram, in a C-order buffer as the likelihood keeps it."""
+    """The lower factor of a Gram, in a C-order buffer as the likelihood keeps it,
+    with K in its strict upper triangle."""
     rng = np.random.default_rng(seed)
     stack = KernelStack(((KernelForm.matern32(), 1.3, random_field(rng, 3)),))
     k = noisy_gram(stack, NoiseField.fixed(1e-3), rng.uniform(size=(n, 3)))[1]
