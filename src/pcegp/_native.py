@@ -1,23 +1,29 @@
 """The compiled LAPACK and distance kernels of scipy that pcegp calls.
 
-Exact GP inference (Rasmussen & Williams 2006, Alg. 2.1) needs five
+Exact GP inference (Rasmussen & Williams 2006, Alg. 2.1) needs these
 compiled routines: the Cholesky factorization `dpotrf`, the inverse from
-the factor `dpotri`, the solves `dpotrs` and `dtrtrs`, and the
-squared-Euclidean distance kernel. They live in two extension modules of
-scipy, `scipy/linalg/_flapack` and `scipy/spatial/_distance_pybind`. This
-module loads those two files directly from scipy's install directory
-instead of importing `scipy.linalg` and `scipy.spatial`: the Python
-package inits of those subpackages pull in scipy's array-API layer,
-`numpy.f2py`, `numpy.ma` and `unittest`, none of which the five calls use.
+the factor `dpotri`, the solves `dpotrs` and `dtrtrs`, the
+squared-Euclidean distance kernels between two point sets (`cdist`) and
+within one (`pdist`, the strict upper triangle in row order, "condensed"),
+and the copies between a condensed vector and a square symmetric matrix
+behind `squareform`. They live in three extension modules of scipy,
+`scipy/linalg/_flapack`, `scipy/spatial/_distance_pybind` and
+`scipy/spatial/_distance_wrap`. This module loads those files directly
+from scipy's install directory instead of importing `scipy.linalg` and
+`scipy.spatial`: the Python package inits of those subpackages pull in
+scipy's array-API layer, `numpy.f2py`, `numpy.ma` and `unittest`, none of
+which these calls use.
 Skipping them took `import pcegp.cli` from 67 to 37 MB of peak memory and
 from about 0.7 to 0.2 s (scipy 1.17, 2-vCPU x86-64 VM). The light
 top-level `scipy` package is imported first; on Windows
 wheels it registers the folder of the bundled OpenBLAS library, which
 `_flapack` links against.
 
-The functions are the very ones behind `scipy.linalg.lapack` and
-`cdist(..., "sqeuclidean")`, called with the arrays those wrappers would
-pass them, so every result has their bits. The two modules are left out
+The functions are the very ones behind `scipy.linalg.lapack`,
+`cdist(..., "sqeuclidean")`, `pdist(..., "sqeuclidean")` and `squareform`,
+called with the arrays those wrappers would pass them, so every result
+has their bits. The copies get their shapes checked here, as `squareform`
+checks them, since the compiled loops trust them. The modules are left out
 of `sys.modules`: a later `import scipy.linalg` in the same process makes
 its own module over the same functions. A missing file raises
 `ImportError` naming it; there is no fallback.
@@ -61,7 +67,10 @@ _flapack = _load_extension("linalg", "_flapack")
 
 dpotrf = _flapack.dpotrf
 dpotri = _flapack.dpotri
-cdist_sqeuclidean = _load_extension("spatial", "_distance_pybind").cdist_sqeuclidean
+_distance_pybind = _load_extension("spatial", "_distance_pybind")
+cdist_sqeuclidean = _distance_pybind.cdist_sqeuclidean
+pdist_sqeuclidean = _distance_pybind.pdist_sqeuclidean
+_distance_wrap = _load_extension("spatial", "_distance_wrap")
 
 
 def _checked(routine: str, x, info: int):
@@ -97,3 +106,37 @@ def dtrtrs(a, b, lower: int = 0, trans: int = 0, overwrite_b: int = 0):
         "trtrs",
         *_flapack.dtrtrs(a, b, lower=lower, trans=trans, overwrite_b=overwrite_b),
     )
+
+
+def _check_condensed(square, condensed):
+    """Raise unless `square` is n x n and `condensed` holds n (n - 1) / 2 floats,
+    both C-contiguous float64, as the compiled copies assume."""
+    n = square.shape[0]
+    for x in (square, condensed):
+        if x.dtype != np.float64 or not x.flags.c_contiguous:
+            raise ValueError("condensed copies need C-contiguous float64 arrays")
+    if square.shape != (n, n) or condensed.shape != (n * (n - 1) // 2,):
+        raise ValueError(
+            f"a {square.shape} matrix does not match a condensed vector of "
+            f"shape {condensed.shape}"
+        )
+
+
+def unpack_condensed(condensed, square):
+    """Copy a condensed vector into both triangles of `square`, as `squareform`.
+
+    The diagonal is left as it was. Returns `square`.
+    """
+    _check_condensed(square, condensed)
+    _distance_wrap.to_squareform_from_vector_wrap(square, condensed)
+    return square
+
+
+def gather_condensed(square, condensed):
+    """Copy the strict upper triangle of `square` into `condensed`, as `squareform`.
+
+    Returns `condensed`.
+    """
+    _check_condensed(square, condensed)
+    _distance_wrap.to_vector_from_squareform_wrap(square, condensed)
+    return condensed

@@ -16,8 +16,10 @@ w = x / l, a warp w(x) = l(x) x whose field does not vary with x, and runs
 through the searched model's code: `kernels.gram_parts` assembles its K,
 `gp.contract_entry` contracts its gradient, which it chains through
 dw/d(log l) = -w, and `kernels.warped_cross_matrix` gives its cross
-covariances. So no per-dimension N x N tensor is formed, and its N x N
-arrays live in one workspace per fit.
+covariances. So no per-dimension N x N tensor is formed, and its arrays
+live in one workspace per fit: a gradient step holds 2 N x N arrays'
+worth (K, and the entry's values and A's pairs at half that each), and a
+value-only fit K alone.
 """
 
 from __future__ import annotations
@@ -47,7 +49,13 @@ from .gp import (
     model_from_fit,
     predict_means,
 )
-from .kernels import KernelForm, Workspace, gram_parts, warped_cross_matrix
+from .kernels import (
+    KernelForm,
+    Workspace,
+    gradient_weights,
+    gram_parts,
+    warped_cross_matrix,
+)
 from .optim import AdamState, SearchSpace, adam_step, check_search_settings, run_search
 from .poly import Basis
 
@@ -277,25 +285,27 @@ def _ard_neg_mll_and_grad(log_params, x, y, gradient=True, workspace=None):
     `gradient=False` the gradient is None and K^-1 is never formed. K is
     `kernels.gram_parts` of one squared-exponential entry on w = x / l, plus
     sn2 on the diagonal, in `workspace` (a fresh one when none is given):
-    with the gradient the entry's values and K, without it only K. The
-    gradient chains `gp.contract_entry` through dw/d(log l) = -w.
+    with the gradient K, the entry's values and A's pairs, without it only
+    K. The gradient chains `gp.contract_entry` through dw/d(log l) = -w.
     """
     n, d = x.shape
     forms, lengthscales = _ard_entry(log_params, d)
     w = x / lengthscales
-    k, parts = gram_parts(forms, (w,), workspace, keep=gradient)
+    ws = workspace if workspace is not None else Workspace()
+    k, parts = gram_parts(forms, (w,), ws, keep=gradient)
     sn2 = np.exp(log_params[d + 1])
     k.flat[:: n + 1] += sn2
     fit = _likelihood_core(k, y, "ard squared_exponential baseline", gradient)
     if not gradient:
         return -fit.value, None, fit.alpha
 
-    r, ds2 = contract_entry(fit.a, parts[0])
+    a = gradient_weights(fit.a, ws)
+    r, ds2 = contract_entry(a, parts[0])
     scale = forms[0][1]
     grad = np.empty(d + 2)
     grad[:d] = -2.0 * np.einsum("id,id->d", r, w)
     grad[d] = scale * scale * ds2
-    grad[d + 1] = 0.5 * sn2 * float(np.trace(fit.a))
+    grad[d + 1] = 0.5 * sn2 * float(a.diagonal.sum())
     return -fit.value, -grad, fit.alpha  # gradient of the NEGATIVE mll
 
 

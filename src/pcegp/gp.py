@@ -9,14 +9,16 @@ points, and the warp is linear in the expansion coefficients, so the
 chain rule reduces to A weighted by one pairwise derivative matrix per
 kernel, plus a rank-structured contraction: the weighted matrix's row sums
 and its product with the warps, from one product with [w | 1]. Assembly
-keeps one N x N array per kernel, the argument of its form, and once A is
+keeps one array per kernel, the argument of its form, and once A is
 formed each kernel's values and derivative are re-formed from it in one
-shared scratch (`kernels.weighted_derivative`). This one contraction
-(`contract_entry`) serves both methods: `mll_gradient` chains it through
-the fields' coefficients, the ARD baseline (`bench`) through its log
-lengthscales. The public contract for the gradient is agreement with
-central finite differences; the analytic path is an implementation choice
-for speed.
+shared scratch, then unpacked into K's buffer for that product
+(`kernels.gradient_weights`, `kernels.weighted_derivative`). How those
+arrays are laid out is `kernels`' business; each is half an N x N array.
+This one contraction (`contract_entry`) serves both methods:
+`mll_gradient` chains it through the fields' coefficients, the ARD
+baseline (`bench`) through its log lengthscales. The public contract for
+the gradient is agreement with central finite differences; the analytic
+path is an implementation choice for speed.
 
 The gradient's coordinates are the free parameters; `free_parameters`
 and `with_free_parameters` are the one map between them and a (stack,
@@ -33,11 +35,12 @@ Gram, its factor and A = alpha alpha^T - K^-1 share one buffer of the
 caller's workspace, each overwriting the one before, and the next
 evaluation overwrites them all (see `kernels.Workspace` for what borrows
 that buffer and what owns a copy). A value-only fit (`fit_likelihood`, and
-through it every refit, load and closing fit) holds at most three N x N
-buffers (see `kernels.gram_parts`), and its factor is K's buffer: the
-search scores each fold, and a benchmark each outer fold's refit, from it;
-a model that `model_from_fit` factorizes keeps the K buffer of a workspace
-of its own, its strict upper triangle zeroed in place.
+through it every refit, load and closing fit) holds at most 2 N x N
+arrays' worth of buffers (see `kernels.gram_parts`), and its factor is
+K's buffer: the search scores each fold, and a benchmark each outer
+fold's refit, from it; a model that `model_from_fit` factorizes keeps the
+K buffer of a workspace of its own, its strict upper triangle zeroed in
+place.
 
 The chaos-basis values at the training points do not change while the
 coefficients move. Every function here that takes `x_scaled` also takes a
@@ -80,6 +83,8 @@ from .hyper import (
 from .kernels import (
     TRIANGLE_BLOCK_ROWS,
     KernelStack,
+    Workspace,
+    gradient_weights,
     ladder_cholesky,
     mirror_lower,
     noisy_gram,
@@ -216,13 +221,15 @@ def _term_values(basis: PointBasis, terms) -> list:
     return [basis.values(kind, c.size - 1).reshape(c.size, n, d) for kind, c in terms]
 
 
-def contract_entry(a: np.ndarray, part):
+def contract_entry(a, part):
     """A kernel entry's share of the gradient: (r, dMLL/d(scale^2)).
 
-    `part` is (form, scale, warped, argument, scratch) as `kernels.gram_parts`
-    keeps it. dMLL/dw = 2 r by the entry's N x n_x warps w, where
+    `a` is A as `kernels.gradient_weights` gives it, and `part` is (form,
+    scale, warped, argument, scratch) as `kernels.gram_parts` keeps it.
+    dMLL/dw = 2 r by the entry's N x n_x warps w, where
     r = rowsum(M) w - M w for M = A o dk/d(d2), both from one product with
-    [w | 1]. The argument may be overwritten; A is left alone.
+    [w | 1]. The argument and K's buffer may be overwritten; A's pairs and
+    diagonal are left alone.
     """
     form, scale, w, argument, scratch = part
     t, factor, value_sum = weighted_derivative(form, scale, argument, a, scratch)
@@ -241,19 +248,21 @@ def mll_gradient(
     `x_scaled` may be a `PointBasis`. The fields are linear in their
     coefficients, so the sensitivity of a lengthscale or of the unclamped
     noise to a coefficient is the basis's own value, read from the
-    `PointBasis` each call. The N x N arrays of the evaluation are the
+    `PointBasis` each call. The large arrays of the evaluation are the
     buffers of `workspace` (a fresh one when none is given) that
-    `kernels.Workspace` describes: each entry's argument, K (which becomes
-    A) and one scratch when an entry is not squared exponential. Each
-    entry is contracted from its argument alone (`contract_entry`), which
-    it may then overwrite; the returned gradient is a new array.
+    `kernels.Workspace` describes: K (which becomes A), and each entry's
+    argument, A's pairs and one scratch when an entry is not squared
+    exponential, each of those half as large. Each entry is contracted
+    from its argument and A alone (`contract_entry`), and may overwrite
+    the argument; the returned gradient is a new array.
     """
     basis = as_point_basis(x_scaled, stack.fields + (noise,))
     pts = basis.points
     y = np.asarray(y_scaled, dtype=float).ravel()
-    _, k, parts = noisy_gram(stack, noise, basis, workspace, gradient=True)
+    ws = workspace if workspace is not None else Workspace()
+    _, k, parts = noisy_gram(stack, noise, basis, ws, gradient=True)
     # dMLL = 0.5 tr(a dK)
-    a = _likelihood_core(k, y, stack.describe(), gradient=True).a
+    a = gradient_weights(_likelihood_core(k, y, stack.describe(), gradient=True).a, ws)
 
     blocks = []
     scale_grad = []
@@ -273,7 +282,7 @@ def mll_gradient(
         )
         raw = sens.T @ np.concatenate([c for _, c in noise.terms])
         active = raw > noise.floor  # clamped points contribute no gradient
-        diag_a = np.diag(a) * active
+        diag_a = a.diagonal * active
         blocks.append(0.5 * sens @ diag_a)
 
     blocks.append(np.array(scale_grad))

@@ -7,40 +7,54 @@ form positive semidefinite regardless of the sign of l(x); a constant
 field l(x) = c reproduces the stationary kernel with lengthscale 1/c.
 
 All four forms are functions of the squared distance only, which lets
-Gram assembly and the likelihood gradient share one N x N array per stack
+Gram assembly and the likelihood gradient share one array per stack
 entry: the form's argument (`form_argument`), which is the values
 themselves for squared exponential and d, sqrt(3) d or 1 + d^2 / (2a) for
-the others. `add_form_values` is the one evaluation of the forms: Gram
-assembly adds each entry's values into K through it on both likelihood
-paths, and prediction its cross covariances. The gradient re-forms each
-entry's values and derivative from the argument (`weighted_derivative`)
-instead of keeping the values. Assembly (`gram_parts`) and the cross
-covariances (`warped_cross_matrix`) take each entry's (form, scale) and
-its warps, so they serve both methods: a stack warped by `warp_stack`, and
-the ARD baseline (`bench`), one squared-exponential entry on x / l.
-`pairwise_sqdist` fills the distances computing each unordered pair once,
-so they are exactly symmetric with a zero diagonal. They come from scipy's
-compiled squared-Euclidean `cdist` kernel and the factorization from
-LAPACK dpotrf, both through `pcegp._native`, which loads them without the
+the others. Every such training-side array is symmetric with a known
+diagonal (d = 0, where every form is scale^2), so it is held condensed:
+one float per pair of points, the strict upper triangle in `pdist` row
+order, N (N - 1) / 2 floats. The distances come from scipy's compiled
+`pdist`, which gives `cdist`'s bits, and all elementwise form work runs on
+these vectors. K alone is square: the entries' summed values are unpacked
+into it once per evaluation, for the factorization. This module is the
+only one that knows the layout: `gram_parts` makes the condensed
+arguments, `gradient_weights` gathers A = alpha alpha^T - K^-1 to a
+condensed vector plus its diagonal, and `weighted_derivative` unpacks each
+entry's weighted matrix into K's buffer, free by then, for the gradient's
+one full-matrix product (`gp.contract_entry`).
+
+`add_form_values` is the one evaluation of the forms: Gram assembly adds
+each entry's values through it on both likelihood paths, and prediction
+its cross covariances. The gradient re-forms each entry's values and
+derivative from the argument (`weighted_derivative`) instead of keeping
+the values. Assembly (`gram_parts`) and the cross covariances
+(`warped_cross_matrix`) take each entry's (form, scale) and its warps, so
+they serve both methods: a stack warped by `warp_stack`, and the ARD
+baseline (`bench`), one squared-exponential entry on x / l. The cross
+covariances stay M x N and come from `cdist`. The distance kernels, the
+condensed copies and the factorization (LAPACK dpotrf) are scipy's
+compiled ones, through `pcegp._native`, which loads them without the
 `scipy.spatial` and `scipy.linalg` packages. The entries' warps read the
 chaos-basis values of one `hyper.PointBasis` per point set, so a stack
 whose entries share a basis family evaluates it once.
 The training-side warps that assembly makes are kept, so that prediction
 from a fitted model warps only its queries.
 
-Gram assembly writes into a `Workspace`: owned N x N buffers, reused by
-every evaluation instead of allocated afresh. What it holds depends on the
-consumer. The likelihood gradient keeps each entry's argument, K and one
-scratch, shared by the entries that are not squared exponential, in which
-each entry's values are formed before they are added into K. A value-only
-fit adds each entry into K as soon as it is formed, so it holds K, one
-argument buffer and, for a Matern-3/2 entry, the scratch. One workspace
-serves one command and is freed with it: a benchmark's searches and refits
-share one, a search alone has its own, and so do a baseline run's folds,
-under the same keys as a one-entry stack; a call given none makes a fresh
-one. It is sized at the largest training split it serves, so each buffer
-is allocated once, however the fold sizes differ. K's buffer also holds
-its factor and, for the likelihood gradient, A = alpha alpha^T - K^-1:
+Gram assembly writes into a `Workspace`: owned buffers, reused by every
+evaluation instead of allocated afresh. What it holds depends on the
+consumer. The likelihood gradient keeps K, each entry's condensed
+argument, the condensed sum of the values, which later holds A's pairs,
+and one condensed scratch, shared by the entries that are not squared
+exponential: 4 N x N arrays' worth for the four-entry benchmark stack.
+A value-only fit sums the values in K's own last N (N - 1) / 2 floats,
+unpacks them in place, and holds K, one argument buffer and, for a
+Matern-3/2 entry, the scratch. One workspace serves one command and is
+freed with it: a benchmark's searches and refits share one, a search alone
+has its own, and so do a baseline run's folds, under the same keys as a
+one-entry stack; a call given none makes a fresh one. It is sized at the
+largest training split it serves, so each buffer is allocated once,
+however the fold sizes differ. K's buffer also holds its factor and, for
+the likelihood gradient, A, then each entry's weighted matrix:
 `ladder_cholesky` factorizes K in place, and only in place. A factor is
 the lower triangle of a C-order array. LAPACK factorizes it in place as
 the upper factor of its Fortran-order transpose, and the solves read it
@@ -53,7 +67,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._native import cdist_sqeuclidean, dpotrf
+from ._native import (
+    cdist_sqeuclidean,
+    dpotrf,
+    gather_condensed,
+    pdist_sqeuclidean,
+    unpack_condensed,
+)
 from .hyper import (
     LengthscaleField,
     NoiseField,
@@ -71,8 +91,8 @@ KERNEL_FORMS = (
 
 JITTER_LADDER = (0.0, 1e-10, 1e-8, 1e-6, 1e-4)
 
-# rows per cdist call in `pairwise_sqdist`: at N of a few hundred, a block of
-# the upper triangle stays in cache while it is copied into both triangles
+# query rows per cdist call in `warped_cross_matrix`: bounds its one
+# block-sized array per extra entry
 SQDIST_BLOCK_ROWS = 64
 
 # rows per block when one triangle of an N x N matrix is mirrored in place
@@ -170,25 +190,32 @@ class GramResult:
 
 
 class Workspace:
-    """Owned N x N float64 buffers, reused from one likelihood evaluation to the next.
+    """Owned float64 buffers, reused from one likelihood evaluation to the next.
 
     Each buffer is a flat array kept under a key, made on first use for the
-    rows given to `reserve` (or the N asked for, if larger); a smaller N
-    gets a C-contiguous view of its first N * N elements. A
-    cross-validation reserves its workspace at the largest training split
-    it will serve, so the splits of unequal size share one allocation per
-    buffer. A request past a buffer's size drops
-    the buffer before the larger one is made, so the two are never held
-    together; views of the old one must be dead by then, as the rule below
-    has them. A gradient evaluation of an E-entry stack holds E + 1 of
-    them, plus one: each entry's argument (key ("argument", i)) and K,
-    which becomes the factor and then A, plus a scratch ("scratch") when
-    any entry is not squared exponential. A value-only fit holds at most 3:
-    K, which becomes the factor, one argument buffer (("argument", 0)), and
-    the scratch when the stack has a Matern-3/2 entry; a first entry that
-    is not Matern-3/2 is formed in K itself. All three are among a
-    gradient's buffers for the same stack, so after one it allocates
-    nothing (see `gram_parts`).
+    rows given to `reserve` (or the N asked for, if larger). A buffer is
+    either square, N x N (`matrix`), or condensed, one float per pair of
+    the N points, N (N - 1) / 2 (`pairs`); a smaller N gets a C-contiguous
+    view of its first elements. A cross-validation reserves its workspace
+    at the largest training split it will serve, so the splits of unequal
+    size share one allocation per buffer. A request past a buffer's size
+    drops the buffer before the larger one is made, so the two are never
+    held together; views of the old one must be dead by then, as the rule
+    below has them.
+
+    A gradient evaluation of an E-entry stack holds K (key "k"), square,
+    which becomes the factor, then A, then each entry's weighted matrix;
+    and, condensed, each entry's argument (key ("argument", i)), the sum
+    of the entries' values, which later holds A's pairs (key "a"), and a
+    scratch ("scratch") when any entry is not squared exponential. In
+    N x N arrays that is 1 + (E + 1) / 2, plus 1 / 2 for the scratch: 4
+    for the four-entry benchmark stack, 2 for one squared-exponential
+    entry. A value-only fit holds at most 2: K, in whose last
+    N (N - 1) / 2 floats the values are summed, one argument buffer
+    (("argument", 0)) unless the stack is one entry that is not
+    Matern-3/2, and the scratch when the stack has a Matern-3/2 entry.
+    These three buffers are among a gradient's for the same stack, so
+    after one it allocates nothing (see `gram_parts`).
 
     What an evaluation returns from a workspace borrows its buffers until
     the next evaluation there, which overwrites them: a value-only fit's
@@ -214,17 +241,24 @@ class Workspace:
         """
         self._rows = rows
 
-    def matrix(self, key, n: int) -> np.ndarray:
-        """An uninitialized n x n view of the buffer under `key`."""
+    def _view(self, key, size: int, reserved: int) -> np.ndarray:
         buf = self._buffers.get(key)
-        if buf is None or buf.size < n * n:
+        if buf is None or buf.size < size:
             # drop the old buffer first, so that it and its successor are
             # never both held
             del buf
             self._buffers.pop(key, None)
-            rows = max(n, self._rows)
-            buf = self._buffers[key] = np.empty(rows * rows)
-        return buf[: n * n].reshape(n, n)
+            buf = self._buffers[key] = np.empty(max(size, reserved))
+        return buf[:size]
+
+    def matrix(self, key, n: int) -> np.ndarray:
+        """An uninitialized n x n view of the square buffer under `key`."""
+        return self._view(key, n * n, self._rows * self._rows).reshape(n, n)
+
+    def pairs(self, key, n: int) -> np.ndarray:
+        """An uninitialized view of the condensed buffer under `key`: one
+        float per pair of n points, in `pdist` order."""
+        return self._view(key, _n_pairs(n), _n_pairs(self._rows))
 
 
 # ---------------------------------------------------------------------------
@@ -303,40 +337,75 @@ def form_from_sqdist(form: KernelForm, scale: float, sqdist) -> np.ndarray:
                            first=True)
 
 
+@dataclass(frozen=True)
+class GradientWeights:
+    """A = alpha alpha^T - K^-1 as the gradient's contraction reads it.
+
+    `diagonal` holds A's diagonal. Its pairs are condensed in a workspace
+    buffer, and K's buffer, which held A, is free for each entry's
+    weighted matrix (`weighted_derivative`).
+    """
+
+    pairs: np.ndarray
+    diagonal: np.ndarray
+    square: np.ndarray
+
+
+def gradient_weights(a: np.ndarray, workspace: Workspace) -> GradientWeights:
+    """A, formed in K's buffer, with its pairs gathered into the buffer
+    that summed the entries' values (key "a") and its diagonal copied out.
+
+    After this K's buffer holds nothing the gradient reads.
+    """
+    pairs = gather_condensed(a, workspace.pairs("a", a.shape[0]))
+    return GradientWeights(pairs, np.diagonal(a).copy(), a)
+
+
 def weighted_derivative(form: KernelForm, scale: float, argument, a, scratch):
     """A weighted by the form's squared-distance derivative, from its argument.
 
-    Returns (t, factor, value_sum): factor * t = A o dk/d(d2) elementwise,
-    and value_sum = sum(A o k) / scale^2, the sum the output-scale
-    derivative needs. The derivatives are -k/2 (squared exponential),
-    -s2 exp(-d) / (2d) (absolute exponential), -1.5 s2 exp(-d) (Matern-3/2)
-    and -k / (2b) (rational quadratic), with the constant left in `factor`.
-    The absolute-exponential derivative is unbounded at zero distance and
-    is exactly 0 there, which is exact wherever it matters: the squared
-    distance of coincident warped points has zero sensitivity to the warp.
-    `t` is the buffer of `argument` or of `scratch`, each of which may be
-    overwritten; `scratch` is unused, and may be None, for squared
-    exponential. A is left alone.
+    `argument` is the entry's condensed argument and `a` the
+    `GradientWeights`. Returns (t, factor, value_sum): t is the N x N
+    matrix, in `a`'s square buffer, with factor * t = A o dk/d(d2) off
+    the diagonal and 0 on it, where the contraction's
+    rowsum(t) w - t w cancels exactly; value_sum = sum(A o k) / scale^2
+    over the whole matrix, the sum the output-scale derivative needs, with
+    A's diagonal entering once, since k = scale^2 there for every form.
+    The derivatives are -k/2 (squared exponential), -s2 exp(-d) / (2d)
+    (absolute exponential), -1.5 s2 exp(-d) (Matern-3/2) and -k / (2b)
+    (rational quadratic), with the constant left in `factor`. They are
+    formed on the condensed pairs, in the buffer of `argument` or of
+    `scratch`, each of which may be overwritten; `scratch` is unused, and
+    may be None, for squared exponential. The absolute-exponential
+    derivative is unbounded at zero distance and is exactly 0 there, which
+    is exact wherever it matters: the squared distance of coincident warped
+    points has zero sensitivity to the warp. A's pairs and diagonal are
+    left alone.
     """
     s2 = scale * scale
     if form.tag == "squared_exponential":
-        t = np.multiply(argument, a, out=argument)
-        return t, -0.5, float(t.sum()) / s2
-    if form.tag == "rational_quadratic":
-        np.power(argument, -form.shape, out=scratch)
+        t = np.multiply(argument, a.pairs, out=argument)
+        factor, pair_sum = -0.5, float(t.sum()) / s2
     else:
-        np.negative(argument, out=scratch)
-        np.exp(scratch, out=scratch)
-    scratch *= a
-    value_sum = float(scratch.sum())
-    if form.tag == "matern_3_2":
-        # k / s2 = exp(-d) (1 + d)
-        return scratch, -1.5 * s2, value_sum + float(np.vdot(scratch, argument))
-    if form.tag == "rational_quadratic":
-        return np.divide(scratch, argument, out=scratch), -0.5 * s2, value_sum
-    # where d = 0 the quotient keeps the argument's own 0
-    t = np.divide(scratch, argument, out=argument, where=argument > 0.0)
-    return t, -0.5 * s2, value_sum
+        if form.tag == "rational_quadratic":
+            np.power(argument, -form.shape, out=scratch)
+        else:
+            np.negative(argument, out=scratch)
+            np.exp(scratch, out=scratch)
+        scratch *= a.pairs
+        pair_sum = float(scratch.sum())
+        if form.tag == "matern_3_2":
+            # k / s2 = exp(-d) (1 + d)
+            t, factor = scratch, -1.5 * s2
+            pair_sum += float(np.vdot(scratch, argument))
+        elif form.tag == "rational_quadratic":
+            t, factor = np.divide(scratch, argument, out=scratch), -0.5 * s2
+        else:
+            # where d = 0 the quotient keeps the argument's own 0
+            t = np.divide(scratch, argument, out=argument, where=argument > 0.0)
+            factor = -0.5 * s2
+    square = _unpack(t, 0.0, a.square)
+    return square, factor, 2.0 * pair_sum + float(a.diagonal.sum())
 
 
 # ---------------------------------------------------------------------------
@@ -387,27 +456,6 @@ def kernel_nonstationary(
 # Gram assembly
 # ---------------------------------------------------------------------------
 
-def pairwise_sqdist(points, out: np.ndarray) -> np.ndarray:
-    """Squared Euclidean distances between every two rows of `points`, into `out`.
-
-    Each unordered pair is computed once: `cdist` runs on row blocks of
-    the upper triangle, and each block is copied into both triangles. The
-    values are cdist's own (one sum of squared differences per pair, the
-    same in either order), so `out` is exactly symmetric with an exactly
-    zero diagonal. Each block is a new array, not a workspace buffer: a
-    kept block buffer raised a run's peak RSS by about 1 MB (fit-wide and
-    cv-tall shapes) and was no faster.
-    """
-    n = points.shape[0]
-    for s in range(0, n, SQDIST_BLOCK_ROWS):
-        e = min(n, s + SQDIST_BLOCK_ROWS)
-        block = cdist_sqeuclidean(points[s:e], points[s:])
-        out[s:e, s:] = block
-        out[s:, s:e] = block.T
-        del block  # so that only one block is alive at the next call
-    return out
-
-
 def warp_stack(stack: KernelStack, points) -> tuple:
     """Each stack entry's warped points, N x n_x, all from one `PointBasis`.
 
@@ -422,6 +470,47 @@ def warp_stack(stack: KernelStack, points) -> tuple:
     return tuple(warp_points(field, basis) for field in stack.fields)
 
 
+def _n_pairs(n: int) -> int:
+    return n * (n - 1) // 2
+
+
+def _diagonal_value(forms) -> float:
+    """K's noise-free diagonal: every form is scale^2 at d = 0, so this is the
+    sum of the squared scales, added in entry order as K sums its entries."""
+    total = 0.0
+    for _, scale in forms:
+        total += scale * scale
+    return total
+
+
+def _unpack(condensed, diagonal, square):
+    """`square` with both triangles from the condensed vector and `diagonal`
+    on the diagonal."""
+    unpack_condensed(condensed, square)
+    square.flat[:: square.shape[0] + 1] = diagonal
+    return square
+
+
+def _unpack_tail(square, diagonal):
+    """`_unpack` of the condensed vector held in the last n (n - 1) / 2
+    floats of `square` itself, with no second buffer.
+
+    The strict upper triangle is filled row by row, top row first, then
+    mirrored over the lower one. Row i ends in the buffer no later than its
+    own condensed values begin, so nothing is overwritten before it is read.
+    """
+    n = square.shape[0]
+    flat = square.reshape(-1)
+    start = n * n - _n_pairs(n)
+    for i in range(n - 1):
+        stop = start + n - 1 - i
+        square[i, i + 1 :] = flat[start:stop]
+        start = stop
+    mirror_lower(square.T)
+    square.flat[:: n + 1] = diagonal
+    return square
+
+
 def gram_parts(forms, warped, workspace: Workspace | None = None, keep: bool = True):
     """The noise-free Gram K and, with `keep`, each entry's argument.
 
@@ -431,40 +520,52 @@ def gram_parts(forms, warped, workspace: Workspace | None = None, keep: bool = T
     argument, scratch) in entry order, or None without `keep`; an entry's
     scratch is the shared one, or None for squared exponential, whose
     contraction needs none (see `weighted_derivative`). This is the one
-    Gram assembly. Each entry's squared distances are overwritten with its
-    argument (`form_argument`), whose values `add_form_values` adds into K,
-    the first entry's written, so K is the sum in entry order. With `keep`,
-    which the likelihood gradient needs, every entry's argument is a buffer
-    of its own and the values are formed in one shared scratch when any
-    entry is not squared exponential: E + 1 N x N buffers, plus that
-    scratch. A value-only fit reads only K, so without `keep` the first
-    entry is formed in K itself (unless it is Matern-3/2) and every later
-    one goes through one argument buffer, in which its values are then
-    formed; the scratch is held only for a Matern-3/2 entry. Either way K
-    has the same bits. The buffers are those of `workspace`, or of a fresh
-    one when none is given.
+    Gram assembly. The elementwise work is done on condensed vectors, one
+    float per pair of points in `pdist` order: each entry's squared
+    distances (scipy's `pdist`, which has `cdist`'s bits) are overwritten
+    with its argument (`form_argument`), whose values `add_form_values`
+    adds into one condensed sum, the first entry's written, so K is the
+    sum in entry order. That sum is unpacked once into K's square buffer,
+    whose diagonal is the sum of the squared scales, the value of every
+    form at d = 0. With `keep`, which the likelihood gradient needs, every
+    entry's argument is a buffer of its own, the sum is formed in the
+    buffer that later holds A's pairs (`gradient_weights`), and the values
+    are formed in one shared scratch when any entry is not squared
+    exponential. A value-only fit reads only K, so without `keep` the sum
+    is formed in K's own last N (N - 1) / 2 floats and unpacked in place:
+    the first entry is formed there (unless it is Matern-3/2) and every
+    later one goes through one argument buffer, in which its values are
+    then formed; the scratch is held only for a Matern-3/2 entry. Either
+    way K has the same bits. The buffers are those of `workspace`, or of a
+    fresh one when none is given.
     """
     ws = workspace if workspace is not None else Workspace()
     n = warped[0].shape[0]
-    k = ws.matrix("k", n)
     tags = [form.tag for form, _ in forms]
     if keep:
         needs_scratch = tags.count("squared_exponential") < len(tags)
     else:
         needs_scratch = "matern_3_2" in tags
-    scratch = ws.matrix("scratch", n) if needs_scratch else None
+    scratch = ws.pairs("scratch", n) if needs_scratch else None
+    k = ws.matrix("k", n)
+    values = ws.pairs("a", n) if keep else k.reshape(-1)[n * n - _n_pairs(n) :]
     parts = [] if keep else None
     for i, ((form, scale), w) in enumerate(zip(forms, warped, strict=True)):
         se, m32 = form.tag == "squared_exponential", form.tag == "matern_3_2"
         if keep:
-            argument = ws.matrix(("argument", i), n)
+            argument = ws.pairs(("argument", i), n)
         else:
-            argument = k if i == 0 and not m32 else ws.matrix(("argument", 0), n)
-        form_argument(form, scale, pairwise_sqdist(w, argument))
-        add_form_values(form, scale, argument, k,
+            argument = values if i == 0 and not m32 else ws.pairs(("argument", 0), n)
+        pdist_sqeuclidean(w, out=argument)
+        form_argument(form, scale, argument)
+        add_form_values(form, scale, argument, values,
                         scratch if keep or m32 else argument, first=i == 0)
         if keep:
             parts.append((form, scale, w, argument, None if se else scratch))
+    if keep:
+        _unpack(values, _diagonal_value(forms), k)
+    else:
+        _unpack_tail(k, _diagonal_value(forms))
     return k, parts
 
 

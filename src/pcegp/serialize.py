@@ -102,11 +102,25 @@ def _parse_terms(kv: dict, prefix: str) -> tuple:
     return tuple(terms)
 
 
+def _check_columns(columns: list, n_inputs: int, source) -> None:
+    for i, name in enumerate(columns):
+        if name in columns[:i]:
+            raise ValueError(f"{source}: meta.columns names column {name!r} twice")
+    if len(columns) != n_inputs:
+        raise ValueError(
+            f"{source}: meta.columns names {len(columns)} columns "
+            f"({','.join(columns)}), but training.n_inputs is {n_inputs}"
+        )
+
+
 def text_to_model(text: str, source="model text") -> PcegpModel:
     """Rebuild a model from its flat text form, refactorizing the Gram.
 
     `source` names the text in the error for a line that is not
-    `key = value` (`data.read_kv`).
+    `key = value` (`data.read_kv`), and for a `meta.columns` list that
+    names a column twice or does not name one column per input:
+    `pcegp predict` maps query columns to the inputs by that list, so such
+    a model would predict from the wrong columns.
     """
     kv = read_kv(text, source)
     if _need(kv, "format") != FORMAT_TAG:
@@ -115,6 +129,8 @@ def text_to_model(text: str, source="model text") -> PcegpModel:
 
     n_points = int(_need(kv, "training.n_points"))
     n_inputs = int(_need(kv, "training.n_inputs"))
+    if "columns" in meta:
+        _check_columns(meta["columns"].split(","), n_inputs, source)
     x_s = np.vstack(
         [parse_floats(_need(kv, f"training.x_scaled_{i}")) for i in range(n_points)]
     )

@@ -6,6 +6,7 @@ computes another way: the tests compare the two.
 
 import numpy as np
 from scipy.linalg.lapack import dpotrf
+from scipy.spatial.distance import squareform
 
 from pcegp.hyper import NoiseField, PointBasis, eval_noise_batch
 from pcegp.kernels import (
@@ -74,17 +75,23 @@ def ladder_by_copies(k):
 def gram_by_parts(stack: KernelStack, noise: NoiseField, points):
     """K + noise diagonal as the likelihood gradient's assembly makes it.
 
-    Every entry's argument is kept in a buffer of its own, and its values
-    are added into K through the scratch. Each kept argument must still give
-    K's bits afterwards, re-formed in stack order into a fresh array, since
-    the gradient's contraction reads the arguments once K is gone.
+    Every entry's argument is kept, condensed, in a buffer of its own, and
+    its values are added into the sum through the scratch. Each kept
+    argument must still give K's bits afterwards, re-formed in stack order
+    into a fresh condensed array, unpacked by scipy's `squareform` and
+    given every form's value at zero distance, the squared scale, on the
+    diagonal: the gradient's contraction reads the arguments once K is gone.
     """
     basis = PointBasis(points, stack.fields + (noise,))
     k, parts = gram_parts(stack.forms, warp_stack(stack, basis))
-    again = np.empty_like(k)
+    again = np.empty_like(parts[0][3])
+    diagonal = 0.0
     for i, (form, scale, _, argument, _) in enumerate(parts):
-        add_form_values(form, scale, argument.copy(), again, np.empty_like(k),
+        add_form_values(form, scale, argument.copy(), again, np.empty_like(again),
                         first=i == 0)
+        diagonal += scale * scale
+    again = squareform(again)
+    np.fill_diagonal(again, diagonal)
     assert again.tobytes() == k.tobytes()
     k.flat[:: k.shape[0] + 1] += eval_noise_batch(noise, basis)
     return k

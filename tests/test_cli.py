@@ -270,6 +270,29 @@ def test_predict_rejects_a_repeated_column_name(tmp_path, train_file, capsys):
     assert not out.exists()
 
 
+def test_predict_rejects_a_model_that_names_a_column_twice(tmp_path, capsys):
+    # a model saved from a table with a repeated column name lists it twice;
+    # predict would read both inputs from the one query column of that name
+    src = tmp_path / "two.csv"
+    rows = "".join(f"{i / 9!r},{(9 - i) / 9!r},{i}\n" for i in range(10))
+    src.write_text("a,b,y\n" + rows)
+    model_path = tmp_path / "model.txt"
+    assert main(["fit", "--set", f"dataset={src}", "--set", "target=y",
+                 "--output", str(model_path), *FAST_FIT]) == 0
+    text = model_path.read_text()
+    assert "meta.columns = a,b\n" in text
+    model_path.write_text(text.replace("meta.columns = a,b", "meta.columns = a,a"))
+    queries = tmp_path / "q.csv"
+    queries.write_text("a\n0.1\n")
+    out = tmp_path / "o.csv"
+    rc = main(["predict", "--set", f"model={model_path}", "--set", f"inputs={queries}",
+               "--output", str(out)])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert "model.txt" in err and "'a'" in err
+    assert not out.exists()
+
+
 def test_predict_rejects_a_nan_query_row(tmp_path, train_file, capsys):
     # the solves skip scipy's finiteness scan, so a NaN query must be
     # stopped before them, at basis evaluation

@@ -222,34 +222,57 @@ def test_gradient_matches_finite_differences_many_seeds():
     assert worst <= 1e-4, worst
 
 
-@settings(max_examples=40, deadline=None, database=None, derandomize=True)
+# every basis family, Jacobi with drawn shape parameters
+ANY_BASIS = st.one_of(
+    st.sampled_from([Basis.hermite(), Basis.legendre(), Basis.legendre01(),
+                     Basis.laguerre()]),
+    st.builds(Basis.jacobi, st.floats(-0.9, 3.0), st.floats(-0.9, 3.0)),
+)
+
+
+def bounded_field(rng, kind, degree, n_inputs):
+    """One term of `kind` up to `degree`, its degree-k coefficient scaled by
+    1 / ((1 + k) max |phi_k|) over [0, 1]: the field stays O(1) there for
+    every family, where unscaled degree-10 terms reach thousands."""
+    peak = np.abs(eval_basis(kind, degree, np.linspace(0.0, 1.0, 65))).max(axis=1)
+    coeffs = rng.normal(size=degree + 1) / (peak * (1.0 + np.arange(degree + 1)))
+    return LengthscaleField(((kind, coeffs),), n_inputs)
+
+
+@settings(max_examples=60, deadline=None, database=None, derandomize=True)
 @given(
     n_x=st.integers(1, 3),
-    degree=st.integers(0, 3),
+    bases=st.lists(ANY_BASIS, min_size=4, max_size=4),
+    degrees=st.lists(st.integers(0, 10), min_size=4, max_size=4),
     rows=st.lists(st.integers(0, 5), min_size=7, max_size=12),
     shape=st.sampled_from([0.35, 1.0, 4.0]),
     noise_pce=st.booleans(),
     seed=st.integers(0, 2**32 - 1),
 )
 def test_four_form_gradient_on_duplicated_rows_matches_finite_differences(
-    n_x, degree, rows, shape, noise_pce, seed
+    n_x, bases, degrees, rows, shape, noise_pce, seed
 ):
-    # every form's contraction from its argument, in one stack, with seven
-    # or more rows drawn from a pool of six points, so that at least one
-    # repeats and its warped distances are exactly zero (where the
-    # absolute-exponential derivative is 0). The case where both copies of a
-    # duplicated row clamp at the noise floor is excluded by construction:
-    # the noise is fixed, or an expansion whose constant term is at least
-    # twice its linear one (|phi_1| <= 1 on [0, 1]), so no point clamps.
-    # Repeated rows make K nearly singular, and distinct rows whose warps
-    # nearly meet put the absolute-exponential kink within a step, so no one
-    # step suits every draw: the best of three five-point differences is
-    # the reference, and its denominators are floored at 1e-3 of its largest
-    # entry, where rounding in the differences reached 5e-8 of it
+    # every form's contraction from its argument, in one stack whose entries
+    # each draw a basis family (Jacobi with alpha, beta > -1) and a degree up
+    # to 10, with seven or more rows drawn from a pool of six points, so that
+    # at least one repeats and its warped distances are exactly zero (where
+    # the absolute-exponential derivative is 0). The case where both copies
+    # of a duplicated row clamp at the noise floor is excluded by
+    # construction: there |MLL| is about 1e8 and the differences are pure
+    # rounding. The noise is fixed, or an expansion whose constant term is
+    # at least twice its linear one (|phi_1| <= 1 on [0, 1]), so no point
+    # clamps. Repeated rows make K nearly singular, and distinct rows whose
+    # warps nearly meet put the absolute-exponential kink within a step, so
+    # no one step suits every draw: the best of three five-point differences
+    # is the reference, and its denominators are floored at 1e-3 of its
+    # largest entry, where rounding in the differences reached 5e-8 of it
     rng = np.random.default_rng(seed)
     forms = [KernelForm.se(), KernelForm.ae(), KernelForm.matern32(),
              KernelForm.rq(shape)]
-    stack = random_stack(rng, n_x, forms=forms, degree=degree)
+    stack = KernelStack(tuple(
+        (form, float(rng.uniform(0.5, 1.5)), bounded_field(rng, kind, degree, n_x))
+        for form, kind, degree in zip(forms, bases, degrees)
+    ))
     if noise_pce:
         c0 = rng.uniform(0.05, 0.4)
         noise = NoiseField.pce(

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.spatial.distance import cdist
+from scipy.spatial.distance import cdist, squareform
 
 import pcegp.kernels as kernels_mod
 from pcegp.bench import _ard_entry
@@ -14,9 +14,11 @@ from pcegp.kernels import (
     TRIANGLE_BLOCK_ROWS,
     KernelForm,
     KernelStack,
+    Workspace,
     add_form_values,
     form_argument,
     form_from_sqdist,
+    gradient_weights,
     gram_parts,
     kernel_nonstationary,
     kernel_stationary,
@@ -361,12 +363,24 @@ def test_gram_sqdist_matches_cdist_with_duplicate_rows(n_x, rows, data):
     coeffs = data.draw(st.lists(st.floats(-3.0, 3.0), min_size=1, max_size=4))
     field = LengthscaleField(((Basis.legendre01(), coeffs),), n_x)
     stack = KernelStack(((KernelForm.ae(), 1.0, field),))
-    # an absolute-exponential entry keeps d = sqrt(d2) as its argument
-    [(_, _, w, d, _)] = gram_parts(stack.forms, warp_stack(stack, pool[rows]))[1]
-    assert np.array_equal(d, np.sqrt(cdist(w, w, "sqeuclidean")))
-    assert np.array_equal(d, d.T)
-    assert np.all(np.diag(d) == 0.0)
-    assert np.all(d[np.equal.outer(rows, rows)] == 0.0)
+    check_condensed_assembly(stack, pool[rows], rows)
+
+
+def check_condensed_assembly(stack, x, rows):
+    """An absolute-exponential entry of scale 1 keeps d = sqrt(d2) as its
+    argument, one float per pair of rows: cdist's upper triangle in row
+    order, 0 for repeated rows. K, from either assembly, is exp(-d) unpacked
+    by scipy's `squareform` with 1 on the diagonal."""
+    k, [(_, _, w, d, _)] = gram_parts(stack.forms, warp_stack(stack, x))
+    upper = np.triu_indices(len(rows), 1)
+    assert np.array_equal(d, np.sqrt(cdist(w, w, "sqeuclidean")[upper]))
+    assert np.all(d[np.asarray(rows)[upper[0]] == np.asarray(rows)[upper[1]]] == 0.0)
+    want = squareform(np.exp(-d))
+    np.fill_diagonal(want, 1.0)
+    assert k.tobytes() == want.tobytes()
+    assert gram_parts(stack.forms, warp_stack(stack, x), keep=False)[0].tobytes() == (
+        want.tobytes()
+    )
 
 
 @pytest.mark.parametrize(
@@ -375,17 +389,15 @@ def test_gram_sqdist_matches_cdist_with_duplicate_rows(n_x, rows, data):
      2 * SQDIST_BLOCK_ROWS + 1],
 )
 def test_sqdist_matches_cdist_across_row_blocks(n_rows):
-    # distances are filled one block of rows at a time; rows drawn from a
-    # small pool repeat, within a block and across block edges
+    # the training distances are one pdist call, the cross covariances go
+    # through the queries in blocks of SQDIST_BLOCK_ROWS rows; rows drawn
+    # from a small pool repeat, within a block and across block edges
     rng = np.random.default_rng(n_rows)
     rows = rng.integers(0, 9, size=n_rows)
     x = rng.uniform(size=(9, 3))[rows]
-    stack = KernelStack(((KernelForm.ae(), 1.0, random_field(rng, 3)),))
-    [(_, _, w, d, _)] = gram_parts(stack.forms, warp_stack(stack, x))[1]
-    assert np.array_equal(d, np.sqrt(cdist(w, w, "sqeuclidean")))
-    assert np.array_equal(d, d.T)
-    assert np.all(np.diag(d) == 0.0)
-    assert np.all(d[np.equal.outer(rows, rows)] == 0.0)
+    check_condensed_assembly(
+        KernelStack(((KernelForm.ae(), 1.0, random_field(rng, 3)),)), x, rows
+    )
 
     # the baseline's K0, assembled from its one entry on x / l, against the
     # cross covariances of the same warps, computed in query blocks
@@ -475,11 +487,15 @@ def test_form_sqdist_derivative_matches_finite_difference():
 
 
 def test_absolute_exponential_derivative_is_zero_at_origin():
-    d2 = np.array([0.0, 1.0])
+    # three points, the first two coincident: pairs (0, 1), (0, 2), (1, 2)
+    d2 = np.array([0.0, 1.0, 1.0])
     ae = KernelForm.ae()
     argument = form_argument(ae, 1.0, d2.copy())
-    t, factor, _ = weighted_derivative(ae, 1.0, argument, np.ones(2), np.empty(2))
+    weights = gradient_weights(np.ones((3, 3)), Workspace())
+    t, factor, _ = weighted_derivative(ae, 1.0, argument, weights, np.empty(3))
     got = factor * t
-    assert got[0] == 0.0
+    assert got[0, 1] == got[1, 0] == 0.0
+    assert np.all(np.diagonal(got) == 0.0)
     assert np.isfinite(got).all()
-    assert got[1] == pytest.approx(form_sqdist_derivative(ae, 1.0, d2)[1], rel=1e-14)
+    want = form_sqdist_derivative(ae, 1.0, d2)[1]
+    assert got[0, 2] == got[2, 0] == pytest.approx(want, rel=1e-14)

@@ -15,6 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import solve_triangular
+from scipy.spatial.distance import squareform
 from scipy.stats import norm
 
 import pcegp.bench as bench_mod
@@ -49,6 +50,7 @@ from pcegp.kernels import (
     add_form_values,
     form_argument,
     form_from_sqdist,
+    gradient_weights,
     ladder_cholesky,
     noisy_gram,
     weighted_derivative,
@@ -162,37 +164,48 @@ def test_core_weights_are_alpha_outer_minus_inverse():
 def test_derivative_from_values_matches_direct_form(form):
     # the gradient re-forms each entry's values from its argument and weights
     # A by the derivative; against the closed-form derivative, under a
-    # symmetric A with entries of both signs
-    d2 = np.array([[0.0, 1e-12, 0.03], [0.5, 2.0, 30.0]])
+    # symmetric A with entries of both signs. The six squared distances are
+    # the pairs of four points, in condensed order
+    d2 = np.array([0.0, 1e-12, 0.03, 0.5, 2.0, 30.0])
     scale = 1.7
-    a = np.random.default_rng(30).normal(size=d2.shape)
+    a = np.random.default_rng(30).normal(size=(4, 4))
+    a += a.T
     argument = form_argument(form, scale, d2.copy())
     t, factor, value_sum = weighted_derivative(
-        form, scale, argument, a, np.empty_like(d2)
+        form, scale, argument, gradient_weights(a.copy(), Workspace()), np.empty_like(d2)
     )
-    expected = form_sqdist_derivative(form, scale, d2) * a
+    # the contraction cancels the diagonal exactly, so it is left at 0
+    expected = squareform(form_sqdist_derivative(form, scale, d2)) * a
     np.testing.assert_allclose(factor * t, expected, rtol=1e-12, atol=0.0)
-    values = form_from_sqdist(form, scale, d2)
+    assert np.all(np.diagonal(t) == 0.0)
+    values = squareform(form_from_sqdist(form, scale, d2))
+    np.fill_diagonal(values, scale**2)
     assert value_sum == pytest.approx(np.sum(values * a) / scale**2, rel=1e-12)
     if form.tag == "absolute_exponential":
-        assert t[0, 0] == 0.0
+        assert t[0, 1] == 0.0
 
 
 def test_derivative_from_values_leaves_its_inputs_alone():
     # every entry's contraction reads the one A, and the assembly keeps each
-    # argument intact for it while forming the values in a scratch
+    # argument intact for it while forming the values in a scratch. The
+    # three squared distances are the pairs of three points
     d2 = np.array([0.0, 0.4, 1.5])
-    a = np.array([0.3, -1.2, 0.7])
+    a = np.array([[2.0, 0.3, -1.2], [0.3, -0.5, 0.7], [-1.2, 0.7, 1.1]])
     for form in FORMS:
         argument = form_argument(form, 1.3, d2.copy())
-        kept, a_before = argument.copy(), a.copy()
+        kept = argument.copy()
         k = np.ones(3)
         add_form_values(form, 1.3, argument, k, np.empty(3))
         np.testing.assert_array_equal(argument, kept)
         np.testing.assert_allclose(k, 1.0 + form_from_sqdist(form, 1.3, d2),
                                    rtol=1e-15)
-        weighted_derivative(form, 1.3, argument, a, np.empty(3))
-        np.testing.assert_array_equal(a, a_before)
+        weights = gradient_weights(a.copy(), Workspace())
+        pairs, diagonal = weights.pairs.copy(), weights.diagonal.copy()
+        weighted_derivative(form, 1.3, argument, weights, np.empty(3))
+        np.testing.assert_array_equal(weights.pairs, pairs)
+        np.testing.assert_array_equal(weights.diagonal, diagonal)
+        np.testing.assert_array_equal(pairs, [0.3, -1.2, 0.7])
+        np.testing.assert_array_equal(diagonal, [2.0, -0.5, 1.1])
 
 
 # ---------------------------------------------------------------------------
@@ -418,22 +431,26 @@ def _buffer_floats(workspace):
 
 
 def test_a_gradient_holds_one_buffer_per_entry_k_and_a_scratch():
-    # each entry's argument, K, and one scratch shared by the entries that
-    # are not squared exponential: 6 for the benchmark stack, where each
-    # entry's distances and values held 8
+    # K, square, and, condensed (one float per pair of rows): each entry's
+    # argument, the sum of the values that later holds A's pairs, and one
+    # scratch shared by the entries that are not squared exponential. For
+    # the benchmark stack that is 4 N x N arrays, where square arguments held
+    # 6 and each entry's distances and values 8
     rng = np.random.default_rng(17)
     space = benchmark_space()
     n = 50
+    pairs = n * (n - 1) // 2
     x, y = rng.uniform(size=(n, 3)), rng.normal(size=n)
     stack, noise = space.build_stack(random_suggest(space, rng), 3)
     tags = [form.tag for form, _, _ in stack.entries]
     assert tags.count("squared_exponential") == 1 and "matern_3_2" in tags
-    held = (stack.n_entries + 1 + 1) * n * n
-    assert held == 6 * n * n
+    held = n * n + (stack.n_entries + 1 + 1) * pairs
+    assert held == 4 * n * n - 3 * n
     workspace = Workspace()
     mll_gradient(stack, noise, x, y, workspace=workspace)
     assert _buffer_floats(workspace) == held
     keys = set(workspace._buffers)
+    assert keys == {"k", "a", "scratch"} | {("argument", i) for i in range(4)}
     # the value-only fit needs no buffer the gradient did not
     fit_likelihood(stack, noise, x, y, workspace)
     mll_gradient(stack, noise, x, y, workspace=workspace)
@@ -443,38 +460,39 @@ def test_a_gradient_holds_one_buffer_per_entry_k_and_a_scratch():
     fit_likelihood(stack, noise, x, y, cold)
     assert "scratch" in cold._buffers and set(cold._buffers) <= keys
 
-    # a cold value-only fit: K, in which a first entry that is not
-    # Matern-3/2 is formed, one argument buffer for the later entries, and
-    # a scratch only when there is a Matern-3/2 entry, however many there are
+    # a cold value-only fit: K, in whose tail the values are summed and a
+    # first entry that is not Matern-3/2 is formed, one condensed argument
+    # buffer for the later entries, and a condensed scratch only when there
+    # is a Matern-3/2 entry, however many there are
     se, ae, m32, rq = (KernelForm.se(), KernelForm.ae(), KernelForm.matern32(),
                        KernelForm.rq(1.5))
     for forms, expected in (
-        ([se, ae, m32, rq], 3), ([m32, se, m32], 3), ([rq, ae, se], 2), ([se], 1),
-        ([ae], 1), ([m32], 3),
+        ([se, ae, m32, rq], 2), ([m32, se, m32], 2), ([rq, ae, se], 1), ([se], 0),
+        ([ae], 0), ([m32], 2),
     ):
         cold = Workspace()
         fit_likelihood(_stack(rng, 3, forms), noise, x, y, cold)
-        assert _buffer_floats(cold) == expected * n * n, forms
+        assert _buffer_floats(cold) == n * n + expected * pairs, forms
 
     # a gradient of entries that are all squared exponential needs no scratch
     both = Workspace()
     mll_gradient(_stack(rng, 3, [se, se]), noise, x, y, workspace=both)
-    assert _buffer_floats(both) == 3 * n * n
+    assert _buffer_floats(both) == n * n + 3 * pairs
 
-    # one squared-exponential entry, as in a stationary search: its values
-    # and K
+    # one squared-exponential entry, as in a stationary search: K, its
+    # values and A's pairs, 2 N x N arrays as with a square argument
     alone = Workspace()
     mll_gradient(_stack(rng, 3, [se]), noise, x, y, workspace=alone)
-    assert _buffer_floats(alone) == 2 * n * n
+    assert _buffer_floats(alone) == n * n + 2 * pairs
 
     # the ARD baseline is one squared-exponential entry through the same
-    # assembly: its values and K, under the same keys
+    # assembly: its values, A's pairs and K, under the same keys
     baseline = Workspace()
     log_params = np.array([-0.5, 0.2, 0.7, 0.1, np.log(0.05)])
     _ard_neg_mll_and_grad(log_params, x, y, workspace=baseline)
     _ard_neg_mll_and_grad(log_params, x, y, gradient=False, workspace=baseline)
-    assert _buffer_floats(baseline) == 2 * n * n
-    assert set(baseline._buffers) == {"k", ("argument", 0)}
+    assert _buffer_floats(baseline) == n * n + 2 * pairs
+    assert set(baseline._buffers) == {"k", "a", ("argument", 0)}
     # a cold value-only baseline fit makes K0 in K's buffer: one array
     cold = Workspace()
     _ard_neg_mll_and_grad(log_params, x, y, gradient=False, workspace=cold)
@@ -484,9 +502,9 @@ def test_a_gradient_holds_one_buffer_per_entry_k_and_a_scratch():
 
 def test_a_cold_refit_peaks_near_three_n_by_n_arrays():
     # fit_precompute, as `pcegp fit` and a model load make it, on the
-    # benchmark stack at degree 10: the N x N arrays are K, one distance
-    # buffer and the Matern-3/2 scratch; the rest is O(N) (the warps and a
-    # few blocks of distance rows)
+    # benchmark stack at degree 10: the N x N arrays are K and, half as
+    # large, one condensed argument buffer and the Matern-3/2 scratch; the
+    # rest is O(N) (the warps). Square buffers held 3 N x N arrays
     n, d = 506, 13
     rng = np.random.default_rng(21)
     space = benchmark_space()
@@ -508,9 +526,10 @@ def test_a_cold_refit_peaks_near_three_n_by_n_arrays():
 
 def test_a_cold_refit_of_one_se_entry_keeps_k_as_its_factor(monkeypatch):
     # one squared-exponential entry at the cv-tall training size: the
-    # assembly forms the entry in K itself, so it holds K alone (plus the
-    # one 64-row cdist block of `pairwise_sqdist` alive at a time; a
-    # distance buffer beside K traced 2.1 N x N arrays); after it the model keeps
+    # assembly forms the entry's condensed distances and values in K's own
+    # last N (N - 1) / 2 floats and unpacks them in place, so it holds K
+    # alone (a condensed buffer beside K would add half an N x N array, and
+    # a square distance buffer traced 2.1 N x N arrays); after it the model keeps
     # K's buffer as its factor, upper triangle zeroed in place, so building
     # the model adds no N x N array (an `np.tril` copy with its mask would
     # add 1.125 N x N floats)
@@ -570,18 +589,19 @@ def test_warm_fold_refinement_and_scoring_allocate_no_n_by_n_array():
 
 
 def _recording_buffers(monkeypatch):
-    """Every buffer object each workspace key has held, in order of use."""
+    """Every buffer object each workspace key has held, in order of use,
+    square and condensed alike."""
     held = {}
-    matrix = Workspace.matrix
+    view = Workspace._view
 
-    def recording(self, key, n):
-        view = matrix(self, key, n)
+    def recording(self, key, size, reserved):
+        got = view(self, key, size, reserved)
         seen = held.setdefault(key, [])
         if not any(buf is self._buffers[key] for buf in seen):
             seen.append(self._buffers[key])
-        return view
+        return got
 
-    monkeypatch.setattr(Workspace, "matrix", recording)
+    monkeypatch.setattr(Workspace, "_view", recording)
     return held
 
 
@@ -598,16 +618,18 @@ def test_a_benchmark_allocates_each_buffer_once(monkeypatch):
                              space=_space())
     run_benchmark(config, ds)
     assert sorted(map(str, held)) == sorted(map(str, [
-        "k", ("argument", 0), ("argument", 1), "scratch"
+        "k", "a", ("argument", 0), ("argument", 1), "scratch"
     ]))
     for key, buffers in held.items():
-        assert [b.size for b in buffers] == [21 * 21], key
+        # K is square, the rest one float per pair of rows
+        assert [b.size for b in buffers] == [21 * 21 if key == "k" else 21 * 20 // 2], key
 
 
 def test_a_cv_tall_search_holds_k_and_one_distance_buffer():
     # the cv-tall search: one squared-exponential entry, 1030 x 8 rows in 3
     # folds, so training splits of 686 and 687 rows. The gradient needs K
-    # and one distance buffer (its values overwrite its distances); the rest
+    # and, condensed, the entry's values and A's pairs: 2 N x N arrays, as
+    # K and one square distance buffer were; the rest
     # is a prediction block of held-out rows and O(N) vectors. Buffers
     # regrown per fold, a fold's results held into the next, or a Fortran
     # copy of each block's cross covariances each added about one N x N
@@ -632,9 +654,11 @@ def test_a_cv_tall_search_holds_k_and_one_distance_buffer():
 def test_a_fit_wide_search_holds_six_buffers():
     # the fit-wide search: the benchmark stack (one squared-exponential
     # entry of four), 506 x 13 rows in 5 folds, so 405-row training splits.
-    # The gradient holds each entry's argument, K and one scratch: 6 N x N
-    # arrays; the rest is a prediction block of held-out rows and O(N)
-    # arrays. Keeping each entry's distances and values as well traced 9.46
+    # The gradient holds K and, condensed, each entry's argument, A's pairs
+    # and one scratch: 4 N x N arrays; the rest is a prediction block of
+    # held-out rows and O(N) arrays. Six square buffers (each entry's
+    # argument, K and a scratch) traced 7.43, and keeping each entry's
+    # distances and values as well 9.46
     n, d = 506, 13
     rng = np.random.default_rng(27)
     ds = Dataset(rng.uniform(size=(n, d)), rng.normal(size=n),
@@ -649,16 +673,18 @@ def test_a_fit_wide_search_holds_six_buffers():
     finally:
         tracemalloc.stop()
     assert not result.history[0].failed
-    assert peak < 8 * big * big * 8, f"peak {peak / (big * big * 8):.2f} N x N arrays"
+    assert peak < 6 * big * big * 8, f"peak {peak / (big * big * 8):.2f} N x N arrays"
 
 
 def test_a_nested_benchmark_grows_only_the_refit_buffers():
     # the benchmark stack, nested: each outer fold searches its 687 training
     # rows in 3 inner folds (458-row splits), then refits on all 687. The
-    # search's 6 gradient buffers are sized at its inner split; the refit
-    # grows only the 3 a value-only fit reads (K, one argument buffer, the
-    # Matern-3/2 scratch): 3 (458/687)^2 + 3 = 4.3 N x N arrays, 5.0 with a
-    # prediction block and the O(N) arrays. With 8 gradient buffers (each
+    # search's gradient buffers are sized at its inner split; the refit
+    # grows only the 3 a value-only fit reads (K and, condensed, one
+    # argument buffer and the Matern-3/2 scratch), so the 4 other condensed
+    # ones stay small: 1 + 2 / 2 + (4 / 2) (458/687)^2 = 2.9 N x N arrays,
+    # 3.6 with a prediction block and the O(N) arrays. Six square gradient
+    # buffers, 3 of them grown, traced 5.0. With 8 gradient buffers (each
     # entry's distances and values), sizing all at the outer split traced
     # 9.2 N x N arrays, separate workspaces that regrew per split 7.34, and
     # this shared one 5.9

@@ -1,16 +1,19 @@
 """The compiled kernels pcegp calls directly, against scipy's public wrappers.
 
-scipy's `cho_solve`, `solve_triangular` and `cdist` stay the references:
-the direct calls must give their bits and raise their errors.
+scipy's `cho_solve`, `solve_triangular`, `cdist`, `pdist` and `squareform`
+stay the references: the direct calls must give their bits and raise their
+errors.
 """
 
+import subprocess
+import sys
 from dataclasses import replace
 
 import numpy as np
 import pytest
 import scipy
 from scipy.linalg import cho_solve, solve_triangular
-from scipy.spatial.distance import cdist
+from scipy.spatial.distance import cdist, pdist, squareform
 
 import pcegp._native as native
 from pcegp.data import fit_scaler
@@ -72,6 +75,58 @@ def test_the_distance_kernel_rejects_bad_shapes():
         native.cdist_sqeuclidean(a, np.ones((4, 3)))
     with pytest.raises(ValueError, match="incorrect shape"):
         native.cdist_sqeuclidean(a, a, out=np.empty((3, 4)))
+
+
+@pytest.mark.parametrize("n", [1, 2, 64, 300])
+def test_pdist_and_the_condensed_copies_give_the_bits_of_scipy(n):
+    # rows drawn from a pool of about half as many repeat, so some
+    # distances are exactly zero
+    rng = np.random.default_rng(n)
+    x = rng.uniform(size=(n, 5))[rng.integers(0, max(1, n // 2), size=n)]
+    want = pdist(x, "sqeuclidean")
+    assert native.pdist_sqeuclidean(x).tobytes() == want.tobytes()
+    out = np.empty_like(want)
+    assert native.pdist_sqeuclidean(x, out=out) is out
+    assert out.tobytes() == want.tobytes()
+
+    # unpacked into a buffer whose diagonal is left as it was
+    square = np.full((n, n), 7.0)
+    assert native.unpack_condensed(want, square) is square
+    expected = squareform(want)
+    np.fill_diagonal(expected, 7.0)
+    assert square.tobytes() == expected.tobytes()
+
+    # gathered from a symmetric matrix with a diagonal of its own
+    symmetric = squareform(rng.normal(size=want.size)) + np.diag(rng.normal(size=n))
+    pairs = np.empty_like(want)
+    assert native.gather_condensed(symmetric, pairs) is pairs
+    assert pairs.tobytes() == squareform(symmetric, checks=False).tobytes()
+
+
+def test_the_condensed_copies_check_their_shapes():
+    # the compiled loops trust the sizes they are given
+    for square, condensed in (
+        (np.empty((4, 4)), np.empty(5)),
+        (np.empty((4, 3)), np.empty(6)),
+        (np.empty((4, 4)), np.empty(12)[::2]),
+        (np.empty((8, 4))[::2], np.empty(6)),
+        (np.empty((4, 4), dtype=np.float32), np.empty(6)),
+    ):
+        with pytest.raises(ValueError):
+            native.unpack_condensed(condensed, square)
+        with pytest.raises(ValueError):
+            native.gather_condensed(square, condensed)
+
+
+def test_importing_pcegp_leaves_scipy_spatial_unregistered():
+    # the distance modules are loaded from their files, not as submodules
+    code = (
+        "import sys, pcegp.cli, pcegp.kernels\n"
+        "found = [m for m in sys.modules if m.split('.')[:2] == ['scipy', 'spatial']]\n"
+        "sys.exit(f'registered: {found}' if found else 0)\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
 
 
 def test_the_solves_raise_the_errors_of_the_wrappers():

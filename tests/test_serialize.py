@@ -1,5 +1,7 @@
 """Round-trip tests for the flat text model format."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -199,6 +201,27 @@ def test_target_block_length_checked():
     one_short = values.rsplit(" ", 1)[0] + "\n"
     with pytest.raises(ValueError, match="inconsistent shapes"):
         text_to_model(head + "training.y_scaled = " + one_short)
+
+
+@pytest.mark.parametrize(
+    "columns, message",
+    [("a,a", "column 'a' twice"), ("a,b,c", "3 columns"), ("a", "1 columns"),
+     ("b,a,b", "column 'b' twice")],
+)
+def test_a_column_list_that_does_not_name_each_input_once_is_rejected(
+    tmp_path, columns, message
+):
+    # `pcegp predict` maps query columns to the inputs through this list: a
+    # repeated name would feed one query column to both inputs
+    rng = np.random.default_rng(29)
+    model = build_model(rng)
+    text = model_to_text(replace(model, meta={**model.meta, "columns": "a,b"}))
+    assert text_to_model(text).meta["columns"] == "a,b"
+    path = tmp_path / "model.txt"
+    path.write_text(text.replace("meta.columns = a,b", f"meta.columns = {columns}"))
+    with pytest.raises(ValueError, match=message) as err:
+        load_model(path)
+    assert "model.txt" in str(err.value)
 
 
 def test_format_tag_checked():
