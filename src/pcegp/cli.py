@@ -47,7 +47,7 @@ _COMMON_KEYS = {"seed", "output"}
 _SPACE_KEYS = {
     "kernels", "rq_shape", "basis", "jacobi_alpha", "jacobi_beta",
     "q_min", "q_max", "coeff_min", "coeff_max", "scale_min", "scale_max",
-    "noise", "r_min", "r_max", "noise_floor",
+    "noise", "r_min", "r_max",
 }
 _SEARCH_KEYS = {
     "n_trials", "n_initial", "n_iterations", "inner_n_folds", "global_scaling",
@@ -189,7 +189,6 @@ def build_space(cfg: dict) -> SearchSpace:
             ),
             r_range=r_range,
             noise_fixed=noise_fixed,
-            noise_floor=_get_float(cfg, "noise_floor", 1e-8),
         )
     except ValueError as err:
         raise UsageError(str(err))

@@ -24,23 +24,14 @@ The gradient's coordinates are the free parameters; `free_parameters`
 and `with_free_parameters` are the one map between them and a (stack,
 noise), and a search vector holds them in the same order.
 
-The factor is LAPACK's: dpotrf runs in place on the Fortran view of a
-C-order buffer, so the lower triangle of the C-order array is the factor
-L, and the solves (dpotrs for the targets, dtrtrs for the predictive
-variances) pass that same Fortran view to LAPACK uncopied. The LAPACK
-routines come from `pcegp._native`, without importing `scipy.linalg`; the
-solves get the arrays that scipy's `cho_solve` and `solve_triangular`
-would pass, so they give those wrappers' bits and raise their errors. The
-Gram, its factor and A = alpha alpha^T - K^-1 share one buffer of the
-caller's workspace, each overwriting the one before, and the next
-evaluation overwrites them all (see `kernels.Workspace` for what borrows
-that buffer and what owns a copy). A value-only fit (`fit_likelihood`, and
-through it every refit, load and closing fit) holds at most 2 N x N
-arrays' worth of buffers (see `kernels.gram_parts`), and its factor is
-K's buffer: the search scores each fold, and a benchmark each outer
-fold's refit, from it; a model that `model_from_fit` factorizes keeps the
-K buffer of a workspace of its own, its strict upper triangle zeroed in
-place.
+The factor is LAPACK's, in the lower triangle of a C-order buffer that
+LAPACK reads uncopied through its Fortran-order transpose (see `kernels`).
+The LAPACK routines come from `pcegp._native`, without importing
+`scipy.linalg`; the solves get the arrays that scipy's `cho_solve` and
+`solve_triangular` would pass, so they give those wrappers' bits and raise
+their errors. The Gram, its factor and A = alpha alpha^T - K^-1 share one
+buffer of the caller's workspace, each overwriting the one before (see
+`kernels.Workspace` for what borrows that buffer and what owns a copy).
 
 The chaos-basis values at the training points do not change while the
 coefficients move. Every function here that takes `x_scaled` also takes a
@@ -53,16 +44,10 @@ from that same `PointBasis`, since they are the basis values themselves.
 Prediction follows the scaled pipeline: scale the query, build the cross
 covariances, solve against the stored factor, add the query-point noise
 to the variance, then map mean and variance back to raw output units.
-The training points' warps are fixed for a fitted model, so they are kept
-from the Gram assembly at fit or load time and only the queries are warped
-per call, every stack entry and the noise from one evaluation of each basis
-family at the queries; being derived data, the warps are never serialized.
-Queries go through in blocks of `PREDICT_BLOCK_ROWS`, and each block holds
-one N x B array: its cross covariances, built B x N in C order, so that
-their transpose is the Fortran-order right-hand side dtrtrs overwrites
-with its solve, uncopied. The means are a product with that B x N array.
-A block's arrays are freed before the next block's are built, so a call's
-memory stays bounded in M.
+The training points' warps are kept from the Gram assembly at fit or load
+time (derived data, never serialized), so only the queries are warped per
+call, in blocks of `PREDICT_BLOCK_ROWS` that each hold one N x B array
+(`predict_batch`).
 """
 
 from __future__ import annotations
@@ -246,8 +231,8 @@ def mll_gradient(
     Parameter order is `free_parameters` order. Matches central finite
     differences within 1e-4 relative error (the public contract).
     `x_scaled` may be a `PointBasis`. The fields are linear in their
-    coefficients, so the sensitivity of a lengthscale or of the unclamped
-    noise to a coefficient is the basis's own value, read from the
+    coefficients, so the sensitivity of a lengthscale or of the log noise
+    variance to a coefficient is the basis's own value, read from the
     `PointBasis` each call. The large arrays of the evaluation are the
     buffers of `workspace` (a fresh one when none is given) that
     `kernels.Workspace` describes: K (which becomes A), and each entry's
@@ -276,14 +261,12 @@ def mll_gradient(
         blocks.append(2.0 * np.tensordot(sens, (r * pts).T, axes=([1, 2], [0, 1])))
 
     if noise.mode == "pce":
-        # sens[m, i]: phi_m averaged over the coordinates of point i
+        # sens[m, i]: phi_m averaged over the coordinates of point i, the
+        # sensitivity of log sigma^2(x_i); the log link scales it by sigma^2
         sens = np.concatenate(
             [v.mean(axis=2) for v in _term_values(basis, noise.terms)]
         )
-        raw = sens.T @ np.concatenate([c for _, c in noise.terms])
-        active = raw > noise.floor  # clamped points contribute no gradient
-        diag_a = a.diagonal * active
-        blocks.append(0.5 * sens @ diag_a)
+        blocks.append(0.5 * sens @ (eval_noise_batch(noise, basis) * a.diagonal))
 
     blocks.append(np.array(scale_grad))
     return np.concatenate(blocks)
@@ -317,7 +300,7 @@ def with_free_parameters(stack: KernelStack, noise: NoiseField, flat):
     if np.any(scales2 <= 0.0):
         raise ValueError("squared output scales must stay positive")
     if noise.mode == "pce":
-        noise = NoiseField.pce(terms.pop(), floor=noise.floor)
+        noise = NoiseField.pce(terms.pop())
     entries = tuple(
         (form, float(np.sqrt(s2)), LengthscaleField(t, f.n_inputs))
         for (form, _, f), s2, t in zip(stack.entries, scales2, terms)

@@ -4,12 +4,13 @@ A `LengthscaleField` maps a scaled input point to one lengthscale per
 coordinate: the same expansion coefficients are applied to every
 coordinate, and the per-coordinate variation comes from evaluating the
 polynomials at that coordinate's value. A `NoiseField` is either a fixed
-variance or an expansion averaged over coordinates and clamped to a
-positive floor.
+variance or an expansion of the log variance, averaged over coordinates:
+sigma^2(x) = exp(mean_d sum_m c_m phi_m(x_d)), positive for any
+coefficients (the log link of Goldberg, Williams & Bishop, NIPS 1997).
 
-Both fields are linear in their coefficients (before the noise clamp),
-which the likelihood gradient exploits: the sensitivity of any output to
-a coefficient is just the matching polynomial value, which `gp.mll_gradient`
+The lengthscales and the log noise are linear in their coefficients,
+which the likelihood gradient exploits: the sensitivity of either to a
+coefficient is just the matching polynomial value, which `gp.mll_gradient`
 reads from the same `PointBasis` as the fields themselves. The fields hold
 their coefficients as (basis, vector) terms; `gp.free_parameters` is their
 one flattening.
@@ -65,16 +66,13 @@ class LengthscaleField:
 
 @dataclass(frozen=True)
 class NoiseField:
-    """Noise variance: fixed positive value, or a clamped expansion."""
+    """Noise variance: fixed positive value, or exp of an expansion."""
 
     mode: str
     value: float = 0.0
     terms: tuple = ()
-    floor: float = 1e-8
 
     def __post_init__(self):
-        if self.floor <= 0.0:
-            raise ValueError("noise floor must be positive")
         if self.mode == "fixed":
             if self.value <= 0.0:
                 raise ValueError(f"fixed noise must be positive, got {self.value}")
@@ -84,12 +82,12 @@ class NoiseField:
             raise ValueError(f"unknown noise mode {self.mode!r}")
 
     @classmethod
-    def fixed(cls, value: float, floor: float = 1e-8) -> "NoiseField":
-        return cls(mode="fixed", value=value, floor=floor)
+    def fixed(cls, value: float) -> "NoiseField":
+        return cls(mode="fixed", value=value)
 
     @classmethod
-    def pce(cls, terms, floor: float = 1e-8) -> "NoiseField":
-        return cls(mode="pce", terms=tuple(terms), floor=floor)
+    def pce(cls, terms) -> "NoiseField":
+        return cls(mode="pce", terms=tuple(terms))
 
 
 # ---------------------------------------------------------------------------
@@ -170,5 +168,4 @@ def eval_noise_batch(field: NoiseField, points) -> np.ndarray:
     basis = as_point_basis(points, (field,))
     if field.mode == "fixed":
         return np.full(basis.points.shape[0], field.value)
-    raw = _terms_eval(field.terms, basis).mean(axis=1)
-    return np.maximum(field.floor, raw)
+    return np.exp(_terms_eval(field.terms, basis).mean(axis=1))

@@ -56,6 +56,10 @@ from .poly import Basis
 FAILED_LOSS = float("inf")
 _SQRT_2PI = float(np.sqrt(2.0 * np.pi))
 
+# prior of a searched noise's constant term, log sigma^2: the targets are
+# z-scored, so variances from 1e-6 to 1 serve every dataset
+NOISE_LOG_RANGE = (math.log(1e-6), 0.0)
+
 
 # ---------------------------------------------------------------------------
 # search space and the flat trial vector
@@ -66,9 +70,11 @@ class SearchSpace:
     """Bounds and structure for the trial vector.
 
     `noise_fixed` switches between a fixed noise variance (its value) and
-    a searched noise expansion (None, with `r_range` giving the degree
-    bounds). `scale_range` bounds the squared output scales, sampled
-    log-uniformly.
+    a searched expansion of the log noise variance (None, with `r_range`
+    giving the degree bounds). `coeff_range` bounds every coefficient but
+    that expansion's constant term, which `NOISE_LOG_RANGE` bounds
+    (`coefficient_bounds`). `scale_range` bounds the squared output
+    scales, sampled log-uniformly.
 
     `active_mask` is the one statement of the layout. Past the degree
     slots, the entries it marks are `gp.free_parameters(*build_stack(theta))`
@@ -83,7 +89,6 @@ class SearchSpace:
     scale_range: tuple = (1e-3, 10.0)
     r_range: tuple | None = None
     noise_fixed: float | None = 1e-4
-    noise_floor: float = 1e-8
 
     def __post_init__(self):
         object.__setattr__(self, "kernel_forms", tuple(self.kernel_forms))
@@ -148,6 +153,15 @@ class SearchSpace:
     def n_parameters(self) -> int:
         return self._scale_start + self.n_kernels
 
+    def coefficient_bounds(self) -> tuple:
+        """(lo, hi) of the uniform prior, one entry per coefficient slot."""
+        n = self._scale_start - self._coeff_start
+        lo, hi = np.full(n, self.coeff_range[0]), np.full(n, self.coeff_range[1])
+        if self.searches_noise:
+            i = self._noise_start - self._coeff_start
+            lo[i], hi[i] = NOISE_LOG_RANGE
+        return lo, hi
+
     def degrees(self, theta) -> tuple:
         """(q, r) from a trial vector; r is None when noise is fixed."""
         q = int(round(theta[0]))
@@ -200,9 +214,9 @@ class SearchSpace:
             noise_terms = (
                 (self.bases[0], theta[self._noise_start : self._noise_start + r + 1]),
             )
-            noise = NoiseField.pce(noise_terms, floor=self.noise_floor)
+            noise = NoiseField.pce(noise_terms)
         else:
-            noise = NoiseField.fixed(self.noise_fixed, floor=self.noise_floor)
+            noise = NoiseField.fixed(self.noise_fixed)
         return KernelStack(tuple(entries)), noise
 
 
@@ -243,9 +257,8 @@ def random_suggest(space: SearchSpace, rng) -> np.ndarray:
     theta[0] = rng.integers(space.q_range[0], space.q_range[1] + 1)
     if space.searches_noise:
         theta[1] = rng.integers(space.r_range[0], space.r_range[1] + 1)
-    lo, hi = space.coeff_range
     theta[space._coeff_start : space._scale_start] = rng.uniform(
-        lo, hi, size=space._scale_start - space._coeff_start
+        *space.coefficient_bounds()
     )
     s_lo, s_hi = space.scale_range
     theta[space._scale_start :] = np.exp(
@@ -378,8 +391,8 @@ def tpe_suggest(
     dims: dict = {0: _IntDim(*space.q_range, good[:, 0], bad[:, 0])}
     if space.searches_noise:
         dims[1] = _IntDim(*space.r_range, good[:, 1], bad[:, 1])
-    lo, hi = space.coeff_range
-    for m in range(space._coeff_start, space._scale_start):
+    coeff_slots = range(space._coeff_start, space._scale_start)
+    for m, lo, hi in zip(coeff_slots, *space.coefficient_bounds()):
         dims[m] = _ContDim(lo, hi, good[:, m], bad[:, m])
     s_lo, s_hi = space.scale_range
     for m in range(space._scale_start, space.n_parameters):

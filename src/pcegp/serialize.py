@@ -20,7 +20,7 @@ from .hyper import LengthscaleField, NoiseField
 from .kernels import KernelForm, KernelStack
 from .poly import Basis
 
-FORMAT_TAG = "pcegp-model-1"
+FORMAT_TAG = "pcegp-model-2"
 
 
 def _f(x) -> str:
@@ -53,7 +53,6 @@ def model_to_text(model: PcegpModel) -> str:
             lines.extend(_basis_lines(f"{p}.basis_{j}", kind, coeffs))
 
     lines.append(f"noise.mode = {model.noise.mode}")
-    lines.append(f"noise.floor = {_f(model.noise.floor)}")
     if model.noise.mode == "fixed":
         lines.append(f"noise.value = {_f(model.noise.value)}")
     else:
@@ -117,14 +116,19 @@ def text_to_model(text: str, source="model text") -> PcegpModel:
     """Rebuild a model from its flat text form, refactorizing the Gram.
 
     `source` names the text in the error for a line that is not
-    `key = value` (`data.read_kv`), and for a `meta.columns` list that
-    names a column twice or does not name one column per input:
+    `key = value` (`data.read_kv`), for a format tag other than
+    `FORMAT_TAG` (a `-1` file's noise expansion is not of the log), for a
+    noise mode other than `fixed` and `pce`, and for a `meta.columns` list
+    that names a column twice or does not name one column per input:
     `pcegp predict` maps query columns to the inputs by that list, so such
     a model would predict from the wrong columns.
     """
     kv = read_kv(text, source)
-    if _need(kv, "format") != FORMAT_TAG:
-        raise ValueError(f"unsupported model format {kv.get('format')!r}")
+    tag = _need(kv, "format")
+    if tag != FORMAT_TAG:
+        raise ValueError(
+            f"{source}: unsupported model format {tag!r}; refit it as {FORMAT_TAG}"
+        )
     meta = {k[len("meta."):]: v for k, v in kv.items() if k.startswith("meta.")}
 
     n_points = int(_need(kv, "training.n_points"))
@@ -147,11 +151,13 @@ def text_to_model(text: str, source="model text") -> PcegpModel:
         entries.append((form, scale, field))
     stack = KernelStack(tuple(entries))
 
-    floor = float(_need(kv, "noise.floor"))
-    if _need(kv, "noise.mode") == "fixed":
-        noise = NoiseField.fixed(float(_need(kv, "noise.value")), floor=floor)
+    mode = _need(kv, "noise.mode")
+    if mode not in ("fixed", "pce"):
+        raise ValueError(f"{source}: unknown noise.mode {mode!r}")
+    if mode == "fixed":
+        noise = NoiseField.fixed(float(_need(kv, "noise.value")))
     else:
-        noise = NoiseField.pce(_parse_terms(kv, "noise"), floor=floor)
+        noise = NoiseField.pce(_parse_terms(kv, "noise"))
 
     scalers = {}
     for name in ("input_scaler", "output_scaler"):
@@ -210,9 +216,9 @@ def describe_model(model: PcegpModel) -> str:
     if model.noise.mode == "fixed":
         out.append(f"noise variance: fixed {_f(model.noise.value)}")
     else:
-        out.append(f"noise variance: expansion, floor {_f(model.noise.floor)}")
+        out.append("noise variance: log link, exp(mean_d log_noise(x_d))")
         for kind, coeffs in model.noise.terms:
-            out.append(f"  noise[{kind.label()}](x) = {_poly_string(coeffs)}")
+            out.append(f"  log_noise[{kind.label()}](x) = {_poly_string(coeffs)}")
     out.append(
         f"input scaler: {model.input_scaler.kind}; "
         f"output scaler: {model.output_scaler.kind}"
@@ -252,9 +258,9 @@ def parse_description(text: str) -> dict:
             )
         elif stripped.startswith("noise variance: fixed "):
             noise = {"mode": "fixed", "value": float(stripped.rsplit(" ", 1)[1])}
-        elif stripped.startswith("noise variance: expansion, floor "):
-            noise = {"mode": "pce", "floor": float(stripped.rsplit(" ", 1)[1]), "terms": []}
-        elif stripped.startswith("noise["):
+        elif stripped.startswith("noise variance: log link"):
+            noise = {"mode": "pce", "terms": []}
+        elif stripped.startswith("log_noise["):
             label = stripped.split("[", 1)[1].split("]", 1)[0]
             noise["terms"].append((label, _parse_poly(stripped.split(" = ", 1)[1])))
     if not kernels or not noise:

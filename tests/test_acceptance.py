@@ -186,7 +186,7 @@ def test_criterion_05_gradient_oracle():
         stack = KernelStack(tuple(entries))
         if seed % 2:
             noise = NoiseField.pce(
-                [(Basis.legendre01(), rng.uniform(0.2, 0.6, size=2))], floor=1e-8
+                [(Basis.legendre01(), rng.uniform(0.2, 0.6, size=2))]
             )
         else:
             noise = NoiseField.fixed(1e-2)

@@ -617,7 +617,7 @@ def test_inspect_round_trips_coefficients(tmp_path, train_file, capsys):
 
 def test_inspect_corrupt_model_is_runtime_error(tmp_path, capsys):
     bad = tmp_path / "bad.txt"
-    bad.write_text("format = pcegp-model-1\n")
+    bad.write_text("format = pcegp-model-2\n")
     assert main(["inspect", "--set", f"model={bad}"]) == 1
     assert "missing" in capsys.readouterr().err
 

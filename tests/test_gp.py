@@ -4,11 +4,11 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pcegp.bench import benchmark_space
-from pcegp.data import ScalerState, fit_scaler
+from pcegp.data import Dataset, ScalerState, fit_scaler
 from pcegp.gp import (
     _likelihood_core,
     fit_precompute,
@@ -22,7 +22,7 @@ from pcegp.gp import (
 )
 from pcegp.hyper import LengthscaleField, NoiseField
 from pcegp.kernels import KernelForm, KernelStack, ladder_cholesky, noisy_gram
-from pcegp.optim import random_suggest
+from pcegp.optim import NOISE_LOG_RANGE, SearchSpace, random_suggest, run_search
 from pcegp.poly import Basis, eval_basis
 
 IDENTITY_IN = ScalerState("min_max_per_column", [0.0], [1.0])
@@ -135,6 +135,12 @@ def _fd4_gradient(stack, noise, pts, y, h_rel=1e-4):
     return out
 
 
+def log_noise_coefficients(rng):
+    """A log-noise constant from -7 to 1, sigma^2 from 1e-3 to 2.7 before a
+    linear term of up to +-0.5."""
+    return [rng.uniform(-7.0, 1.0), rng.uniform(-0.5, 0.5)]
+
+
 def test_gradient_matches_finite_differences_many_seeds():
     cases = []
     for seed in range(20):
@@ -145,19 +151,14 @@ def test_gradient_matches_finite_differences_many_seeds():
             [KernelForm.ae(), KernelForm.se()],
         ][seed % 3]
         stack = random_stack(rng, 3, forms=forms)
-        if seed % 2:
-            noise = NoiseField.pce(
-                [(Basis.legendre01(), rng.uniform(0.2, 0.6, size=2))], floor=1e-8
-            )
+        if seed % 4:
+            noise = NoiseField.pce([(Basis.legendre01(), log_noise_coefficients(rng))])
         else:
             noise = NoiseField.fixed(1e-2)
         pts = rng.uniform(size=(8, 3))
         if seed % 4 == 2:
             # duplicate points, whose warps here agree to the bit: exactly
-            # zero warped distances. Only with the fixed noise; an expansion
-            # clamped to its 1e-8 floor at both copies leaves K singular up
-            # to 1e-8, |MLL| near 1e8, and central differences dominated by
-            # rounding
+            # zero warped distances
             pts[5] = pts[2]
         cases.append((stack, noise, pts, rng.normal(size=8)))
     # two copies of one point at the ends of the set: a coefficient sum that
@@ -184,15 +185,14 @@ def test_gradient_matches_finite_differences_many_seeds():
         (Basis.legendre01(), [0.3, 0.05, 0.02]),
         (Basis.jacobi(1.0, 0.5), [0.1, 0.03]),
     ]
-    noise = NoiseField.pce(noise_terms, floor=1e-8)
+    noise = NoiseField.pce(noise_terms)
     cases.append((stack, noise, rng.uniform(size=(8, 3)), rng.normal(size=8)))
     # a squared-exponential entry first, last and alone, on duplicated rows:
     # its argument is its values, and its derivative-weighted A overwrites
-    # that buffer, so its scale term must be taken before. The case where both
-    # copies of a duplicated row clamp at the noise floor is excluded by
-    # construction: the noise is fixed, or an expansion whose constant term
-    # (0.2 to 0.4) outweighs its linear one (|c| <= 0.1, |phi_1| <= 1 on
-    # [0, 1]), so no point clamps
+    # that buffer, so its scale term must be taken before. A row three times
+    # over with a variance near 1e-3 makes K nearly singular (|MLL| near
+    # 800), where a 1e-5 step's differences carry 4e-4 of rounding: these
+    # cases take a 1e-4 step, whose truncation error stays near 3e-5
     for seed in range(6):
         rng = np.random.default_rng(150 + seed)
         forms = [
@@ -204,19 +204,16 @@ def test_gradient_matches_finite_differences_many_seeds():
         if seed < 3:
             noise = NoiseField.fixed(1e-2)
         else:
-            noise = NoiseField.pce(
-                [(Basis.legendre01(), [rng.uniform(0.2, 0.4), rng.uniform(-0.1, 0.1)])],
-                floor=1e-8,
-            )
+            noise = NoiseField.pce([(Basis.legendre01(), log_noise_coefficients(rng))])
         pts = rng.uniform(size=(9, 3))
         pts[[6, 7, 8]] = pts[[1, 4, 1]]  # row 1 three times, row 4 twice
-        cases.append((stack, noise, pts, rng.normal(size=9)))
+        cases.append((stack, noise, pts, rng.normal(size=9), 1e-4))
 
     worst = 0.0
-    for case, (stack, noise, pts, y) in enumerate(cases):
+    for case, (stack, noise, pts, y, *h_rel) in enumerate(cases):
         analytic = mll_gradient(stack, noise, pts, y)
         assert np.all(np.isfinite(analytic)), case
-        fd = _fd_gradient(stack, noise, pts, y)
+        fd = _fd_gradient(stack, noise, pts, y, *h_rel)
         rel = np.abs(analytic - fd) / np.maximum(np.abs(fd), 1e-6)
         worst = max(worst, rel.max())
     assert worst <= 1e-4, worst
@@ -256,12 +253,10 @@ def test_four_form_gradient_on_duplicated_rows_matches_finite_differences(
     # each draw a basis family (Jacobi with alpha, beta > -1) and a degree up
     # to 10, with seven or more rows drawn from a pool of six points, so that
     # at least one repeats and its warped distances are exactly zero (where
-    # the absolute-exponential derivative is 0). The case where both copies
-    # of a duplicated row clamp at the noise floor is excluded by
-    # construction: there |MLL| is about 1e8 and the differences are pure
-    # rounding. The noise is fixed, or an expansion whose constant term is
-    # at least twice its linear one (|phi_1| <= 1 on [0, 1]), so no point
-    # clamps. Repeated rows make K nearly singular, and distinct rows whose
+    # the absolute-exponential derivative is 0). The noise is fixed, or an
+    # expansion of the log variance whose constant term puts sigma^2 between
+    # 1e-3 and 2.7 (`log_noise_coefficients`), at the repeated rows too.
+    # Repeated rows make K nearly singular, and distinct rows whose
     # warps nearly meet put the absolute-exponential kink within a step, so
     # no one step suits every draw: the best of three five-point differences
     # is the reference, and its denominators are floored at 1e-3 of its
@@ -274,10 +269,7 @@ def test_four_form_gradient_on_duplicated_rows_matches_finite_differences(
         for form, kind, degree in zip(forms, bases, degrees)
     ))
     if noise_pce:
-        c0 = rng.uniform(0.05, 0.4)
-        noise = NoiseField.pce(
-            [(Basis.legendre01(), [c0, rng.uniform(-0.5, 0.5) * c0])], floor=1e-8
-        )
+        noise = NoiseField.pce([(Basis.legendre01(), log_noise_coefficients(rng))])
     else:
         noise = NoiseField.fixed(float(10.0 ** rng.uniform(-2.0, -1.0)))
     pts = rng.uniform(size=(6, n_x))[rows]
@@ -318,18 +310,6 @@ def test_gradient_zero_for_constant_kernel():
     np.testing.assert_allclose(grad[:-1], 0.0, atol=1e-12)  # all but the scale
 
 
-def test_gradient_clamped_noise_has_zero_sensitivity():
-    rng = np.random.default_rng(4)
-    stack = random_stack(rng, 2, forms=[KernelForm.se()])
-    # constant term far below the floor: every point clamps
-    noise = NoiseField.pce([(Basis.legendre01(), [-5.0, 0.1])], floor=1e-8)
-    pts = rng.uniform(size=(6, 2))
-    y = rng.normal(size=6)
-    grad = mll_gradient(stack, noise, pts, y)
-    # the noise coefficients sit between the lengthscale block and the scale
-    np.testing.assert_allclose(grad[-3:-1], 0.0, atol=1e-12)
-
-
 NOISE_BASES = (Basis.legendre01(), Basis.legendre(), Basis.hermite(),
                Basis.jacobi(1.0, 0.5))
 
@@ -340,52 +320,36 @@ NOISE_BASES = (Basis.legendre01(), Basis.legendre(), Basis.hermite(),
     degrees=st.tuples(st.integers(1, 4), st.integers(0, 4)),
     n_x=st.integers(1, 3),
     n=st.integers(4, 30),
-    clamped_frac=st.floats(0.0, 1.0),
+    log_noise=st.floats(-30.0, 2.0),
     seed=st.integers(0, 2**32 - 1),
 )
-def test_clamped_noise_points_contribute_no_gradient(
-    families, degrees, n_x, n, clamped_frac, seed
+def test_noise_gradient_is_variance_weighted_diagonal_of_a(
+    families, degrees, n_x, n, log_noise, seed
 ):
-    # a point whose expansion sits at or below the floor has the floor as its
-    # noise whatever the coefficients, so it adds nothing to their gradient:
-    # the noise block is 0.5 sum_i A_ii phi(x_i) over the unclamped points
-    # alone, and exactly 0 when every point clamps
+    # d sigma^2(x_i) / d c_m = sigma^2(x_i) phi_m(x_i), phi averaged over
+    # the coordinates, so the noise block is 0.5 sum_i sigma^2(x_i) A_ii
+    # phi_m(x_i): at every point, however small its variance (a log
+    # variance of -30 is far below where finite differences resolve it)
     rng = np.random.default_rng(seed)
     x, y = rng.uniform(size=(n, n_x)), rng.normal(size=n)
     terms = [(kind, rng.uniform(-0.5, 0.5, size=deg + 1))
              for kind, deg in zip(families, degrees)]
+    terms[0][1][0] += log_noise
+    noise = NoiseField.pce(terms)
+    stack = random_stack(rng, n_x, forms=[KernelForm.se(), KernelForm.rq(1.5)])
     # sens[m, i]: phi_m averaged over the coordinates of point i, term by term
     sens = np.concatenate([
         eval_basis(kind, c.size - 1, x).reshape(c.size, n, n_x).mean(axis=2)
         for kind, c in terms
     ])
-    raw = sens.T @ np.concatenate([c for _, c in terms])
-    # move the expansion so that the lowest `k` points fall below a floor of
-    # 1e-3, with the threshold halfway between two points' values (the
-    # 0-th function of every family is 1)
-    k = int(round(clamped_frac * n))
-    r = np.sort(raw)
-    # the mask and the noise diagonal round differently: no point right at
-    # the threshold
-    assume(k in (0, n) or r[k] - r[k - 1] > 1e-9)
-    if k in (0, n):
-        threshold = r[0] - 1.0 if k == 0 else r[-1] + 1.0
-    else:
-        threshold = 0.5 * (r[k - 1] + r[k])
-    terms[0][1][0] += 1e-3 - threshold
-    noise = NoiseField.pce(terms, floor=1e-3)
-    stack = random_stack(rng, n_x, forms=[KernelForm.se(), KernelForm.rq(1.5)])
+    variances = np.exp(sens.T @ np.concatenate([c for _, c in terms]))
 
     grad = mll_gradient(stack, noise, x, y)
     n_ls = sum(c.size for f in stack.fields for _, c in f.terms)
     got = grad[n_ls : n_ls + sens.shape[0]]
     a = _likelihood_core(noisy_gram(stack, noise, x)[1], y, "oracle", gradient=True).a
-    unclamped = raw - threshold > 0.0
-    assert unclamped.sum() == n - k
-    if k == n:
-        assert np.all(got == 0.0)
-    want = 0.5 * sens[:, unclamped] @ np.diag(a)[unclamped]
-    scale = 0.5 * np.abs(sens) @ np.abs(np.diag(a))
+    want = 0.5 * sens @ (variances * np.diag(a))
+    scale = 0.5 * np.abs(sens) @ np.abs(variances * np.diag(a))
     np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-12 * scale.max())
 
 
@@ -583,6 +547,40 @@ def test_degree_10_benchmark_stack_extrapolates_to_finite_predictions(seed):
     single = predict(model, queries[1])
     assert math.isfinite(single.mean) and math.isfinite(single.variance)
     assert single.variance >= 0.0
+
+
+def test_degree_5_log_noise_gives_finite_variances_just_outside_the_box():
+    # the query noise is exp of a degree-5 expansion, which grows fast past
+    # the box, so every query up to 15% of each input's range outside it
+    # must still get a finite mean and a finite, non-negative variance:
+    # searched models and draws from the prior, the log-noise constant at
+    # the top of its range
+    space = SearchSpace(
+        kernel_forms=(KernelForm.se(), KernelForm.matern32()),
+        bases=(Basis.legendre01(),), q_range=(0, 2), r_range=(5, 5),
+        noise_fixed=None,
+    )
+    rng = np.random.default_rng(22)
+    x = rng.uniform(-3.0, 5.0, size=(40, 3))
+    y = np.sin(x).sum(axis=1) + (0.05 + 0.1 * x[:, 0] ** 2) * rng.normal(size=40)
+    ds = Dataset(x, y, ["a", "b", "c"], "y")
+    thetas = [run_search(ds, space, 3, 2, 10, 2, seed).best_theta for seed in range(2)]
+    for _ in range(12):
+        theta = random_suggest(space, rng)
+        theta[space._noise_start] = NOISE_LOG_RANGE[1]
+        thetas.append(theta)
+    lo, hi = x.min(axis=0), x.max(axis=0)
+    u = rng.uniform(-0.15, 1.15, size=(300, 3))
+    u[:8] = np.array(np.meshgrid(*[[-0.15, 1.15]] * 3)).reshape(3, 8).T  # corners
+    queries = lo + u * (hi - lo)
+    for theta in thetas:
+        model = fit_precompute(
+            *space.build_stack(theta, n_inputs=3), fit_scaler("min_max_per_column", x),
+            fit_scaler("z_normalize", y), x, y,
+        )
+        means, variances = predict_batch(model, queries)
+        assert np.all(np.isfinite(means))
+        assert np.all(np.isfinite(variances)) and np.all(variances >= 0.0)
 
 
 def test_predict_dimension_mismatch():

@@ -134,34 +134,28 @@ def test_fixed_noise_must_be_positive():
 
 
 def test_pce_noise_constant_recovery():
-    f = NoiseField.pce([(Basis.legendre01(), [0.7, 0.0, 0.0])])
+    # the constant term is the log variance: phi_0 = 1 in every family
+    f = NoiseField.pce([(Basis.legendre01(), [np.log(0.7), 0.0, 0.0])])
     assert eval_noise_batch(f, np.array([[0.1, 0.9, 0.4]]))[0] == pytest.approx(0.7)
 
 
 def test_pce_noise_averages_over_coordinates():
-    # linear term: mean of P~_1 over coords = mean(2x-1)
-    f = NoiseField.pce([(Basis.legendre01(), [0.0, 1.0])], floor=1e-12)
+    # linear term: the log variance is the mean of P~_1 over coords = mean(2x-1)
+    f = NoiseField.pce([(Basis.legendre01(), [0.0, 1.0])])
     got = eval_noise_batch(f, np.array([[0.6, 1.0]]))[0]  # mean of (0.2, 1.0)
-    assert got == pytest.approx(0.6, abs=1e-14)
-
-
-def test_pce_noise_clamped_to_floor():
-    f = NoiseField.pce([(Basis.legendre01(), [-0.3])], floor=1e-8)
-    np.testing.assert_array_equal(
-        eval_noise_batch(f, np.full((3, 2), 0.5)), np.full(3, 1e-8)
-    )
+    assert got == pytest.approx(np.exp(0.6), rel=1e-14)
 
 
 def test_noise_batch_matches_single():
     rng = np.random.default_rng(12)
-    f = NoiseField.pce([(Basis.legendre01(), rng.normal(size=4))], floor=1e-8)
+    # a log variance near -30: every variance is tiny, and positive
+    coeffs = np.r_[-30.0, rng.normal(size=3)]
+    f = NoiseField.pce([(Basis.legendre01(), coeffs)])
     pts = rng.uniform(size=(9, 3))
     batch = eval_noise_batch(f, pts)
-    singles = [
-        max(1e-8, np.mean([expansion_at(f.terms, v) for v in p])) for p in pts
-    ]
-    np.testing.assert_allclose(batch, singles, atol=1e-14)
-    assert np.all(batch >= 1e-8)
+    singles = [np.exp(np.mean([expansion_at(f.terms, v) for v in p])) for p in pts]
+    np.testing.assert_allclose(batch, singles, rtol=1e-13)
+    assert np.all(batch > 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -187,17 +181,22 @@ def test_lengthscale_sensitivity_matches_finite_difference():
 
 
 def test_noise_sensitivity_matches_finite_difference():
-    # the unclamped noise is linear in its coefficients: its derivative by
-    # coefficient m is the basis value averaged over each point's coordinates
+    # the log noise is linear in its coefficients: the derivative of the
+    # variance by coefficient m is the variance times the basis value
+    # averaged over each point's coordinates, at any sign of the expansion
     rng = np.random.default_rng(16)
-    coeffs = np.abs(rng.normal(size=3)) + 0.5  # keep well above the floor
-    f = NoiseField.pce([(Basis.legendre01(), coeffs)], floor=1e-12)
+    coeffs = np.r_[-4.0, rng.normal(size=2)]
+    f = NoiseField.pce([(Basis.legendre01(), coeffs)])
     pts = rng.uniform(size=(7, 2))
     values = PointBasis(pts, (f,)).values(Basis.legendre01(), 2)
+    variances = eval_noise_batch(f, pts)
     h = 1e-6
     for m in range(3):
         bumped = coeffs.copy()
         bumped[m] += h
-        g = NoiseField.pce([(Basis.legendre01(), bumped)], floor=1e-12)
-        fd = (eval_noise_batch(g, pts) - eval_noise_batch(f, pts)) / h
+        g = NoiseField.pce([(Basis.legendre01(), bumped)])
+        fd = (np.log(eval_noise_batch(g, pts)) - np.log(variances)) / h
         np.testing.assert_allclose(fd, values[m].reshape(7, 2).mean(axis=1), atol=1e-8)
+        fd = (eval_noise_batch(g, pts) - variances) / h
+        want = variances * values[m].reshape(7, 2).mean(axis=1)
+        np.testing.assert_allclose(fd, want, rtol=1e-5, atol=1e-12)

@@ -310,7 +310,7 @@ def test_gradient_through_a_workspace_allocates_no_n_by_n_array():
 
 def test_a_reused_workspace_gives_the_bits_of_a_fresh_one():
     rng = np.random.default_rng(14)
-    noise = NoiseField.pce(((Basis.legendre01(), [0.05, 0.01]),), floor=1e-6)
+    noise = NoiseField.pce(((Basis.legendre01(), [-3.0, 0.2]),))
     workspace = Workspace()
     # first a larger N and a longer stack, then a smaller split
     big = _stack(rng, 2, [KernelForm.se(), KernelForm.ae(), KernelForm.matern32(),
@@ -407,7 +407,7 @@ def test_value_only_fit_gives_the_bits_of_the_summed_parts(
     if noise_degree is None:
         noise = NoiseField.fixed(float(10.0 ** rng.uniform(-14, -1)))
     else:
-        noise = NoiseField.pce(terms(noise_degree, -0.05, 0.1), floor=1e-6)
+        noise = NoiseField.pce(terms(noise_degree, -4.0, 0.5))
     x = rng.uniform(size=(8, n_x))[rows]
     y = rng.normal(size=len(rows))
 
@@ -768,7 +768,7 @@ def test_stored_warps_predict_like_a_fresh_cross_matrix(tmp_path):
 
 @pytest.mark.parametrize("noise", [
     NoiseField.fixed(1e-2),
-    NoiseField.pce(((Basis.legendre01(), [0.05, 0.02, -0.01]),), floor=1e-6),
+    NoiseField.pce(((Basis.legendre01(), [-3.0, 0.4, -0.2]),)),
 ])
 def test_blocked_prediction_matches_one_block(monkeypatch, noise):
     # up to one block the calls are those of a one-shot prediction, so the

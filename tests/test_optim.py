@@ -11,6 +11,7 @@ from pcegp.data import Dataset, make_folds
 from pcegp.gp import free_parameters, mll, with_free_parameters
 from pcegp.kernels import KernelForm
 from pcegp.optim import (
+    NOISE_LOG_RANGE,
     AdamState,
     SearchSpace,
     TrialRecord,
@@ -118,9 +119,7 @@ def assert_same_model(got, want):
         assert (form_g, field_g.n_inputs) == (form_w, field_w.n_inputs)
         assert np.float64(scale_g).tobytes() == np.float64(scale_w).tobytes()
         pairs.append((field_g.terms, field_w.terms))
-    assert (noise_g.mode, noise_g.value, noise_g.floor) == (
-        noise_w.mode, noise_w.value, noise_w.floor
-    )
+    assert (noise_g.mode, noise_g.value) == (noise_w.mode, noise_w.value)
     for terms_g, terms_w in pairs:
         assert [kind for kind, _ in terms_g] == [kind for kind, _ in terms_w]
         for (_, c_g), (_, c_w) in zip(terms_g, terms_w):
@@ -201,6 +200,31 @@ def test_random_suggest_bounds_and_coverage():
         scales = theta[space._scale_start :]
         assert np.all(scales >= 1e-3) and np.all(scales <= 10.0)
     assert degrees == {2, 3, 4, 5}
+
+
+def test_the_log_noise_constant_has_its_own_prior_range():
+    # the constant term of a searched noise is log sigma^2: random and TPE
+    # suggestions draw it within NOISE_LOG_RANGE, every other coefficient
+    # within coeff_range, from one uniform draw per slot
+    space = small_space(q_range=(0, 2), r_range=(0, 3), noise_fixed=None,
+                        coeff_range=(5.0, 6.0))
+    rng = np.random.default_rng(4)
+    history = [_record(random_suggest(space, rng), float(i % 5), i) for i in range(300)]
+    history += [_record(tpe_suggest(history, space, rng=rng), 0.0, 300 + i)
+                for i in range(20)]
+    coeffs = np.vstack([t.theta for t in history])[:, space._coeff_start : space._scale_start]
+    constant = space._noise_start - space._coeff_start
+    lo, hi = NOISE_LOG_RANGE
+    assert np.all((coeffs[:, constant] >= lo) & (coeffs[:, constant] <= hi))
+    assert coeffs[:300, constant].min() < lo + 1.0 and coeffs[:300, constant].max() > hi - 1.0
+    others = np.delete(coeffs, constant, axis=1)
+    assert np.all((others >= 5.0) & (others <= 6.0))
+    # a fixed-noise space draws its coefficients as one uniform over coeff_range
+    fixed = small_space(q_range=(0, 2))
+    stream = np.random.default_rng(5)
+    stream.integers(0, 3)
+    want = stream.uniform(-2.0, 2.0, size=3)
+    assert random_suggest(fixed, np.random.default_rng(5))[1:4].tobytes() == want.tobytes()
 
 
 def test_random_suggest_reproducible():
@@ -314,7 +338,9 @@ def _scalar_tpe_suggest(history, space, rng, gamma=0.25, n_candidates=24):
     if space.searches_noise:
         dims[1] = _IntDim(*space.r_range, good[:, 1], bad[:, 1])
     for m in range(space._coeff_start, space._scale_start):
-        dims[m] = _ContDim(*space.coeff_range, good[:, m], bad[:, m])
+        # a searched noise's constant term, log sigma^2, has its own prior
+        bounds = NOISE_LOG_RANGE if m == space._noise_start else space.coeff_range
+        dims[m] = _ContDim(*bounds, good[:, m], bad[:, m])
     for m in range(space._scale_start, space.n_parameters):
         dims[m] = _ContDim(*space.scale_range, good[:, m], bad[:, m], log_scale=True)
     best_theta, best_score = None, -np.inf
@@ -431,6 +457,26 @@ def test_fine_tune_descends_negative_mll():
     final = fine_tune(theta, space, split, 50).loss
     assert final <= initial + 1e-6
     assert final < initial  # 50 steps should make real progress here
+
+
+def test_refinement_moves_a_log_noise_constant_of_minus_six():
+    # ROADMAP item 2's heteroscedastic probe, small: y = sin 6x with noise
+    # sd 0.02 + 0.3x. A log-noise constant of -6, sigma^2 = 2.5e-3, is too
+    # little here: refinement must raise it, and its slope, as the noise
+    # grows with x
+    rng = np.random.default_rng(7)
+    x = rng.uniform(size=(60, 1))
+    y = np.sin(6.0 * x[:, 0]) + (0.02 + 0.3 * x[:, 0]) * rng.normal(size=60)
+    split = (x, (y - y.mean()) / y.std())
+    space = small_space(r_range=(0, 1), noise_fixed=None)
+    # q, r, lengthscale c0 c1, log noise c0 c1, squared scale
+    theta = np.array([1.0, 1.0, 3.0, 0.0, -6.0, 0.0, 1.0])
+    initial = -mll(*space.build_stack(theta, 1), *split)
+    tuned = fine_tune(theta, space, split, 30)
+    noise = tuned.theta[space._noise_start : space._scale_start]
+    assert noise[0] > -6.0 + 0.1  # more noise than the start
+    assert noise[1] > 0.0  # and more of it at large x
+    assert tuned.loss < initial
 
 
 def test_fine_tune_freezes_degrees():

@@ -167,8 +167,9 @@ def test_saving_a_loaded_model_gives_its_bytes(
     if noise_degree is None:
         noise = NoiseField.fixed(float(10.0 ** rng.uniform(-4, -1)))
     else:
-        coeffs = rng.uniform(0.0, 0.1, size=noise_degree + 1)
-        noise = NoiseField.pce(((families[0], coeffs),), floor=1e-3)
+        coeffs = rng.uniform(-0.1, 0.1, size=noise_degree + 1)
+        coeffs[0] -= 5.0  # log variance near -5
+        noise = NoiseField.pce(((families[0], coeffs),))
     x = rng.uniform(-2.0, 5.0, size=(7, n_x))
     y = rng.normal(size=7)
     in_sc, out_sc = fit_scaler("min_max_per_column", x), fit_scaler("z_normalize", y)
@@ -227,6 +228,32 @@ def test_a_column_list_that_does_not_name_each_input_once_is_rejected(
 def test_format_tag_checked():
     with pytest.raises(ValueError, match="format"):
         text_to_model("format = other-thing-9\n")
+
+
+def test_a_format_1_model_is_refused_by_its_tag(tmp_path):
+    # a pcegp-model-1 file's noise expansion is the variance itself, not its
+    # log: read as a log it would predict other variances, so it is refused
+    rng = np.random.default_rng(30)
+    text = model_to_text(build_model(rng, "pce"))
+    assert text.startswith("format = pcegp-model-2\n")
+    path = tmp_path / "old_model.txt"
+    path.write_text(text.replace("pcegp-model-2", "pcegp-model-1", 1))
+    with pytest.raises(ValueError, match="'pcegp-model-1'") as err:
+        load_model(path)
+    assert "old_model.txt" in str(err.value)
+
+
+@pytest.mark.parametrize("mode", ["fixd", "pce2", "Fixed"])
+def test_an_unknown_noise_mode_is_refused_by_name(tmp_path, mode):
+    # a typo of `fixed` must not be read as an expansion, and fail later on
+    # a missing noise.n_bases
+    rng = np.random.default_rng(31)
+    text = model_to_text(build_model(rng, "fixed"))
+    path = tmp_path / "model.txt"
+    path.write_text(text.replace("noise.mode = fixed", f"noise.mode = {mode}"))
+    with pytest.raises(ValueError, match=f"noise.mode '{mode}'") as err:
+        load_model(path)
+    assert "model.txt" in str(err.value)
 
 
 def test_describe_model_shows_polynomials():
