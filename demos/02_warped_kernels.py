@@ -2,7 +2,8 @@
 
 The kernels here are ordinary stationary forms (squared exponential,
 absolute exponential, Matern 3/2, rational quadratic) evaluated on warped
-coordinates w(x) = l(x) * x, where l is a polynomial expansion. A constant
+coordinates w(x) = l(x) * x, where l is a polynomial expansion in one basis
+family (coefficient j multiplies the degree-j polynomial). A constant
 expansion recovers the textbook stationary kernel; a varying one lets the
 correlation length drift across the input domain.
 """
@@ -23,7 +24,7 @@ from pcegp.poly import Basis
 
 # --- constant field == stationary kernel -----------------------------------
 c = 2.0
-field = LengthscaleField(((Basis.legendre01(), [c]),), 1)
+field = LengthscaleField(Basis.legendre01(), [c], 1)
 for form in (KernelForm.se(), KernelForm.matern32()):
     warped = kernel_nonstationary(form, 1.0, field, [0.2], [0.6])
     classic = kernel_stationary(form, 1.0, 1.0 / c, [0.2], [0.6])
@@ -32,7 +33,7 @@ for form in (KernelForm.se(), KernelForm.matern32()):
 # --- varying field: correlation length drifts across the domain -------------
 # phi_1 on [0, 1] is 2x - 1, so coefficients [4.5, 4.0] give l(x) = 0.5 + 8x:
 # slow variation near 0, fast variation near 1
-drift = LengthscaleField(((Basis.legendre01(), [4.5, 4.0]),), 1)
+drift = LengthscaleField(Basis.legendre01(), [4.5, 4.0], 1)
 se = KernelForm.se()
 print("\ncorrelation between x and x + 0.1 under l(x) = 0.5 + 8x:")
 for x0 in (0.05, 0.45, 0.85):
@@ -44,8 +45,8 @@ rng = np.random.default_rng(4)
 pts = rng.uniform(size=(40, 2))
 stack = KernelStack(
     (
-        (KernelForm.se(), 1.0, LengthscaleField(((Basis.legendre01(), [1.0, 0.5]),), 2)),
-        (KernelForm.rq(1.5), 0.6, LengthscaleField(((Basis.legendre01(), [2.0]),), 2)),
+        (KernelForm.se(), 1.0, LengthscaleField(Basis.legendre01(), [1.0, 0.5], 2)),
+        (KernelForm.rq(1.5), 0.6, LengthscaleField(Basis.legendre01(), [2.0], 2)),
     )
 )
 gram, _ = gram_parts(stack.forms, warp_stack(stack, pts))

@@ -27,7 +27,7 @@ x = np.sort(rng.uniform(0.0, 3.0, 25))[:, None]
 y = np.sin(2.0 * x[:, 0]) + 0.1 * x[:, 0] ** 2 + 0.05 * rng.normal(size=25)
 
 stack = KernelStack(
-    ((KernelForm.se(), 1.0, LengthscaleField(((Basis.legendre01(), [2.0, 0.5]),), 1)),)
+    ((KernelForm.se(), 1.0, LengthscaleField(Basis.legendre01(), [2.0, 0.5], 1)),)
 )
 noise = NoiseField.fixed(0.05**2)
 

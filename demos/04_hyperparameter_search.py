@@ -2,9 +2,10 @@
 
 Stage one proposes trial configurations with a tree-structured Parzen
 estimator over the mixed search space (expansion order, coefficients,
-output scales); stage two refines each trial's continuous parameters with
-Adam on the exact marginal-likelihood gradient. Trials are scored by
-average held-out negative log predictive density.
+output scales; every expansion is in the space's one basis family); stage
+two refines each trial's continuous parameters with Adam on the exact
+marginal-likelihood gradient. Trials are scored by average held-out
+negative log predictive density.
 """
 
 import numpy as np
@@ -23,7 +24,7 @@ train = Dataset(x[:, None], y, ["x"], "y")
 
 space = SearchSpace(
     kernel_forms=(KernelForm.se(), KernelForm.matern32()),
-    bases=(Basis.legendre01(),),
+    basis=Basis.legendre01(),
     q_range=(0, 2),
     scale_range=(1e-2, 10.0),
     noise_fixed=1e-4,

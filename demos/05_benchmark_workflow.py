@@ -55,7 +55,7 @@ with tempfile.TemporaryDirectory(prefix="pcegp-demo-") as workdir:
         inner_n_folds=3,
         space=SearchSpace(
             kernel_forms=(KernelForm.se(), KernelForm.rq(1.0)),
-            bases=(Basis.legendre01(),),
+            basis=Basis.legendre01(),
             q_range=(0, 1),
             scale_range=(1e-2, 10.0),
             r_range=(0, 0),  # search a constant noise level too

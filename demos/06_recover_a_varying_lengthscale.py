@@ -39,7 +39,7 @@ print(f"{n_train} training points (3 in the slow region), "
 # --- search a polynomial lengthscale over the scaled inputs -------------------
 space = SearchSpace(
     kernel_forms=(KernelForm.se(),),
-    bases=(Basis.legendre01(),),
+    basis=Basis.legendre01(),
     q_range=(0, 2),
     coeff_range=(-25.0, 25.0),  # min-max scaling inflates the raw warp slope
     scale_range=(1e-2, 10.0),

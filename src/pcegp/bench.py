@@ -69,7 +69,7 @@ def benchmark_space() -> SearchSpace:
             KernelForm.matern32(),
             KernelForm.rq(1.0),
         ),
-        bases=(Basis.legendre01(),),
+        basis=Basis.legendre01(),
         q_range=(5, 10),
         coeff_range=(-2.0, 2.0),
         scale_range=(1e-3, 10.0),
@@ -114,7 +114,7 @@ class BenchmarkConfig:
             "inner_n_folds": self.inner_n_folds,
             "global_scaling": self.global_scaling,
             "kernels": " ".join(f.tag for f in space.kernel_forms),
-            "bases": " ".join(b.label() for b in space.bases),
+            "bases": space.basis.label(),
             "q_range": f"{space.q_range[0]} {space.q_range[1]}",
             "r_range": (
                 "fixed" if space.r_range is None

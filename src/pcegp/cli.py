@@ -143,7 +143,11 @@ _BASES = {
 
 
 def build_space(cfg: dict) -> SearchSpace:
-    """Search space from config keys; defaults follow the benchmark setup."""
+    """Search space from config keys; defaults follow the benchmark setup.
+
+    A value the kernel forms, the basis or the space reject raises a
+    ValueError, which the subcommands report as a configuration error.
+    """
     forms = []
     for name in cfg.get("kernels", "se ae m32 rq").split():
         if name.lower() in ("rq", "rational_quadratic"):
@@ -176,22 +180,19 @@ def build_space(cfg: dict) -> SearchSpace:
             )
         r_range = None
 
-    try:
-        return SearchSpace(
-            kernel_forms=tuple(forms),
-            bases=(basis,),
-            q_range=(_get_int(cfg, "q_min", 5), _get_int(cfg, "q_max", 10)),
-            coeff_range=(
-                _get_float(cfg, "coeff_min", -2.0), _get_float(cfg, "coeff_max", 2.0)
-            ),
-            scale_range=(
-                _get_float(cfg, "scale_min", 1e-3), _get_float(cfg, "scale_max", 10.0)
-            ),
-            r_range=r_range,
-            noise_fixed=noise_fixed,
-        )
-    except ValueError as err:
-        raise UsageError(str(err))
+    return SearchSpace(
+        kernel_forms=tuple(forms),
+        basis=basis,
+        q_range=(_get_int(cfg, "q_min", 5), _get_int(cfg, "q_max", 10)),
+        coeff_range=(
+            _get_float(cfg, "coeff_min", -2.0), _get_float(cfg, "coeff_max", 2.0)
+        ),
+        scale_range=(
+            _get_float(cfg, "scale_min", 1e-3), _get_float(cfg, "scale_max", 10.0)
+        ),
+        r_range=r_range,
+        noise_fixed=noise_fixed,
+    )
 
 
 def _apply_thread_limit(n: int | None) -> None:
@@ -226,10 +227,10 @@ def cmd_fit(cfg: dict) -> int:
     n_folds = _get_int(cfg, "inner_n_folds", 5)
     try:
         check_search_settings(n_trials, n_initial, n_iterations, n_folds)
+        space = build_space(cfg)
     except ValueError as err:
         raise UsageError(str(err))
     ds = _load_dataset(cfg)
-    space = build_space(cfg)
     seed = _get_int(cfg, "seed", 0)
     result = run_search(
         ds,

@@ -58,13 +58,7 @@ import numpy as np
 
 from ._native import dpotri, dpotrs, dtrtrs
 from .data import ScalerState, apply_scaler
-from .hyper import (
-    LengthscaleField,
-    NoiseField,
-    PointBasis,
-    as_point_basis,
-    eval_noise_batch,
-)
+from .hyper import NoiseField, PointBasis, as_point_basis, eval_noise_batch
 from .kernels import (
     TRIANGLE_BLOCK_ROWS,
     KernelStack,
@@ -200,12 +194,6 @@ def mll(stack: KernelStack, noise: NoiseField, x_scaled, y_scaled) -> float:
     return fit_likelihood(stack, noise, x_scaled, y_scaled).value
 
 
-def _term_values(basis: PointBasis, terms) -> list:
-    """Each term's basis values at the points, shaped (coefficients, N, n_x)."""
-    n, d = basis.points.shape
-    return [basis.values(kind, c.size - 1).reshape(c.size, n, d) for kind, c in terms]
-
-
 def contract_entry(a, part):
     """A kernel entry's share of the gradient: (r, dMLL/d(scale^2)).
 
@@ -249,39 +237,43 @@ def mll_gradient(
     # dMLL = 0.5 tr(a dK)
     a = gradient_weights(_likelihood_core(k, y, stack.describe(), gradient=True).a, ws)
 
+    def sensitivities(field):  # phi_m at every coordinate, (m, N, n_x)
+        c = field.coefficients
+        return basis.values(field.basis, c.size - 1).reshape(c.size, *pts.shape)
+
     blocks = []
     scale_grad = []
     for field, part in zip(stack.fields, parts):
         r, ds2 = contract_entry(a, part)
         scale_grad.append(ds2)
-        # sens[m, d, i] = phi_m(x_id) = d l_d(x_i) / d c_m, in coefficient order
-        sens = np.concatenate(
-            [v.transpose(0, 2, 1) for v in _term_values(basis, field.terms)]
-        )
+        # sens[m, d, i] = phi_m(x_id) = d l_d(x_i) / d c_m
+        sens = sensitivities(field).transpose(0, 2, 1)
         blocks.append(2.0 * np.tensordot(sens, (r * pts).T, axes=([1, 2], [0, 1])))
 
     if noise.mode == "pce":
         # sens[m, i]: phi_m averaged over the coordinates of point i, the
         # sensitivity of log sigma^2(x_i); the log link scales it by sigma^2
-        sens = np.concatenate(
-            [v.mean(axis=2) for v in _term_values(basis, noise.terms)]
-        )
+        sens = sensitivities(noise).mean(axis=2)
         blocks.append(0.5 * sens @ (eval_noise_batch(noise, basis) * a.diagonal))
 
     blocks.append(np.array(scale_grad))
     return np.concatenate(blocks)
 
 
+def _expansions(stack: KernelStack, noise: NoiseField) -> tuple:
+    """The fields whose coefficients are free parameters, in their order."""
+    return stack.fields + ((noise,) if noise.mode == "pce" else ())
+
+
 def free_parameters(stack: KernelStack, noise: NoiseField) -> np.ndarray:
     """Flatten the gradient's coordinate system into one vector.
 
-    Order: each entry's lengthscale coefficients in stack order (its terms
-    in basis order), then the noise coefficients when the noise is an
-    expansion, then each entry's squared output scale. `mll_gradient`
-    returns derivatives in exactly this order.
+    Order: each entry's lengthscale coefficients in stack order, then the
+    noise coefficients when the noise is an expansion, then each entry's
+    squared output scale. `mll_gradient` returns derivatives in exactly
+    this order.
     """
-    fields = stack.fields + ((noise,) if noise.mode == "pce" else ())
-    blocks = [c for f in fields for _, c in f.terms]
+    blocks = [f.coefficients for f in _expansions(stack, noise)]
     blocks.append(np.array([s * s for _, s, _ in stack.entries]))
     return np.concatenate(blocks)
 
@@ -289,21 +281,20 @@ def free_parameters(stack: KernelStack, noise: NoiseField) -> np.ndarray:
 def with_free_parameters(stack: KernelStack, noise: NoiseField, flat):
     """Rebuild (stack, noise) from a flat vector in `free_parameters` order."""
     flat = np.asarray(flat, dtype=float).ravel()
-    fields = stack.fields + ((noise,) if noise.mode == "pce" else ())
-    sizes = [c.size for f in fields for _, c in f.terms]
+    fields = _expansions(stack, noise)
+    sizes = [f.coefficients.size for f in fields]
     n_expected = sum(sizes) + stack.n_entries
     if flat.size != n_expected:
         raise ValueError(f"expected {n_expected} parameters, got {flat.size}")
-    parts = iter(np.split(flat, np.cumsum(sizes)))
-    terms = [tuple((kind, next(parts)) for kind, _ in f.terms) for f in fields]
-    scales2 = next(parts)
+    *coefficients, scales2 = np.split(flat, np.cumsum(sizes))
     if np.any(scales2 <= 0.0):
         raise ValueError("squared output scales must stay positive")
+    fields = [replace(f, coefficients=c) for f, c in zip(fields, coefficients)]
     if noise.mode == "pce":
-        noise = NoiseField.pce(terms.pop())
+        noise = fields.pop()
     entries = tuple(
-        (form, float(np.sqrt(s2)), LengthscaleField(t, f.n_inputs))
-        for (form, _, f), s2, t in zip(stack.entries, scales2, terms)
+        (form, float(np.sqrt(s2)), f)
+        for (form, _, _), s2, f in zip(stack.entries, scales2, fields)
     )
     return KernelStack(entries), noise
 

@@ -8,18 +8,23 @@ variance or an expansion of the log variance, averaged over coordinates:
 sigma^2(x) = exp(mean_d sum_m c_m phi_m(x_d)), positive for any
 coefficients (the log link of Goldberg, Williams & Bishop, NIPS 1997).
 
+Each field is one expansion in one basis family: its coefficient j
+multiplies the degree-j polynomial. An expansion to degree q spans the
+polynomials of degree at most q in every family, so a sum over a second
+family could add nothing that a higher degree cannot.
+
 The lengthscales and the log noise are linear in their coefficients,
 which the likelihood gradient exploits: the sensitivity of either to a
 coefficient is just the matching polynomial value, which `gp.mll_gradient`
-reads from the same `PointBasis` as the fields themselves. The fields hold
-their coefficients as (basis, vector) terms; `gp.free_parameters` is their
-one flattening.
+reads from the same `PointBasis` as the fields themselves.
+`gp.free_parameters` is the one flattening of the fields' coefficients.
 
 The polynomial values depend only on the points, so a `PointBasis` keeps
 them with the points they were computed on: one `eval_basis` per basis
 family, at the highest degree any of the given fields needs, serves every
 field evaluated on that point set (a lower degree takes the leading rows,
-which the recurrence makes the same bits). Every evaluator here takes
+which the recurrence makes the same bits). The entries of a stack and its
+noise may each use a family of their own. Every evaluator here takes
 either plain points, for which it makes a `PointBasis` that lives for the
 call, or a `PointBasis` its caller made and keeps: `optim.fine_tune` keeps
 one over the training split for all of its Adam steps and its closing
@@ -35,31 +40,29 @@ import numpy as np
 from .poly import Basis, eval_basis
 
 
-def _freeze_terms(terms):
-    frozen = []
-    for kind, coeffs in terms:
-        c = np.array(coeffs, dtype=float).ravel()  # copy: never alias the caller
-        if c.size == 0:
-            raise ValueError("each term needs at least one coefficient")
-        if not np.all(np.isfinite(c)):
-            raise ValueError("coefficients must be finite")
-        if not isinstance(kind, Basis):
-            raise TypeError(f"expected Basis, got {type(kind).__name__}")
-        frozen.append((kind, c))
-    if not frozen:
-        raise ValueError("at least one (basis, coefficients) term is required")
-    return tuple(frozen)
+def _freeze_coefficients(field) -> None:
+    """Check a field's basis; hold a finite, non-empty copy of its coefficients."""
+    if not isinstance(field.basis, Basis):
+        raise TypeError(f"expected Basis, got {type(field.basis).__name__}")
+    c = np.array(field.coefficients, dtype=float).ravel()  # never the caller's
+    if c.size == 0:
+        raise ValueError("an expansion needs at least one coefficient")
+    if not np.all(np.isfinite(c)):
+        raise ValueError("coefficients must be finite")
+    object.__setattr__(field, "coefficients", c)
 
 
 @dataclass(frozen=True)
 class LengthscaleField:
-    """Per-coordinate lengthscale from shared expansion coefficients."""
+    """Per-coordinate lengthscale: one expansion in `basis`, whose coefficient
+    j multiplies the degree-j polynomial, the same for every coordinate."""
 
-    terms: tuple
+    basis: Basis
+    coefficients: np.ndarray
     n_inputs: int
 
     def __post_init__(self):
-        object.__setattr__(self, "terms", _freeze_terms(self.terms))
+        _freeze_coefficients(self)
         if self.n_inputs < 1:
             raise ValueError("n_inputs must be >= 1")
 
@@ -70,14 +73,15 @@ class NoiseField:
 
     mode: str
     value: float = 0.0
-    terms: tuple = ()
+    basis: Basis | None = None
+    coefficients: np.ndarray | None = None
 
     def __post_init__(self):
         if self.mode == "fixed":
-            if self.value <= 0.0:
-                raise ValueError(f"fixed noise must be positive, got {self.value}")
+            if not 0.0 < self.value < np.inf:
+                raise ValueError(f"fixed noise must be finite and > 0: {self.value}")
         elif self.mode == "pce":
-            object.__setattr__(self, "terms", _freeze_terms(self.terms))
+            _freeze_coefficients(self)
         else:
             raise ValueError(f"unknown noise mode {self.mode!r}")
 
@@ -86,8 +90,8 @@ class NoiseField:
         return cls(mode="fixed", value=value)
 
     @classmethod
-    def pce(cls, terms) -> "NoiseField":
-        return cls(mode="pce", terms=tuple(terms))
+    def pce(cls, basis: Basis, coefficients) -> "NoiseField":
+        return cls(mode="pce", basis=basis, coefficients=coefficients)
 
 
 # ---------------------------------------------------------------------------
@@ -115,8 +119,9 @@ class PointBasis:
         self.points = pts
         self._degrees = {}
         for f in fields:
-            for kind, c in f.terms:
-                self._degrees[kind] = max(self._degrees.get(kind, 0), c.size - 1)
+            if f.coefficients is not None:  # a fixed noise has none
+                degree = f.coefficients.size - 1
+                self._degrees[f.basis] = max(self._degrees.get(f.basis, 0), degree)
         self._values = {}
 
     def values(self, kind: Basis, max_degree: int) -> np.ndarray:
@@ -138,15 +143,16 @@ def as_point_basis(points, fields=()) -> PointBasis:
     return points if isinstance(points, PointBasis) else PointBasis(points, fields)
 
 
-def _terms_eval(terms, basis: PointBasis) -> np.ndarray:
-    """Sum of all expansions evaluated element-wise over the basis's points.
+def _expansion(field, basis: PointBasis) -> np.ndarray:
+    """A field's expansion evaluated element-wise over the basis's points.
 
     The einsum, unlike a BLAS product, rounds every column alike, so two
     copies of one point warp to the same bits (zero distance, not 1e-35).
+    It is added onto zeros, which turns a -0.0 into +0.0.
     """
+    c = field.coefficients
     total = np.zeros(basis.points.size)
-    for kind, coeffs in terms:
-        total += np.einsum("m,mk->k", coeffs, basis.values(kind, coeffs.size - 1))
+    total += np.einsum("m,mk->k", c, basis.values(field.basis, c.size - 1))
     return total.reshape(basis.points.shape)
 
 
@@ -158,7 +164,7 @@ def eval_lengthscale_batch(field: LengthscaleField, points) -> np.ndarray:
             f"points must have {field.n_inputs} coordinates, "
             f"got shape {basis.points.shape}"
         )
-    return _terms_eval(field.terms, basis).T
+    return _expansion(field, basis).T
 
 
 def eval_noise_batch(field: NoiseField, points) -> np.ndarray:
@@ -168,4 +174,4 @@ def eval_noise_batch(field: NoiseField, points) -> np.ndarray:
     basis = as_point_basis(points, (field,))
     if field.mode == "fixed":
         return np.full(basis.points.shape[0], field.value)
-    return np.exp(_terms_eval(field.terms, basis).mean(axis=1))
+    return np.exp(_expansion(field, basis).mean(axis=1))

@@ -112,8 +112,10 @@ class KernelForm:
     def __post_init__(self):
         if self.tag not in KERNEL_FORMS:
             raise ValueError(f"unknown kernel form {self.tag!r}")
-        if self.tag == "rational_quadratic" and self.shape <= 0.0:
-            raise ValueError(f"rational_quadratic shape must be > 0, got {self.shape}")
+        if self.tag == "rational_quadratic" and not 0.0 < self.shape < np.inf:
+            raise ValueError(
+                f"rational_quadratic shape must be finite and > 0, got {self.shape}"
+            )
 
     @classmethod
     def se(cls) -> "KernelForm":

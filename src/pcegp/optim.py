@@ -6,12 +6,14 @@ The search operates on a flat trial vector theta:
 
 where q is the shared lengthscale expansion degree, r the noise expansion
 degree (present only when the noise is searched), one coefficient block of
-length q_max + 1 exists per (kernel, basis) pair, kernel-major, and the
-squared output scales close the vector. Blocks are allocated at the maximum
-degree so the vector has a fixed length; entries above the sampled degree
-are inactive. They are filled from the prior when suggesting and ignored
-when building a model, which keeps the Parzen estimators fixed-dimensional
-even though the effective dimensionality depends on the sampled degree.
+length q_max + 1 exists per kernel, in kernel order, and the squared output
+scales close the vector. Every expansion is in the space's one basis
+family, so slot j of a block, or of the noise block, is the coefficient of
+degree j. Blocks are allocated at the maximum degree so the vector has a
+fixed length; entries above the sampled degree are inactive. They are
+filled from the prior when suggesting and ignored when building a model,
+which keeps the Parzen estimators fixed-dimensional even though the
+effective dimensionality depends on the sampled degree.
 The live entries after the degrees are the built model's free parameters,
 in order (see `SearchSpace`).
 
@@ -54,6 +56,9 @@ from .kernels import KernelForm, KernelStack, Workspace
 from .poly import Basis
 
 FAILED_LOSS = float("inf")
+# finished trials the Parzen estimators need; before then a trial is drawn
+# at random
+TPE_MIN_TRIALS = 2
 _SQRT_2PI = float(np.sqrt(2.0 * np.pi))
 
 # prior of a searched noise's constant term, log sigma^2: the targets are
@@ -69,7 +74,9 @@ NOISE_LOG_RANGE = (math.log(1e-6), 0.0)
 class SearchSpace:
     """Bounds and structure for the trial vector.
 
-    `noise_fixed` switches between a fixed noise variance (its value) and
+    `basis` is the polynomial family of every expansion the space builds:
+    each kernel's lengthscale field and a searched noise. `noise_fixed`
+    switches between a fixed noise variance (its value) and
     a searched expansion of the log noise variance (None, with `r_range`
     giving the degree bounds). `coeff_range` bounds every coefficient but
     that expansion's constant term, which `NOISE_LOG_RANGE` bounds
@@ -83,7 +90,7 @@ class SearchSpace:
     """
 
     kernel_forms: tuple
-    bases: tuple
+    basis: Basis
     q_range: tuple
     coeff_range: tuple = (-2.0, 2.0)
     scale_range: tuple = (1e-3, 10.0)
@@ -92,28 +99,25 @@ class SearchSpace:
 
     def __post_init__(self):
         object.__setattr__(self, "kernel_forms", tuple(self.kernel_forms))
-        object.__setattr__(self, "bases", tuple(self.bases))
         if not self.kernel_forms:
             raise ValueError("at least one kernel form is required")
         for form in self.kernel_forms:
             if not isinstance(form, KernelForm):
                 raise TypeError("kernel_forms must contain KernelForm values")
-        if not self.bases:
-            raise ValueError("at least one basis is required")
-        for b in self.bases:
-            if not isinstance(b, Basis):
-                raise TypeError("bases must contain Basis values")
+        if not isinstance(self.basis, Basis):
+            raise TypeError(f"basis must be a Basis, got {type(self.basis).__name__}")
         q0, q1 = self.q_range
         if not (0 <= q0 <= q1 <= 16):
             raise ValueError(f"q_range must satisfy 0 <= lo <= hi <= 16, got {self.q_range}")
-        if self.coeff_range[0] >= self.coeff_range[1]:
-            raise ValueError("coeff_range must have lo < hi")
-        if not (0.0 < self.scale_range[0] < self.scale_range[1]):
-            raise ValueError("scale_range must be positive with lo < hi")
+        # chained comparisons with the infinities: NaN fails every one
+        if not -math.inf < self.coeff_range[0] < self.coeff_range[1] < math.inf:
+            raise ValueError("coeff_range must be finite with lo < hi")
+        if not 0.0 < self.scale_range[0] < self.scale_range[1] < math.inf:
+            raise ValueError("scale_range must be finite and positive with lo < hi")
         if (self.noise_fixed is None) == (self.r_range is None):
             raise ValueError("exactly one of noise_fixed and r_range must be set")
-        if self.noise_fixed is not None and self.noise_fixed <= 0.0:
-            raise ValueError("fixed noise must be positive")
+        if self.noise_fixed is not None and not 0.0 < self.noise_fixed < math.inf:
+            raise ValueError("fixed noise must be finite and positive")
         if self.r_range is not None:
             r0, r1 = self.r_range
             if not (0 <= r0 <= r1 <= 16):
@@ -139,7 +143,7 @@ class SearchSpace:
 
     @property
     def _noise_start(self) -> int:
-        return self._coeff_start + self.n_kernels * len(self.bases) * self._block_len
+        return self._coeff_start + self.n_kernels * self._block_len
 
     @property
     def _noise_len(self) -> int:
@@ -195,26 +199,24 @@ class SearchSpace:
             raise ValueError(f"degree {q} outside q_range {self.q_range}")
 
         blocks = theta[self._coeff_start : self._noise_start].reshape(
-            self.n_kernels, len(self.bases), self._block_len
+            self.n_kernels, self._block_len
         )
         entries = []
-        for form, kernel_blocks, scale2 in zip(
+        for form, block, scale2 in zip(
             self.kernel_forms, blocks, theta[self._scale_start :]
         ):
             if scale2 <= 0.0:
                 raise ValueError(f"squared scale must be positive, got {scale2}")
-            terms = tuple(zip(self.bases, kernel_blocks[:, : q + 1]))
-            field = LengthscaleField(terms, n_inputs)
+            field = LengthscaleField(self.basis, block[: q + 1], n_inputs)
             entries.append((form, float(np.sqrt(scale2)), field))
 
         if self.searches_noise:
             r0, r1 = self.r_range
             if not r0 <= r <= r1:
                 raise ValueError(f"degree {r} outside r_range {self.r_range}")
-            noise_terms = (
-                (self.bases[0], theta[self._noise_start : self._noise_start + r + 1]),
+            noise = NoiseField.pce(
+                self.basis, theta[self._noise_start : self._noise_start + r + 1]
             )
-            noise = NoiseField.pce(noise_terms)
         else:
             noise = NoiseField.fixed(self.noise_fixed)
         return KernelStack(tuple(entries)), noise
@@ -273,8 +275,8 @@ def random_suggest(space: SearchSpace, rng) -> np.ndarray:
 
 def _split_history(history, gamma: float):
     done = [t for t in history if not t.failed]
-    if len(done) < 2:
-        raise ValueError("TPE needs at least 2 completed trials")
+    if len(done) < TPE_MIN_TRIALS:
+        raise ValueError(f"TPE needs at least {TPE_MIN_TRIALS} completed trials")
     done.sort(key=lambda t: (t.loss, t.trial_index))
     n_good = max(1, math.ceil(gamma * len(done)))
     good = np.vstack([t.theta for t in done[:n_good]])
@@ -373,7 +375,8 @@ def tpe_suggest(
     space: SearchSpace,
     gamma: float = 0.25,
     n_candidates: int = 24,
-    rng=None,
+    *,
+    rng,
 ) -> np.ndarray:
     """Suggest the candidate maximizing the good/bad density ratio.
 
@@ -384,8 +387,6 @@ def tpe_suggest(
     then scored one dimension at a time over every candidate; a score sums
     its active dimensions in index order, and the first best one wins.
     """
-    if rng is None:
-        rng = np.random.default_rng()
     good, bad = _split_history(history, gamma)
 
     dims: dict = {0: _IntDim(*space.q_range, good[:, 0], bad[:, 0])}
@@ -622,8 +623,8 @@ def check_search_settings(
 ) -> None:
     """Raise a ValueError for settings `run_search` cannot run.
 
-    `n_initial` may be 0: TPE then falls back to random draws until two
-    trials have finished.
+    `n_initial` may be 0: the trials are then random draws until
+    `TPE_MIN_TRIALS` of them have finished.
     """
     if n_trials < 1:
         raise ValueError("need at least one trial")
@@ -679,14 +680,11 @@ def run_search(
     best_theta, best_loss = None, FAILED_LOSS
     for trial in range(n_trials):
         t0 = time.perf_counter()
-        if trial < n_initial:
+        finished = sum(not t.failed for t in history)
+        if trial < n_initial or finished < TPE_MIN_TRIALS:
             stage, theta = "random", random_suggest(space, rng)
         else:
-            stage = "tpe"
-            try:
-                theta = tpe_suggest(history, space, rng=rng)
-            except ValueError:
-                stage, theta = "random", random_suggest(space, rng)
+            stage, theta = "tpe", tpe_suggest(history, space, rng=rng)
 
         mean_loss, fold_losses, refined = _evaluate_trial(
             theta, space, dataset, plan, n_iterations, global_scalers, workspace

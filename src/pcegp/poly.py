@@ -46,9 +46,12 @@ class Basis:
     def __post_init__(self):
         if self.family not in FAMILIES:
             raise ValueError(f"unknown basis family {self.family!r}")
-        if self.family == "jacobi" and (self.alpha <= -1.0 or self.beta <= -1.0):
+        # chained comparisons with infinity: NaN fails them
+        if self.family == "jacobi" and not (
+            -1.0 < self.alpha < np.inf and -1.0 < self.beta < np.inf
+        ):
             raise ValueError(
-                f"jacobi requires alpha > -1 and beta > -1, "
+                f"jacobi requires finite alpha > -1 and beta > -1, "
                 f"got alpha={self.alpha}, beta={self.beta}"
             )
 

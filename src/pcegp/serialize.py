@@ -27,12 +27,15 @@ def _f(x) -> str:
     return repr(float(x))
 
 
-def _basis_lines(prefix: str, kind: Basis, coeffs) -> list:
+def _field_lines(prefix: str, field) -> list:
+    # a field is one expansion: one basis block, numbered 0
+    b = f"{prefix}.basis_0"
     return [
-        f"{prefix}.family = {kind.family}",
-        f"{prefix}.alpha = {_f(kind.alpha)}",
-        f"{prefix}.beta = {_f(kind.beta)}",
-        f"{prefix}.coefficients = {format_floats(coeffs)}",
+        f"{prefix}.n_bases = 1",
+        f"{b}.family = {field.basis.family}",
+        f"{b}.alpha = {_f(field.basis.alpha)}",
+        f"{b}.beta = {_f(field.basis.beta)}",
+        f"{b}.coefficients = {format_floats(field.coefficients)}",
     ]
 
 
@@ -48,17 +51,13 @@ def model_to_text(model: PcegpModel) -> str:
         lines.append(f"{p}.form = {form.tag}")
         lines.append(f"{p}.shape = {_f(form.shape)}")
         lines.append(f"{p}.scale = {_f(scale)}")
-        lines.append(f"{p}.n_bases = {len(ls_field.terms)}")
-        for j, (kind, coeffs) in enumerate(ls_field.terms):
-            lines.extend(_basis_lines(f"{p}.basis_{j}", kind, coeffs))
+        lines.extend(_field_lines(p, ls_field))
 
     lines.append(f"noise.mode = {model.noise.mode}")
     if model.noise.mode == "fixed":
         lines.append(f"noise.value = {_f(model.noise.value)}")
     else:
-        lines.append(f"noise.n_bases = {len(model.noise.terms)}")
-        for j, (kind, coeffs) in enumerate(model.noise.terms):
-            lines.extend(_basis_lines(f"noise.basis_{j}", kind, coeffs))
+        lines.extend(_field_lines("noise", model.noise))
 
     for name, sc in (
         ("input_scaler", model.input_scaler),
@@ -87,18 +86,21 @@ def _need(kv: dict, key: str) -> str:
     return kv[key]
 
 
-def _parse_terms(kv: dict, prefix: str) -> tuple:
-    n_bases = int(_need(kv, f"{prefix}.n_bases"))
-    terms = []
-    for j in range(n_bases):
-        b = f"{prefix}.basis_{j}"
-        kind = Basis(
-            _need(kv, f"{b}.family"),
-            alpha=float(_need(kv, f"{b}.alpha")),
-            beta=float(_need(kv, f"{b}.beta")),
+def _parse_field(kv: dict, prefix: str, source) -> tuple:
+    """(basis, coefficients) of the field whose keys start with `prefix`."""
+    key = f"{prefix}.n_bases"
+    if int(_need(kv, key)) != 1:
+        raise ValueError(
+            f"{source}: {key} is {kv[key]}, but a field is one expansion "
+            "in one basis family, so it must be 1"
         )
-        terms.append((kind, parse_floats(_need(kv, f"{b}.coefficients"))))
-    return tuple(terms)
+    b = f"{prefix}.basis_0"
+    basis = Basis(
+        _need(kv, f"{b}.family"),
+        alpha=float(_need(kv, f"{b}.alpha")),
+        beta=float(_need(kv, f"{b}.beta")),
+    )
+    return basis, parse_floats(_need(kv, f"{b}.coefficients"))
 
 
 def _check_columns(columns: list, n_inputs: int, source) -> None:
@@ -118,7 +120,9 @@ def text_to_model(text: str, source="model text") -> PcegpModel:
     `source` names the text in the error for a line that is not
     `key = value` (`data.read_kv`), for a format tag other than
     `FORMAT_TAG` (a `-1` file's noise expansion is not of the log), for a
-    noise mode other than `fixed` and `pce`, and for a `meta.columns` list
+    noise mode other than `fixed` and `pce`, for a field whose `n_bases`
+    is not 1 (a field is one expansion in one family), and for a
+    `meta.columns` list
     that names a column twice or does not name one column per input:
     `pcegp predict` maps query columns to the inputs by that list, so such
     a model would predict from the wrong columns.
@@ -147,7 +151,7 @@ def text_to_model(text: str, source="model text") -> PcegpModel:
         p = f"kernel_{i}"
         form = KernelForm(_need(kv, f"{p}.form"), shape=float(_need(kv, f"{p}.shape")))
         scale = float(_need(kv, f"{p}.scale"))
-        field = LengthscaleField(terms=_parse_terms(kv, p), n_inputs=n_inputs)
+        field = LengthscaleField(*_parse_field(kv, p, source), n_inputs=n_inputs)
         entries.append((form, scale, field))
     stack = KernelStack(tuple(entries))
 
@@ -157,7 +161,7 @@ def text_to_model(text: str, source="model text") -> PcegpModel:
     if mode == "fixed":
         noise = NoiseField.fixed(float(_need(kv, "noise.value")))
     else:
-        noise = NoiseField.pce(_parse_terms(kv, "noise"))
+        noise = NoiseField.pce(*_parse_field(kv, "noise", source))
 
     scalers = {}
     for name in ("input_scaler", "output_scaler"):
@@ -183,13 +187,13 @@ def load_model(path) -> PcegpModel:
         return text_to_model(fh.read(), path)
 
 
-def _signed(c: float) -> str:
-    # full-precision signed term so descriptions parse back exactly
-    return ("+" if c >= 0.0 else "-") + repr(abs(float(c)))
-
-
-def _poly_string(coeffs) -> str:
-    return " ".join(f"{_signed(c)}*phi_{d}" for d, c in enumerate(coeffs))
+def _field_string(field) -> str:
+    """`[family](x) = +c0*phi_0 ...` at full precision, which parses back exactly."""
+    terms = " ".join(
+        ("+" if c >= 0.0 else "-") + f"{abs(float(c))!r}*phi_{d}"
+        for d, c in enumerate(field.coefficients)
+    )
+    return f"[{field.basis.label()}](x) = {terms}"
 
 
 def describe_model(model: PcegpModel) -> str:
@@ -211,14 +215,12 @@ def describe_model(model: PcegpModel) -> str:
             head += f" (shape {form.shape:g})"
         out.append(head)
         out.append(f"  output scale sigma_f^2 = {_f(scale * scale)}")
-        for kind, coeffs in ls_field.terms:
-            out.append(f"  lengthscale[{kind.label()}](x) = {_poly_string(coeffs)}")
+        out.append(f"  lengthscale{_field_string(ls_field)}")
     if model.noise.mode == "fixed":
         out.append(f"noise variance: fixed {_f(model.noise.value)}")
     else:
         out.append("noise variance: log link, exp(mean_d log_noise(x_d))")
-        for kind, coeffs in model.noise.terms:
-            out.append(f"  log_noise[{kind.label()}](x) = {_poly_string(coeffs)}")
+        out.append(f"  log_noise{_field_string(model.noise)}")
     out.append(
         f"input scaler: {model.input_scaler.kind}; "
         f"output scaler: {model.output_scaler.kind}"
@@ -227,42 +229,40 @@ def describe_model(model: PcegpModel) -> str:
     return "\n".join(out) + "\n"
 
 
-def _parse_poly(rhs: str) -> np.ndarray:
+def _parse_field_string(line: str) -> tuple:
+    """(family label, coefficients) from a `_field_string` line."""
+    label = line.split("[", 1)[1].split("]", 1)[0]
     coeffs = {}
-    for token in rhs.split():
+    for token in line.split(" = ", 1)[1].split():
         value, phi = token.split("*phi_")
         coeffs[int(phi)] = float(value)
-    return np.array([coeffs[d] for d in range(len(coeffs))], dtype=float)
+    return label, np.array([coeffs[d] for d in range(len(coeffs))], dtype=float)
 
 
 def parse_description(text: str) -> dict:
     """Recover the hyperparameter content of a `describe_model` report.
 
-    Returns {"kernels": [{"form", "scale2", "terms": [(label, coeffs)]}],
-    "noise": {"mode", ...}}. Exact inverse for every printed coefficient.
+    Returns {"kernels": [{"form", "scale2", "lengthscale": (label, coeffs)}],
+    "noise": {"mode": "fixed", "value"} or {"mode": "pce", "log_noise":
+    (label, coeffs)}}: one (family label, coefficients) pair per field.
+    Exact inverse for every printed coefficient.
     """
     kernels = []
     noise: dict = {}
-    current = None
     for line in text.splitlines():
         stripped = line.strip()
         if line.startswith("kernel ") and ": " in line:
-            current = {"form": line.split(": ", 1)[1].split(" (")[0], "terms": []}
-            kernels.append(current)
+            kernels.append({"form": line.split(": ", 1)[1].split(" (")[0]})
         elif stripped.startswith("output scale sigma_f^2 = "):
-            current["scale2"] = float(stripped.split(" = ", 1)[1])
+            kernels[-1]["scale2"] = float(stripped.split(" = ", 1)[1])
         elif stripped.startswith("lengthscale["):
-            label = stripped.split("[", 1)[1].split("]", 1)[0]
-            current["terms"].append(
-                (label, _parse_poly(stripped.split(" = ", 1)[1]))
-            )
+            kernels[-1]["lengthscale"] = _parse_field_string(stripped)
         elif stripped.startswith("noise variance: fixed "):
             noise = {"mode": "fixed", "value": float(stripped.rsplit(" ", 1)[1])}
         elif stripped.startswith("noise variance: log link"):
-            noise = {"mode": "pce", "terms": []}
+            noise = {"mode": "pce"}
         elif stripped.startswith("log_noise["):
-            label = stripped.split("[", 1)[1].split("]", 1)[0]
-            noise["terms"].append((label, _parse_poly(stripped.split(" = ", 1)[1])))
+            noise["log_noise"] = _parse_field_string(stripped)
     if not kernels or not noise:
         raise ValueError("text is not a model description")
     return {"kernels": kernels, "noise": noise}

@@ -179,15 +179,11 @@ def test_criterion_05_gradient_oracle():
         ][seed % 4]
         entries = []
         for form in forms:
-            field = LengthscaleField(
-                ((Basis.legendre01(), rng.normal(size=3)),), 3
-            )
+            field = LengthscaleField(Basis.legendre01(), rng.normal(size=3), 3)
             entries.append((form, float(rng.uniform(0.5, 1.5)), field))
         stack = KernelStack(tuple(entries))
         if seed % 2:
-            noise = NoiseField.pce(
-                [(Basis.legendre01(), rng.uniform(0.2, 0.6, size=2))]
-            )
+            noise = NoiseField.pce(Basis.legendre01(), rng.uniform(0.2, 0.6, size=2))
         else:
             noise = NoiseField.fixed(1e-2)
         pts = rng.uniform(size=(8, 3))
@@ -208,7 +204,7 @@ def test_criterion_06_stationary_reduction():
     worst = 0.0
     for form in ALL_FORMS:
         for c in (0.5, 1.0, 2.0):
-            field = LengthscaleField(((Basis.legendre01(), [c]),), 3)
+            field = LengthscaleField(Basis.legendre01(), [c], 3)
             for _ in range(100):
                 a, b = rng.uniform(-2.0, 2.0, size=(2, 3))
                 scale = float(rng.uniform(0.5, 2.0))
@@ -231,7 +227,7 @@ def test_criterion_07_gram_psd():
             form = ALL_FORMS[int(rng.integers(0, 4))]
             degree = int(rng.integers(0, 3))
             field = LengthscaleField(
-                ((Basis.legendre01(), rng.normal(size=degree + 1)),), n_x
+                Basis.legendre01(), rng.normal(size=degree + 1), n_x
             )
             entries.append((form, float(rng.uniform(0.3, 2.0)), field))
         stack = KernelStack(tuple(entries))
@@ -274,9 +270,9 @@ def test_criterion_09_interpolation():
         stack = KernelStack(
             (
                 (KernelForm.se(), 1.0,
-                 LengthscaleField(((Basis.legendre01(), [1.0]),), 2)),
+                 LengthscaleField(Basis.legendre01(), [1.0], 2)),
                 (KernelForm.matern32(), 0.8,
-                 LengthscaleField(((Basis.legendre01(), [0.7, 0.2]),), 2)),
+                 LengthscaleField(Basis.legendre01(), [0.7, 0.2], 2)),
             )
         )
         noise = NoiseField.fixed(1e-10)
@@ -313,7 +309,7 @@ def test_criterion_10_synthetic_warp_recovery():
 
     space = SearchSpace(
         kernel_forms=(KernelForm.se(),),
-        bases=(Basis.legendre01(),),
+        basis=Basis.legendre01(),
         q_range=(0, 2),
         # the exact warp needs coefficients (24, 18) after min-max scaling
         coeff_range=(-25.0, 25.0),
@@ -367,7 +363,7 @@ def test_criterion_11_report_determinism():
         inner_n_folds=2,
         space=SearchSpace(
             kernel_forms=(KernelForm.se(), KernelForm.matern32()),
-            bases=(Basis.legendre01(),),
+            basis=Basis.legendre01(),
             q_range=(0, 1),
             scale_range=(1e-2, 10.0),
             noise_fixed=1e-4,

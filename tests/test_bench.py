@@ -36,7 +36,7 @@ def _sin_dataset(n=24, seed=3):
 def _tiny_space():
     return SearchSpace(
         kernel_forms=(KernelForm.se(),),
-        bases=(Basis.legendre01(),),
+        basis=Basis.legendre01(),
         q_range=(0, 1),
         coeff_range=(-2.0, 2.0),
         scale_range=(1e-2, 10.0),
@@ -119,7 +119,7 @@ def test_benchmark_space_shape():
         "matern_3_2",
         "rational_quadratic",
     ]
-    assert space.bases[0].label() == "legendre_shifted_01"
+    assert space.basis == Basis.legendre01()
     assert space.q_range == (5, 10)
     assert space.noise_fixed == 1e-4
     # shared degree + 4 blocks of 11 coefficients + 4 squared scales

@@ -386,6 +386,38 @@ def test_bad_config_value_is_usage_error(tmp_path, capsys):
     assert "n_folds" in capsys.readouterr().err
 
 
+
+@pytest.mark.parametrize(
+    "settings, message",
+    [
+        (["kernels=rq", "rq_shape=-1"], "shape"),
+        (["kernels=rq", "rq_shape=nan"], "shape"),
+        (["basis=jacobi", "jacobi_alpha=-2"], "jacobi"),
+        (["basis=jacobi", "jacobi_alpha=nan"], "jacobi"),
+        (["noise=nan"], "fixed noise"),
+        (["noise=inf"], "fixed noise"),
+        (["coeff_min=nan"], "coeff_range"),
+        (["scale_max=inf"], "scale_range"),
+    ],
+    ids=["rq-negative", "rq-nan", "jacobi-below-minus-one", "jacobi-nan",
+         "noise-nan", "noise-inf", "coeff-nan", "scale-inf"],
+)
+def test_an_impossible_space_value_is_a_usage_error_before_the_search(
+    tmp_path, capsys, settings, message
+):
+    # exit 2 before any trial runs, not a failed search or a numpy range
+    # error after it
+    data = bench_csv(tmp_path)
+    overrides = [arg for item in settings for arg in ("--set", item)]
+    for sub, base in (("fit", FAST_FIT), ("benchmark", BENCH_ARGS),
+                      ("baseline", BENCH_ARGS)):
+        assert main([
+            sub, "--set", f"dataset={data}", "--set", "target=y",
+            "--output", str(tmp_path / f"{sub}.txt"), *base, *overrides,
+        ]) == 2
+        assert message in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == [data]  # nothing written
+
 @pytest.mark.parametrize(
     "sub, settings, message",
     [
@@ -608,8 +640,9 @@ def test_inspect_round_trips_coefficients(tmp_path, train_file, capsys):
     parsed = parse_description(text)
     model = load_model(model_path)
     (form, scale, ls_field) = model.stack.entries[0]
+    assert parsed["kernels"][0]["lengthscale"][0] == ls_field.basis.label()
     np.testing.assert_array_equal(
-        parsed["kernels"][0]["terms"][0][1], ls_field.terms[0][1]
+        parsed["kernels"][0]["lengthscale"][1], ls_field.coefficients
     )
     assert parsed["kernels"][0]["scale2"] == scale * scale
     assert parsed["noise"] == {"mode": "fixed", "value": model.noise.value}

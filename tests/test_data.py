@@ -132,7 +132,7 @@ def _predict_model_file(folder, n_x):
     """A tiny model over inputs a0.. and target y, saved for `pcegp predict`."""
     rng = np.random.default_rng(n_x)
     x, y = rng.uniform(size=(6, n_x)), rng.normal(size=6)
-    field = LengthscaleField(((Basis.legendre01(), np.array([1.0])),), n_x)
+    field = LengthscaleField(Basis.legendre01(), np.array([1.0]), n_x)
     stack = KernelStack(((KernelForm.se(), 1.0, field),))
     names = [f"a{i}" for i in range(n_x)]
     model = fit_precompute(

@@ -37,7 +37,7 @@ def factored_gram(stack, noise, points):
 
 
 def const_field(c, n_inputs):
-    return LengthscaleField(((Basis.legendre01(), [c]),), n_inputs)
+    return LengthscaleField(Basis.legendre01(), [c], n_inputs)
 
 
 def random_stack(rng, n_inputs, forms=None, degree=2):
@@ -45,7 +45,7 @@ def random_stack(rng, n_inputs, forms=None, degree=2):
     entries = []
     for form in forms:
         coeffs = rng.normal(size=degree + 1)
-        field = LengthscaleField(((Basis.legendre01(), coeffs),), n_inputs)
+        field = LengthscaleField(Basis.legendre01(), coeffs, n_inputs)
         entries.append((form, float(rng.uniform(0.5, 1.5)), field))
     return KernelStack(tuple(entries))
 
@@ -152,7 +152,7 @@ def test_gradient_matches_finite_differences_many_seeds():
         ][seed % 3]
         stack = random_stack(rng, 3, forms=forms)
         if seed % 4:
-            noise = NoiseField.pce([(Basis.legendre01(), log_noise_coefficients(rng))])
+            noise = NoiseField.pce(Basis.legendre01(), log_noise_coefficients(rng))
         else:
             noise = NoiseField.fixed(1e-2)
         pts = rng.uniform(size=(8, 3))
@@ -166,26 +166,20 @@ def test_gradient_matches_finite_differences_many_seeds():
     # that tiny distance puts an order-one error into the gradient
     pts = np.linspace(0.0, 1.0, 17)[:, None]
     pts[[0, 16]] = 0.09015444400489915
-    field = LengthscaleField(((Basis.legendre01(), [1.0, 0.0, -2.75]),), 1)
+    field = LengthscaleField(Basis.legendre01(), [1.0, 0.0, -2.75], 1)
     stack = KernelStack(((KernelForm.ae(), 1.0, field),))
     cases.append((stack, NoiseField.fixed(1e-2), pts, pts[:, 0]))
-    # fields of two basis families, terms of unequal length, and a two-term
-    # noise expansion: each coefficient's gradient must pair with the basis
-    # values of its own term, in term order
+    # entries of two basis families and unequal degrees, and a noise
+    # expansion in a third: each coefficient's gradient must pair with the
+    # basis values of its own field, in field order
     rng = np.random.default_rng(140)
-    entries = []
-    for form in (KernelForm.se(), KernelForm.matern32()):
-        terms = (
-            (Basis.legendre01(), np.r_[1.5, 0.4 * rng.normal(size=3)]),
-            (Basis.jacobi(1.0, 0.5), 0.3 * rng.normal(size=2)),
-        )
-        entries.append((form, float(rng.uniform(0.5, 1.5)), LengthscaleField(terms, 3)))
-    stack = KernelStack(tuple(entries))
-    noise_terms = [
-        (Basis.legendre01(), [0.3, 0.05, 0.02]),
-        (Basis.jacobi(1.0, 0.5), [0.1, 0.03]),
-    ]
-    noise = NoiseField.pce(noise_terms)
+    stack = KernelStack((
+        (KernelForm.se(), float(rng.uniform(0.5, 1.5)), LengthscaleField(
+            Basis.legendre01(), np.r_[1.5, 0.4 * rng.normal(size=3)], 3)),
+        (KernelForm.matern32(), float(rng.uniform(0.5, 1.5)), LengthscaleField(
+            Basis.jacobi(1.0, 0.5), np.r_[1.2, 0.3 * rng.normal(size=1)], 3)),
+    ))
+    noise = NoiseField.pce(Basis.hermite(), [0.4, 0.05, 0.02])
     cases.append((stack, noise, rng.uniform(size=(8, 3)), rng.normal(size=8)))
     # a squared-exponential entry first, last and alone, on duplicated rows:
     # its argument is its values, and its derivative-weighted A overwrites
@@ -204,7 +198,7 @@ def test_gradient_matches_finite_differences_many_seeds():
         if seed < 3:
             noise = NoiseField.fixed(1e-2)
         else:
-            noise = NoiseField.pce([(Basis.legendre01(), log_noise_coefficients(rng))])
+            noise = NoiseField.pce(Basis.legendre01(), log_noise_coefficients(rng))
         pts = rng.uniform(size=(9, 3))
         pts[[6, 7, 8]] = pts[[1, 4, 1]]  # row 1 three times, row 4 twice
         cases.append((stack, noise, pts, rng.normal(size=9), 1e-4))
@@ -228,18 +222,18 @@ ANY_BASIS = st.one_of(
 
 
 def bounded_field(rng, kind, degree, n_inputs):
-    """One term of `kind` up to `degree`, its degree-k coefficient scaled by
+    """A field of `kind` up to `degree`, its degree-k coefficient scaled by
     1 / ((1 + k) max |phi_k|) over [0, 1]: the field stays O(1) there for
     every family, where unscaled degree-10 terms reach thousands."""
     peak = np.abs(eval_basis(kind, degree, np.linspace(0.0, 1.0, 65))).max(axis=1)
     coeffs = rng.normal(size=degree + 1) / (peak * (1.0 + np.arange(degree + 1)))
-    return LengthscaleField(((kind, coeffs),), n_inputs)
+    return LengthscaleField(kind, coeffs, n_inputs)
 
 
 @settings(max_examples=60, deadline=None, database=None, derandomize=True)
 @given(
     n_x=st.integers(1, 3),
-    bases=st.lists(ANY_BASIS, min_size=4, max_size=4),
+    families=st.lists(ANY_BASIS, min_size=4, max_size=4),
     degrees=st.lists(st.integers(0, 10), min_size=4, max_size=4),
     rows=st.lists(st.integers(0, 5), min_size=7, max_size=12),
     shape=st.sampled_from([0.35, 1.0, 4.0]),
@@ -247,7 +241,7 @@ def bounded_field(rng, kind, degree, n_inputs):
     seed=st.integers(0, 2**32 - 1),
 )
 def test_four_form_gradient_on_duplicated_rows_matches_finite_differences(
-    n_x, bases, degrees, rows, shape, noise_pce, seed
+    n_x, families, degrees, rows, shape, noise_pce, seed
 ):
     # every form's contraction from its argument, in one stack whose entries
     # each draw a basis family (Jacobi with alpha, beta > -1) and a degree up
@@ -266,10 +260,10 @@ def test_four_form_gradient_on_duplicated_rows_matches_finite_differences(
              KernelForm.rq(shape)]
     stack = KernelStack(tuple(
         (form, float(rng.uniform(0.5, 1.5)), bounded_field(rng, kind, degree, n_x))
-        for form, kind, degree in zip(forms, bases, degrees)
+        for form, kind, degree in zip(forms, families, degrees)
     ))
     if noise_pce:
-        noise = NoiseField.pce([(Basis.legendre01(), log_noise_coefficients(rng))])
+        noise = NoiseField.pce(Basis.legendre01(), log_noise_coefficients(rng))
     else:
         noise = NoiseField.fixed(float(10.0 ** rng.uniform(-2.0, -1.0)))
     pts = rng.uniform(size=(6, n_x))[rows]
@@ -316,15 +310,15 @@ NOISE_BASES = (Basis.legendre01(), Basis.legendre(), Basis.hermite(),
 
 @settings(max_examples=60, deadline=None, database=None, derandomize=True)
 @given(
-    families=st.lists(st.sampled_from(NOISE_BASES), min_size=1, max_size=2),
-    degrees=st.tuples(st.integers(1, 4), st.integers(0, 4)),
+    family=st.sampled_from(NOISE_BASES),
+    degree=st.integers(1, 4),
     n_x=st.integers(1, 3),
     n=st.integers(4, 30),
     log_noise=st.floats(-30.0, 2.0),
     seed=st.integers(0, 2**32 - 1),
 )
 def test_noise_gradient_is_variance_weighted_diagonal_of_a(
-    families, degrees, n_x, n, log_noise, seed
+    family, degree, n_x, n, log_noise, seed
 ):
     # d sigma^2(x_i) / d c_m = sigma^2(x_i) phi_m(x_i), phi averaged over
     # the coordinates, so the noise block is 0.5 sum_i sigma^2(x_i) A_ii
@@ -332,21 +326,17 @@ def test_noise_gradient_is_variance_weighted_diagonal_of_a(
     # variance of -30 is far below where finite differences resolve it)
     rng = np.random.default_rng(seed)
     x, y = rng.uniform(size=(n, n_x)), rng.normal(size=n)
-    terms = [(kind, rng.uniform(-0.5, 0.5, size=deg + 1))
-             for kind, deg in zip(families, degrees)]
-    terms[0][1][0] += log_noise
-    noise = NoiseField.pce(terms)
+    coeffs = rng.uniform(-0.5, 0.5, size=degree + 1)
+    coeffs[0] += log_noise
+    noise = NoiseField.pce(family, coeffs)
     stack = random_stack(rng, n_x, forms=[KernelForm.se(), KernelForm.rq(1.5)])
-    # sens[m, i]: phi_m averaged over the coordinates of point i, term by term
-    sens = np.concatenate([
-        eval_basis(kind, c.size - 1, x).reshape(c.size, n, n_x).mean(axis=2)
-        for kind, c in terms
-    ])
-    variances = np.exp(sens.T @ np.concatenate([c for _, c in terms]))
+    # sens[m, i]: phi_m averaged over the coordinates of point i
+    sens = eval_basis(family, degree, x).reshape(degree + 1, n, n_x).mean(axis=2)
+    variances = np.exp(sens.T @ coeffs)
 
     grad = mll_gradient(stack, noise, x, y)
-    n_ls = sum(c.size for f in stack.fields for _, c in f.terms)
-    got = grad[n_ls : n_ls + sens.shape[0]]
+    n_ls = sum(f.coefficients.size for f in stack.fields)
+    got = grad[n_ls : n_ls + degree + 1]
     a = _likelihood_core(noisy_gram(stack, noise, x)[1], y, "oracle", gradient=True).a
     want = 0.5 * sens @ (variances * np.diag(a))
     scale = 0.5 * np.abs(sens) @ np.abs(variances * np.diag(a))
@@ -356,13 +346,13 @@ def test_noise_gradient_is_variance_weighted_diagonal_of_a(
 def test_parameter_round_trip():
     rng = np.random.default_rng(5)
     stack = random_stack(rng, 2)
-    # a second basis family in the first entry: its terms flatten in order
-    form, scale, field = stack.entries[0]
-    two_family = LengthscaleField(
-        field.terms + ((Basis.hermite(), rng.normal(size=2)),), 2
-    )
-    stack = KernelStack(((form, scale, two_family),) + stack.entries[1:])
-    noise = NoiseField.pce([(Basis.legendre01(), [0.5, 0.1])])
+    # a first entry of another family and degree than the second, and a
+    # noise of a third family: each keeps its family, and the coefficients
+    # flatten in field order
+    form, scale, _ = stack.entries[0]
+    jacobi = LengthscaleField(Basis.jacobi(1.0, 0.5), rng.normal(size=5), 2)
+    stack = KernelStack(((form, scale, jacobi),) + stack.entries[1:])
+    noise = NoiseField.pce(Basis.hermite(), [0.5, 0.1])
     theta = free_parameters(stack, noise)
     assert theta.size == 5 + 3 + 2 + 2
     s2, n2 = with_free_parameters(stack, noise, theta)
@@ -371,8 +361,10 @@ def test_parameter_round_trip():
     moved = theta.copy()
     moved[:-2] += 1.0  # every coefficient, not the squared scales
     s3, n3 = with_free_parameters(stack, noise, moved)
-    np.testing.assert_array_equal(s3.entries[0][2].terms[1][1], theta[3:5] + 1.0)
-    np.testing.assert_array_equal(n3.terms[0][1], [1.5, 1.1])
+    np.testing.assert_array_equal(s3.entries[0][2].coefficients, theta[:5] + 1.0)
+    assert [f.basis for f in s3.fields] == [Basis.jacobi(1.0, 0.5), Basis.legendre01()]
+    np.testing.assert_array_equal(n3.coefficients, [1.5, 1.1])
+    assert n3.basis == Basis.hermite()
     np.testing.assert_allclose(free_parameters(s3, n3), moved, atol=1e-15)
     np.testing.assert_array_equal(free_parameters(stack, noise), theta)  # untouched
     for wrong in (theta[:-1], np.append(theta, 1.0)):
@@ -557,7 +549,7 @@ def test_degree_5_log_noise_gives_finite_variances_just_outside_the_box():
     # the top of its range
     space = SearchSpace(
         kernel_forms=(KernelForm.se(), KernelForm.matern32()),
-        bases=(Basis.legendre01(),), q_range=(0, 2), r_range=(5, 5),
+        basis=Basis.legendre01(), q_range=(0, 2), r_range=(5, 5),
         noise_fixed=None,
     )
     rng = np.random.default_rng(22)

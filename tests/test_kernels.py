@@ -43,12 +43,12 @@ ALL_FORMS = [
 
 
 def const_field(c, n_inputs):
-    return LengthscaleField(((Basis.legendre01(), [c]),), n_inputs)
+    return LengthscaleField(Basis.legendre01(), [c], n_inputs)
 
 
 def random_field(rng, n_inputs, degree=3, scale=1.0):
     coeffs = rng.normal(size=degree + 1) * scale
-    return LengthscaleField(((Basis.legendre01(), coeffs),), n_inputs)
+    return LengthscaleField(Basis.legendre01(), coeffs, n_inputs)
 
 
 def pointwise_sum(stack, x, x2):
@@ -112,6 +112,12 @@ def test_stationary_validation():
         KernelForm("periodic")
 
 
+@pytest.mark.parametrize("shape", [np.nan, np.inf])
+def test_rational_quadratic_shape_must_be_finite_and_positive(shape):
+    with pytest.raises(ValueError, match="shape"):
+        KernelForm.rq(shape)
+
+
 # ---------------------------------------------------------------------------
 # warped (non-stationary) forms
 # ---------------------------------------------------------------------------
@@ -162,14 +168,14 @@ def test_warped_kernel_symmetry():
 
 
 def test_warp_points_is_hadamard_product():
-    field = LengthscaleField(((Basis.legendre01(), [0.0, 1.0]),), 2)
+    field = LengthscaleField(Basis.legendre01(), [0.0, 1.0], 2)
     pts = np.array([[0.25, 0.75]])
     # l(x) = 2x - 1 per coordinate -> w = (2x-1) * x
     np.testing.assert_allclose(warp_points(field, pts), [[-0.125, 0.375]], atol=1e-14)
     # two copies of one point warp to the same bits wherever they sit
     pts = np.linspace(0.0, 1.0, 9)[:, None]
     pts[[0, 8]] = 0.09015444400489915
-    field = LengthscaleField(((Basis.legendre01(), [1.0, 0.0, -2.75]),), 1)
+    field = LengthscaleField(Basis.legendre01(), [1.0, 0.0, -2.75], 1)
     w = warp_points(field, pts)
     assert w[0, 0] == w[8, 0]
 
@@ -361,7 +367,7 @@ def test_gram_sqdist_matches_cdist_with_duplicate_rows(n_x, rows, data):
         st.lists(unit, min_size=n_x, max_size=n_x), min_size=6, max_size=6
     )))
     coeffs = data.draw(st.lists(st.floats(-3.0, 3.0), min_size=1, max_size=4))
-    field = LengthscaleField(((Basis.legendre01(), coeffs),), n_x)
+    field = LengthscaleField(Basis.legendre01(), coeffs, n_x)
     stack = KernelStack(((KernelForm.ae(), 1.0, field),))
     check_condensed_assembly(stack, pool[rows], rows)
 

@@ -73,7 +73,7 @@ def _stack(rng, n_inputs, forms):
     entries = []
     for form in forms:
         coeffs = np.r_[2.0, 0.5 * rng.normal(size=2)]
-        field = LengthscaleField(((Basis.legendre01(), coeffs),), n_inputs)
+        field = LengthscaleField(Basis.legendre01(), coeffs, n_inputs)
         entries.append((form, float(rng.uniform(0.5, 1.5)), field))
     return KernelStack(tuple(entries))
 
@@ -81,7 +81,7 @@ def _stack(rng, n_inputs, forms):
 def _space():
     return SearchSpace(
         kernel_forms=(KernelForm.se(), KernelForm.matern32()),
-        bases=(Basis.legendre01(),),
+        basis=Basis.legendre01(),
         q_range=(1, 2),
         coeff_range=(-1.0, 1.0),
         scale_range=(0.5, 2.0),
@@ -222,7 +222,7 @@ def test_fine_tune_evaluates_the_basis_on_its_training_points_once(
     space = benchmark_space()
     if not noise_fixed:
         space = SearchSpace(
-            kernel_forms=space.kernel_forms, bases=space.bases, q_range=(2, 3),
+            kernel_forms=space.kernel_forms, basis=space.basis, q_range=(2, 3),
             r_range=(5, 5), noise_fixed=None,
         )
     rng = np.random.default_rng(16)
@@ -310,7 +310,7 @@ def test_gradient_through_a_workspace_allocates_no_n_by_n_array():
 
 def test_a_reused_workspace_gives_the_bits_of_a_fresh_one():
     rng = np.random.default_rng(14)
-    noise = NoiseField.pce(((Basis.legendre01(), [-3.0, 0.2]),))
+    noise = NoiseField.pce(Basis.legendre01(), [-3.0, 0.2])
     workspace = Workspace()
     # first a larger N and a longer stack, then a smaller split
     big = _stack(rng, 2, [KernelForm.se(), KernelForm.ae(), KernelForm.matern32(),
@@ -373,13 +373,12 @@ def test_models_that_outlive_an_evaluation_own_their_factor():
 
 
 FORMS = (KernelForm.se(), KernelForm.ae(), KernelForm.matern32(), KernelForm.rq(1.5))
-BASES = (Basis.legendre01(), Basis.jacobi(1.0, 0.5))
+FAMILIES = (Basis.legendre01(), Basis.jacobi(1.0, 0.5))
 
 
 @settings(max_examples=80, deadline=None, database=None, derandomize=True)
 @given(
     forms=st.lists(st.sampled_from(FORMS), min_size=1, max_size=4),
-    n_bases=st.integers(1, 2),
     q_max=st.integers(0, 4),
     noise_degree=st.one_of(st.none(), st.integers(0, 4)),
     n_x=st.integers(1, 3),
@@ -387,27 +386,27 @@ BASES = (Basis.legendre01(), Basis.jacobi(1.0, 0.5))
     seed=st.integers(0, 2**32 - 1),
 )
 def test_value_only_fit_gives_the_bits_of_the_summed_parts(
-    forms, n_bases, q_max, noise_degree, n_x, rows, seed
+    forms, q_max, noise_degree, n_x, rows, seed
 ):
     # the value-only path adds each entry into K as it is formed; the
     # gradient's assembly keeps every component and sums them. Rows index a
-    # pool of eight points, so they repeat
+    # pool of eight points, so they repeat. Each field draws its family, so
+    # the entries and the noise may differ in it
     rng = np.random.default_rng(seed)
 
-    def terms(degree, low, high):
-        return tuple(
-            (kind, rng.uniform(low, high, size=int(rng.integers(0, degree + 1)) + 1))
-            for kind in BASES[:n_bases]
-        )
+    def expansion(degree, low, high):
+        kind = FAMILIES[int(rng.integers(len(FAMILIES)))]
+        return kind, rng.uniform(low, high, size=int(rng.integers(0, degree + 1)) + 1)
 
     stack = KernelStack(tuple(
-        (form, float(rng.uniform(0.3, 2.0)), LengthscaleField(terms(q_max, -3.0, 3.0), n_x))
+        (form, float(rng.uniform(0.3, 2.0)),
+         LengthscaleField(*expansion(q_max, -3.0, 3.0), n_x))
         for form in forms
     ))
     if noise_degree is None:
         noise = NoiseField.fixed(float(10.0 ** rng.uniform(-14, -1)))
     else:
-        noise = NoiseField.pce(terms(noise_degree, -4.0, 0.5))
+        noise = NoiseField.pce(*expansion(noise_degree, -4.0, 0.5))
     x = rng.uniform(size=(8, n_x))[rows]
     y = rng.normal(size=len(rows))
 
@@ -536,7 +535,7 @@ def test_a_cold_refit_of_one_se_entry_keeps_k_as_its_factor(monkeypatch):
     n, d = 687, 8
     rng = np.random.default_rng(22)
     space = SearchSpace(
-        kernel_forms=(KernelForm.se(),), bases=(Basis.legendre01(),), q_range=(5, 10)
+        kernel_forms=(KernelForm.se(),), basis=Basis.legendre01(), q_range=(5, 10)
     )
     stack, noise = space.build_stack(random_suggest(space, rng), d)
     x, y = rng.uniform(size=(n, d)), rng.normal(size=n)
@@ -637,7 +636,7 @@ def test_a_cv_tall_search_holds_k_and_one_distance_buffer():
     n, d = 1030, 8
     rng = np.random.default_rng(25)
     ds = Dataset(rng.uniform(size=(n, d)), rng.normal(size=n), tuple("abcdefgh"), "y")
-    space = SearchSpace(kernel_forms=(KernelForm.se(),), bases=(Basis.legendre01(),),
+    space = SearchSpace(kernel_forms=(KernelForm.se(),), basis=Basis.legendre01(),
                         q_range=(1, 3), noise_fixed=1e-4)
     big = make_folds(n, 3, seed=0).largest_train_size
     assert big == 687
@@ -768,7 +767,7 @@ def test_stored_warps_predict_like_a_fresh_cross_matrix(tmp_path):
 
 @pytest.mark.parametrize("noise", [
     NoiseField.fixed(1e-2),
-    NoiseField.pce(((Basis.legendre01(), [-3.0, 0.4, -0.2]),)),
+    NoiseField.pce(Basis.legendre01(), [-3.0, 0.4, -0.2]),
 ])
 def test_blocked_prediction_matches_one_block(monkeypatch, noise):
     # up to one block the calls are those of a one-shot prediction, so the
@@ -874,7 +873,7 @@ def test_ard_baseline_at_equal_lengthscales_is_a_one_entry_stack(c):
     log_params = np.r_[np.full(d, -np.log(c)), np.log(s2), np.log(sn2)]
     neg, grad, _ = _ard_neg_mll_and_grad(log_params, x, y)
 
-    field = LengthscaleField(((Basis.legendre01(), [c]),), d)
+    field = LengthscaleField(Basis.legendre01(), [c], d)
     stack = KernelStack(((KernelForm.se(), float(np.sqrt(s2)), field),))
     noise = NoiseField.fixed(sn2)
     d_c, d_s2 = mll_gradient(stack, noise, x, y)

@@ -24,7 +24,7 @@ from pcegp.poly import Basis
 
 
 def random_field(rng, n_inputs):
-    return LengthscaleField(((Basis.legendre01(), rng.normal(size=4)),), n_inputs)
+    return LengthscaleField(Basis.legendre01(), rng.normal(size=4), n_inputs)
 
 
 def factor(n, seed):

@@ -31,7 +31,7 @@ from pcegp.poly import Basis
 def small_space(**kwargs):
     defaults = dict(
         kernel_forms=(KernelForm.se(),),
-        bases=(Basis.legendre01(),),
+        basis=Basis.legendre01(),
         q_range=(1, 1),
         coeff_range=(-2.0, 2.0),
         scale_range=(1e-2, 10.0),
@@ -55,7 +55,7 @@ def synthetic_dataset(rng, n=60):
 def test_space_parameter_count():
     space = SearchSpace(
         kernel_forms=(KernelForm.se(), KernelForm.matern32()),
-        bases=(Basis.legendre01(),),
+        basis=Basis.legendre01(),
         q_range=(5, 10),
         noise_fixed=1e-4,
     )
@@ -64,13 +64,13 @@ def test_space_parameter_count():
 
     searched = SearchSpace(
         kernel_forms=(KernelForm.se(),),
-        bases=(Basis.legendre01(), Basis.hermite()),
+        basis=Basis.hermite(),
         q_range=(0, 3),
         r_range=(0, 2),
         noise_fixed=None,
     )
-    # q + r + 1 kernel * 2 bases * 4 slots + 3 noise slots + 1 scale
-    assert searched.n_parameters == 2 + 8 + 3 + 1
+    # q + r + 1 kernel * 4 slots + 3 noise slots + 1 scale
+    assert searched.n_parameters == 2 + 4 + 3 + 1
 
 
 def test_space_validation():
@@ -86,6 +86,23 @@ def test_space_validation():
         small_space(r_range=(0, 2))  # both noise configs
 
 
+@pytest.mark.parametrize(
+    "settings, message",
+    [
+        ({"noise_fixed": math.nan}, "fixed noise"),
+        ({"noise_fixed": math.inf}, "fixed noise"),
+        ({"coeff_range": (math.nan, 2.0)}, "coeff_range"),
+        ({"coeff_range": (-2.0, math.inf)}, "coeff_range"),
+        ({"scale_range": (1e-3, math.inf)}, "scale_range"),
+    ],
+)
+def test_space_rejects_non_finite_values(settings, message):
+    # NaN passes every comparison's negation, inf every upper bound: both
+    # used to reach the search and fail there
+    with pytest.raises(ValueError, match=message):
+        small_space(**settings)
+
+
 def test_space_build_uses_active_slots_only():
     space = small_space(q_range=(0, 3))
     theta = np.zeros(space.n_parameters)
@@ -96,7 +113,8 @@ def test_space_build_uses_active_slots_only():
     (form, scale, field) = stack.entries[0]
     assert form.tag == "squared_exponential"
     assert scale == pytest.approx(2.0)  # sqrt of the squared scale
-    np.testing.assert_allclose(field.terms[0][1], [0.5, -0.3, 0.8])
+    assert field.basis == Basis.legendre01()
+    np.testing.assert_allclose(field.coefficients, [0.5, -0.3, 0.8])
     assert noise.mode == "fixed" and noise.value == 1e-2
 
     mask = space.active_mask(theta)
@@ -105,43 +123,43 @@ def test_space_build_uses_active_slots_only():
 
 
 FORMS = (KernelForm.se(), KernelForm.ae(), KernelForm.matern32(), KernelForm.rq(1.5))
-BASES = (Basis.legendre01(), Basis.jacobi(1.0, 0.5))
+FAMILIES = (Basis.legendre01(), Basis.jacobi(1.0, 0.5))
 
 
 def assert_same_model(got, want):
-    """Two (stack, noise) pairs agree bit for bit, term by term."""
+    """Two (stack, noise) pairs agree bit for bit, field by field."""
     (stack_g, noise_g), (stack_w, noise_w) = got, want
     assert len(stack_g.entries) == len(stack_w.entries)
-    pairs = [(noise_g.terms, noise_w.terms)]
+    pairs = [(noise_g, noise_w)]
     for (form_g, scale_g, field_g), (form_w, scale_w, field_w) in zip(
         stack_g.entries, stack_w.entries
     ):
         assert (form_g, field_g.n_inputs) == (form_w, field_w.n_inputs)
         assert np.float64(scale_g).tobytes() == np.float64(scale_w).tobytes()
-        pairs.append((field_g.terms, field_w.terms))
+        pairs.append((field_g, field_w))
     assert (noise_g.mode, noise_g.value) == (noise_w.mode, noise_w.value)
-    for terms_g, terms_w in pairs:
-        assert [kind for kind, _ in terms_g] == [kind for kind, _ in terms_w]
-        for (_, c_g), (_, c_w) in zip(terms_g, terms_w):
-            assert c_g.tobytes() == c_w.tobytes()
+    for field_g, field_w in pairs:
+        assert field_g.basis == field_w.basis
+        if field_g.coefficients is not None or field_w.coefficients is not None:
+            assert field_g.coefficients.tobytes() == field_w.coefficients.tobytes()
 
 
 @settings(max_examples=60, deadline=None, database=None, derandomize=True)
 @given(
     n_forms=st.integers(1, 4),
-    n_bases=st.integers(1, 2),
+    family=st.sampled_from(FAMILIES),
     q_max=st.integers(0, 4),
     r_max=st.one_of(st.none(), st.integers(0, 4)),
     seed=st.integers(0, 2**32 - 1),
 )
 def test_live_entries_are_the_free_parameters_in_order(
-    n_forms, n_bases, q_max, r_max, seed
+    n_forms, family, q_max, r_max, seed
 ):
     # the live entries of theta after its degrees are free_parameters of the
     # model it builds, so a refinement is stored back by index alone
     noise = {} if r_max is None else {"noise_fixed": None, "r_range": (0, r_max)}
     space = small_space(
-        kernel_forms=FORMS[:n_forms], bases=BASES[:n_bases], q_range=(0, q_max),
+        kernel_forms=FORMS[:n_forms], basis=family, q_range=(0, q_max),
         **noise,
     )
     rng = np.random.default_rng(seed)
@@ -178,8 +196,9 @@ def test_space_pce_noise_build():
     stack, noise = space.build_stack(theta, n_inputs=2)
     assert noise.mode == "pce"
     q, r = space.degrees(theta)
-    assert noise.terms[0][1].size == r + 1
-    assert stack.entries[0][2].terms[0][1].size == q + 1
+    assert noise.coefficients.size == r + 1
+    assert stack.entries[0][2].coefficients.size == q + 1
+    assert noise.basis == stack.entries[0][2].basis == space.basis
 
 
 # ---------------------------------------------------------------------------
@@ -365,8 +384,8 @@ def _scalar_tpe_suggest(history, space, rng, gamma=0.25, n_candidates=24):
 def test_tpe_scores_like_one_candidate_at_a_time(searched_noise):
     kwargs = dict(
         kernel_forms=(KernelForm.se(), KernelForm.ae()),
-        bases=(Basis.legendre01(), Basis.hermite()),
-        q_range=(0, 4),
+        basis=Basis.hermite(),
+        q_range=(0, 9),
     )
     if searched_noise:
         kwargs.update(r_range=(0, 3), noise_fixed=None)
@@ -629,6 +648,28 @@ def test_run_search_all_failures_raise(monkeypatch):
     with pytest.raises(RuntimeError, match="trial 0"):
         run_search(ds, small_space(), n_trials=2, n_initial=2, n_iterations=1,
                    n_folds=3, seed=11)
+
+
+def test_tpe_runs_once_two_trials_have_finished_and_its_errors_propagate(
+    monkeypatch,
+):
+    # the fallback to a random draw is by count, the rule of _split_history;
+    # an error of TPE itself is not turned into a random trial
+    import pcegp.optim as optim_mod
+
+    rng = np.random.default_rng(23)
+    ds = synthetic_dataset(rng, n=16)
+    finished = []
+
+    def broken(history, space, *args, **kwargs):
+        finished.append(sum(not t.failed for t in history))
+        raise ValueError("broken suggestion")
+
+    monkeypatch.setattr(optim_mod, "tpe_suggest", broken)
+    with pytest.raises(ValueError, match="broken suggestion"):
+        run_search(ds, small_space(), n_trials=4, n_initial=0, n_iterations=1,
+                   n_folds=3, seed=12)
+    assert finished == [2]
 
 
 def test_run_search_validation():

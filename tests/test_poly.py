@@ -187,6 +187,13 @@ def test_jacobi_parameter_validation():
     Basis.jacobi(-0.99, -0.99)  # boundary-adjacent values are fine
 
 
+@pytest.mark.parametrize("alpha, beta", [(np.nan, 0.0), (0.0, np.nan),
+                                         (np.inf, 0.0), (0.0, np.inf)])
+def test_jacobi_rejects_non_finite_parameters(alpha, beta):
+    with pytest.raises(ValueError, match="jacobi"):
+        Basis.jacobi(alpha, beta)
+
+
 def test_unknown_family_rejected():
     with pytest.raises(ValueError):
         Basis("chebyshev")

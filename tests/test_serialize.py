@@ -1,5 +1,6 @@
 """Round-trip tests for the flat text model format."""
 
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -32,25 +33,19 @@ def build_model(rng, noise_mode="fixed"):
             (
                 KernelForm.se(),
                 1.1,
-                LengthscaleField(((Basis.legendre01(), rng.normal(size=4)),), 2),
+                LengthscaleField(Basis.legendre01(), rng.normal(size=4), 2),
             ),
             (
                 KernelForm.rq(1.7),
                 0.6,
-                LengthscaleField(
-                    (
-                        (Basis.legendre01(), rng.normal(size=3)),
-                        (Basis.jacobi(0.5, 1.5), rng.normal(size=2)),
-                    ),
-                    2,
-                ),
+                LengthscaleField(Basis.jacobi(0.5, 1.5), rng.normal(size=3), 2),
             ),
         )
     )
     if noise_mode == "fixed":
         noise = NoiseField.fixed(1e-4)
     else:
-        noise = NoiseField.pce([(Basis.legendre01(), rng.uniform(0.1, 0.4, 2))])
+        noise = NoiseField.pce(Basis.legendre01(), rng.uniform(0.1, 0.4, 2))
     return fit_precompute(
         stack, noise, in_sc, out_sc, x, y, meta={"dataset": "demo.csv", "target": "y"}
     )
@@ -75,8 +70,8 @@ def test_round_trip_preserves_floats_exactly():
     assert np.array_equal(loaded.alpha_solve, model.alpha_solve)
     for (f1, s1, l1), (f2, s2, l2) in zip(model.stack.entries, loaded.stack.entries):
         assert f1 == f2 and s1 == s2
-        for (k1, c1), (k2, c2) in zip(l1.terms, l2.terms):
-            assert k1 == k2 and np.array_equal(c1, c2)
+        assert l1.basis == l2.basis
+        assert np.array_equal(l1.coefficients, l2.coefficients)
     assert loaded.meta == model.meta
 
 
@@ -105,7 +100,7 @@ def test_awkward_floats_survive():
     model = build_model(rng)
     # values with no short decimal representation
     c = np.array([0.1, 1.0 / 3.0, np.pi, 2.0 ** -45, 1e-17])
-    field = LengthscaleField(((Basis.legendre01(), c),), 2)
+    field = LengthscaleField(Basis.legendre01(), c, 2)
     stack = KernelStack(((KernelForm.se(), float(np.sqrt(2.0)), field),))
     model2 = fit_precompute(
         stack,
@@ -116,7 +111,7 @@ def test_awkward_floats_survive():
         rng.normal(size=5),
     )
     loaded = text_to_model(model_to_text(model2))
-    assert np.array_equal(loaded.stack.entries[0][2].terms[0][1], c)
+    assert np.array_equal(loaded.stack.entries[0][2].coefficients, c)
     assert loaded.stack.entries[0][1] == float(np.sqrt(2.0))
 
 
@@ -140,9 +135,9 @@ META_TEXT = st.builds(
             st.sampled_from(FAMILIES),
             st.builds(Basis.jacobi, st.floats(-0.9, 3.0), st.floats(-0.9, 3.0)),
         ),
-        min_size=1, max_size=2,
+        min_size=5, max_size=5,
     ),
-    degrees=st.lists(st.integers(0, 6), min_size=8, max_size=8),
+    degrees=st.lists(st.integers(0, 6), min_size=4, max_size=4),
     noise_degree=st.one_of(st.none(), st.integers(0, 6)),
     meta=st.dictionaries(st.from_regex(r"[a-z][a-z_]{0,7}", fullmatch=True), META_TEXT,
                          max_size=3),
@@ -152,24 +147,19 @@ META_TEXT = st.builds(
 def test_saving_a_loaded_model_gives_its_bytes(
     forms, families, degrees, noise_degree, meta, n_x, seed
 ):
+    # each entry in a family of its own, and the noise in the last one
     rng = np.random.default_rng(seed)
-    sizes = iter(degrees)
-
-    def terms(low, high):
-        return tuple(
-            (kind, rng.uniform(low, high, size=next(sizes) + 1)) for kind in families
-        )
-
     stack = KernelStack(tuple(
-        (form, float(rng.uniform(0.3, 2.0)), LengthscaleField(terms(-2.0, 2.0), n_x))
-        for form in forms
+        (form, float(rng.uniform(0.3, 2.0)),
+         LengthscaleField(kind, rng.uniform(-2.0, 2.0, size=degree + 1), n_x))
+        for form, kind, degree in zip(forms, families, degrees)
     ))
     if noise_degree is None:
         noise = NoiseField.fixed(float(10.0 ** rng.uniform(-4, -1)))
     else:
         coeffs = rng.uniform(-0.1, 0.1, size=noise_degree + 1)
         coeffs[0] -= 5.0  # log variance near -5
-        noise = NoiseField.pce(((families[0], coeffs),))
+        noise = NoiseField.pce(families[-1], coeffs)
     x = rng.uniform(-2.0, 5.0, size=(7, n_x))
     y = rng.normal(size=7)
     in_sc, out_sc = fit_scaler("min_max_per_column", x), fit_scaler("z_normalize", y)
@@ -225,6 +215,83 @@ def test_a_column_list_that_does_not_name_each_input_once_is_rejected(
     assert "model.txt" in str(err.value)
 
 
+# A pcegp-model-2 file: one family per field, the two entries and the noise
+# each in a family of their own, as the Python API can build them. It must
+# keep loading and saving to these bytes.
+COMMITTED_MODEL = """\
+format = pcegp-model-2
+meta.columns = a,b
+meta.target = y
+n_kernels = 2
+kernel_0.form = squared_exponential
+kernel_0.shape = 1.0
+kernel_0.scale = 1.25
+kernel_0.n_bases = 1
+kernel_0.basis_0.family = legendre_shifted_01
+kernel_0.basis_0.alpha = 0.0
+kernel_0.basis_0.beta = 0.0
+kernel_0.basis_0.coefficients = 1.5 -0.25 0.125
+kernel_1.form = rational_quadratic
+kernel_1.shape = 1.5
+kernel_1.scale = 0.5
+kernel_1.n_bases = 1
+kernel_1.basis_0.family = jacobi
+kernel_1.basis_0.alpha = 0.5
+kernel_1.basis_0.beta = 1.5
+kernel_1.basis_0.coefficients = 2.0 0.5
+noise.mode = pce
+noise.n_bases = 1
+noise.basis_0.family = hermite_probabilists
+noise.basis_0.alpha = 0.0
+noise.basis_0.beta = 0.0
+noise.basis_0.coefficients = -4.0 0.25
+input_scaler.kind = min_max_per_column
+input_scaler.loc = 0.0 -1.0
+input_scaler.scale = 2.0 4.0
+output_scaler.kind = z_normalize
+output_scaler.loc = 0.5
+output_scaler.scale = 2.0
+training.n_points = 5
+training.n_inputs = 2
+training.x_scaled_0 = 0.0 0.0
+training.x_scaled_1 = 0.25 0.25
+training.x_scaled_2 = 0.5 0.625
+training.x_scaled_3 = 0.75 1.0
+training.x_scaled_4 = 1.0 0.75
+training.y_scaled = 0.25 -0.125 -0.5 0.125 0.75
+"""
+
+
+def test_a_committed_model_file_loads_and_saves_to_its_bytes():
+    model = text_to_model(COMMITTED_MODEL)
+    assert model_to_text(model) == COMMITTED_MODEL
+    means, variances = predict_batch(model, np.array([[1.0, 0.5], [3.0, -2.0]]))
+    np.testing.assert_allclose(means, [0.03231973713891595, 0.960313010537958],
+                               rtol=1e-10)
+    np.testing.assert_allclose(variances, [0.3837898260435031, 7.078993194248275],
+                               rtol=1e-10)
+
+
+@pytest.mark.parametrize("key", ["kernel_0.n_bases", "noise.n_bases"])
+def test_a_field_of_two_families_is_refused_by_its_key(tmp_path, key):
+    # a field is one expansion in one family; a second family's block is
+    # refused, not summed
+    prefix = key.rsplit(".", 1)[0]
+    block = [line.replace(".basis_0.", ".basis_1.") + "\n"
+             for line in COMMITTED_MODEL.splitlines()
+             if line.startswith(f"{prefix}.basis_0.")]
+    lines = []
+    for line in COMMITTED_MODEL.splitlines(keepends=True):
+        lines.append(f"{key} = 2\n" if line.startswith(f"{key} = ") else line)
+        if line.startswith(f"{prefix}.basis_0.coefficients = "):
+            lines.extend(block)
+    path = tmp_path / "two_families.txt"
+    path.write_text("".join(lines))
+    with pytest.raises(ValueError, match=re.escape(key)) as err:
+        load_model(path)
+    assert "two_families.txt" in str(err.value)
+
+
 def test_format_tag_checked():
     with pytest.raises(ValueError, match="format"):
         text_to_model("format = other-thing-9\n")
@@ -276,12 +343,12 @@ def test_description_round_trips_exact_coefficients():
     for rec, (form, scale, ls_field) in zip(parsed["kernels"], model.stack.entries):
         assert rec["form"] == form.tag
         assert rec["scale2"] == scale * scale  # exact, not approximate
-        for (label, got), (kind, coeffs) in zip(rec["terms"], ls_field.terms):
-            assert label == kind.label()
-            np.testing.assert_array_equal(got, coeffs)
+        assert rec["lengthscale"][0] == ls_field.basis.label()
+        np.testing.assert_array_equal(rec["lengthscale"][1], ls_field.coefficients)
     assert parsed["noise"]["mode"] == "pce"
+    assert parsed["noise"]["log_noise"][0] == model.noise.basis.label()
     np.testing.assert_array_equal(
-        parsed["noise"]["terms"][0][1], model.noise.terms[0][1]
+        parsed["noise"]["log_noise"][1], model.noise.coefficients
     )
 
 
