@@ -20,9 +20,11 @@ baseline (`bench`) through its log lengthscales. The public contract for
 the gradient is agreement with central finite differences; the analytic
 path is an implementation choice for speed.
 
-The gradient's coordinates are the free parameters; `free_parameters`
-and `with_free_parameters` are the one map between them and a (stack,
-noise), and a search vector holds them in the same order.
+The gradient's coordinates are the free parameters: each field's
+coefficients, one vector per field since a field is one expansion in one
+basis family, then the squared scales. `free_parameters` and
+`with_free_parameters` are the one map between them and a (stack, noise),
+and a search vector holds them in the same order.
 
 The factor is LAPACK's, in the lower triangle of a C-order buffer that
 LAPACK reads uncopied through its Fortran-order transpose (see `kernels`).
