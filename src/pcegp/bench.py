@@ -96,11 +96,12 @@ class BenchmarkConfig:
     def __post_init__(self):
         if self.n_folds < 2:
             raise ValueError("need at least 2 outer folds")
-        check_search_settings(
-            self.n_trials, self.n_initial, self.n_iterations, self.inner_n_folds
-        )
+        check_search_settings(self.n_trials, self.n_initial, self.n_iterations,
+                              self.inner_n_folds, self.seed)
 
     def echo(self) -> dict:
+        """The report's `config.<key>` values; `basis` labels the one family
+        of every expansion the searched models hold."""
         space = self.space
         return {
             "dataset_path": str(self.dataset_path),
@@ -114,7 +115,7 @@ class BenchmarkConfig:
             "inner_n_folds": self.inner_n_folds,
             "global_scaling": self.global_scaling,
             "kernels": " ".join(f.tag for f in space.kernel_forms),
-            "bases": space.basis.label(),
+            "basis": space.basis.label(),
             "q_range": f"{space.q_range[0]} {space.q_range[1]}",
             "r_range": (
                 "fixed" if space.r_range is None

@@ -225,13 +225,17 @@ def cmd_fit(cfg: dict) -> int:
     n_initial = _get_int(cfg, "n_initial", 10)
     n_iterations = _get_int(cfg, "n_iterations", 50)
     n_folds = _get_int(cfg, "inner_n_folds", 5)
+    seed = _get_int(cfg, "seed", 0)
     try:
-        check_search_settings(n_trials, n_initial, n_iterations, n_folds)
+        check_search_settings(n_trials, n_initial, n_iterations, n_folds, seed)
         space = build_space(cfg)
     except ValueError as err:
         raise UsageError(str(err))
     ds = _load_dataset(cfg)
-    seed = _get_int(cfg, "seed", 0)
+    for name in ds.column_names:  # the model lists them on one comma-joined line
+        if not name or "," in name:
+            raise ValueError(f"{cfg['dataset']}: input column {name!r} is empty or "
+                             "holds a comma, so a model file cannot list it")
     result = run_search(
         ds,
         space,

@@ -231,7 +231,7 @@ def mll_gradient(
     from its argument and A alone (`contract_entry`), and may overwrite
     the argument; the returned gradient is a new array.
     """
-    basis = as_point_basis(x_scaled, stack.fields + (noise,))
+    basis = as_point_basis(x_scaled, stack.expansions(noise))
     pts = basis.points
     y = np.asarray(y_scaled, dtype=float).ravel()
     ws = workspace if workspace is not None else Workspace()
@@ -262,11 +262,6 @@ def mll_gradient(
     return np.concatenate(blocks)
 
 
-def _expansions(stack: KernelStack, noise: NoiseField) -> tuple:
-    """The fields whose coefficients are free parameters, in their order."""
-    return stack.fields + ((noise,) if noise.mode == "pce" else ())
-
-
 def free_parameters(stack: KernelStack, noise: NoiseField) -> np.ndarray:
     """Flatten the gradient's coordinate system into one vector.
 
@@ -275,7 +270,7 @@ def free_parameters(stack: KernelStack, noise: NoiseField) -> np.ndarray:
     squared output scale. `mll_gradient` returns derivatives in exactly
     this order.
     """
-    blocks = [f.coefficients for f in _expansions(stack, noise)]
+    blocks = [f.coefficients for f in stack.expansions(noise)]
     blocks.append(np.array([s * s for _, s, _ in stack.entries]))
     return np.concatenate(blocks)
 
@@ -283,7 +278,7 @@ def free_parameters(stack: KernelStack, noise: NoiseField) -> np.ndarray:
 def with_free_parameters(stack: KernelStack, noise: NoiseField, flat):
     """Rebuild (stack, noise) from a flat vector in `free_parameters` order."""
     flat = np.asarray(flat, dtype=float).ravel()
-    fields = _expansions(stack, noise)
+    fields = stack.expansions(noise)
     sizes = [f.coefficients.size for f in fields]
     n_expected = sum(sizes) + stack.n_entries
     if flat.size != n_expected:
@@ -397,7 +392,7 @@ def _query_block(model: PcegpModel, xq_block):
     `PointBasis` of their own, which the warps and the query noise read; it
     is dropped before the cross covariances are built.
     """
-    basis = PointBasis(xq_block, model.stack.fields + (model.noise,))
+    basis = PointBasis(xq_block, model.stack.expansions(model.noise))
     warped_q = warp_stack(model.stack, basis)
     noise_q = eval_noise_batch(model.noise, basis)
     del basis

@@ -20,15 +20,17 @@ reads from the same `PointBasis` as the fields themselves.
 `gp.free_parameters` is the one flattening of the fields' coefficients.
 
 The polynomial values depend only on the points, so a `PointBasis` keeps
-them with the points they were computed on: one `eval_basis` per basis
-family, at the highest degree any of the given fields needs, serves every
-field evaluated on that point set (a lower degree takes the leading rows,
-which the recurrence makes the same bits). The entries of a stack and its
-noise may each use a family of their own. Every evaluator here takes
-either plain points, for which it makes a `PointBasis` that lives for the
-call, or a `PointBasis` its caller made and keeps: `optim.fine_tune` keeps
-one over the training split for all of its Adam steps and its closing
-fit, and a prediction keeps one over its queries.
+them with the points they were computed on: one `eval_basis`, at the
+highest degree any of the given fields needs, serves every field evaluated
+on that point set (a lower degree takes the leading rows, which the
+recurrence makes the same bits). For the reason above, the fields of one
+model, its stack's and its noise's, share one basis family: a
+`PointBasis` over fields of two families is refused. A field still holds
+its family, so that it can be evaluated on its own. Every evaluator here
+takes either plain points, for which it makes a `PointBasis` that lives
+for the call, or a `PointBasis` its caller made and keeps:
+`optim.fine_tune` keeps one over the training split for all of its Adam
+steps and its closing fit, and a prediction keeps one over its queries.
 """
 
 from __future__ import annotations
@@ -99,15 +101,15 @@ class NoiseField:
 # ---------------------------------------------------------------------------
 
 class PointBasis:
-    """An N x n_x point set and its chaos-basis values, one evaluation per family.
+    """An N x n_x point set and the values of its fields' one basis family.
 
-    `fields` (lengthscale or noise fields) name the families and degrees
-    that will be asked for, so that each family is evaluated once, on first
-    use, at the highest of those degrees. The points are a read-only copy,
-    so the values always belong to them.
+    `fields`, the lengthscale fields and noise expansions that will read
+    the values, must share a family (a ValueError names both otherwise),
+    which is evaluated once, here, at the highest degree any of them needs.
+    The points are a read-only copy, so the values always belong to them.
     """
 
-    def __init__(self, points, fields=()):
+    def __init__(self, points, fields):
         pts = np.array(points, dtype=float)
         if pts.ndim == 1:
             pts = pts[None, :]
@@ -117,28 +119,28 @@ class PointBasis:
             )
         pts.setflags(write=False)
         self.points = pts
-        self._degrees = {}
-        for f in fields:
-            if f.coefficients is not None:  # a fixed noise has none
-                degree = f.coefficients.size - 1
-                self._degrees[f.basis] = max(self._degrees.get(f.basis, 0), degree)
-        self._values = {}
+        kinds = {f.basis for f in fields}
+        if len(kinds) != 1:
+            labels = " and ".join(sorted(k.label() for k in kinds)) or "none"
+            raise ValueError(f"the fields of a model share one family, got {labels}")
+        (self._kind,) = kinds
+        self._degree = max(f.coefficients.size for f in fields) - 1
+        self._values = eval_basis(self._kind, self._degree, pts)
+        self._values.setflags(write=False)
 
     def values(self, kind: Basis, max_degree: int) -> np.ndarray:
         """phi_0 .. phi_max_degree of `kind` at every coordinate, row-major.
 
         Shape (max_degree + 1, N * n_x); column i * n_x + d is point i's
-        coordinate d: a read-only view of the stored values.
+        coordinate d: a read-only view of the stored values. Nothing else was
+        evaluated: another family or a higher degree raises a ValueError.
         """
-        have = self._values.get(kind)
-        if have is None or have.shape[0] <= max_degree:
-            degree = max(max_degree, self._degrees.get(kind, 0))
-            have = self._values[kind] = eval_basis(kind, degree, self.points)
-            have.setflags(write=False)
-        return have[: max_degree + 1]
+        if kind != self._kind or max_degree > self._degree:
+            raise ValueError(f"{kind.label()} to degree {max_degree} was not evaluated")
+        return self._values[: max_degree + 1]
 
 
-def as_point_basis(points, fields=()) -> PointBasis:
+def as_point_basis(points, fields) -> PointBasis:
     """`points` itself when it is a `PointBasis`, else a new one over them."""
     return points if isinstance(points, PointBasis) else PointBasis(points, fields)
 
@@ -169,9 +171,9 @@ def eval_lengthscale_batch(field: LengthscaleField, points) -> np.ndarray:
 
 def eval_noise_batch(field: NoiseField, points) -> np.ndarray:
     """Noise variances for N scaled points (or a `PointBasis`), length N."""
-    if not isinstance(points, PointBasis) and np.ndim(points) != 2:
+    pts = points.points if isinstance(points, PointBasis) else points
+    if np.ndim(pts) != 2:
         raise ValueError("noise fields are evaluated on an N x n_x matrix")
-    basis = as_point_basis(points, (field,))
     if field.mode == "fixed":
-        return np.full(basis.points.shape[0], field.value)
-    return np.exp(_expansion(field, basis).mean(axis=1))
+        return np.full(len(pts), field.value)
+    return np.exp(_expansion(field, as_point_basis(points, (field,))).mean(axis=1))

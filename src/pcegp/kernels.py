@@ -35,8 +35,8 @@ covariances stay M x N and come from `cdist`. The distance kernels, the
 condensed copies and the factorization (LAPACK dpotrf) are scipy's
 compiled ones, through `pcegp._native`, which loads them without the
 `scipy.spatial` and `scipy.linalg` packages. The entries' warps read the
-chaos-basis values of one `hyper.PointBasis` per point set, so a stack
-whose entries share a basis family evaluates it once.
+chaos-basis values of one `hyper.PointBasis` per point set, which
+evaluates the stack's one basis family once.
 The training-side warps that assembly makes are kept, so that prediction
 from a fitted model warps only its queries.
 
@@ -173,6 +173,10 @@ class KernelStack:
     def forms(self) -> tuple:
         """The entries' (form, output scale) pairs, in stack order."""
         return tuple((form, scale) for form, scale, _ in self.entries)
+
+    def expansions(self, noise: NoiseField) -> tuple:
+        """The fields with free coefficients: the stack's, then a pce `noise`."""
+        return self.fields + ((noise,) if noise.mode == "pce" else ())
 
     def describe(self) -> str:
         parts = [
@@ -645,7 +649,7 @@ def noisy_gram(
     `PointBasis` (`points`, or one made over them for this call and freed
     before the N x N arrays are filled).
     """
-    basis = as_point_basis(points, stack.fields + (noise,))
+    basis = as_point_basis(points, stack.expansions(noise))
     warped = warp_stack(stack, basis)
     noise_diagonal = eval_noise_batch(noise, basis)
     del basis

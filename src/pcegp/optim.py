@@ -531,7 +531,7 @@ def fine_tune(
 
     refined = np.asarray(theta, dtype=float).copy()
     ws = workspace if workspace is not None else Workspace()
-    points = PointBasis(x_s, stack.fields + (noise,))
+    points = PointBasis(x_s, stack.expansions(noise))
     try:
         if n_iterations > 0:
             coords = _to_adam_coords(stack, noise)
@@ -619,12 +619,13 @@ def _evaluate_trial(
 
 
 def check_search_settings(
-    n_trials: int, n_initial: int, n_iterations: int, n_folds: int
+    n_trials: int, n_initial: int, n_iterations: int, n_folds: int, seed: int
 ) -> None:
     """Raise a ValueError for settings `run_search` cannot run.
 
     `n_initial` may be 0: the trials are then random draws until
-    `TPE_MIN_TRIALS` of them have finished.
+    `TPE_MIN_TRIALS` of them have finished. The seed seeds numpy's
+    generators, which take no negative integer.
     """
     if n_trials < 1:
         raise ValueError("need at least one trial")
@@ -636,6 +637,8 @@ def check_search_settings(
         raise ValueError("n_iterations cannot be negative")
     if n_folds < 2:
         raise ValueError("need at least 2 inner folds")
+    if seed < 0:
+        raise ValueError(f"seed must be a non-negative integer, got {seed}")
 
 
 def run_search(
@@ -663,7 +666,7 @@ def run_search(
     (`data.write_text_atomic`), so an interrupted or wholly failed search
     leaves the history of its trials.
     """
-    check_search_settings(n_trials, n_initial, n_iterations, n_folds)
+    check_search_settings(n_trials, n_initial, n_iterations, n_folds, seed)
     rng = np.random.default_rng(seed)
     plan = make_folds(dataset.n_points, n_folds, seed)
     global_scalers = None

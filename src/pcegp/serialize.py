@@ -20,23 +20,11 @@ from .hyper import LengthscaleField, NoiseField
 from .kernels import KernelForm, KernelStack
 from .poly import Basis
 
-FORMAT_TAG = "pcegp-model-2"
+FORMAT_TAG = "pcegp-model-3"
 
 
 def _f(x) -> str:
     return repr(float(x))
-
-
-def _field_lines(prefix: str, field) -> list:
-    # a field is one expansion: one basis block, numbered 0
-    b = f"{prefix}.basis_0"
-    return [
-        f"{prefix}.n_bases = 1",
-        f"{b}.family = {field.basis.family}",
-        f"{b}.alpha = {_f(field.basis.alpha)}",
-        f"{b}.beta = {_f(field.basis.beta)}",
-        f"{b}.coefficients = {format_floats(field.coefficients)}",
-    ]
 
 
 def model_to_text(model: PcegpModel) -> str:
@@ -45,19 +33,25 @@ def model_to_text(model: PcegpModel) -> str:
     for key in sorted(model.meta):
         lines.append(f"meta.{key} = {model.meta[key]}")
 
+    # the one family of every field (`hyper.PointBasis`)
+    basis = model.stack.fields[0].basis
+    lines.append(f"basis.family = {basis.family}")
+    lines.append(f"basis.alpha = {_f(basis.alpha)}")
+    lines.append(f"basis.beta = {_f(basis.beta)}")
+
     lines.append(f"n_kernels = {model.stack.n_entries}")
     for i, (form, scale, ls_field) in enumerate(model.stack.entries):
         p = f"kernel_{i}"
         lines.append(f"{p}.form = {form.tag}")
         lines.append(f"{p}.shape = {_f(form.shape)}")
         lines.append(f"{p}.scale = {_f(scale)}")
-        lines.extend(_field_lines(p, ls_field))
+        lines.append(f"{p}.coefficients = {format_floats(ls_field.coefficients)}")
 
     lines.append(f"noise.mode = {model.noise.mode}")
     if model.noise.mode == "fixed":
         lines.append(f"noise.value = {_f(model.noise.value)}")
     else:
-        lines.extend(_field_lines("noise", model.noise))
+        lines.append(f"noise.coefficients = {format_floats(model.noise.coefficients)}")
 
     for name, sc in (
         ("input_scaler", model.input_scaler),
@@ -86,23 +80,6 @@ def _need(kv: dict, key: str) -> str:
     return kv[key]
 
 
-def _parse_field(kv: dict, prefix: str, source) -> tuple:
-    """(basis, coefficients) of the field whose keys start with `prefix`."""
-    key = f"{prefix}.n_bases"
-    if int(_need(kv, key)) != 1:
-        raise ValueError(
-            f"{source}: {key} is {kv[key]}, but a field is one expansion "
-            "in one basis family, so it must be 1"
-        )
-    b = f"{prefix}.basis_0"
-    basis = Basis(
-        _need(kv, f"{b}.family"),
-        alpha=float(_need(kv, f"{b}.alpha")),
-        beta=float(_need(kv, f"{b}.beta")),
-    )
-    return basis, parse_floats(_need(kv, f"{b}.coefficients"))
-
-
 def _check_columns(columns: list, n_inputs: int, source) -> None:
     for i, name in enumerate(columns):
         if name in columns[:i]:
@@ -117,15 +94,14 @@ def _check_columns(columns: list, n_inputs: int, source) -> None:
 def text_to_model(text: str, source="model text") -> PcegpModel:
     """Rebuild a model from its flat text form, refactorizing the Gram.
 
-    `source` names the text in the error for a line that is not
-    `key = value` (`data.read_kv`), for a format tag other than
-    `FORMAT_TAG` (a `-1` file's noise expansion is not of the log), for a
-    noise mode other than `fixed` and `pce`, for a field whose `n_bases`
-    is not 1 (a field is one expansion in one family), and for a
-    `meta.columns` list
-    that names a column twice or does not name one column per input:
-    `pcegp predict` maps query columns to the inputs by that list, so such
-    a model would predict from the wrong columns.
+    The one `basis.*` block is the family of every field. `source` names
+    the text in the error for a line that is not `key = value`
+    (`data.read_kv`), for a format tag other than `FORMAT_TAG` (a
+    `pcegp-model-1` or `-2` file must be refit), for a noise mode other
+    than `fixed` and `pce`, and for a `meta.columns` list that names a
+    column twice or does not name one column per input: `pcegp predict`
+    maps query columns to the inputs by that list, so such a model would
+    predict from the wrong columns.
     """
     kv = read_kv(text, source)
     tag = _need(kv, "format")
@@ -146,13 +122,18 @@ def text_to_model(text: str, source="model text") -> PcegpModel:
     if x_s.shape != (n_points, n_inputs) or y_s.shape != (n_points,):
         raise ValueError("model file training block has inconsistent shapes")
 
+    basis = Basis(
+        _need(kv, "basis.family"),
+        alpha=float(_need(kv, "basis.alpha")),
+        beta=float(_need(kv, "basis.beta")),
+    )
     entries = []
     for i in range(int(_need(kv, "n_kernels"))):
         p = f"kernel_{i}"
         form = KernelForm(_need(kv, f"{p}.form"), shape=float(_need(kv, f"{p}.shape")))
         scale = float(_need(kv, f"{p}.scale"))
-        field = LengthscaleField(*_parse_field(kv, p, source), n_inputs=n_inputs)
-        entries.append((form, scale, field))
+        coefficients = parse_floats(_need(kv, f"{p}.coefficients"))
+        entries.append((form, scale, LengthscaleField(basis, coefficients, n_inputs)))
     stack = KernelStack(tuple(entries))
 
     mode = _need(kv, "noise.mode")
@@ -161,7 +142,7 @@ def text_to_model(text: str, source="model text") -> PcegpModel:
     if mode == "fixed":
         noise = NoiseField.fixed(float(_need(kv, "noise.value")))
     else:
-        noise = NoiseField.pce(*_parse_field(kv, "noise", source))
+        noise = NoiseField.pce(basis, parse_floats(_need(kv, "noise.coefficients")))
 
     scalers = {}
     for name in ("input_scaler", "output_scaler"):

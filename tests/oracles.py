@@ -82,7 +82,7 @@ def gram_by_parts(stack: KernelStack, noise: NoiseField, points):
     given every form's value at zero distance, the squared scale, on the
     diagonal: the gradient's contraction reads the arguments once K is gone.
     """
-    basis = PointBasis(points, stack.fields + (noise,))
+    basis = PointBasis(points, stack.expansions(noise))
     k, parts = gram_parts(stack.forms, warp_stack(stack, basis))
     again = np.empty_like(parts[0][3])
     diagonal = 0.0

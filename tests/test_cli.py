@@ -257,6 +257,24 @@ def test_fit_rejects_a_repeated_column_name(tmp_path, capsys):
     assert not model_path.exists()
 
 
+@pytest.mark.parametrize("header, name", [('"x,1",y', "'x,1'"), (",y", "''")],
+                         ids=["comma", "empty"])
+def test_fit_rejects_a_column_name_the_model_cannot_list(
+    tmp_path, capsys, header, name
+):
+    # the model keeps the input names as one comma-joined line, which
+    # predict splits: a name with a comma, or an empty one, would make a
+    # model that predict refuses
+    src = tmp_path / "named.csv"
+    src.write_text(header + "\n" + "".join(f"{i / 9!r},{i}\n" for i in range(10)))
+    rc = main(["fit", "--set", f"dataset={src}", "--set", "target=y",
+               "--output", str(tmp_path / "model.txt"), *FAST_FIT])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert "named.csv" in err and name in err
+    assert list(tmp_path.iterdir()) == [src]  # nothing written
+
+
 def test_predict_rejects_a_repeated_column_name(tmp_path, train_file, capsys):
     model_path = fit_interpolator(tmp_path, train_file)
     src = tmp_path / "twice.csv"
@@ -456,6 +474,21 @@ def test_impossible_search_settings_are_usage_errors(
     assert list(tmp_path.iterdir()) == [data]  # nothing written
 
 
+@pytest.mark.parametrize("sub", ["fit", "benchmark", "baseline"])
+def test_a_negative_seed_is_a_usage_error_before_the_data_is_read(
+    tmp_path, capsys, sub
+):
+    # numpy's generators take no negative seed; the check names the key
+    # before the dataset, here a file that does not exist, is read
+    base = FAST_FIT if sub == "fit" else BENCH_ARGS
+    rc = main([sub, "--set", f"dataset={tmp_path / 'absent.csv'}",
+               "--set", "target=y", "--output", str(tmp_path / "out.txt"),
+               *base, "--seed", "-1"])
+    assert rc == 2
+    assert "seed" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []  # nothing written
+
+
 @pytest.mark.parametrize(
     "settings",
     [
@@ -650,7 +683,7 @@ def test_inspect_round_trips_coefficients(tmp_path, train_file, capsys):
 
 def test_inspect_corrupt_model_is_runtime_error(tmp_path, capsys):
     bad = tmp_path / "bad.txt"
-    bad.write_text("format = pcegp-model-2\n")
+    bad.write_text("format = pcegp-model-3\n")
     assert main(["inspect", "--set", f"model={bad}"]) == 1
     assert "missing" in capsys.readouterr().err
 

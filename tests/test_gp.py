@@ -1,6 +1,7 @@
 """Tests for exact GP inference: likelihood, gradient, prediction."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -21,7 +22,13 @@ from pcegp.gp import (
     with_free_parameters,
 )
 from pcegp.hyper import LengthscaleField, NoiseField
-from pcegp.kernels import KernelForm, KernelStack, ladder_cholesky, noisy_gram
+from pcegp.kernels import (
+    KernelForm,
+    KernelStack,
+    ladder_cholesky,
+    noisy_gram,
+    warp_stack,
+)
 from pcegp.optim import NOISE_LOG_RANGE, SearchSpace, random_suggest, run_search
 from pcegp.poly import Basis, eval_basis
 
@@ -40,12 +47,12 @@ def const_field(c, n_inputs):
     return LengthscaleField(Basis.legendre01(), [c], n_inputs)
 
 
-def random_stack(rng, n_inputs, forms=None, degree=2):
+def random_stack(rng, n_inputs, forms=None, degree=2, kind=Basis.legendre01()):
     forms = forms or [KernelForm.se(), KernelForm.matern32()]
     entries = []
     for form in forms:
         coeffs = rng.normal(size=degree + 1)
-        field = LengthscaleField(Basis.legendre01(), coeffs, n_inputs)
+        field = LengthscaleField(kind, coeffs, n_inputs)
         entries.append((form, float(rng.uniform(0.5, 1.5)), field))
     return KernelStack(tuple(entries))
 
@@ -169,17 +176,18 @@ def test_gradient_matches_finite_differences_many_seeds():
     field = LengthscaleField(Basis.legendre01(), [1.0, 0.0, -2.75], 1)
     stack = KernelStack(((KernelForm.ae(), 1.0, field),))
     cases.append((stack, NoiseField.fixed(1e-2), pts, pts[:, 0]))
-    # entries of two basis families and unequal degrees, and a noise
-    # expansion in a third: each coefficient's gradient must pair with the
-    # basis values of its own field, in field order
+    # entries of unequal degrees in a Jacobi family, and a noise expansion
+    # of a third degree in it: each coefficient's gradient must pair with
+    # the basis values of its own field, in field order
     rng = np.random.default_rng(140)
+    jacobi = Basis.jacobi(1.0, 0.5)
     stack = KernelStack((
         (KernelForm.se(), float(rng.uniform(0.5, 1.5)), LengthscaleField(
-            Basis.legendre01(), np.r_[1.5, 0.4 * rng.normal(size=3)], 3)),
+            jacobi, np.r_[1.5, 0.4 * rng.normal(size=3)], 3)),
         (KernelForm.matern32(), float(rng.uniform(0.5, 1.5)), LengthscaleField(
-            Basis.jacobi(1.0, 0.5), np.r_[1.2, 0.3 * rng.normal(size=1)], 3)),
+            jacobi, np.r_[1.2, 0.3 * rng.normal(size=1)], 3)),
     ))
-    noise = NoiseField.pce(Basis.hermite(), [0.4, 0.05, 0.02])
+    noise = NoiseField.pce(jacobi, [0.4, 0.05, 0.02])
     cases.append((stack, noise, rng.uniform(size=(8, 3)), rng.normal(size=8)))
     # a squared-exponential entry first, last and alone, on duplicated rows:
     # its argument is its values, and its derivative-weighted A overwrites
@@ -233,7 +241,7 @@ def bounded_field(rng, kind, degree, n_inputs):
 @settings(max_examples=60, deadline=None, database=None, derandomize=True)
 @given(
     n_x=st.integers(1, 3),
-    families=st.lists(ANY_BASIS, min_size=4, max_size=4),
+    family=ANY_BASIS,
     degrees=st.lists(st.integers(0, 10), min_size=4, max_size=4),
     rows=st.lists(st.integers(0, 5), min_size=7, max_size=12),
     shape=st.sampled_from([0.35, 1.0, 4.0]),
@@ -241,15 +249,16 @@ def bounded_field(rng, kind, degree, n_inputs):
     seed=st.integers(0, 2**32 - 1),
 )
 def test_four_form_gradient_on_duplicated_rows_matches_finite_differences(
-    n_x, families, degrees, rows, shape, noise_pce, seed
+    n_x, family, degrees, rows, shape, noise_pce, seed
 ):
-    # every form's contraction from its argument, in one stack whose entries
-    # each draw a basis family (Jacobi with alpha, beta > -1) and a degree up
-    # to 10, with seven or more rows drawn from a pool of six points, so that
-    # at least one repeats and its warped distances are exactly zero (where
-    # the absolute-exponential derivative is 0). The noise is fixed, or an
-    # expansion of the log variance whose constant term puts sigma^2 between
-    # 1e-3 and 2.7 (`log_noise_coefficients`), at the repeated rows too.
+    # every form's contraction from its argument, in one stack of a drawn
+    # basis family (Jacobi with alpha, beta > -1) whose entries each draw a
+    # degree up to 10, with seven or more rows drawn from a pool of six
+    # points, so that at least one repeats and its warped distances are
+    # exactly zero (where the absolute-exponential derivative is 0). The
+    # noise is fixed, or an expansion of the log variance in the same family
+    # whose constant term puts sigma^2 between 1e-3 and 2.7
+    # (`log_noise_coefficients`), at the repeated rows too.
     # Repeated rows make K nearly singular, and distinct rows whose
     # warps nearly meet put the absolute-exponential kink within a step, so
     # no one step suits every draw: the best of three five-point differences
@@ -259,11 +268,11 @@ def test_four_form_gradient_on_duplicated_rows_matches_finite_differences(
     forms = [KernelForm.se(), KernelForm.ae(), KernelForm.matern32(),
              KernelForm.rq(shape)]
     stack = KernelStack(tuple(
-        (form, float(rng.uniform(0.5, 1.5)), bounded_field(rng, kind, degree, n_x))
-        for form, kind, degree in zip(forms, families, degrees)
+        (form, float(rng.uniform(0.5, 1.5)), bounded_field(rng, family, degree, n_x))
+        for form, degree in zip(forms, degrees)
     ))
     if noise_pce:
-        noise = NoiseField.pce(Basis.legendre01(), log_noise_coefficients(rng))
+        noise = NoiseField.pce(family, log_noise_coefficients(rng))
     else:
         noise = NoiseField.fixed(float(10.0 ** rng.uniform(-2.0, -1.0)))
     pts = rng.uniform(size=(6, n_x))[rows]
@@ -329,7 +338,8 @@ def test_noise_gradient_is_variance_weighted_diagonal_of_a(
     coeffs = rng.uniform(-0.5, 0.5, size=degree + 1)
     coeffs[0] += log_noise
     noise = NoiseField.pce(family, coeffs)
-    stack = random_stack(rng, n_x, forms=[KernelForm.se(), KernelForm.rq(1.5)])
+    stack = random_stack(rng, n_x, forms=[KernelForm.se(), KernelForm.rq(1.5)],
+                         kind=family)
     # sens[m, i]: phi_m averaged over the coordinates of point i
     sens = eval_basis(family, degree, x).reshape(degree + 1, n, n_x).mean(axis=2)
     variances = np.exp(sens.T @ coeffs)
@@ -345,14 +355,15 @@ def test_noise_gradient_is_variance_weighted_diagonal_of_a(
 
 def test_parameter_round_trip():
     rng = np.random.default_rng(5)
-    stack = random_stack(rng, 2)
-    # a first entry of another family and degree than the second, and a
-    # noise of a third family: each keeps its family, and the coefficients
-    # flatten in field order
+    jacobi = Basis.jacobi(1.0, 0.5)
+    stack = random_stack(rng, 2, kind=jacobi)
+    # a first entry of another degree than the second, and a noise of a
+    # third: each keeps the stack's family, and the coefficients flatten in
+    # field order
     form, scale, _ = stack.entries[0]
-    jacobi = LengthscaleField(Basis.jacobi(1.0, 0.5), rng.normal(size=5), 2)
-    stack = KernelStack(((form, scale, jacobi),) + stack.entries[1:])
-    noise = NoiseField.pce(Basis.hermite(), [0.5, 0.1])
+    first = LengthscaleField(jacobi, rng.normal(size=5), 2)
+    stack = KernelStack(((form, scale, first),) + stack.entries[1:])
+    noise = NoiseField.pce(jacobi, [0.5, 0.1])
     theta = free_parameters(stack, noise)
     assert theta.size == 5 + 3 + 2 + 2
     s2, n2 = with_free_parameters(stack, noise, theta)
@@ -362,9 +373,9 @@ def test_parameter_round_trip():
     moved[:-2] += 1.0  # every coefficient, not the squared scales
     s3, n3 = with_free_parameters(stack, noise, moved)
     np.testing.assert_array_equal(s3.entries[0][2].coefficients, theta[:5] + 1.0)
-    assert [f.basis for f in s3.fields] == [Basis.jacobi(1.0, 0.5), Basis.legendre01()]
+    assert [f.basis for f in s3.fields] == [jacobi, jacobi]
     np.testing.assert_array_equal(n3.coefficients, [1.5, 1.1])
-    assert n3.basis == Basis.hermite()
+    assert n3.basis == jacobi
     np.testing.assert_allclose(free_parameters(s3, n3), moved, atol=1e-15)
     np.testing.assert_array_equal(free_parameters(stack, noise), theta)  # untouched
     for wrong in (theta[:-1], np.append(theta, 1.0)):
@@ -419,6 +430,46 @@ def test_fit_precompute_duplicate_points_with_noise():
         se_unit_stack(2), NoiseField.fixed(1e-4), in_sc, out_sc, x, y
     )
     assert model.n_points == 2
+
+
+MIXED_FAMILIES = {
+    "stack": (
+        KernelStack((
+            (KernelForm.se(), 1.0, LengthscaleField(Basis.legendre01(), [1.0], 2)),
+            (KernelForm.ae(), 1.0, LengthscaleField(Basis.hermite(), [1.0, 0.5], 2)),
+        )),
+        NoiseField.fixed(1e-4),
+    ),
+    "noise": (
+        KernelStack(((KernelForm.se(), 1.0,
+                      LengthscaleField(Basis.jacobi(0.5, 1.5), [1.0, 0.5], 2)),)),
+        NoiseField.pce(Basis.hermite(), [-4.0]),
+    ),
+}
+MIXED_LABELS = {
+    "stack": "hermite_probabilists and legendre_shifted_01",
+    "noise": "hermite_probabilists and jacobi(0.5,1.5)",
+}
+
+
+@pytest.mark.parametrize("mixed", ["stack", "noise"])
+def test_a_model_of_two_basis_families_is_refused(mixed):
+    # a stack whose entries differ in family, or a noise expansion in
+    # another family than the stack's, could express nothing that one
+    # family cannot: each is refused, naming both families
+    stack, noise = MIXED_FAMILIES[mixed]
+    rng = np.random.default_rng(9)
+    x, y = rng.uniform(size=(5, 2)), rng.normal(size=5)
+    in_sc, out_sc = fit_scaler("min_max_per_column", x), fit_scaler("z_normalize", y)
+    calls = [
+        lambda: mll(stack, noise, x, y),
+        lambda: fit_precompute(stack, noise, in_sc, out_sc, x, y),
+    ]
+    if mixed == "stack":
+        calls.append(lambda: warp_stack(stack, x))
+    for call in calls:
+        with pytest.raises(ValueError, match=re.escape(MIXED_LABELS[mixed])):
+            call()
 
 
 def test_fit_precompute_scaler_mismatch():

@@ -61,20 +61,20 @@ def test_lengthscale_linear_in_coefficients():
     np.testing.assert_allclose(lhs, rhs, atol=1e-12)
 
 
-def test_point_basis_evaluates_each_family_once_at_its_highest_degree(
+def test_point_basis_evaluates_its_one_family_once_at_the_highest_degree(
     monkeypatch,
 ):
-    # fields of different families share one PointBasis: each family is
-    # evaluated once, at the highest degree its fields need, and every field
-    # reads the same bits as from a PointBasis of its own
+    # the fields of one model share one PointBasis: their family is
+    # evaluated once, at the highest degree any of them needs, and every
+    # field reads the same bits as from a PointBasis of its own
     rng = np.random.default_rng(6)
     jacobi = Basis.jacobi(1.0, 0.5)
     fields = (
-        LengthscaleField(Basis.legendre01(), rng.normal(size=3), 2),
+        LengthscaleField(jacobi, rng.normal(size=3), 2),
         LengthscaleField(jacobi, rng.normal(size=5), 2),
-        LengthscaleField(Basis.legendre01(), rng.normal(size=2), 2),
+        LengthscaleField(jacobi, rng.normal(size=2), 2),
     )
-    noise = NoiseField.pce(Basis.hermite(), np.r_[-3.0, 0.1 * rng.normal(size=2)])
+    noise = NoiseField.pce(jacobi, np.r_[-3.0, 0.1 * rng.normal(size=2)])
     pts = rng.uniform(size=(6, 2))
     alone = [eval_lengthscale_batch(f, pts) for f in fields]
     alone_noise = eval_noise_batch(noise, pts)
@@ -86,13 +86,21 @@ def test_point_basis_evaluates_each_family_once_at_its_highest_degree(
         return eval_basis(kind, max_degree, points)
 
     monkeypatch.setattr(hyper_mod, "eval_basis", counted)
-    shared = PointBasis(pts, fields + (NoiseField.fixed(1e-3), noise))
+    shared = PointBasis(pts, fields + (noise,))
     for f, want in zip(fields, alone):
         assert eval_lengthscale_batch(f, shared).tobytes() == want.tobytes()
     assert eval_noise_batch(noise, shared).tobytes() == alone_noise.tobytes()
-    assert sorted(calls) == [
-        ("hermite_probabilists", 2), ("jacobi", 4), ("legendre_shifted_01", 2)
-    ]
+    # a fixed noise reads no basis values
+    assert np.array_equal(eval_noise_batch(NoiseField.fixed(1e-3), shared), [1e-3] * 6)
+    assert calls == [("jacobi", 4)]
+
+    # nothing else is evaluated: another family, or a degree above the
+    # highest, is refused
+    with pytest.raises(ValueError, match="legendre_shifted_01 to degree 1 was not"):
+        shared.values(Basis.legendre01(), 1)
+    with pytest.raises(ValueError, match=r"jacobi\(1,0.5\) to degree 5 was not"):
+        shared.values(jacobi, 5)
+    assert calls == [("jacobi", 4)]
 
 
 def test_a_field_needs_a_basis_and_finite_coefficients():

@@ -390,12 +390,11 @@ def test_value_only_fit_gives_the_bits_of_the_summed_parts(
 ):
     # the value-only path adds each entry into K as it is formed; the
     # gradient's assembly keeps every component and sums them. Rows index a
-    # pool of eight points, so they repeat. Each field draws its family, so
-    # the entries and the noise may differ in it
+    # pool of eight points, so they repeat. The model draws its one family
     rng = np.random.default_rng(seed)
+    kind = FAMILIES[int(rng.integers(len(FAMILIES)))]
 
     def expansion(degree, low, high):
-        kind = FAMILIES[int(rng.integers(len(FAMILIES)))]
         return kind, rng.uniform(low, high, size=int(rng.integers(0, degree + 1)) + 1)
 
     stack = KernelStack(tuple(

@@ -5,9 +5,11 @@ stay the references: the direct calls must give their bits and raise their
 errors.
 """
 
+import os
 import subprocess
 import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -125,7 +127,15 @@ def test_importing_pcegp_leaves_scipy_spatial_unregistered():
         "found = [m for m in sys.modules if m.split('.')[:2] == ['scipy', 'spatial']]\n"
         "sys.exit(f'registered: {found}' if found else 0)\n"
     )
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    # the package from this checkout, with or without PYTHONPATH set
+    env = dict(os.environ)
+    paths = [str(Path(__file__).resolve().parent.parent / "src")]
+    if env.get("PYTHONPATH"):
+        paths.append(env["PYTHONPATH"])
+    env["PYTHONPATH"] = os.pathsep.join(paths)
+    proc = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True
+    )
     assert proc.returncode == 0, proc.stdout + proc.stderr
 
 
