@@ -5,7 +5,8 @@ estimator over the mixed search space (expansion order, coefficients,
 output scales; every expansion is in the space's one basis family); stage
 two refines each trial's continuous parameters with Adam on the exact
 marginal-likelihood gradient. Trials are scored by average held-out
-negative log predictive density.
+negative log predictive density; a median pruner stops a trial whose
+first folds already score worse than the median of the finished trials.
 """
 
 import numpy as np
@@ -36,10 +37,12 @@ result = run_search(
 )
 
 print(f"\n{len(result.history)} trials, best loss {result.best_loss:.4f}")
-print("loss trace (stage marked r=random, g=guided):")
+print("loss trace (stage marked r=random, g=guided; a pruned trial's loss")
+print("is the mean of the folds it ran):")
 for rec in result.history:
     mark = "r" if rec.stage == "random" else "g"
-    print(f"  trial {rec.trial_index:2d} [{mark}] loss={rec.loss:10.4f}")
+    pruned = f"  pruned after fold {rec.pruned_after}" if rec.pruned_after else ""
+    print(f"  trial {rec.trial_index:2d} [{mark}] loss={rec.loss:10.4f}{pruned}")
 
 # rebuild the winning model and look at what was learned
 stack, noise = space.build_stack(result.best_theta, train.n_inputs)

@@ -258,8 +258,12 @@ def cmd_fit(cfg: dict) -> int:
     }
     model = fit_precompute(stack, noise, in_sc, out_sc, ds.inputs, ds.outputs, meta)
     save_model(model, output)
+    trials = result.history
+    n_pruned = sum(t.pruned_after is not None for t in trials)
+    n_failed = sum(t.failed for t in trials)
     print(
         f"fit: {ds.n_points} points, {ds.n_inputs} inputs; "
+        f"{len(trials)} trials ({n_pruned} pruned, {n_failed} failed); "
         f"best validation loss {result.best_loss:.6g}; model -> {output}"
     )
     return 0

@@ -106,6 +106,7 @@ class PointBasis:
     `fields`, the lengthscale fields and noise expansions that will read
     the values, must share a family (a ValueError names both otherwise),
     which is evaluated once, here, at the highest degree any of them needs.
+    A fixed noise reads no basis values and is refused with a ValueError.
     The points are a read-only copy, so the values always belong to them.
     """
 
@@ -117,6 +118,8 @@ class PointBasis:
             raise ValueError(
                 f"points must be an N x n_x matrix, got shape {pts.shape}"
             )
+        if any(f.basis is None for f in fields):  # only a fixed noise has none
+            raise ValueError("a fixed noise reads no basis values; leave it out")
         pts.setflags(write=False)
         self.points = pts
         kinds = {f.basis for f in fields}

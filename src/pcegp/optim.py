@@ -20,10 +20,17 @@ in order (see `SearchSpace`).
 Each trial is scored by k-fold cross-validation: Adam refines the active
 coefficients and scales on every training split by gradient ascent on the
 marginal log likelihood, and the refined model's mean negative predictive
-log likelihood on the held-out split, averaged over folds, is the trial
-loss. Scalers are refit per fold by default to keep the held-out points
-out of every fitting step; a global-scaling flag restores the laxer
-scale-once protocol for comparability.
+log likelihood on the held-out split, averaged over folds, is the loss of
+a trial that ran every fold. Scalers are refit per fold by default to keep
+the held-out points out of every fitting step; a global-scaling flag
+restores the laxer scale-once protocol for comparability.
+
+A median pruner stops a losing trial early. Once `TPE_MIN_TRIALS` trials
+have run every fold, a trial stops after fold f (1 <= f < k) when the mean
+of its first f fold losses exceeds the median of that mean over those
+completed trials. Its loss is the mean of the folds it ran; it never
+supplies the best theta, and TPE counts it among the bad trials. The rule
+reads only the history, so a search stays reproducible from its seed.
 """
 
 from __future__ import annotations
@@ -224,7 +231,12 @@ class SearchSpace:
 
 @dataclass(frozen=True)
 class TrialRecord:
-    """One evaluated suggestion: the raw theta and its cross-validated loss."""
+    """One evaluated suggestion: the raw theta and its cross-validated loss.
+
+    A pruned trial holds the losses of the folds it ran, their mean as its
+    loss and their count as `pruned_after`; any other trial has
+    `pruned_after` None. A failed trial's loss is infinite.
+    """
 
     theta: np.ndarray
     loss: float
@@ -232,10 +244,16 @@ class TrialRecord:
     stage: str  # "random" or "tpe"
     fold_losses: tuple = ()
     wall_time: float = 0.0
+    pruned_after: int | None = None
 
     @property
     def failed(self) -> bool:
         return not math.isfinite(self.loss)
+
+    @property
+    def completed(self) -> bool:
+        """Ran every fold to a finite loss."""
+        return self.pruned_after is None and not self.failed
 
 
 @dataclass(frozen=True)
@@ -274,13 +292,17 @@ def random_suggest(space: SearchSpace, rng) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 def _split_history(history, gamma: float):
-    done = [t for t in history if not t.failed]
+    """(good, bad) thetas: the gamma share of completed trials with the
+    lowest losses, and the rest. Pruned trials join the bad set whatever
+    their partial losses; failed trials join neither."""
+    done = [t for t in history if t.completed]
     if len(done) < TPE_MIN_TRIALS:
         raise ValueError(f"TPE needs at least {TPE_MIN_TRIALS} completed trials")
     done.sort(key=lambda t: (t.loss, t.trial_index))
     n_good = max(1, math.ceil(gamma * len(done)))
+    pruned = [t for t in history if t.pruned_after is not None]
     good = np.vstack([t.theta for t in done[:n_good]])
-    bad = np.vstack([t.theta for t in done[n_good:]])
+    bad = np.vstack([t.theta for t in done[n_good:] + pruned])
     if bad.size == 0:
         bad = good
     return good, bad
@@ -587,6 +609,28 @@ def _score_fold(theta, space, dataset, plan, fold, n_iterations, global_scalers,
     return float(-np.mean(lpd)), tuned.theta
 
 
+def _median(values) -> float:
+    """Median by sorting; numpy's median imports numpy.ma on its first call."""
+    ordered = sorted(values)
+    mid = len(ordered) // 2
+    if len(ordered) % 2:
+        return ordered[mid]
+    return (ordered[mid - 1] + ordered[mid]) / 2.0
+
+
+def _prune_threshold(history, n_finished: int) -> float:
+    """The loss above which a trial stops after `n_finished` folds.
+
+    The median, over the completed trials of `history`, of the mean of
+    their first `n_finished` fold losses; +inf (never stop) while fewer
+    than `TPE_MIN_TRIALS` trials have completed.
+    """
+    done = [t.fold_losses[:n_finished] for t in history if t.completed]
+    if len(done) < TPE_MIN_TRIALS:
+        return math.inf
+    return _median([float(np.mean(losses)) for losses in done])
+
+
 def _evaluate_trial(
     theta,
     space: SearchSpace,
@@ -595,10 +639,17 @@ def _evaluate_trial(
     n_iterations: int,
     global_scalers,
     workspace: Workspace,
+    prune_above,
 ):
-    """Cross-validate one suggestion; returns (mean loss, fold losses, best fold theta).
+    """Cross-validate one suggestion.
 
-    Every fold refines and is scored in `workspace` (`_score_fold`).
+    Returns (loss, fold losses, best fold theta, pruned_after). Every fold
+    refines and is scored in `workspace` (`_score_fold`). After fold f
+    (counting from 1), the trial stops when the mean of its fold losses so
+    far exceeds `prune_above[f - 1]`: the result is then (that mean, the f
+    fold losses, None, f). A trial that fails is (FAILED_LOSS, its fold
+    losses, None, None); one that runs every fold has the mean of its fold
+    losses and pruned_after None.
     """
     fold_losses = []
     fold_thetas = []
@@ -608,14 +659,18 @@ def _evaluate_trial(
         )
         fold_losses.append(loss)
         if refined is None:
-            return FAILED_LOSS, fold_losses, None
+            return FAILED_LOSS, fold_losses, None, None
         fold_thetas.append(refined)
+        # a non-finite fold loss fails the trial below, and is never pruned
+        so_far = float(np.mean(fold_losses))
+        if f < len(prune_above) and math.isfinite(so_far) and so_far > prune_above[f]:
+            return so_far, fold_losses, None, f + 1
 
     mean_loss = float(np.mean(fold_losses))
     if not math.isfinite(mean_loss):
-        return FAILED_LOSS, fold_losses, None
+        return FAILED_LOSS, fold_losses, None, None
     best_fold = int(np.argmin(fold_losses))
-    return mean_loss, fold_losses, fold_thetas[best_fold]
+    return mean_loss, fold_losses, fold_thetas[best_fold], None
 
 
 def check_search_settings(
@@ -656,12 +711,17 @@ def run_search(
     """Full two-stage search: random warmup, then TPE, each trial cross-validated.
 
     The retained best is the refined theta from the best-validating fold of
-    the lowest-loss trial; the history stores the raw suggestions so the
-    TPE densities stay in suggestion space. One likelihood workspace serves
-    every trial and fold of the call: `workspace` when given (a benchmark
-    passes the one its refits use), else a fresh one freed when the call
-    returns. It is reserved at the largest training split, so each buffer
-    is allocated once. `checkpoint_path`, when given, receives
+    the lowest-loss trial that ran every fold; the history stores the raw
+    suggestions so the TPE densities stay in suggestion space. Once
+    `TPE_MIN_TRIALS` trials have completed, a trial whose mean fold loss
+    after fold f (f < n_folds) exceeds `_prune_threshold(history, f)` stops
+    there and is recorded as pruned (see the module docstring). The pruner
+    is always on.
+
+    One likelihood workspace serves every trial and fold of the call:
+    `workspace` when given (a benchmark passes the one its refits use),
+    else a fresh one freed when the call returns. It is reserved at the
+    largest training split, so each buffer is allocated once. `checkpoint_path`, when given, receives
     `history_to_text` of the finished trials after every trial
     (`data.write_text_atomic`), so an interrupted or wholly failed search
     leaves the history of its trials.
@@ -683,14 +743,16 @@ def run_search(
     best_theta, best_loss = None, FAILED_LOSS
     for trial in range(n_trials):
         t0 = time.perf_counter()
-        finished = sum(not t.failed for t in history)
-        if trial < n_initial or finished < TPE_MIN_TRIALS:
+        completed = sum(t.completed for t in history)
+        if trial < n_initial or completed < TPE_MIN_TRIALS:
             stage, theta = "random", random_suggest(space, rng)
         else:
             stage, theta = "tpe", tpe_suggest(history, space, rng=rng)
 
-        mean_loss, fold_losses, refined = _evaluate_trial(
-            theta, space, dataset, plan, n_iterations, global_scalers, workspace
+        prune_above = [_prune_threshold(history, f) for f in range(1, n_folds)]
+        mean_loss, fold_losses, refined, pruned_after = _evaluate_trial(
+            theta, space, dataset, plan, n_iterations, global_scalers, workspace,
+            prune_above,
         )
         history.append(
             TrialRecord(
@@ -700,6 +762,7 @@ def run_search(
                 stage=stage,
                 fold_losses=tuple(fold_losses),
                 wall_time=time.perf_counter() - t0,
+                pruned_after=pruned_after,
             )
         )
         if refined is not None and mean_loss < best_loss:
@@ -719,7 +782,9 @@ def history_to_text(result: SearchResult) -> str:
 
     A result with ``best_theta is None`` (a search whose trials so far all
     failed) omits the best lines but keeps every trial record. Float
-    vectors are `data.format_floats` strings.
+    vectors are `data.format_floats` strings. A pruned trial's record
+    holds the fold losses it ran, their mean as its loss, and one more
+    line, ``trial_<k>.pruned_after = <f>``; no other record has that line.
     """
     lines = [
         "format = pcegp-search-1",
@@ -735,6 +800,8 @@ def history_to_text(result: SearchResult) -> str:
         lines.append(f"{p}.stage = {t.stage}")
         lines.append(f"{p}.loss = {t.loss!r}")
         lines.append(f"{p}.fold_losses = {format_floats(t.fold_losses)}")
+        if t.pruned_after is not None:
+            lines.append(f"{p}.pruned_after = {t.pruned_after}")
         lines.append(f"{p}.theta = {format_floats(t.theta)}")
         lines.append(f"{p}.wall_time = {t.wall_time:.6f}")
     return "\n".join(lines) + "\n"

@@ -68,6 +68,16 @@ def test_fit_writes_model_and_history(tmp_path, train_file):
     assert model.meta["target"] == "y"
 
 
+def test_fit_counts_its_pruned_and_failed_trials(tmp_path, train_file, capsys):
+    model_path = tmp_path / "model.txt"
+    assert run_fit(train_file, model_path,
+                   extra=["--seed", "1", "--set", "n_trials=4"]) == 0
+    out = capsys.readouterr().out
+    assert "; 4 trials (1 pruned, 0 failed); best validation loss " in out
+    history = (tmp_path / "model.txt.history").read_text()
+    assert history.count(".pruned_after = ") == 1
+
+
 def test_fit_same_seed_is_byte_identical(tmp_path, train_file):
     a, b = tmp_path / "a.txt", tmp_path / "b.txt"
     assert run_fit(train_file, a) == 0
@@ -599,7 +609,7 @@ def test_all_failed_search_history_is_written_whole_or_not_at_all(
     history = tmp_path / "model.txt.history"
 
     def failing_trial(theta, *args):
-        return FAILED_LOSS, [FAILED_LOSS], None
+        return FAILED_LOSS, [FAILED_LOSS], None, None
 
     monkeypatch.setattr(optim_mod, "_evaluate_trial", failing_trial)
     assert run_fit(train_file, model_path) == 1

@@ -103,6 +103,15 @@ def test_point_basis_evaluates_its_one_family_once_at_the_highest_degree(
     assert calls == [("jacobi", 4)]
 
 
+@pytest.mark.parametrize("with_field", [True, False], ids=["field", "alone"])
+def test_point_basis_refuses_a_fixed_noise(with_field):
+    # a fixed noise has no family and no coefficients to size a degree by
+    field = LengthscaleField(Basis.legendre01(), [0.5, 0.1], 2)
+    fields = ((field,) if with_field else ()) + (NoiseField.fixed(0.1),)
+    with pytest.raises(ValueError, match="a fixed noise reads no basis values"):
+        PointBasis(np.zeros((3, 2)), fields)
+
+
 def test_a_field_needs_a_basis_and_finite_coefficients():
     with pytest.raises(TypeError, match="Basis"):
         LengthscaleField("legendre_shifted_01", [1.0], 2)

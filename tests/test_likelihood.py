@@ -575,10 +575,10 @@ def test_warm_fold_refinement_and_scoring_allocate_no_n_by_n_array():
     n = plan.train_indices(0).size
     assert all(plan.train_indices(f).size == n for f in range(5))
     workspace = Workspace()
-    first = _evaluate_trial(theta, space, ds, plan, 2, None, workspace)  # warms it
+    first = _evaluate_trial(theta, space, ds, plan, 2, None, workspace, ())  # warms it
     tracemalloc.start()
     try:
-        second = _evaluate_trial(theta, space, ds, plan, 2, None, workspace)
+        second = _evaluate_trial(theta, space, ds, plan, 2, None, workspace, ())
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()

@@ -1,6 +1,11 @@
 """Tests for the two-stage search: TPE, Adam, fine-tuning, full loop."""
 
 import math
+import os
+import statistics
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,6 +18,7 @@ from pcegp.kernels import KernelForm
 from pcegp.optim import (
     NOISE_LOG_RANGE,
     AdamState,
+    SearchResult,
     SearchSpace,
     TrialRecord,
     _ContDim,
@@ -556,10 +562,11 @@ def test_run_search_history_bookkeeping():
     assert len(result.history) == 6
     assert [t.trial_index for t in result.history] == list(range(6))
     assert [t.stage for t in result.history] == ["random"] * 3 + ["tpe"] * 3
-    finite = [t.loss for t in result.history if not t.failed]
-    assert result.best_loss == min(finite)
+    # a pruned trial's partial mean may be lower, but it is never the best
+    completed = [t.loss for t in result.history if t.completed]
+    assert result.best_loss == min(completed)
     for t in result.history:
-        assert len(t.fold_losses) == 3
+        assert len(t.fold_losses) == (t.pruned_after or 3)
 
 
 def test_run_search_deterministic():
@@ -690,3 +697,126 @@ def test_history_text_format():
     assert "trial_0.stage = random" in text
     assert "trial_1.fold_losses = " in text
     assert "best_theta = " in text
+
+
+# ---------------------------------------------------------------------------
+# the median pruner
+# ---------------------------------------------------------------------------
+
+def _pruning_search(monkeypatch):
+    """The search on a table where TPE's last trial loses at fold 1, and
+    the number of fine_tune calls it made."""
+    import pcegp.optim as optim_mod
+
+    calls = []
+    real = optim_mod.fine_tune
+
+    def counted(*args, **kwargs):
+        calls.append(None)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(optim_mod, "fine_tune", counted)
+    ds = synthetic_dataset(np.random.default_rng(25), n=24)
+    result = run_search(ds, small_space(), n_trials=4, n_initial=2,
+                        n_iterations=2, n_folds=3, seed=0)
+    return result, len(calls)
+
+
+def test_a_trial_losing_at_its_first_fold_is_pruned_there(monkeypatch):
+    result, _ = _pruning_search(monkeypatch)
+    *completed, late = result.history
+    assert all(t.completed and len(t.fold_losses) == 3 for t in completed)
+    assert late.stage == "tpe" and late.pruned_after == 1
+    assert late.fold_losses == (late.loss,)
+    assert math.isfinite(late.loss) and not late.failed and not late.completed
+    # the rule: its first fold loss exceeds the completed trials' median
+    assert late.loss > statistics.median(t.fold_losses[0] for t in completed)
+
+
+def test_pruning_keeps_the_best_bits_and_saves_fine_tunes(monkeypatch):
+    import pcegp.optim as optim_mod
+
+    pruned, pruned_calls = _pruning_search(monkeypatch)
+    monkeypatch.setattr(optim_mod, "_prune_threshold", lambda *args: math.inf)
+    whole, whole_calls = _pruning_search(monkeypatch)
+    assert whole.best_theta.tobytes() == pruned.best_theta.tobytes()
+    assert whole.best_loss == pruned.best_loss
+    assert all(t.pruned_after is None for t in whole.history)
+    assert whole.history[3].fold_losses[:1] == pruned.history[3].fold_losses
+    assert (pruned_calls, whole_calls) == (10, 12)
+
+
+def test_split_history_puts_a_pruned_trial_in_the_bad_set():
+    thetas = [np.full(4, float(i)) for i in range(4)]
+    history = [_record(thetas[i], float(i + 1), i) for i in range(3)]
+    # the lowest loss of the history, from one fold
+    history.append(TrialRecord(theta=thetas[3], loss=0.5, trial_index=3,
+                               stage="tpe", fold_losses=(0.5,), pruned_after=1))
+    good, bad = _split_history(history, gamma=0.25)
+    np.testing.assert_array_equal(good, [thetas[0]])
+    np.testing.assert_array_equal(bad, [thetas[1], thetas[2], thetas[3]])
+
+
+def test_history_text_marks_only_pruned_trials():
+    def trial(k, loss, folds, pruned_after=None):
+        return TrialRecord(theta=np.array([1.0, 0.25]), loss=loss, trial_index=k,
+                           stage="random", fold_losses=folds, wall_time=0.5,
+                           pruned_after=pruned_after)
+
+    history = [trial(0, 1.5, (1.0, 2.0)), trial(1, 0.75, (0.5, 1.0))]
+    result = SearchResult(np.array([1.0, 0.5]), 0.75, history, 2, 3)
+    # nothing pruned: the text of a search without the pruner
+    assert history_to_text(result) == (
+        "format = pcegp-search-1\nseed = 3\nn_folds = 2\nn_trials = 2\n"
+        "best_loss = 0.75\nbest_theta = 1.0 0.5\n"
+        "trial_0.stage = random\ntrial_0.loss = 1.5\n"
+        "trial_0.fold_losses = 1.0 2.0\ntrial_0.theta = 1.0 0.25\n"
+        "trial_0.wall_time = 0.500000\n"
+        "trial_1.stage = random\ntrial_1.loss = 0.75\n"
+        "trial_1.fold_losses = 0.5 1.0\ntrial_1.theta = 1.0 0.25\n"
+        "trial_1.wall_time = 0.500000\n"
+    )
+    history.append(trial(2, 4.0, (4.0,), pruned_after=1))
+    lines = history_to_text(SearchResult(result.best_theta, 0.75, history, 2, 3))
+    lines = lines.splitlines()
+    assert [line for line in lines if "pruned_after" in line] == [
+        "trial_2.pruned_after = 1"
+    ]
+    i = lines.index("trial_2.fold_losses = 4.0")
+    assert lines[i + 1] == "trial_2.pruned_after = 1"
+    assert lines[0] == "format = pcegp-search-1"
+
+
+def test_a_pruning_search_leaves_numpy_ma_unimported():
+    # np.median imports numpy.ma on its first call, about 1 MB of resident
+    # memory for every command that searches
+    code = (
+        "import sys\n"
+        "import numpy as np\n"
+        "import pcegp.cli\n"
+        "from pcegp.data import Dataset\n"
+        "from pcegp.kernels import KernelForm\n"
+        "from pcegp.optim import SearchSpace, run_search\n"
+        "from pcegp.poly import Basis\n"
+        "rng = np.random.default_rng(25)\n"
+        "x = np.sort(rng.uniform(0.0, 1.0, size=24))[:, None]\n"
+        "y = np.sin(6.0 * x[:, 0]) + rng.normal(scale=0.02 + 0.2 * x[:, 0])\n"
+        "space = SearchSpace(kernel_forms=(KernelForm.se(),),\n"
+        "    basis=Basis.legendre01(), q_range=(1, 1), scale_range=(1e-2, 10.0),\n"
+        "    noise_fixed=1e-2)\n"
+        "result = run_search(Dataset(x, y, ['x'], 'y'), space, n_trials=4,\n"
+        "    n_initial=2, n_iterations=2, n_folds=3, seed=0)\n"
+        "pruned = [t.trial_index for t in result.history if t.pruned_after]\n"
+        "ma = 'numpy.ma' in sys.modules\n"
+        "sys.exit(0 if pruned == [3] and not ma else f'pruned {pruned}, numpy.ma {ma}')\n"
+    )
+    # the package from this checkout, with or without PYTHONPATH set
+    env = dict(os.environ)
+    paths = [str(Path(__file__).resolve().parent.parent / "src")]
+    if env.get("PYTHONPATH"):
+        paths.append(env["PYTHONPATH"])
+    env["PYTHONPATH"] = os.pathsep.join(paths)
+    proc = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True
+    )
+    assert proc.returncode == 0, proc.stdout + proc.stderr
