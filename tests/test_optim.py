@@ -569,6 +569,18 @@ def test_run_search_history_bookkeeping():
         assert len(t.fold_losses) == (t.pruned_after or 3)
 
 
+def test_the_random_warm_up_is_never_pruned():
+    # trial 2's first fold (7.69) is far above the median of trials 0 and 1
+    ds = synthetic_dataset(np.random.default_rng(15), n=24)
+    result = run_search(ds, small_space(), n_trials=6, n_initial=3,
+                        n_iterations=2, n_folds=3, seed=1)
+    warm_up = [t for t in result.history if t.stage == "random"]
+    assert len(warm_up) == 3 and all(t.completed for t in warm_up)
+    assert warm_up[2].fold_losses[0] > max(t.fold_losses[0] for t in warm_up[:2])
+    # the TPE trials are pruned against all three
+    assert [t.pruned_after for t in result.history[3:]] == [1, None, None]
+
+
 def test_run_search_deterministic():
     rng = np.random.default_rng(16)
     ds = synthetic_dataset(rng, n=24)
