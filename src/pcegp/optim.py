@@ -28,9 +28,10 @@ restores the laxer scale-once protocol for comparability.
 A median pruner stops a losing TPE trial early; the random warm-up always
 runs every fold, so the median starts from the whole warm-up. A TPE trial
 stops after fold f (1 <= f < k) when the mean of its first f fold losses
-exceeds the median of that mean over the trials that ran every fold. Its loss is the mean of the folds it ran; it never
-supplies the best theta, and TPE counts it among the bad trials. The rule
-reads only the history, so a search stays reproducible from its seed.
+exceeds the median of that mean over the trials that ran every fold. Its
+loss is the mean of the folds it ran; it never supplies the best theta,
+and TPE counts it among the bad trials. The rule reads only the history,
+so a search stays reproducible from its seed.
 """
 
 from __future__ import annotations
@@ -650,9 +651,9 @@ def _evaluate_trial(
     refines and is scored in `workspace` (`_score_fold`). After fold f
     (counting from 1), the trial stops when the mean of its fold losses so
     far exceeds `prune_above[f - 1]`: the result is then (that mean, the f
-    fold losses, None, f). An empty `prune_above` never stops. A trial that fails is (FAILED_LOSS, its fold
-    losses, None, None); one that runs every fold has the mean of its fold
-    losses and pruned_after None.
+    fold losses, None, f). An empty `prune_above` never stops. A trial
+    that fails is (FAILED_LOSS, its fold losses, None, None); one that
+    runs every fold has the mean of its fold losses and pruned_after None.
     """
     fold_losses = []
     fold_thetas = []
@@ -724,10 +725,10 @@ def run_search(
     One likelihood workspace serves every trial and fold of the call:
     `workspace` when given (a benchmark passes the one its refits use),
     else a fresh one freed when the call returns. It is reserved at the
-    largest training split, so each buffer is allocated once. `checkpoint_path`, when given, receives
-    `history_to_text` of the finished trials after every trial
-    (`data.write_text_atomic`), so an interrupted or wholly failed search
-    leaves the history of its trials.
+    largest training split, so each buffer is allocated once.
+    `checkpoint_path`, when given, receives `history_to_text` of the
+    finished trials after every trial (`data.write_text_atomic`), so an
+    interrupted or wholly failed search leaves the history of its trials.
     """
     check_search_settings(n_trials, n_initial, n_iterations, n_folds, seed)
     rng = np.random.default_rng(seed)
