@@ -57,24 +57,6 @@ from .kernels import (
     warped_cross_matrix,
 )
 from .optim import AdamState, SearchSpace, adam_step, check_search_settings, run_search
-from .poly import Basis
-
-
-def benchmark_space() -> SearchSpace:
-    """The fixed four-kernel, shifted-Legendre setup used for the benchmarks."""
-    return SearchSpace(
-        kernel_forms=(
-            KernelForm.se(),
-            KernelForm.ae(),
-            KernelForm.matern32(),
-            KernelForm.rq(1.0),
-        ),
-        basis=Basis.legendre01(),
-        q_range=(5, 10),
-        coeff_range=(-2.0, 2.0),
-        scale_range=(1e-3, 10.0),
-        noise_fixed=1e-4,
-    )
 
 
 @dataclass(frozen=True)
@@ -90,8 +72,7 @@ class BenchmarkConfig:
     seed: int = 0
     nested: bool = True
     inner_n_folds: int = 5
-    global_scaling: bool = False
-    space: SearchSpace = field(default_factory=benchmark_space)
+    space: SearchSpace = field(default_factory=SearchSpace)
 
     def __post_init__(self):
         if self.n_folds < 2:
@@ -101,8 +82,10 @@ class BenchmarkConfig:
 
     def echo(self) -> dict:
         """The report's `config.<key>` values; `basis` labels the one family
-        of every expansion the searched models hold."""
-        space = self.space
+        of every expansion the searched models hold. The shape parameters
+        of a rational quadratic and of a Jacobi basis are written exactly,
+        by `repr` (`Basis.label` rounds them)."""
+        space, basis = self.space, self.space.basis
         return {
             "dataset_path": str(self.dataset_path),
             "target_column": self.target_column,
@@ -113,9 +96,15 @@ class BenchmarkConfig:
             "seed": self.seed,
             "nested": self.nested,
             "inner_n_folds": self.inner_n_folds,
-            "global_scaling": self.global_scaling,
-            "kernels": " ".join(f.tag for f in space.kernel_forms),
-            "basis": space.basis.label(),
+            "kernels": " ".join(
+                f"{f.tag}({f.shape!r})" if f.tag == "rational_quadratic"
+                else f.tag
+                for f in space.kernel_forms
+            ),
+            "basis": (
+                f"jacobi({basis.alpha!r},{basis.beta!r})"
+                if basis.family == "jacobi" else basis.label()
+            ),
             "q_range": f"{space.q_range[0]} {space.q_range[1]}",
             "r_range": (
                 "fixed" if space.r_range is None
@@ -237,7 +226,6 @@ def run_benchmark(
             n_iterations=config.n_iterations,
             n_folds=config.inner_n_folds,
             seed=seed,
-            global_scaling=config.global_scaling,
             workspace=workspace,
         ).best_theta
 

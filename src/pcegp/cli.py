@@ -19,6 +19,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from dataclasses import replace
 
 from .bench import (
     BenchmarkConfig,
@@ -26,7 +27,8 @@ from .bench import (
     run_baseline,
     run_benchmark,
 )
-from .data import fit_scaler, load_csv, read_csv, read_kv, write_text_atomic
+from .data import (apply_scaler, fit_scaler, load_csv, read_csv, read_kv,
+                   write_text_atomic)
 from .gp import fit_precompute, predict_batch
 from .kernels import KernelForm
 from .launch import THREADS_ENV_VAR, set_thread_vars
@@ -50,7 +52,7 @@ _SPACE_KEYS = {
     "noise", "r_min", "r_max",
 }
 _SEARCH_KEYS = {
-    "n_trials", "n_initial", "n_iterations", "inner_n_folds", "global_scaling",
+    "n_trials", "n_initial", "n_iterations", "inner_n_folds",
 }
 ALLOWED_KEYS = {
     "fit": {"dataset", "target"} | _SEARCH_KEYS | _SPACE_KEYS | _COMMON_KEYS,
@@ -104,7 +106,7 @@ def _require(cfg: dict, key: str) -> str:
     return cfg[key]
 
 
-def _get_int(cfg, key, default):
+def _get_int(cfg, key, default=None):
     if key not in cfg:
         return default
     try:
@@ -113,7 +115,7 @@ def _get_int(cfg, key, default):
         raise UsageError(f"config key '{key}' must be an integer, got {cfg[key]!r}")
 
 
-def _get_float(cfg, key, default):
+def _get_float(cfg, key, default=None):
     if key not in cfg:
         return default
     try:
@@ -122,76 +124,88 @@ def _get_float(cfg, key, default):
         raise UsageError(f"config key '{key}' must be a number, got {cfg[key]!r}")
 
 
-def _get_bool(cfg, key, default):
-    if key not in cfg:
-        return default
+def _get_bool(cfg, key):
     value = cfg[key].lower()
     if value not in ("true", "false"):
         raise UsageError(f"config key '{key}' must be true or false, got {cfg[key]!r}")
     return value == "true"
 
 
+def _needs(cfg, keys, met, requirement):
+    """Refuse any of `keys` that `cfg` sets unless `met`: it would do nothing."""
+    for key in keys:
+        if key in cfg and not met:
+            raise UsageError(f"config key '{key}' needs {requirement}")
+
+
+def _pair(cfg, prefix, default, get):
+    """(`<prefix>_min`, `<prefix>_max`), each from `default` unless set."""
+    return get(cfg, f"{prefix}_min", default[0]), get(cfg, f"{prefix}_max", default[1])
+
+
 _FORMS = {
     "se": KernelForm.se, "squared_exponential": KernelForm.se,
     "ae": KernelForm.ae, "absolute_exponential": KernelForm.ae,
     "m32": KernelForm.matern32, "matern_3_2": KernelForm.matern32,
+    "rq": KernelForm.rq, "rational_quadratic": KernelForm.rq,
 }
 _BASES = {
     "legendre_shifted_01": Basis.legendre01, "legendre": Basis.legendre,
-    "hermite": Basis.hermite, "laguerre": Basis.laguerre,
+    "hermite": Basis.hermite, "laguerre": Basis.laguerre, "jacobi": Basis.jacobi,
 }
 
 
 def build_space(cfg: dict) -> SearchSpace:
-    """Search space from config keys; defaults follow the benchmark setup.
+    """Search space from config keys; a key the config leaves out keeps
+    `SearchSpace`'s default, which is the benchmark setup.
 
-    A value the kernel forms, the basis or the space reject raises a
-    ValueError, which the subcommands report as a configuration error.
+    A key that would have no effect is a UsageError. A value the kernel
+    forms, the basis or the space reject raises a ValueError, which the
+    subcommands report as a configuration error.
     """
-    forms = []
-    for name in cfg.get("kernels", "se ae m32 rq").split():
-        if name.lower() in ("rq", "rational_quadratic"):
-            forms.append(KernelForm.rq(_get_float(cfg, "rq_shape", 1.0)))
-        elif name.lower() in _FORMS:
+    default = SearchSpace()
+    forms = default.kernel_forms
+    if "kernels" in cfg:
+        forms = []
+        for name in cfg["kernels"].split():
+            if name.lower() not in _FORMS:
+                raise UsageError(f"unknown kernel '{name}' in config key 'kernels'")
             forms.append(_FORMS[name.lower()]())
-        else:
-            raise UsageError(f"unknown kernel '{name}' in config key 'kernels'")
+    rq = "rational_quadratic"
+    has_rq = any(f.tag == rq for f in forms)
+    _needs(cfg, ["rq_shape"], has_rq, "an rq kernel in 'kernels'")
+    if "rq_shape" in cfg:
+        shape = _get_float(cfg, "rq_shape")
+        forms = [replace(f, shape=shape) if f.tag == rq else f for f in forms]
 
-    basis_name = cfg.get("basis", "legendre_shifted_01")
-    if basis_name == "jacobi":
-        basis = Basis.jacobi(
-            _get_float(cfg, "jacobi_alpha", 0.0), _get_float(cfg, "jacobi_beta", 0.0)
-        )
-    elif basis_name in _BASES:
-        basis = _BASES[basis_name]()
-    else:
-        raise UsageError(f"unknown basis '{basis_name}'")
+    name = cfg.get("basis")
+    _needs(cfg, ["jacobi_alpha", "jacobi_beta"], name == "jacobi", "basis = jacobi")
+    if name is not None and name not in _BASES:
+        raise UsageError(f"unknown basis '{name}'")
+    jacobi = {k: _get_float(cfg, f"jacobi_{k}") for k in ("alpha", "beta")
+              if f"jacobi_{k}" in cfg}
 
-    noise_raw = cfg.get("noise", "0.0001")
-    if noise_raw == "search":
-        noise_fixed = None
-        r_range = (_get_int(cfg, "r_min", 0), _get_int(cfg, "r_max", 5))
-    else:
+    noise = cfg.get("noise")
+    _needs(cfg, ["r_min", "r_max"], noise == "search", "noise = search")
+    fields = {}
+    if noise == "search":  # of degree 0 to 5 unless the config says otherwise
+        fields = {"noise_fixed": None, "r_range": _pair(cfg, "r", (0, 5), _get_int)}
+    elif noise is not None:
         try:
-            noise_fixed = float(noise_raw)
+            fields = {"noise_fixed": float(noise)}
         except ValueError:
             raise UsageError(
-                f"config key 'noise' must be a number or 'search', got {noise_raw!r}"
+                f"config key 'noise' must be a number or 'search', got {noise!r}"
             )
-        r_range = None
 
-    return SearchSpace(
-        kernel_forms=tuple(forms),
-        basis=basis,
-        q_range=(_get_int(cfg, "q_min", 5), _get_int(cfg, "q_max", 10)),
-        coeff_range=(
-            _get_float(cfg, "coeff_min", -2.0), _get_float(cfg, "coeff_max", 2.0)
-        ),
-        scale_range=(
-            _get_float(cfg, "scale_min", 1e-3), _get_float(cfg, "scale_max", 10.0)
-        ),
-        r_range=r_range,
-        noise_fixed=noise_fixed,
+    return replace(
+        default,
+        kernel_forms=forms,
+        basis=default.basis if name is None else _BASES[name](**jacobi),
+        q_range=_pair(cfg, "q", default.q_range, _get_int),
+        coeff_range=_pair(cfg, "coeff", default.coeff_range, _get_float),
+        scale_range=_pair(cfg, "scale", default.scale_range, _get_float),
+        **fields,
     )
 
 
@@ -244,7 +258,6 @@ def cmd_fit(cfg: dict) -> int:
         n_iterations=n_iterations,
         n_folds=n_folds,
         seed=seed,
-        global_scaling=_get_bool(cfg, "global_scaling", False),
         checkpoint_path=output + ".history",
     )
     stack, noise = space.build_stack(result.best_theta, ds.n_inputs)
@@ -289,30 +302,37 @@ def cmd_predict(cfg: dict) -> int:
 
     _, queries = read_csv(_require(cfg, "inputs"), training_columns)
     lines = ["mean,variance"]
+    n_outside = 0
     if len(queries):
         means, variances = predict_batch(model, queries)
         lines.extend(
             f"{float(m)!r},{float(v)!r}" for m, v in zip(means, variances)
         )
+        # a row extrapolates when any scaled coordinate leaves [0, 1]
+        scaled = apply_scaler(model.input_scaler, queries)
+        n_outside = int(((scaled < 0.0) | (scaled > 1.0)).any(axis=1).sum())
     write_text_atomic(output, "\n".join(lines) + "\n")
-    print(f"predict: {len(queries)} rows -> {output}")
+    print(f"predict: {len(queries)} rows, {n_outside} outside the training "
+          f"min-max box -> {output}")
     return 0
 
 
+_BENCHMARK_KEYS = {
+    "n_folds": _get_int, "n_trials": _get_int, "n_initial": _get_int,
+    "n_iterations": _get_int, "seed": _get_int, "nested": _get_bool,
+    "inner_n_folds": _get_int,
+}
+
+
 def _benchmark_config(cfg: dict) -> BenchmarkConfig:
+    """A key the config leaves out keeps `BenchmarkConfig`'s default."""
+    settings = {key: get(cfg, key) for key, get in _BENCHMARK_KEYS.items() if key in cfg}
     try:
         return BenchmarkConfig(
             dataset_path=_require(cfg, "dataset"),
             target_column=_require(cfg, "target"),
-            n_folds=_get_int(cfg, "n_folds", 10),
-            n_trials=_get_int(cfg, "n_trials", 100),
-            n_initial=_get_int(cfg, "n_initial", 20),
-            n_iterations=_get_int(cfg, "n_iterations", 100),
-            seed=_get_int(cfg, "seed", 0),
-            nested=_get_bool(cfg, "nested", True),
-            inner_n_folds=_get_int(cfg, "inner_n_folds", 5),
-            global_scaling=_get_bool(cfg, "global_scaling", False),
             space=build_space(cfg),
+            **settings,
         )
     except ValueError as err:
         raise UsageError(str(err))

@@ -21,9 +21,8 @@ Each trial is scored by k-fold cross-validation: Adam refines the active
 coefficients and scales on every training split by gradient ascent on the
 marginal log likelihood, and the refined model's mean negative predictive
 log likelihood on the held-out split, averaged over folds, is the loss of
-a trial that ran every fold. Scalers are refit per fold by default to keep
-the held-out points out of every fitting step; a global-scaling flag
-restores the laxer scale-once protocol for comparability.
+a trial that ran every fold. Scalers are refit on every training split,
+so the held-out points stay out of every fitting step.
 
 A median pruner stops a losing TPE trial early; the random warm-up always
 runs every fold, so the median starts from the whole warm-up. A TPE trial
@@ -82,6 +81,8 @@ NOISE_LOG_RANGE = (math.log(1e-6), 0.0)
 class SearchSpace:
     """Bounds and structure for the trial vector.
 
+    The defaults are the study setup, which the CLI and `bench` read: four
+    kernels, one shifted-Legendre family, q 5-10 and a fixed noise.
     `basis` is the polynomial family of every expansion the space builds:
     each kernel's lengthscale field and a searched noise. `noise_fixed`
     switches between a fixed noise variance (its value) and
@@ -97,9 +98,11 @@ class SearchSpace:
     rounding of sqrt(s2)**2. `fine_tune` stores Adam's result through them.
     """
 
-    kernel_forms: tuple
-    basis: Basis
-    q_range: tuple
+    kernel_forms: tuple = (
+        KernelForm.se(), KernelForm.ae(), KernelForm.matern32(), KernelForm.rq()
+    )
+    basis: Basis = Basis.legendre01()
+    q_range: tuple = (5, 10)
     coeff_range: tuple = (-2.0, 2.0)
     scale_range: tuple = (1e-3, 10.0)
     r_range: tuple | None = None
@@ -581,8 +584,7 @@ def fine_tune(
     return FineTuneResult(refined, final_loss, stack, noise, fit)
 
 
-def _score_fold(theta, space, dataset, plan, fold, n_iterations, global_scalers,
-                workspace):
+def _score_fold(theta, space, dataset, plan, fold, n_iterations, workspace):
     """(held-out loss, refined theta) of one fold, or (FAILED_LOSS, None).
 
     The fold refines in `workspace`, and its model, built on the closing
@@ -591,12 +593,8 @@ def _score_fold(theta, space, dataset, plan, fold, n_iterations, global_scalers,
     """
     tr, va = plan.train_indices(fold), plan.test_indices(fold)
     x_tr, y_tr = dataset.inputs[tr], dataset.outputs[tr]
-    if global_scalers is not None:
-        in_sc, out_sc = global_scalers
-    else:
-        in_sc = fit_scaler("min_max_per_column", x_tr)
-        out_sc = fit_scaler("z_normalize", y_tr)
-
+    in_sc = fit_scaler("min_max_per_column", x_tr)
+    out_sc = fit_scaler("z_normalize", y_tr)
     x_tr_s = apply_scaler(in_sc, x_tr)
     y_tr_s = (y_tr - out_sc.loc[0]) / out_sc.scale[0]
     tuned = fine_tune(theta, space, (x_tr_s, y_tr_s), n_iterations, workspace)
@@ -641,7 +639,6 @@ def _evaluate_trial(
     dataset: Dataset,
     plan,
     n_iterations: int,
-    global_scalers,
     workspace: Workspace,
     prune_above,
 ):
@@ -659,7 +656,7 @@ def _evaluate_trial(
     fold_thetas = []
     for f in range(plan.n_folds):
         loss, refined = _score_fold(
-            theta, space, dataset, plan, f, n_iterations, global_scalers, workspace
+            theta, space, dataset, plan, f, n_iterations, workspace
         )
         fold_losses.append(loss)
         if refined is None:
@@ -708,12 +705,12 @@ def run_search(
     n_iterations: int,
     n_folds: int,
     seed: int,
-    global_scaling: bool = False,
     checkpoint_path=None,
     workspace: Workspace | None = None,
 ) -> SearchResult:
     """Full two-stage search: random warmup, then TPE, each trial cross-validated.
 
+    Every fold fits its scalers on its own training split (`_score_fold`).
     The retained best is the refined theta from the best-validating fold of
     the lowest-loss trial that ran every fold; the history stores the raw
     suggestions so the TPE densities stay in suggestion space. A TPE
@@ -733,13 +730,6 @@ def run_search(
     check_search_settings(n_trials, n_initial, n_iterations, n_folds, seed)
     rng = np.random.default_rng(seed)
     plan = make_folds(dataset.n_points, n_folds, seed)
-    global_scalers = None
-    if global_scaling:
-        global_scalers = (
-            fit_scaler("min_max_per_column", dataset.inputs),
-            fit_scaler("z_normalize", dataset.outputs),
-        )
-
     if workspace is None:
         workspace = Workspace()
     workspace.reserve(plan.largest_train_size)
@@ -755,8 +745,7 @@ def run_search(
             stage, theta = "tpe", tpe_suggest(history, space, rng=rng)
             prune_above = [_prune_threshold(history, f) for f in range(1, n_folds)]
         mean_loss, fold_losses, refined, pruned_after = _evaluate_trial(
-            theta, space, dataset, plan, n_iterations, global_scalers, workspace,
-            prune_above,
+            theta, space, dataset, plan, n_iterations, workspace, prune_above,
         )
         history.append(
             TrialRecord(

@@ -20,7 +20,6 @@ from pcegp.bench import (
     BenchmarkConfig,
     _ard_predict,
     _fit_ard_baseline,
-    benchmark_space,
     report_text,
     rmse,
     run_baseline,
@@ -91,7 +90,6 @@ def _bench_config(path, target, seed=0):
         seed=seed,
         nested=False,
         inner_n_folds=5,
-        space=benchmark_space(),
     )
 
 

@@ -12,7 +12,6 @@ from pcegp.bench import (
     BenchmarkReport,
     dataset_manifest,
     manifest_text,
-    benchmark_space,
     report_table,
     report_text,
     rmse,
@@ -112,7 +111,7 @@ def test_report_mean_must_match_folds():
 
 
 def test_benchmark_space_shape():
-    space = benchmark_space()
+    space = SearchSpace()
     assert [f.tag for f in space.kernel_forms] == [
         "squared_exponential",
         "absolute_exponential",
@@ -124,6 +123,20 @@ def test_benchmark_space_shape():
     assert space.noise_fixed == 1e-4
     # shared degree + 4 blocks of 11 coefficients + 4 squared scales
     assert space.n_parameters == 1 + 4 * 11 + 4
+
+
+def test_config_echo_writes_shapes_exactly():
+    # two runs that differ only in a shape parameter echo differently
+    def echo(rq_shape, alpha):
+        space = SearchSpace(kernel_forms=(KernelForm.se(), KernelForm.rq(rq_shape)),
+                            basis=Basis.jacobi(alpha, 2), q_range=(0, 1))
+        return BenchmarkConfig("d.csv", "y", space=space).echo()
+
+    first = echo(0.1234567, 0.1234567)
+    assert first["kernels"] == "squared_exponential rational_quadratic(0.1234567)"
+    assert first["basis"] == "jacobi(0.1234567,2)"
+    assert echo(0.1234568, 0.1234567)["kernels"] != first["kernels"]
+    assert echo(0.1234567, 0.1234568)["basis"] != first["basis"]
 
 
 # --- benchmark driver --------------------------------------------------------

@@ -12,8 +12,9 @@ import pytest
 
 import pcegp.data as data_mod
 import pcegp.optim as optim_mod
-from pcegp.cli import main
-from pcegp.optim import FAILED_LOSS
+from pcegp.bench import BenchmarkConfig
+from pcegp.cli import _benchmark_config, build_space, main
+from pcegp.optim import FAILED_LOSS, SearchSpace
 from pcegp.serialize import load_model, model_to_text, parse_description, save_model
 
 
@@ -86,9 +87,18 @@ def test_fit_same_seed_is_byte_identical(tmp_path, train_file):
 
 
 def test_unknown_config_key_is_usage_error(capsys, train_file, tmp_path):
-    rc = main(["fit", "--set", "bogus_key=1"])
-    assert rc == 2
-    assert "bogus_key" in capsys.readouterr().err
+    for key in ("bogus_key", "global_scaling"):
+        rc = main(["fit", "--set", f"{key}=true"])
+        assert rc == 2
+        assert f"'{key}'" in capsys.readouterr().err
+
+
+def test_an_empty_config_builds_the_dataclass_defaults():
+    # the CLI writes no default of its own for the space or the benchmark
+    assert build_space({}) == SearchSpace()
+    assert _benchmark_config({"dataset": "d.csv", "target": "y"}) == (
+        BenchmarkConfig("d.csv", "y")
+    )
 
 
 def test_missing_required_key_is_usage_error(capsys, tmp_path):
@@ -201,6 +211,28 @@ def test_predict_is_idempotent(tmp_path, train_file):
         )
         outs.append(out.read_bytes())
     assert outs[0] == outs[1]
+
+
+def test_predict_counts_the_rows_outside_the_training_box(
+    tmp_path, train_file, capsys
+):
+    model_path = fit_interpolator(tmp_path, train_file)
+    capsys.readouterr()
+    x = np.array([float(line.split(",")[0])
+                  for line in train_file.read_text().splitlines()[1:]])
+    lo, hi = x.min(), x.max()
+    # the box's edges are inside it; 2 of these 5 rows lie outside
+    queries = [lo, hi, 0.5 * (lo + hi), lo - 0.01, hi + 0.5]
+    src = tmp_path / "queries.csv"
+    src.write_text("x\n" + "".join(f"{float(v)!r}\n" for v in queries))
+    out = tmp_path / "queries_out.csv"
+    rc = main(["predict", "--set", f"model={model_path}", "--set", f"inputs={src}",
+               "--output", str(out)])
+    assert rc == 0
+    assert capsys.readouterr().out == (
+        f"predict: 5 rows, 2 outside the training min-max box -> {out}\n"
+    )
+    assert len(out.read_text().splitlines()) == 1 + 5  # the file has no count
 
 
 def test_predict_empty_inputs_writes_header_only(tmp_path, train_file):
@@ -426,9 +458,17 @@ def test_bad_config_value_is_usage_error(tmp_path, capsys):
         (["noise=inf"], "fixed noise"),
         (["coeff_min=nan"], "coeff_range"),
         (["scale_max=inf"], "scale_range"),
+        # keys that would have no effect
+        (["r_max=3"], "'r_max' needs noise = search"),
+        (["noise=0.01", "r_min=1"], "'r_min' needs noise = search"),
+        (["rq_shape=2"], "'rq_shape' needs an rq kernel"),
+        (["jacobi_alpha=0.5"], "'jacobi_alpha' needs basis = jacobi"),
+        (["basis=hermite", "jacobi_beta=0.5"], "'jacobi_beta' needs basis = jacobi"),
     ],
     ids=["rq-negative", "rq-nan", "jacobi-below-minus-one", "jacobi-nan",
-         "noise-nan", "noise-inf", "coeff-nan", "scale-inf"],
+         "noise-nan", "noise-inf", "coeff-nan", "scale-inf",
+         "r-with-default-noise", "r-with-fixed-noise", "rq-shape-without-rq",
+         "jacobi-alpha-with-default-basis", "jacobi-beta-with-hermite"],
 )
 def test_an_impossible_space_value_is_a_usage_error_before_the_search(
     tmp_path, capsys, settings, message

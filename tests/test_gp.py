@@ -8,7 +8,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pcegp.bench import benchmark_space
 from pcegp.data import Dataset, ScalerState, fit_scaler
 from pcegp.gp import (
     _likelihood_core,
@@ -568,7 +567,7 @@ def test_degree_10_benchmark_stack_extrapolates_to_finite_predictions(seed):
     # a degree-10 shifted-Legendre field is very large half a box width past
     # the training data, so only finiteness and the variance's sign are
     # checked, not the values
-    space = benchmark_space()
+    space = SearchSpace()
     rng = np.random.default_rng(seed)
     theta = random_suggest(space, rng)
     theta[0] = 10

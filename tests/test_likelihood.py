@@ -25,7 +25,6 @@ from pcegp.bench import (
     BenchmarkConfig,
     _ard_neg_mll_and_grad,
     _ard_predict,
-    benchmark_space,
     run_benchmark,
 )
 from pcegp.data import Dataset, apply_scaler, fit_scaler, make_folds
@@ -219,7 +218,7 @@ def test_fine_tune_evaluates_the_basis_on_its_training_points_once(
 ):
     # four kernel entries sharing one basis; a searched noise expansion on
     # the same family may need a higher degree than the lengthscales
-    space = benchmark_space()
+    space = SearchSpace()
     if not noise_fixed:
         space = SearchSpace(
             kernel_forms=space.kernel_forms, basis=space.basis, q_range=(2, 3),
@@ -290,7 +289,7 @@ def test_fold_model_from_closing_fit_matches_a_refit():
 def test_gradient_through_a_workspace_allocates_no_n_by_n_array():
     n = 300
     rng = np.random.default_rng(13)
-    space = benchmark_space()
+    space = SearchSpace()
     theta = random_suggest(space, rng)
     theta[0] = 7.0
     pts = rng.uniform(size=(n, 8))
@@ -435,7 +434,7 @@ def test_a_gradient_holds_one_buffer_per_entry_k_and_a_scratch():
     # the benchmark stack that is 4 N x N arrays, where square arguments held
     # 6 and each entry's distances and values 8
     rng = np.random.default_rng(17)
-    space = benchmark_space()
+    space = SearchSpace()
     n = 50
     pairs = n * (n - 1) // 2
     x, y = rng.uniform(size=(n, 3)), rng.normal(size=n)
@@ -505,7 +504,7 @@ def test_a_cold_refit_peaks_near_three_n_by_n_arrays():
     # rest is O(N) (the warps). Square buffers held 3 N x N arrays
     n, d = 506, 13
     rng = np.random.default_rng(21)
-    space = benchmark_space()
+    space = SearchSpace()
     theta = random_suggest(space, rng)
     theta[0] = 10.0
     x, y = rng.uniform(size=(n, d)), rng.normal(size=n)
@@ -566,7 +565,7 @@ def test_a_cold_refit_of_one_se_entry_keeps_k_as_its_factor(monkeypatch):
 
 def test_warm_fold_refinement_and_scoring_allocate_no_n_by_n_array():
     rng = np.random.default_rng(18)
-    space = benchmark_space()
+    space = SearchSpace()
     theta = random_suggest(space, rng)
     theta[0] = 7.0
     ds = Dataset(rng.uniform(size=(500, 8)), rng.normal(size=500),
@@ -575,10 +574,10 @@ def test_warm_fold_refinement_and_scoring_allocate_no_n_by_n_array():
     n = plan.train_indices(0).size
     assert all(plan.train_indices(f).size == n for f in range(5))
     workspace = Workspace()
-    first = _evaluate_trial(theta, space, ds, plan, 2, None, workspace, ())  # warms it
+    first = _evaluate_trial(theta, space, ds, plan, 2, workspace, ())  # warms it
     tracemalloc.start()
     try:
-        second = _evaluate_trial(theta, space, ds, plan, 2, None, workspace, ())
+        second = _evaluate_trial(theta, space, ds, plan, 2, workspace, ())
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -665,7 +664,7 @@ def test_a_fit_wide_search_holds_six_buffers():
     assert big == 405
     tracemalloc.start()
     try:
-        result = run_search(ds, benchmark_space(), n_trials=1, n_initial=1,
+        result = run_search(ds, SearchSpace(), n_trials=1, n_initial=1,
                             n_iterations=2, n_folds=5, seed=0)
         _, peak = tracemalloc.get_traced_memory()
     finally:
@@ -809,7 +808,7 @@ def test_prediction_holds_one_n_by_b_array_per_block():
     # or the previous block kept alive would each add an N x B array
     n, d = 600, 3
     rng = np.random.default_rng(23)
-    space = benchmark_space()
+    space = SearchSpace()
     theta = random_suggest(space, rng)
     theta[0] = 5.0
     x, y = rng.uniform(size=(n, d)), rng.normal(size=n)

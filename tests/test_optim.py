@@ -635,25 +635,6 @@ def test_run_search_fold_hygiene(monkeypatch):
             assert not np.any(np.all(got == row, axis=1))
 
 
-def test_run_search_global_scaling_flag(monkeypatch):
-    import pcegp.optim as optim_mod
-
-    rng = np.random.default_rng(19)
-    ds = synthetic_dataset(rng, n=20)
-    calls = []
-    orig = optim_mod.fit_scaler
-
-    def spy(kind, data):
-        calls.append(np.asarray(data).shape)
-        return orig(kind, data)
-
-    monkeypatch.setattr(optim_mod, "fit_scaler", spy)
-    run_search(ds, small_space(), n_trials=2, n_initial=2, n_iterations=1,
-               n_folds=4, seed=10, global_scaling=True)
-    # one input + one output fit on the full data, nothing per fold
-    assert calls == [(20, 1), (20,)]
-
-
 def test_run_search_all_failures_raise(monkeypatch):
     import pcegp.optim as optim_mod
 
