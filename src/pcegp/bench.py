@@ -10,8 +10,8 @@ atomically after every fold as the report of the folds finished so far.
 
 The baseline is a single stationary squared-exponential kernel with one
 lengthscale per input dimension (ARD), plus a learned noise variance,
-optimized by Adam on the marginal log likelihood. No search stage, no
-expansions. It is the squared-exponential form on the linear warp
+optimized by the search's Adam loop, `optim.adam_descent`, on the
+marginal log likelihood. No search stage, no expansions. It is the squared-exponential form on the linear warp
 w = x / l, a warp w(x) = l(x) x whose field does not vary with x, and runs
 through the searched model's code: `kernels.gram_parts` assembles its K,
 `gp.contract_entry` contracts its gradient, which it chains through
@@ -33,12 +33,12 @@ import numpy as np
 
 from .data import (
     Dataset,
-    _sniff_delimiter,
     apply_scaler,
-    fit_scaler,
     format_floats,
     load_csv,
     make_folds,
+    read_csv,
+    scale_split,
     write_text_atomic,
 )
 from .gp import (
@@ -56,7 +56,10 @@ from .kernels import (
     gram_parts,
     warped_cross_matrix,
 )
-from .optim import AdamState, SearchSpace, adam_step, check_search_settings, run_search
+from .optim import SearchSpace, adam_descent, check_search_settings, run_search
+
+# Adam's step size in the baseline's refinement
+BASELINE_STEP_SIZE = 0.05
 
 
 @dataclass(frozen=True)
@@ -84,8 +87,8 @@ class BenchmarkConfig:
         """The report's `config.<key>` values; `basis` labels the one family
         of every expansion the searched models hold. The shape parameters
         of a rational quadratic and of a Jacobi basis are written exactly,
-        by `repr` (`Basis.label` rounds them)."""
-        space, basis = self.space, self.space.basis
+        by `repr`, as `Basis.label` writes them."""
+        space = self.space
         return {
             "dataset_path": str(self.dataset_path),
             "target_column": self.target_column,
@@ -101,10 +104,7 @@ class BenchmarkConfig:
                 else f.tag
                 for f in space.kernel_forms
             ),
-            "basis": (
-                f"jacobi({basis.alpha!r},{basis.beta!r})"
-                if basis.family == "jacobi" else basis.label()
-            ),
+            "basis": space.basis.label(),
             "q_range": f"{space.q_range[0]} {space.q_range[1]}",
             "r_range": (
                 "fixed" if space.r_range is None
@@ -164,11 +164,11 @@ def _fold_seeds(seed: int, n: int):
 def _cross_validate(method, config, ds, plan, output_path, fit_predict, t0):
     """The outer k-fold protocol that both methods share, over the folds of `plan`.
 
-    Each fold fits the min-max input and z-score output scalers on its own
-    training rows and calls `fit_predict(fold, train, in_sc, out_sc,
-    x_test)`, which returns the test means in raw output units and the
-    fold's parameter vector. After every fold the report of the folds
-    finished so far replaces `output_path` atomically
+    Each fold calls `fit_predict(fold, train, split, x_test)`, with `split`
+    the `data.scale_split` of its own training rows, which returns the test
+    means in raw output units and the fold's parameter vector. After every
+    fold the report of the folds finished so far replaces `output_path`
+    atomically
     (`data.write_text_atomic`), so the last write is the final report and an
     interrupted run leaves a valid report of its finished folds.
     """
@@ -179,9 +179,8 @@ def _cross_validate(method, config, ds, plan, output_path, fit_predict, t0):
         train = Dataset(
             ds.inputs[tr], ds.outputs[tr], ds.column_names, ds.target_name
         )
-        in_sc = fit_scaler("min_max_per_column", train.inputs)
-        out_sc = fit_scaler("z_normalize", train.outputs)
-        means, theta = fit_predict(f, train, in_sc, out_sc, ds.inputs[te])
+        split = scale_split(train.inputs, train.outputs)
+        means, theta = fit_predict(f, train, split, ds.inputs[te])
         fold_rmses.append(rmse(means, ds.outputs[te]))
         thetas.append(tuple(float(v) for v in theta))
         report = BenchmarkReport(
@@ -233,7 +232,7 @@ def run_benchmark(
     # non-nested: one search, run at the first fold
     shared_best = None
 
-    def fit_predict(fold, train, in_sc, out_sc, x_test):
+    def fit_predict(fold, train, split, x_test):
         nonlocal shared_best
         if config.nested:
             best = search(train, seeds[fold])
@@ -242,15 +241,14 @@ def run_benchmark(
                 shared_best = search(ds, config.seed)
             best = shared_best
         stack, noise = config.space.build_stack(best, ds.n_inputs)
-        x_s = apply_scaler(in_sc, train.inputs)
-        y_s = (train.outputs - out_sc.loc[0]) / out_sc.scale[0]
+        _, _, x_s, y_s = split
         # only the buffers a value-only fit reads grow to the outer split; in
         # nested mode the search's others stay at its inner splits. The model
         # borrows the workspace's factor and is dropped before the next
         # fold's search or refit overwrites it
         workspace.reserve(plan.largest_train_size)
         fit = fit_likelihood(stack, noise, x_s, y_s, workspace)
-        model = model_from_fit(stack, noise, in_sc, out_sc, x_s, y_s, fit=fit)
+        model = model_from_fit(stack, noise, *split, fit=fit)
         return predict_means(model, x_test), best
 
     return _cross_validate("pcegp", config, ds, plan, checkpoint_path, fit_predict, t0)
@@ -304,7 +302,8 @@ def _fit_ard_baseline(x_s, y_s, n_iterations, workspace=None):
     The marginal likelihood of a stationary kernel is multi-modal (a
     smooth-plus-noise mode competes with a wiggly low-noise mode), so a
     single start is an initialization lottery; the restarts make the
-    baseline an honest stationary reference. Every step of the three
+    baseline an honest stationary reference. A gradient that is not finite
+    raises a RuntimeError naming the restart. Every step of the three
     restarts runs in `workspace`, or in a fresh one freed on return.
     """
     x_s = np.asarray(x_s, dtype=float)
@@ -313,11 +312,16 @@ def _fit_ard_baseline(x_s, y_s, n_iterations, workspace=None):
         workspace = Workspace()
     best = None
     for l0 in (1.0, 0.1, 0.01):
-        log_params = np.concatenate([np.full(d, np.log(l0)), [0.0, np.log(0.1)]])
-        state = AdamState.initial(d + 2, step_size=0.05)
-        for _ in range(n_iterations):
-            _, g, _ = _ard_neg_mll_and_grad(log_params, x_s, y_s, workspace=workspace)
-            state, log_params = adam_step(state, log_params, g)
+        start = np.concatenate([np.full(d, np.log(l0)), [0.0, np.log(0.1)]])
+        log_params = adam_descent(
+            lambda p: _ard_neg_mll_and_grad(p, x_s, y_s, workspace=workspace)[1],
+            start, n_iterations, BASELINE_STEP_SIZE,
+        )
+        if log_params is None:
+            raise RuntimeError(
+                f"ARD baseline: the gradient of the restart from lengthscale "
+                f"{l0!r} is not finite"
+            )
         neg, _, alpha = _ard_neg_mll_and_grad(
             log_params, x_s, y_s, gradient=False, workspace=workspace
         )
@@ -361,9 +365,8 @@ def run_baseline(
     workspace = Workspace()
     workspace.reserve(plan.largest_train_size)
 
-    def fit_predict(fold, train, in_sc, out_sc, x_test):
-        x_s = apply_scaler(in_sc, train.inputs)
-        y_s = (train.outputs - out_sc.loc[0]) / out_sc.scale[0]
+    def fit_predict(fold, train, split, x_test):
+        in_sc, out_sc, x_s, y_s = split
         log_params, alpha, _ = _fit_ard_baseline(
             x_s, y_s, config.n_iterations, workspace
         )
@@ -427,25 +430,16 @@ EXPECTED_DATASETS = {
 
 
 def dataset_manifest(path) -> dict:
-    """File name, sha256, and table shape for a delimited dataset file."""
-    h = hashlib.sha256()
-    n_rows = 0
-    n_columns = None
+    """File name, sha256, and the table shape that `data.read_csv` reads;
+    a file it refuses, such as one with a ragged row, raises its ValueError."""
     with open(path, "rb") as fh:
-        for raw in fh:
-            h.update(raw)
-            line = raw.decode("utf-8").strip()
-            if not line:
-                continue
-            if n_columns is None:
-                n_columns = len(line.split(_sniff_delimiter(line)))
-            else:
-                n_rows += 1
+        sha256 = hashlib.sha256(fh.read()).hexdigest()
+    header, table = read_csv(path, lambda header: [])
     return {
         "file": os.path.basename(str(path)),
-        "sha256": h.hexdigest(),
-        "n_rows": n_rows,
-        "n_columns": n_columns or 0,
+        "sha256": sha256,
+        "n_rows": table.shape[0],
+        "n_columns": len(header),
     }
 
 

@@ -27,9 +27,9 @@ from .bench import (
     run_baseline,
     run_benchmark,
 )
-from .data import (apply_scaler, fit_scaler, load_csv, read_csv, read_kv,
+from .data import (apply_scaler, load_csv, read_csv, read_kv, scale_split,
                    write_text_atomic)
-from .gp import fit_precompute, predict_batch
+from .gp import model_from_fit, predict_batch
 from .kernels import KernelForm
 from .launch import THREADS_ENV_VAR, set_thread_vars
 from .optim import SearchSpace, check_search_settings, run_search
@@ -261,15 +261,13 @@ def cmd_fit(cfg: dict) -> int:
         checkpoint_path=output + ".history",
     )
     stack, noise = space.build_stack(result.best_theta, ds.n_inputs)
-    in_sc = fit_scaler("min_max_per_column", ds.inputs)
-    out_sc = fit_scaler("z_normalize", ds.outputs)
     meta = {
         "dataset": cfg["dataset"],
         "target": ds.target_name,
         "columns": ",".join(ds.column_names),
         "seed": str(seed),
     }
-    model = fit_precompute(stack, noise, in_sc, out_sc, ds.inputs, ds.outputs, meta)
+    model = model_from_fit(stack, noise, *scale_split(ds.inputs, ds.outputs), meta)
     save_model(model, output)
     trials = result.history
     n_pruned = sum(t.pruned_after is not None for t in trials)

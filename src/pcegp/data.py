@@ -285,6 +285,16 @@ def apply_scaler(state: ScalerState, point):
     return out[0] if squeeze else out
 
 
+def scale_split(x, y) -> tuple:
+    """(input scaler, output scaler, scaled x, scaled y) of one training split:
+    the inputs min-max scaled per column and the targets z-scored, each
+    scaler fitted on these rows."""
+    in_sc = fit_scaler("min_max_per_column", x)
+    out_sc = fit_scaler("z_normalize", y)
+    y_s = (np.asarray(y, dtype=float).ravel() - out_sc.loc[0]) / out_sc.scale[0]
+    return in_sc, out_sc, apply_scaler(in_sc, x), y_s
+
+
 # ---------------------------------------------------------------------------
 # k-fold splitting
 # ---------------------------------------------------------------------------

@@ -21,8 +21,10 @@ Each trial is scored by k-fold cross-validation: Adam refines the active
 coefficients and scales on every training split by gradient ascent on the
 marginal log likelihood, and the refined model's mean negative predictive
 log likelihood on the held-out split, averaged over folds, is the loss of
-a trial that ran every fold. Scalers are refit on every training split,
-so the held-out points stay out of every fitting step.
+a trial that ran every fold. Adam is `adam_descent`, which the
+benchmark's ARD baseline runs too. Scalers are refit on every training
+split (`data.scale_split`), so the held-out points stay out of every
+fitting step.
 
 A median pruner stops a losing TPE trial early; the random warm-up always
 runs every fold, so the median starts from the whole warm-up. A TPE trial
@@ -37,18 +39,11 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .data import (
-    Dataset,
-    apply_scaler,
-    fit_scaler,
-    format_floats,
-    make_folds,
-    write_text_atomic,
-)
+from .data import Dataset, format_floats, make_folds, scale_split, write_text_atomic
 from .gp import (
     LikelihoodFit,
     fit_likelihood,
@@ -448,47 +443,37 @@ def tpe_suggest(
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPSILON = 1e-8
+# Adam's step size in the search's refinement
+STEP_SIZE = 0.01
 
 
-@dataclass(frozen=True)
-class AdamState:
-    """Adam step size and moments; immutable, adam_step returns a new state."""
-
-    step_size: float = 0.01
-    first_moment: np.ndarray = field(default_factory=lambda: np.zeros(0))
-    second_moment: np.ndarray = field(default_factory=lambda: np.zeros(0))
-    t: int = 0
-
-    def __post_init__(self):
-        if self.step_size <= 0.0:
-            raise ValueError("step_size must be positive")
-
-    @classmethod
-    def initial(cls, n_params: int, **kwargs) -> "AdamState":
-        return cls(
-            first_moment=np.zeros(n_params),
-            second_moment=np.zeros(n_params),
-            t=0,
-            **kwargs,
-        )
-
-
-def adam_step(state: AdamState, params, gradient):
-    """One bias-corrected Adam descent step on the given loss gradient."""
+def adam_step(params, gradient, first_moment, second_moment, t, step_size):
+    """Step `t` (counting from 1) of bias-corrected Adam descent on a loss
+    gradient. Returns (params, first moment, second moment) after it."""
     p = np.asarray(params, dtype=float)
     g = np.asarray(gradient, dtype=float)
-    if p.shape != g.shape or p.shape != state.first_moment.shape:
+    if p.shape != g.shape or p.shape != np.shape(first_moment):
         raise ValueError("params, gradient, and moments must share a shape")
-    t = state.t + 1
-    m = ADAM_BETA1 * state.first_moment + (1.0 - ADAM_BETA1) * g
-    v = ADAM_BETA2 * state.second_moment + (1.0 - ADAM_BETA2) * g * g
+    m = ADAM_BETA1 * first_moment + (1.0 - ADAM_BETA1) * g
+    v = ADAM_BETA2 * second_moment + (1.0 - ADAM_BETA2) * g * g
     m_hat = m / (1.0 - ADAM_BETA1**t)
     v_hat = v / (1.0 - ADAM_BETA2**t)
-    new_params = p - state.step_size * m_hat / (np.sqrt(v_hat) + ADAM_EPSILON)
-    new_state = AdamState(
-        step_size=state.step_size, first_moment=m, second_moment=v, t=t
-    )
-    return new_state, new_params
+    return p - step_size * m_hat / (np.sqrt(v_hat) + ADAM_EPSILON), m, v
+
+
+def adam_descent(loss_gradient, params, n_iterations: int, step_size: float):
+    """`n_iterations` Adam steps down `loss_gradient(params)` from `params`:
+    the final parameters, or None as soon as a gradient is not finite."""
+    if step_size <= 0.0:
+        raise ValueError("step_size must be positive")
+    params = np.asarray(params, dtype=float)
+    m, v = np.zeros(params.shape), np.zeros(params.shape)
+    for t in range(1, n_iterations + 1):
+        gradient = loss_gradient(params)
+        if not np.all(np.isfinite(gradient)):
+            return None
+        params, m, v = adam_step(params, gradient, m, v, t, step_size)
+    return params
 
 
 # ---------------------------------------------------------------------------
@@ -511,19 +496,16 @@ def _from_adam_coords(stack, noise, coords):
 
 @dataclass(frozen=True)
 class FineTuneResult:
-    """Refined theta and final negative MLL.
-
-    A successful refinement also carries the stack, noise and factorization
-    behind its closing likelihood, so the fold model is built without
-    factorizing the same Gram a second time. The factorization borrows the
-    refinement's workspace until its next evaluation.
+    """Refined theta, and the stack, noise and factorization behind its
+    closing likelihood, so the fold model is built without factorizing the
+    same Gram a second time. The factorization borrows the refinement's
+    workspace until its next evaluation.
     """
 
     theta: np.ndarray
-    loss: float
-    stack: KernelStack | None = None
-    noise: NoiseField | None = None
-    fit: LikelihoodFit | None = None
+    stack: KernelStack
+    noise: NoiseField
+    fit: LikelihoodFit
 
 
 def fine_tune(
@@ -532,14 +514,15 @@ def fine_tune(
     train_split,
     n_iterations: int,
     workspace: Workspace | None = None,
-) -> FineTuneResult:
+) -> FineTuneResult | None:
     """Refine a trial's active parameters by Adam ascent on the MLL.
 
     `train_split` is (x_scaled, y_scaled). Degrees stay frozen; squared
     scales are optimized through their logarithm so they remain positive.
-    Returns the refined theta and final negative MLL as a `FineTuneResult`; a
-    factorization failure at any step marks the trial failed with an
-    infinite loss. Every step and the closing fit run in `workspace` (a
+    Adam is `adam_descent` on the negative MLL at `STEP_SIZE`. Returns the
+    refined theta with its closing fit as a `FineTuneResult`, or None when
+    a factorization raises, a gradient is not finite or the closing MLL is
+    not finite. Every step and the closing fit run in `workspace` (a
     fresh one when none is given), whose K buffer holds the closing fit's
     factor until the next evaluation there.
     The chaos-basis values at the training points are evaluated once, into
@@ -553,35 +536,34 @@ def fine_tune(
     if x_s.shape[0] == 0:
         raise ValueError("training split is empty")
     stack, noise = space.build_stack(theta, x_s.shape[1])
-    failed = FineTuneResult(np.asarray(theta, dtype=float).copy(), FAILED_LOSS)
-
     refined = np.asarray(theta, dtype=float).copy()
     ws = workspace if workspace is not None else Workspace()
     points = PointBasis(x_s, stack.expansions(noise))
+    n_k = stack.n_entries
+
+    def loss_gradient(coords):
+        step_stack, step_noise = _from_adam_coords(stack, noise, coords)
+        grad = -mll_gradient(step_stack, step_noise, points, y_s, ws)
+        grad[-n_k:] *= np.exp(coords[-n_k:])  # chain rule for the log scales
+        return grad
+
     try:
+        # exp(log s2) is not s2 bit for bit: without steps, the suggestion's
+        # own stack is the one fitted
         if n_iterations > 0:
-            coords = _to_adam_coords(stack, noise)
-            state = AdamState.initial(coords.size)
-            n_k = stack.n_entries
-            for _ in range(n_iterations):
-                cur_stack, cur_noise = _from_adam_coords(stack, noise, coords)
-                grad = mll_gradient(cur_stack, cur_noise, points, y_s, ws)
-                # descend the negative MLL; chain rule for the log scales
-                loss_grad = -grad
-                loss_grad[-n_k:] *= np.exp(coords[-n_k:])
-                if not np.all(np.isfinite(loss_grad)):
-                    return failed
-                state, coords = adam_step(state, coords, loss_grad)
+            coords = adam_descent(
+                loss_gradient, _to_adam_coords(stack, noise), n_iterations, STEP_SIZE
+            )
+            if coords is None:
+                return None
             stack, noise = _from_adam_coords(stack, noise, coords)
             refined[space._free_positions(theta)] = free_parameters(stack, noise)
         fit = fit_likelihood(stack, noise, points, y_s, ws)
     except RuntimeError:
-        return failed
-
-    final_loss = -fit.value
-    if not math.isfinite(final_loss):
-        return failed
-    return FineTuneResult(refined, final_loss, stack, noise, fit)
+        return None
+    if not math.isfinite(fit.value):
+        return None
+    return FineTuneResult(refined, stack, noise, fit)
 
 
 def _score_fold(theta, space, dataset, plan, fold, n_iterations, workspace):
@@ -592,17 +574,13 @@ def _score_fold(theta, space, dataset, plan, fold, n_iterations, workspace):
     outlives it to hold that buffer when the next fold starts.
     """
     tr, va = plan.train_indices(fold), plan.test_indices(fold)
-    x_tr, y_tr = dataset.inputs[tr], dataset.outputs[tr]
-    in_sc = fit_scaler("min_max_per_column", x_tr)
-    out_sc = fit_scaler("z_normalize", y_tr)
-    x_tr_s = apply_scaler(in_sc, x_tr)
-    y_tr_s = (y_tr - out_sc.loc[0]) / out_sc.scale[0]
-    tuned = fine_tune(theta, space, (x_tr_s, y_tr_s), n_iterations, workspace)
-    if not math.isfinite(tuned.loss):
+    in_sc, out_sc, x_s, y_s = scale_split(dataset.inputs[tr], dataset.outputs[tr])
+    tuned = fine_tune(theta, space, (x_s, y_s), n_iterations, workspace)
+    if tuned is None:
         return FAILED_LOSS, None
     # the fold model reuses the factorization of the closing likelihood
     model = model_from_fit(
-        tuned.stack, tuned.noise, in_sc, out_sc, x_tr_s, y_tr_s, fit=tuned.fit
+        tuned.stack, tuned.noise, in_sc, out_sc, x_s, y_s, fit=tuned.fit
     )
     lpd = log_predictive_density(model, dataset.inputs[va], dataset.outputs[va])
     return float(-np.mean(lpd)), tuned.theta

@@ -1,6 +1,6 @@
 """Orthogonal polynomial bases for chaos expansions.
 
-Four classical families are supported, each orthogonal with respect to a
+Five classical families are supported, each orthogonal with respect to a
 probability density on its natural domain:
 
 =====================  =======================================  ==============
@@ -76,8 +76,9 @@ class Basis:
         return cls("laguerre")
 
     def label(self) -> str:
+        """The family's name; a Jacobi family's holds alpha and beta by `repr`."""
         if self.family == "jacobi":
-            return f"jacobi({self.alpha:g},{self.beta:g})"
+            return f"jacobi({float(self.alpha)!r},{float(self.beta)!r})"
         return self.family
 
 

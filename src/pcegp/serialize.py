@@ -180,8 +180,9 @@ def _field_string(field) -> str:
 def describe_model(model: PcegpModel) -> str:
     """Human-readable view: each lengthscale field as explicit polynomials.
 
-    Coefficients are printed at full precision so the report is also an
-    exact record: `parse_description` recovers every coefficient vector.
+    Coefficients and shape parameters are printed at full precision so the
+    report is also an exact record: `parse_description` recovers every
+    coefficient vector, and the text holds each shape as `repr` writes it.
     """
     out = []
     for key in sorted(model.meta):
@@ -193,7 +194,7 @@ def describe_model(model: PcegpModel) -> str:
     for i, (form, scale, ls_field) in enumerate(model.stack.entries):
         head = f"kernel {i}: {form.tag}"
         if form.tag == "rational_quadratic":
-            head += f" (shape {form.shape:g})"
+            head += f" (shape {_f(form.shape)})"
         out.append(head)
         out.append(f"  output scale sigma_f^2 = {_f(scale * scale)}")
         out.append(f"  lengthscale{_field_string(ls_field)}")

@@ -19,7 +19,7 @@ from pcegp.bench import (
     run_benchmark,
     verify_dataset,
 )
-from pcegp.data import Dataset, fit_scaler, make_folds
+from pcegp.data import Dataset, make_folds, scale_split
 from pcegp.kernels import KernelForm
 from pcegp.optim import SearchSpace
 from pcegp.poly import Basis
@@ -134,7 +134,7 @@ def test_config_echo_writes_shapes_exactly():
 
     first = echo(0.1234567, 0.1234567)
     assert first["kernels"] == "squared_exponential rational_quadratic(0.1234567)"
-    assert first["basis"] == "jacobi(0.1234567,2)"
+    assert first["basis"] == "jacobi(0.1234567,2.0)"
     assert echo(0.1234568, 0.1234567)["kernels"] != first["kernels"]
     assert echo(0.1234567, 0.1234568)["basis"] != first["basis"]
 
@@ -180,16 +180,16 @@ def test_benchmark_fold_hygiene(monkeypatch):
 
     seen = []
 
-    def spy(kind, values):
-        seen.append((kind, np.array(values, dtype=float)))
-        return fit_scaler(kind, values)
+    def spy(x, y):  # every outer fold's scalers are fitted here
+        split = scale_split(x, y)
+        seen.append((split[0].kind, split[1].kind, np.array(x), np.array(y)))
+        return split
 
-    monkeypatch.setattr(bench, "fit_scaler", spy)
+    monkeypatch.setattr(bench, "scale_split", spy)
     run_benchmark(cfg, dataset=ds)
 
-    per_fold = [seen[i : i + 2] for i in range(0, len(seen), 2)]
-    assert len(per_fold) == cfg.n_folds
-    for f, ((kind_in, x_fit), (kind_out, y_fit)) in enumerate(per_fold):
+    assert len(seen) == cfg.n_folds
+    for f, (kind_in, kind_out, x_fit, y_fit) in enumerate(seen):
         tr = plan.train_indices(f)
         assert kind_in == "min_max_per_column"
         assert kind_out == "z_normalize"
@@ -282,6 +282,23 @@ def test_baseline_learns_noiseless_linear_map():
     assert all(len(t) == 4 for t in report.best_thetas)
 
 
+def test_a_baseline_gradient_that_is_not_finite_names_its_restart(monkeypatch):
+    # the second restart, from lengthscale 0.1, meets a NaN gradient at
+    # its first step
+    real = bench._ard_neg_mll_and_grad
+
+    def nan_from_0_1(log_params, x, y, gradient=True, workspace=None):
+        neg, grad, alpha = real(log_params, x, y, gradient, workspace)
+        if gradient and log_params[0] == np.log(0.1):
+            grad = np.full_like(grad, np.nan)
+        return neg, grad, alpha
+
+    monkeypatch.setattr(bench, "_ard_neg_mll_and_grad", nan_from_0_1)
+    x = np.random.default_rng(4).uniform(size=(12, 2))
+    with pytest.raises(RuntimeError, match=r"restart from lengthscale 0\.1 is not"):
+        bench._fit_ard_baseline(x, np.sin(3.0 * x[:, 0]), 3)
+
+
 def test_baseline_deterministic():
     ds = _sin_dataset()
     cfg = _tiny_config(seed=2)
@@ -294,13 +311,15 @@ def test_baseline_deterministic():
 
 def test_dataset_manifest_counts_and_hash(tmp_path):
     p = tmp_path / "small.csv"
-    content = "a,b,y\n1,2,3\n4,5,6\n7,8,9\n"
-    p.write_text(content)
-    m = dataset_manifest(p)
-    assert m["file"] == "small.csv"
-    assert m["n_rows"] == 3
-    assert m["n_columns"] == 3
-    assert m["sha256"] == hashlib.sha256(content.encode()).hexdigest()
+    # a quoted header name may hold the delimiter
+    for content in ("a,b,y\n1,2,3\n4,5,6\n7,8,9\n",
+                    '"a,b",c,y\n1,2,3\n4,5,6\n7,8,9\n'):
+        p.write_text(content)
+        m = dataset_manifest(p)
+        assert m["file"] == "small.csv"
+        assert m["n_rows"] == 3
+        assert m["n_columns"] == 3
+        assert m["sha256"] == hashlib.sha256(content.encode()).hexdigest()
 
 
 def test_manifest_text_and_verification(tmp_path):

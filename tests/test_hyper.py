@@ -98,7 +98,7 @@ def test_point_basis_evaluates_its_one_family_once_at_the_highest_degree(
     # highest, is refused
     with pytest.raises(ValueError, match="legendre_shifted_01 to degree 1 was not"):
         shared.values(Basis.legendre01(), 1)
-    with pytest.raises(ValueError, match=r"jacobi\(1,0.5\) to degree 5 was not"):
+    with pytest.raises(ValueError, match=r"jacobi\(1.0,0.5\) to degree 5 was not"):
         shared.values(jacobi, 5)
     assert calls == [("jacobi", 4)]
 

@@ -236,7 +236,7 @@ def test_fine_tune_evaluates_the_basis_on_its_training_points_once(
 
     monkeypatch.setattr(hyper_mod, "eval_basis", counting)
     tuned = fine_tune(theta, space, (x_s, y_s), n_iterations)
-    assert np.isfinite(tuned.loss)
+    assert np.isfinite(tuned.fit.value)
     assert sizes == [x_s.size]
 
 

@@ -17,13 +17,13 @@ from pcegp.gp import free_parameters, mll, with_free_parameters
 from pcegp.kernels import KernelForm
 from pcegp.optim import (
     NOISE_LOG_RANGE,
-    AdamState,
     SearchResult,
     SearchSpace,
     TrialRecord,
     _ContDim,
     _IntDim,
     _split_history,
+    adam_descent,
     adam_step,
     fine_tune,
     history_to_text,
@@ -419,37 +419,53 @@ def test_tpe_scores_like_one_candidate_at_a_time(searched_noise):
 # ---------------------------------------------------------------------------
 
 def test_adam_zero_gradient_is_identity():
-    state = AdamState.initial(3)
     params = np.array([1.0, -2.0, 0.5])
-    new_state, new_params = adam_step(state, params, np.zeros(3))
+    zeros = np.zeros(3)
+    new_params, m, v = adam_step(params, zeros, zeros, zeros, 1, 0.01)
     np.testing.assert_array_equal(new_params, params)
-    assert new_state.t == 1
+    np.testing.assert_array_equal(m, zeros)
+    np.testing.assert_array_equal(v, zeros)
+    np.testing.assert_array_equal(
+        adam_descent(lambda p: np.zeros(3), params, 4, 0.01), params
+    )
 
 
 def test_adam_first_step_is_signed_step_size():
-    state = AdamState.initial(3, step_size=0.01)
-    params = np.zeros(3)
     g = np.array([3.0, -0.5, 1e-3])
-    _, new_params = adam_step(state, params, g)
+    new_params = adam_descent(lambda p: g, np.zeros(3), 1, 0.01)
     np.testing.assert_allclose(new_params, -0.01 * np.sign(g), atol=1e-4)
 
 
 def test_adam_descends_a_quadratic():
-    state = AdamState.initial(1, step_size=0.05)
-    theta = np.array([1.0])
-    losses = [0.5 * theta[0] ** 2]
-    for _ in range(2):
-        state, theta = adam_step(state, theta, theta.copy())
-        losses.append(0.5 * theta[0] ** 2)
+    # the loss 0.5 theta^2 has the gradient theta
+    losses = [0.5 * adam_descent(lambda p: p.copy(), [1.0], n, 0.05)[0] ** 2
+              for n in range(3)]
     assert losses[0] > losses[1] > losses[2]
+    # three steps are the bits of Kingma and Ba's update written out
+    theta, m, v = 1.0, 0.0, 0.0
+    for t in (1, 2, 3):
+        m = 0.9 * m + (1.0 - 0.9) * theta
+        v = 0.999 * v + (1.0 - 0.999) * theta * theta
+        m_hat, v_hat = m / (1.0 - 0.9**t), v / (1.0 - 0.999**t)
+        theta = theta - 0.05 * m_hat / (math.sqrt(v_hat) + 1e-8)
+    assert adam_descent(lambda p: p.copy(), [1.0], 3, 0.05)[0] == theta
 
 
 def test_adam_validation():
     with pytest.raises(ValueError):
-        AdamState.initial(2, step_size=0.0)
-    state = AdamState.initial(2)
+        adam_descent(lambda p: p, np.zeros(2), 1, 0.0)
+    zeros = np.zeros(2)
     with pytest.raises(ValueError):
-        adam_step(state, np.zeros(3), np.zeros(3))
+        adam_step(np.zeros(3), np.zeros(3), zeros, zeros, 1, 0.01)
+    # the loop stops at the first gradient that is not finite
+    calls = []
+
+    def nan_at_step_2(p):
+        calls.append(p.copy())
+        return np.full(2, np.nan) if len(calls) == 2 else np.ones(2)
+
+    assert adam_descent(nan_at_step_2, zeros, 5, 0.01) is None
+    assert len(calls) == 2
 
 
 # ---------------------------------------------------------------------------
@@ -469,7 +485,7 @@ def test_fine_tune_zero_iterations_is_identity():
     theta = random_suggest(space, rng)
     tuned = fine_tune(theta, space, _scaled_split(rng), 0)
     np.testing.assert_array_equal(tuned.theta, theta)
-    assert math.isfinite(tuned.loss)
+    assert math.isfinite(tuned.fit.value)
 
 
 def test_fine_tune_descends_negative_mll():
@@ -479,7 +495,7 @@ def test_fine_tune_descends_negative_mll():
     theta = random_suggest(space, rng)
     stack0, noise0 = space.build_stack(theta, 1)
     initial = -mll(stack0, noise0, *split)
-    final = fine_tune(theta, space, split, 50).loss
+    final = -fine_tune(theta, space, split, 50).fit.value
     assert final <= initial + 1e-6
     assert final < initial  # 50 steps should make real progress here
 
@@ -501,7 +517,7 @@ def test_refinement_moves_a_log_noise_constant_of_minus_six():
     noise = tuned.theta[space._noise_start : space._scale_start]
     assert noise[0] > -6.0 + 0.1  # more noise than the start
     assert noise[1] > 0.0  # and more of it at large x
-    assert tuned.loss < initial
+    assert -tuned.fit.value < initial
 
 
 def test_fine_tune_freezes_degrees():
@@ -532,9 +548,27 @@ def test_fine_tune_factorization_failure_returns_sentinel():
     theta[1:3] = 0.0  # zero warp: all points coincide, Gram is a huge ones matrix
     x_s = np.full((6, 1), 0.5)
     y_s = rng.normal(size=6)
-    tuned = fine_tune(theta, space, (x_s, y_s), 3)
-    assert tuned.loss == math.inf
-    np.testing.assert_array_equal(tuned.theta, theta)
+    assert fine_tune(theta, space, (x_s, y_s), 3) is None
+
+
+def test_fine_tune_returns_none_on_a_gradient_that_is_not_finite(monkeypatch):
+    import pcegp.optim as optim_mod
+
+    space = small_space()
+    rng = np.random.default_rng(13)
+    theta = random_suggest(space, rng)
+    split = _scaled_split(rng)
+    calls = []
+    real = optim_mod.mll_gradient
+
+    def nan_at_step_2(*args):
+        calls.append(None)
+        grad = real(*args)
+        return np.full_like(grad, np.nan) if len(calls) == 2 else grad
+
+    monkeypatch.setattr(optim_mod, "mll_gradient", nan_at_step_2)
+    assert fine_tune(theta, space, split, 5) is None
+    assert len(calls) == 2
 
 
 # ---------------------------------------------------------------------------
@@ -613,15 +647,15 @@ def test_run_search_fold_hygiene(monkeypatch):
     rng = np.random.default_rng(18)
     ds = synthetic_dataset(rng, n=20)
     seen = []
-    orig = optim_mod.fit_scaler
+    orig = optim_mod.scale_split
 
-    def spy(kind, data):
-        a = np.asarray(data, dtype=float)
-        if a.ndim == 2:  # input-scaler calls carry the training rows
-            seen.append(a.copy())
-        return orig(kind, data)
+    def spy(x, y):  # every fold's scalers are fitted here
+        split = orig(x, y)
+        assert (split[0].kind, split[1].kind) == ("min_max_per_column", "z_normalize")
+        seen.append(np.array(x, dtype=float))
+        return split
 
-    monkeypatch.setattr(optim_mod, "fit_scaler", spy)
+    monkeypatch.setattr(optim_mod, "scale_split", spy)
     run_search(ds, small_space(), n_trials=1, n_initial=1, n_iterations=1,
                n_folds=4, seed=9)
 
@@ -642,7 +676,7 @@ def test_run_search_all_failures_raise(monkeypatch):
     ds = synthetic_dataset(rng, n=16)
 
     def always_fail(theta, space, split, n_iterations, workspace=None):
-        return optim_mod.FineTuneResult(np.asarray(theta, dtype=float), math.inf)
+        return None
 
     monkeypatch.setattr(optim_mod, "fine_tune", always_fail)
     with pytest.raises(RuntimeError, match="trial 0"):

@@ -323,6 +323,22 @@ def test_description_round_trips_exact_coefficients():
     )
 
 
+def test_description_writes_shape_parameters_exactly():
+    # seven significant digits: a six-digit rounding would lose the last
+    basis = Basis.jacobi(0.1234567, 2)
+    x = np.random.default_rng(5).uniform(size=(6, 1))
+    stack = KernelStack(
+        ((KernelForm.rq(0.1234567), 1.0, LengthscaleField(basis, [0.2, 0.1], 1)),)
+    )
+    model = fit_precompute(stack, NoiseField.fixed(1e-4),
+                           fit_scaler("min_max_per_column", x),
+                           fit_scaler("z_normalize", x[:, 0]), x, x[:, 0])
+    text = describe_model(model)
+    assert "kernel 0: rational_quadratic (shape 0.1234567)\n" in text
+    parsed = parse_description(text)
+    assert parsed["kernels"][0]["lengthscale"][0] == "jacobi(0.1234567,2.0)"
+
+
 def test_parse_description_rejects_foreign_text():
     with pytest.raises(ValueError, match="description"):
         parse_description("just some words\n")
