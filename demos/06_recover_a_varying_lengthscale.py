@@ -13,8 +13,8 @@ slow gaps expose it. The searched polynomial lengthscale covers both.
 import numpy as np
 
 from pcegp.bench import _ard_predict, _fit_ard_baseline, rmse
-from pcegp.data import Dataset, apply_scaler, fit_scaler
-from pcegp.gp import fit_precompute, predict_batch
+from pcegp.data import Dataset, apply_scaler, scale_split
+from pcegp.gp import model_from_fit, predict_batch
 from pcegp.kernels import KernelForm, kernel_nonstationary
 from pcegp.optim import SearchSpace, run_search
 from pcegp.poly import Basis
@@ -49,14 +49,11 @@ result = run_search(
     train, space, n_trials=50, n_initial=15, n_iterations=100, n_folds=5, seed=0
 )
 stack, noise = space.build_stack(result.best_theta, 1)
-in_sc = fit_scaler("min_max_per_column", train.inputs)
-out_sc = fit_scaler("z_normalize", train.outputs)
-model = fit_precompute(stack, noise, in_sc, out_sc, train.inputs, train.outputs)
+in_sc, out_sc, x_s, y_s = scale_split(train.inputs, train.outputs)
+model = model_from_fit(stack, noise, in_sc, out_sc, x_s, y_s)
 means, _ = predict_batch(model, x_query)
 
 # --- stationary reference on the same scaled data -----------------------------
-x_s = apply_scaler(in_sc, train.inputs)
-y_s = (train.outputs - out_sc.loc[0]) / out_sc.scale[0]
 log_params, alpha, _ = _fit_ard_baseline(x_s, y_s, 500)
 mean_s = _ard_predict(log_params, x_s, alpha, apply_scaler(in_sc, x_query))
 base_means = mean_s * out_sc.scale[0] + out_sc.loc[0]

@@ -17,9 +17,9 @@ through the searched model's code: `kernels.gram_parts` assembles its K,
 `gp.contract_entry` contracts its gradient, which it chains through
 dw/d(log l) = -w, and `kernels.warped_cross_matrix` gives its cross
 covariances. So no per-dimension N x N tensor is formed, and its arrays
-live in one workspace per fit: a gradient step holds 2 N x N arrays'
-worth (K, and the entry's values and A's pairs at half that each), and a
-value-only fit K alone.
+live in one workspace per fit: a gradient step holds 1.5 N x N arrays'
+worth (K, and the entry's values at half that; its one contraction
+reads A's pairs in K's buffer), and a value-only fit K alone.
 """
 
 from __future__ import annotations
@@ -272,8 +272,8 @@ def _ard_neg_mll_and_grad(log_params, x, y, gradient=True, workspace=None):
     `gradient=False` the gradient is None and K^-1 is never formed. K is
     `kernels.gram_parts` of one squared-exponential entry on w = x / l, plus
     sn2 on the diagonal, in `workspace` (a fresh one when none is given):
-    with the gradient K, the entry's values and A's pairs, without it only
-    K. The gradient chains `gp.contract_entry` through dw/d(log l) = -w.
+    with the gradient K and the entry's values, without it only K. The
+    gradient chains `gp.contract_entry` through dw/d(log l) = -w.
     """
     n, d = x.shape
     forms, lengthscales = _ard_entry(log_params, d)
@@ -286,7 +286,7 @@ def _ard_neg_mll_and_grad(log_params, x, y, gradient=True, workspace=None):
     if not gradient:
         return -fit.value, None, fit.alpha
 
-    a = gradient_weights(fit.a, ws)
+    a = gradient_weights(fit.a, ws, 1)
     r, ds2 = contract_entry(a, parts[0])
     scale = forms[0][1]
     grad = np.empty(d + 2)

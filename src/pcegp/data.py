@@ -141,10 +141,15 @@ def read_csv(path, select) -> tuple:
         for lineno, row in enumerate(csv.reader(fh, delimiter=delim), start=2):
             if len(row) == width:
                 try:
-                    rows.append([float(row[j]) for j in columns])
-                    continue
+                    cells = [float(row[j]) for j in columns]
                 except ValueError:
                     pass  # a blank line, or the error below
+                else:
+                    # with no column chosen nothing was parsed, so a blank
+                    # line is told by its cells
+                    if cells or any(c.strip() for c in row):
+                        rows.append(cells)
+                        continue
             if not any(c.strip() for c in row):
                 continue  # a blank line
             if len(row) != width:

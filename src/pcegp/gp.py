@@ -11,7 +11,8 @@ kernel, plus a rank-structured contraction: the weighted matrix's row sums
 and its product with the warps, from one product with [w | 1]. Assembly
 keeps one array per kernel, the argument of its form, and once A is
 formed each kernel's values and derivative are re-formed from it in one
-shared scratch, then unpacked into K's buffer for that product
+shared scratch, weighted by A's pairs, then unpacked into K's buffer for
+that product
 (`kernels.gradient_weights`, `kernels.weighted_derivative`). How those
 arrays are laid out is `kernels`' business; each is half an N x N array.
 This one contraction (`contract_entry`) serves both methods:
@@ -203,8 +204,10 @@ def contract_entry(a, part):
     scale, warped, argument, scratch) as `kernels.gram_parts` keeps it.
     dMLL/dw = 2 r by the entry's N x n_x warps w, where
     r = rowsum(M) w - M w for M = A o dk/d(d2), both from one product with
-    [w | 1]. The argument and K's buffer may be overwritten; A's pairs and
-    diagonal are left alone.
+    [w | 1]. The argument and K's buffer may be overwritten; A's diagonal,
+    and its condensed pairs when a stack of several entries has them, are
+    left alone. A lone entry's A is read from K's buffer, and that is the
+    only contraction that reads it.
     """
     form, scale, w, argument, scratch = part
     t, factor, value_sum = weighted_derivative(form, scale, argument, a, scratch)
@@ -226,10 +229,11 @@ def mll_gradient(
     `PointBasis` each call. The large arrays of the evaluation are the
     buffers of `workspace` (a fresh one when none is given) that
     `kernels.Workspace` describes: K (which becomes A), and each entry's
-    argument, A's pairs and one scratch when an entry is not squared
-    exponential, each of those half as large. Each entry is contracted
-    from its argument and A alone (`contract_entry`), and may overwrite
-    the argument; the returned gradient is a new array.
+    argument, A's pairs when there are two or more entries, and one
+    scratch when an entry is not squared exponential, each of those half
+    as large: 1.5 N x N arrays for one squared-exponential entry. Each
+    entry is contracted from its argument and A alone (`contract_entry`),
+    and may overwrite the argument; the returned gradient is a new array.
     """
     basis = as_point_basis(x_scaled, stack.expansions(noise))
     pts = basis.points
@@ -237,7 +241,8 @@ def mll_gradient(
     ws = workspace if workspace is not None else Workspace()
     _, k, parts = noisy_gram(stack, noise, basis, ws, gradient=True)
     # dMLL = 0.5 tr(a dK)
-    a = gradient_weights(_likelihood_core(k, y, stack.describe(), gradient=True).a, ws)
+    fit = _likelihood_core(k, y, stack.describe(), gradient=True)
+    a = gradient_weights(fit.a, ws, stack.n_entries)
 
     def sensitivities(field):  # phi_m at every coordinate, (m, N, n_x)
         c = field.coefficients

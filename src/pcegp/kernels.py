@@ -18,10 +18,13 @@ order, N (N - 1) / 2 floats. The distances come from scipy's compiled
 these vectors. K alone is square: the entries' summed values are unpacked
 into it once per evaluation, for the factorization. This module is the
 only one that knows the layout: `gram_parts` makes the condensed
-arguments, `gradient_weights` gathers A = alpha alpha^T - K^-1 to a
-condensed vector plus its diagonal, and `weighted_derivative` unpacks each
+arguments, `gradient_weights` copies out the diagonal of
+A = alpha alpha^T - K^-1 and, for a stack of several entries, gathers its
+pairs to a condensed vector, and `weighted_derivative` unpacks each
 entry's weighted matrix into K's buffer, free by then, for the gradient's
-one full-matrix product (`gp.contract_entry`).
+one full-matrix product (`gp.contract_entry`). One entry is the only
+reader of A's pairs, so it reads them where they lie, in K's buffer, and
+no condensed copy is made.
 
 `add_form_values` is the one evaluation of the forms: Gram assembly adds
 each entry's values through it on both likelihood paths, and prediction
@@ -46,6 +49,9 @@ consumer. The likelihood gradient keeps K, each entry's condensed
 argument, the condensed sum of the values, which later holds A's pairs,
 and one condensed scratch, shared by the entries that are not squared
 exponential: 4 N x N arrays' worth for the four-entry benchmark stack.
+A stack of one entry keeps no sum and no copy of A's pairs: K and its
+argument, 1.5 N x N arrays for squared exponential (whose argument is its
+values), and the scratch besides for the other forms, 2 N x N arrays.
 A value-only fit sums the values in K's own last N (N - 1) / 2 floats,
 unpacks them in place, and holds K, one argument buffer and, for a
 Matern-3/2 entry, the scratch. One workspace serves one command and is
@@ -215,8 +221,11 @@ class Workspace:
     of the entries' values, which later holds A's pairs (key "a"), and a
     scratch ("scratch") when any entry is not squared exponential. In
     N x N arrays that is 1 + (E + 1) / 2, plus 1 / 2 for the scratch: 4
-    for the four-entry benchmark stack, 2 for one squared-exponential
-    entry. A value-only fit holds at most 2: K, in whose last
+    for the four-entry benchmark stack. One entry holds no "a": its values
+    are its argument (squared exponential) or are summed in K's buffer,
+    and its one contraction reads A's pairs in K's buffer. That is 1.5
+    N x N arrays for one squared-exponential entry and 2 for one of
+    another form. A value-only fit holds at most 2: K, in whose last
     N (N - 1) / 2 floats the values are summed, one argument buffer
     (("argument", 0)) unless the stack is one entry that is not
     Matern-3/2, and the scratch when the stack has a Matern-3/2 entry.
@@ -347,24 +356,46 @@ def form_from_sqdist(form: KernelForm, scale: float, sqdist) -> np.ndarray:
 class GradientWeights:
     """A = alpha alpha^T - K^-1 as the gradient's contraction reads it.
 
-    `diagonal` holds A's diagonal. Its pairs are condensed in a workspace
-    buffer, and K's buffer, which held A, is free for each entry's
-    weighted matrix (`weighted_derivative`).
+    `diagonal` holds A's diagonal and `square` is K's buffer, which holds
+    A. For a stack of two or more entries A's pairs are condensed in a
+    workspace buffer (`pairs`), and K's buffer is free for each entry's
+    weighted matrix (`weighted_derivative`). For one entry `pairs` is
+    None: the one contraction reads A's pairs from the upper triangle of
+    `square` before its weighted matrix overwrites it.
     """
 
-    pairs: np.ndarray
+    pairs: np.ndarray | None
     diagonal: np.ndarray
     square: np.ndarray
 
 
-def gradient_weights(a: np.ndarray, workspace: Workspace) -> GradientWeights:
-    """A, formed in K's buffer, with its pairs gathered into the buffer
-    that summed the entries' values (key "a") and its diagonal copied out.
+def gradient_weights(
+    a: np.ndarray, workspace: Workspace, n_entries: int
+) -> GradientWeights:
+    """A, formed in K's buffer, with its diagonal copied out and, for a stack
+    of `n_entries` > 1, its pairs gathered into the buffer that summed the
+    entries' values (key "a").
 
-    After this K's buffer holds nothing the gradient reads.
+    After this K's buffer holds nothing the gradient reads but, for one
+    entry, A's upper triangle.
     """
-    pairs = gather_condensed(a, workspace.pairs("a", a.shape[0]))
+    pairs = None
+    if n_entries > 1:
+        pairs = gather_condensed(a, workspace.pairs("a", a.shape[0]))
     return GradientWeights(pairs, np.diagonal(a).copy(), a)
+
+
+def _multiply_by_upper(condensed, square):
+    """Multiply the condensed vector by the strict upper triangle of `square`,
+    in place, row by row: the triangle is read where it lies, and no
+    condensed copy of it is made."""
+    n = square.shape[0]
+    start = 0
+    for i in range(n - 1):
+        stop = start + n - 1 - i
+        segment = condensed[start:stop]
+        np.multiply(segment, square[i, i + 1 :], out=segment)
+        start = stop
 
 
 def weighted_derivative(form: KernelForm, scale: float, argument, a, scratch):
@@ -379,37 +410,45 @@ def weighted_derivative(form: KernelForm, scale: float, argument, a, scratch):
     A's diagonal entering once, since k = scale^2 there for every form.
     The derivatives are -k/2 (squared exponential), -s2 exp(-d) / (2d)
     (absolute exponential), -1.5 s2 exp(-d) (Matern-3/2) and -k / (2b)
-    (rational quadratic), with the constant left in `factor`. They are
-    formed on the condensed pairs, in the buffer of `argument` or of
-    `scratch`, each of which may be overwritten; `scratch` is unused, and
-    may be None, for squared exponential. The absolute-exponential
-    derivative is unbounded at zero distance and is exactly 0 there, which
-    is exact wherever it matters: the squared distance of coincident warped
-    points has zero sensitivity to the warp. A's pairs and diagonal are
-    left alone.
+    (rational quadratic), with the constant left in `factor`. Each is the
+    product of A's pairs and a form factor, formed on the condensed pairs:
+    the values for squared exponential, in the buffer of `argument`, and
+    exp(-d) or b^-a for the others, in the buffer of `scratch`; each of
+    those may be overwritten, and `scratch` is unused, and may be None,
+    for squared exponential. The factor is multiplied by A's condensed
+    pairs or, for one entry, which has none, by A's upper triangle in the
+    square buffer, row by row; either way the products, their sums and t
+    have the same bits. The absolute-exponential derivative is unbounded
+    at zero distance and is exactly 0 there, which is exact wherever it
+    matters: the squared distance of coincident warped points has zero
+    sensitivity to the warp. A's diagonal, and its condensed pairs when
+    there are any, are left alone.
     """
     s2 = scale * scale
     if form.tag == "squared_exponential":
-        t = np.multiply(argument, a.pairs, out=argument)
-        factor, pair_sum = -0.5, float(t.sum()) / s2
+        weighted = argument
+    elif form.tag == "rational_quadratic":
+        weighted = np.power(argument, -form.shape, out=scratch)
     else:
-        if form.tag == "rational_quadratic":
-            np.power(argument, -form.shape, out=scratch)
-        else:
-            np.negative(argument, out=scratch)
-            np.exp(scratch, out=scratch)
-        scratch *= a.pairs
-        pair_sum = float(scratch.sum())
-        if form.tag == "matern_3_2":
-            # k / s2 = exp(-d) (1 + d)
-            t, factor = scratch, -1.5 * s2
-            pair_sum += float(np.vdot(scratch, argument))
-        elif form.tag == "rational_quadratic":
-            t, factor = np.divide(scratch, argument, out=scratch), -0.5 * s2
-        else:
-            # where d = 0 the quotient keeps the argument's own 0
-            t = np.divide(scratch, argument, out=argument, where=argument > 0.0)
-            factor = -0.5 * s2
+        weighted = np.negative(argument, out=scratch)
+        np.exp(weighted, out=weighted)
+    if a.pairs is None:
+        _multiply_by_upper(weighted, a.square)
+    else:
+        weighted *= a.pairs
+    pair_sum = float(weighted.sum())
+    if form.tag == "squared_exponential":
+        t, factor, pair_sum = weighted, -0.5, pair_sum / s2
+    elif form.tag == "matern_3_2":
+        # k / s2 = exp(-d) (1 + d)
+        t, factor = weighted, -1.5 * s2
+        pair_sum += float(np.vdot(weighted, argument))
+    elif form.tag == "rational_quadratic":
+        t, factor = np.divide(weighted, argument, out=weighted), -0.5 * s2
+    else:
+        # where d = 0 the quotient keeps the argument's own 0
+        t = np.divide(weighted, argument, out=argument, where=argument > 0.0)
+        factor = -0.5 * s2
     square = _unpack(t, 0.0, a.square)
     return square, factor, 2.0 * pair_sum + float(a.diagonal.sum())
 
@@ -534,11 +573,15 @@ def gram_parts(forms, warped, workspace: Workspace | None = None, keep: bool = T
     sum in entry order. That sum is unpacked once into K's square buffer,
     whose diagonal is the sum of the squared scales, the value of every
     form at d = 0. With `keep`, which the likelihood gradient needs, every
-    entry's argument is a buffer of its own, the sum is formed in the
-    buffer that later holds A's pairs (`gradient_weights`), and the values
-    are formed in one shared scratch when any entry is not squared
-    exponential. A value-only fit reads only K, so without `keep` the sum
-    is formed in K's own last N (N - 1) / 2 floats and unpacked in place:
+    entry's argument is a buffer of its own, the sum of two or more
+    entries is formed in the buffer that later holds A's pairs
+    (`gradient_weights`), and the values are formed in one shared scratch
+    when any entry is not squared exponential. One entry's sum is its
+    values: K is unpacked straight from a squared-exponential argument,
+    and another form's values are written into K's own last N (N - 1) / 2
+    floats and unpacked in place, as a value-only fit does. A value-only
+    fit reads only K, so without `keep` the sum is formed in K's own last
+    N (N - 1) / 2 floats and unpacked in place:
     the first entry is formed there (unless it is Matern-3/2) and every
     later one goes through one argument buffer, in which its values are
     then formed; the scratch is held only for a Matern-3/2 entry. Either
@@ -554,7 +597,13 @@ def gram_parts(forms, warped, workspace: Workspace | None = None, keep: bool = T
         needs_scratch = "matern_3_2" in tags
     scratch = ws.pairs("scratch", n) if needs_scratch else None
     k = ws.matrix("k", n)
-    values = ws.pairs("a", n) if keep else k.reshape(-1)[n * n - _n_pairs(n) :]
+    tail = k.reshape(-1)[n * n - _n_pairs(n) :]
+    if keep and len(forms) > 1:
+        values = ws.pairs("a", n)
+    elif keep and tags == ["squared_exponential"]:
+        values = ws.pairs(("argument", 0), n)  # the argument is the values
+    else:
+        values = tail
     parts = [] if keep else None
     for i, ((form, scale), w) in enumerate(zip(forms, warped, strict=True)):
         se, m32 = form.tag == "squared_exponential", form.tag == "matern_3_2"
@@ -568,10 +617,10 @@ def gram_parts(forms, warped, workspace: Workspace | None = None, keep: bool = T
                         scratch if keep or m32 else argument, first=i == 0)
         if keep:
             parts.append((form, scale, w, argument, None if se else scratch))
-    if keep:
-        _unpack(values, _diagonal_value(forms), k)
-    else:
+    if values is tail:
         _unpack_tail(k, _diagonal_value(forms))
+    else:
+        _unpack(values, _diagonal_value(forms), k)
     return k, parts
 
 

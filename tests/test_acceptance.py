@@ -26,12 +26,13 @@ from pcegp.bench import (
     run_benchmark,
 )
 from pcegp.cli import _apply_thread_limit
-from pcegp.data import Dataset, apply_scaler, fit_scaler, load_csv
+from pcegp.data import Dataset, apply_scaler, fit_scaler, load_csv, scale_split
 from pcegp.gp import (
     fit_precompute,
     free_parameters,
     mll,
     mll_gradient,
+    model_from_fit,
     predict_batch,
     with_free_parameters,
 )
@@ -319,14 +320,11 @@ def test_criterion_10_synthetic_warp_recovery():
         n_folds=5, seed=0,
     )
     stack, noise = space.build_stack(result.best_theta, 1)
-    in_sc = fit_scaler("min_max_per_column", train.inputs)
-    out_sc = fit_scaler("z_normalize", train.outputs)
-    model = fit_precompute(stack, noise, in_sc, out_sc, train.inputs, train.outputs)
+    in_sc, out_sc, x_s, y_s = scale_split(train.inputs, train.outputs)
+    model = model_from_fit(stack, noise, in_sc, out_sc, x_s, y_s)
     means, _ = predict_batch(model, x_query)
     rmse_warp = rmse(means, y_query)
 
-    x_s = apply_scaler(in_sc, train.inputs)
-    y_s = (train.outputs - out_sc.loc[0]) / out_sc.scale[0]
     log_params, alpha, _ = _fit_ard_baseline(x_s, y_s, 500)
     mean_s = _ard_predict(log_params, x_s, alpha, apply_scaler(in_sc, x_query))
     rmse_stationary = rmse(mean_s * out_sc.scale[0] + out_sc.loc[0], y_query)

@@ -322,6 +322,15 @@ def test_dataset_manifest_counts_and_hash(tmp_path):
         assert m["sha256"] == hashlib.sha256(content.encode()).hexdigest()
 
 
+def test_a_whitespace_line_of_a_one_column_file_is_not_a_row(tmp_path):
+    # the manifest chooses no column, so no cell is parsed; a line of spaces
+    # is a blank line all the same, as it is when columns are read
+    p = tmp_path / "one.csv"
+    for content in ("y\n1\n   \n2\n", "a,y\n1,2\n  ,  \n3,4\n"):
+        p.write_text(content)
+        assert dataset_manifest(p)["n_rows"] == 2, content
+
+
 def test_manifest_text_and_verification(tmp_path):
     p = tmp_path / "t.csv"
     p.write_text("x;y\n1;2\n3;4\n")

@@ -209,6 +209,17 @@ def test_gradient_matches_finite_differences_many_seeds():
         pts = rng.uniform(size=(9, 3))
         pts[[6, 7, 8]] = pts[[1, 4, 1]]  # row 1 three times, row 4 twice
         cases.append((stack, noise, pts, rng.normal(size=9), 1e-4))
+    # a Matern-3/2 and a rational-quadratic entry alone: a lone entry reads
+    # A's pairs from A's own buffer, and weights them in its scratch when it
+    # is not squared exponential. The second has a duplicated row
+    for seed, form in ((160, KernelForm.matern32()), (161, KernelForm.rq(0.7))):
+        rng = np.random.default_rng(seed)
+        stack = random_stack(rng, 3, forms=[form])
+        noise = NoiseField.pce(Basis.legendre01(), log_noise_coefficients(rng))
+        pts = rng.uniform(size=(8, 3))
+        if form.tag == "rational_quadratic":
+            pts[5] = pts[2]
+        cases.append((stack, noise, pts, rng.normal(size=8)))
 
     worst = 0.0
     for case, (stack, noise, pts, y, *h_rel) in enumerate(cases):

@@ -497,11 +497,14 @@ def test_absolute_exponential_derivative_is_zero_at_origin():
     d2 = np.array([0.0, 1.0, 1.0])
     ae = KernelForm.ae()
     argument = form_argument(ae, 1.0, d2.copy())
-    weights = gradient_weights(np.ones((3, 3)), Workspace())
-    t, factor, _ = weighted_derivative(ae, 1.0, argument, weights, np.empty(3))
-    got = factor * t
-    assert got[0, 1] == got[1, 0] == 0.0
-    assert np.all(np.diagonal(got) == 0.0)
-    assert np.isfinite(got).all()
     want = form_sqdist_derivative(ae, 1.0, d2)[1]
-    assert got[0, 2] == got[2, 0] == pytest.approx(want, rel=1e-14)
+    # with A's pairs condensed (several entries) and in place (one entry)
+    for n_entries in (2, 1):
+        weights = gradient_weights(np.ones((3, 3)), Workspace(), n_entries)
+        t, factor, _ = weighted_derivative(ae, 1.0, argument.copy(), weights,
+                                           np.empty(3))
+        got = factor * t
+        assert got[0, 1] == got[1, 0] == 0.0
+        assert np.all(np.diagonal(got) == 0.0)
+        assert np.isfinite(got).all()
+        assert got[0, 2] == got[2, 0] == pytest.approx(want, rel=1e-14)

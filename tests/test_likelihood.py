@@ -170,18 +170,26 @@ def test_derivative_from_values_matches_direct_form(form):
     a = np.random.default_rng(30).normal(size=(4, 4))
     a += a.T
     argument = form_argument(form, scale, d2.copy())
-    t, factor, value_sum = weighted_derivative(
-        form, scale, argument, gradient_weights(a.copy(), Workspace()), np.empty_like(d2)
-    )
     # the contraction cancels the diagonal exactly, so it is left at 0
     expected = squareform(form_sqdist_derivative(form, scale, d2)) * a
-    np.testing.assert_allclose(factor * t, expected, rtol=1e-12, atol=0.0)
-    assert np.all(np.diagonal(t) == 0.0)
     values = squareform(form_from_sqdist(form, scale, d2))
     np.fill_diagonal(values, scale**2)
-    assert value_sum == pytest.approx(np.sum(values * a) / scale**2, rel=1e-12)
-    if form.tag == "absolute_exponential":
-        assert t[0, 1] == 0.0
+    # A's pairs condensed, as for several entries, then weighted in A's own
+    # buffer, as for one entry: the same bits
+    results = []
+    for n_entries in (2, 1):
+        t, factor, value_sum = weighted_derivative(
+            form, scale, argument.copy(),
+            gradient_weights(a.copy(), Workspace(), n_entries), np.empty_like(d2),
+        )
+        np.testing.assert_allclose(factor * t, expected, rtol=1e-12, atol=0.0)
+        assert np.all(np.diagonal(t) == 0.0)
+        assert value_sum == pytest.approx(np.sum(values * a) / scale**2, rel=1e-12)
+        if form.tag == "absolute_exponential":
+            assert t[0, 1] == 0.0
+        results.append((t.copy(), factor, value_sum))
+    np.testing.assert_array_equal(results[0][0], results[1][0])
+    assert results[0][1:] == results[1][1:]
 
 
 def test_derivative_from_values_leaves_its_inputs_alone():
@@ -198,13 +206,19 @@ def test_derivative_from_values_leaves_its_inputs_alone():
         np.testing.assert_array_equal(argument, kept)
         np.testing.assert_allclose(k, 1.0 + form_from_sqdist(form, 1.3, d2),
                                    rtol=1e-15)
-        weights = gradient_weights(a.copy(), Workspace())
+        weights = gradient_weights(a.copy(), Workspace(), 2)
         pairs, diagonal = weights.pairs.copy(), weights.diagonal.copy()
         weighted_derivative(form, 1.3, argument, weights, np.empty(3))
         np.testing.assert_array_equal(weights.pairs, pairs)
         np.testing.assert_array_equal(weights.diagonal, diagonal)
         np.testing.assert_array_equal(pairs, [0.3, -1.2, 0.7])
         np.testing.assert_array_equal(diagonal, [2.0, -0.5, 1.1])
+        # one entry's contraction reads A's pairs from A's own buffer, which
+        # its weighted matrix then overwrites, and leaves the diagonal alone
+        lone = gradient_weights(a.copy(), Workspace(), 1)
+        assert lone.pairs is None
+        weighted_derivative(form, 1.3, kept.copy(), lone, np.empty(3))
+        np.testing.assert_array_equal(lone.diagonal, diagonal)
 
 
 # ---------------------------------------------------------------------------
@@ -476,20 +490,28 @@ def test_a_gradient_holds_one_buffer_per_entry_k_and_a_scratch():
     mll_gradient(_stack(rng, 3, [se, se]), noise, x, y, workspace=both)
     assert _buffer_floats(both) == n * n + 3 * pairs
 
-    # one squared-exponential entry, as in a stationary search: K, its
-    # values and A's pairs, 2 N x N arrays as with a square argument
+    # one squared-exponential entry, as in a stationary search: K and its
+    # values, 1.5 N x N arrays. A's pairs are read in K's buffer, so no
+    # condensed copy of them is made
     alone = Workspace()
     mll_gradient(_stack(rng, 3, [se]), noise, x, y, workspace=alone)
-    assert _buffer_floats(alone) == n * n + 2 * pairs
+    assert _buffer_floats(alone) == n * n + pairs
+    assert set(alone._buffers) == {"k", ("argument", 0)}
+    # one entry of another form: K, its argument and the scratch, 2 N x N
+    for form in (ae, m32, rq):
+        alone = Workspace()
+        mll_gradient(_stack(rng, 3, [form]), noise, x, y, workspace=alone)
+        assert _buffer_floats(alone) == n * n + 2 * pairs, form
+        assert set(alone._buffers) == {"k", ("argument", 0), "scratch"}, form
 
     # the ARD baseline is one squared-exponential entry through the same
-    # assembly: its values, A's pairs and K, under the same keys
+    # assembly: its values and K, under the same keys
     baseline = Workspace()
     log_params = np.array([-0.5, 0.2, 0.7, 0.1, np.log(0.05)])
     _ard_neg_mll_and_grad(log_params, x, y, workspace=baseline)
     _ard_neg_mll_and_grad(log_params, x, y, gradient=False, workspace=baseline)
-    assert _buffer_floats(baseline) == n * n + 2 * pairs
-    assert set(baseline._buffers) == {"k", "a", ("argument", 0)}
+    assert _buffer_floats(baseline) == n * n + pairs
+    assert set(baseline._buffers) == {"k", ("argument", 0)}
     # a cold value-only baseline fit makes K0 in K's buffer: one array
     cold = Workspace()
     _ard_neg_mll_and_grad(log_params, x, y, gradient=False, workspace=cold)
