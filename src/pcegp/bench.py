@@ -11,15 +11,16 @@ atomically after every fold as the report of the folds finished so far.
 The baseline is a single stationary squared-exponential kernel with one
 lengthscale per input dimension (ARD), plus a learned noise variance,
 optimized by the search's Adam loop, `optim.adam_descent`, on the
-marginal log likelihood. No search stage, no expansions. It is the squared-exponential form on the linear warp
-w = x / l, a warp w(x) = l(x) x whose field does not vary with x, and runs
-through the searched model's code: `kernels.gram_parts` assembles its K,
-`gp.contract_entry` contracts its gradient, which it chains through
-dw/d(log l) = -w, and `kernels.warped_cross_matrix` gives its cross
-covariances. So no per-dimension N x N tensor is formed, and its arrays
-live in one workspace per fit: a gradient step holds 1.5 N x N arrays'
-worth (K, and the entry's values at half that; its one contraction
-reads A's pairs in K's buffer), and a value-only fit K alone.
+marginal log likelihood. No search stage, no expansions. It is the
+squared-exponential form on the linear warp w = x / l, a warp
+w(x) = l(x) x whose field does not vary with x, and runs through the
+searched model's code: `gp.evaluate_likelihood` gives its value and its
+entry's gradient contraction, which it chains through
+dw/d(log l) = -w, and `gp.scaled_means` its posterior means. So no
+per-dimension N x N tensor is formed, and its arrays live in one
+workspace per fit: a gradient step holds 1.5 N x N arrays' worth (K, and
+the entry's values at half that; its one contraction reads A's pairs in
+K's buffer), and a value-only fit K alone.
 """
 
 from __future__ import annotations
@@ -42,20 +43,13 @@ from .data import (
     write_text_atomic,
 )
 from .gp import (
-    PREDICT_BLOCK_ROWS,
-    _likelihood_core,
-    contract_entry,
+    evaluate_likelihood,
     fit_likelihood,
     model_from_fit,
     predict_means,
+    scaled_means,
 )
-from .kernels import (
-    KernelForm,
-    Workspace,
-    gradient_weights,
-    gram_parts,
-    warped_cross_matrix,
-)
+from .kernels import KernelForm, Workspace
 from .optim import SearchSpace, adam_descent, check_search_settings, run_search
 
 # Adam's step size in the baseline's refinement
@@ -269,30 +263,28 @@ def _ard_neg_mll_and_grad(log_params, x, y, gradient=True, workspace=None):
 
     `log_params` is [log l_1..log l_d, log s2, log sn2] and `x` the N x d
     scaled inputs. Returns (negative MLL, its gradient, K^-1 y); with
-    `gradient=False` the gradient is None and K^-1 is never formed. K is
-    `kernels.gram_parts` of one squared-exponential entry on w = x / l, plus
-    sn2 on the diagonal, in `workspace` (a fresh one when none is given):
-    with the gradient K and the entry's values, without it only K. The
-    gradient chains `gp.contract_entry` through dw/d(log l) = -w.
+    `gradient=False` the gradient is None and K^-1 is never formed. The
+    likelihood is `gp.evaluate_likelihood` of one squared-exponential entry
+    on w = x / l with sn2 on the diagonal, in `workspace` (a fresh one when
+    none is given); the gradient chains the entry's contraction through
+    dw/d(log l) = -w.
     """
-    n, d = x.shape
+    d = x.shape[1]
     forms, lengthscales = _ard_entry(log_params, d)
     w = x / lengthscales
-    ws = workspace if workspace is not None else Workspace()
-    k, parts = gram_parts(forms, (w,), ws, keep=gradient)
     sn2 = np.exp(log_params[d + 1])
-    k.flat[:: n + 1] += sn2
-    fit = _likelihood_core(k, y, "ard squared_exponential baseline", gradient)
+    result = evaluate_likelihood(forms, (w,), sn2, y, workspace,
+                                 "ard squared_exponential baseline", gradient)
     if not gradient:
-        return -fit.value, None, fit.alpha
+        return -result.value, None, result.alpha
 
-    a = gradient_weights(fit.a, ws, 1)
-    r, ds2 = contract_entry(a, parts[0])
+    fit, a_diagonal, contractions = result
+    ((r, ds2),) = contractions
     scale = forms[0][1]
     grad = np.empty(d + 2)
     grad[:d] = -2.0 * np.einsum("id,id->d", r, w)
     grad[d] = scale * scale * ds2
-    grad[d + 1] = 0.5 * sn2 * float(a.diagonal.sum())
+    grad[d + 1] = 0.5 * sn2 * float(a_diagonal.sum())
     return -fit.value, -grad, fit.alpha  # gradient of the NEGATIVE mll
 
 
@@ -331,20 +323,11 @@ def _fit_ard_baseline(x_s, y_s, n_iterations, workspace=None):
 
 
 def _ard_predict(log_params, x_train_s, alpha, x_query_s):
-    """Posterior means at the scaled queries, in blocks of `PREDICT_BLOCK_ROWS`.
-
-    The cross covariances are `kernels.warped_cross_matrix` of the
-    baseline's entry on the warps x / l; each block's B x N array is freed
-    before the next block's is built.
-    """
+    """Posterior means at the scaled queries: `gp.scaled_means` of the
+    baseline's entry, whose warps are x / l."""
     forms, lengthscales = _ard_entry(log_params, x_train_s.shape[1])
-    warped = (x_train_s / lengthscales,)
-    means = np.empty(x_query_s.shape[0])
-    for s in range(0, x_query_s.shape[0], PREDICT_BLOCK_ROWS):
-        rows = slice(s, s + PREDICT_BLOCK_ROWS)
-        queries = (x_query_s[rows] / lengthscales,)
-        means[rows] = warped_cross_matrix(forms, warped, queries) @ alpha
-    return means
+    return scaled_means(forms, (x_train_s / lengthscales,), alpha, x_query_s,
+                        lambda block: (block / lengthscales,))
 
 
 def run_baseline(

@@ -72,7 +72,8 @@ ALLOWED_KEYS = {
 def _read_config_file(path: str) -> dict:
     if not os.path.exists(path):
         raise UsageError(f"config file not found: {path}")
-    with open(path, "r", encoding="utf-8") as fh:
+    # utf-8-sig drops a leading byte-order mark, which would join the first key
+    with open(path, "r", encoding="utf-8-sig") as fh:
         text = fh.read()
     try:
         return {key: value.strip() for key, value in read_kv(text, path).items()}

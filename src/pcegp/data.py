@@ -116,6 +116,7 @@ def read_kv(text: str, source) -> dict:
 def read_csv(path, select) -> tuple:
     """(header, cells) of a UTF-8 table: the float cells of the columns chosen.
 
+    A leading byte-order mark is dropped, so it is not part of the first name.
     The header row's more frequent of `,` and `;` is the delimiter.
     `select(header)` returns the indices of the columns to parse, in order,
     or raises for a missing or unexpected column. Columns are chosen by
@@ -124,7 +125,7 @@ def read_csv(path, select) -> tuple:
     ([], a 0 x 0 array). A ragged row, or a missing or non-numeric cell,
     raises a ValueError naming the file:line and, for a cell, the column.
     """
-    with open(path, "r", encoding="utf-8", newline="") as fh:
+    with open(path, "r", encoding="utf-8-sig", newline="") as fh:
         first = fh.readline()
         if not first.strip():
             return [], np.empty((0, 0))

@@ -1,9 +1,11 @@
 """Exact GP inference: marginal log likelihood, its gradient, prediction.
 
-Everything runs off one Cholesky factorization of the noisy Gram: the
-likelihood value, the target solve and, for the gradient, the explicit
-inverse, which LAPACK forms from the factor (dpotri) rather than by
-solving against the identity. The likelihood gradient is analytic: every
+Everything runs off one Cholesky factorization of the noisy Gram, in one
+function, `evaluate_likelihood`: the exact-GP sequence (Rasmussen &
+Williams 2006, Alg. 2.1 and eq. 5.9) of assembly, noise diagonal,
+factorization, likelihood value, target solve and, for the gradient, the
+explicit inverse, which LAPACK forms from the factor (dpotri) rather than
+by solving against the identity. The likelihood gradient is analytic: every
 kernel entry is a function of the pairwise squared distances of warped
 points, and the warp is linear in the expansion coefficients, so the
 chain rule reduces to A weighted by one pairwise derivative matrix per
@@ -15,9 +17,10 @@ shared scratch, weighted by A's pairs, then unpacked into K's buffer for
 that product
 (`kernels.gradient_weights`, `kernels.weighted_derivative`). How those
 arrays are laid out is `kernels`' business; each is half an N x N array.
-This one contraction (`contract_entry`) serves both methods:
-`mll_gradient` chains it through the fields' coefficients, the ARD
-baseline (`bench`) through its log lengthscales. The public contract for
+The evaluation hands out A's diagonal and each entry's contraction
+(`contract_entry`), and serves both methods: `mll_gradient` chains them
+through the fields' coefficients, the ARD baseline (`bench`) through its
+log lengthscales. The public contract for
 the gradient is agreement with central finite differences; the analytic
 path is an implementation choice for speed.
 
@@ -50,7 +53,9 @@ to the variance, then map mean and variance back to raw output units.
 The training points' warps are kept from the Gram assembly at fit or load
 time (derived data, never serialized), so only the queries are warped per
 call, in blocks of `PREDICT_BLOCK_ROWS` that each hold one N x B array
-(`predict_batch`).
+(`predict_batch`). Means alone run through one block loop,
+`scaled_means`, which serves the searched model (`predict_means`) and the
+ARD baseline alike.
 """
 
 from __future__ import annotations
@@ -67,9 +72,9 @@ from .kernels import (
     KernelStack,
     Workspace,
     gradient_weights,
+    gram_parts,
     ladder_cholesky,
     mirror_lower,
-    noisy_gram,
     warp_stack,
     warped_cross_matrix,
     weighted_derivative,
@@ -133,8 +138,7 @@ class LikelihoodFit:
     chol: np.ndarray | None
     jitter_used: float
     alpha: np.ndarray  # K^-1 y
-    a: np.ndarray | None = None  # alpha alpha^T - K^-1, when a gradient is wanted
-    warped: tuple = ()  # each stack entry's warped training points, from the Gram
+    warped: tuple  # each entry's warped training points, from the Gram
 
 
 def _chol_inverse(chol: np.ndarray) -> np.ndarray:
@@ -152,28 +156,47 @@ def _chol_inverse(chol: np.ndarray) -> np.ndarray:
     return mirror_lower(upper.T)
 
 
-def _likelihood_core(k: np.ndarray, y: np.ndarray, context: str, gradient=False):
-    """Marginal likelihood of y under the assembled covariance K.
+def evaluate_likelihood(
+    forms, warped, noise_diagonal, y, workspace, context, gradient=False
+):
+    """Marginal likelihood of y under the entries' summed Gram plus the noise.
 
-    Factorizes K once through the jitter ladder, in place: K's buffer
-    becomes the factor. With `gradient` it then becomes A = alpha alpha^T -
-    K^-1, so that dMLL = 0.5 tr(A dK) for any parameter of K (Rasmussen &
-    Williams 2006, eq. 5.9), and the fit keeps no factor. Every likelihood
-    in the package, the stationary baseline's included, runs through here.
+    `forms` holds each entry's (form, output scale) and `warped` its N x n_x
+    warped training points, as `kernels.gram_parts` takes them;
+    `noise_diagonal` is added to K's diagonal, a vector or a scalar. This
+    is the one run of the exact-GP sequence (Rasmussen & Williams 2006,
+    Alg. 2.1): K is assembled, factorized once through the jitter ladder,
+    in place, and solved against y. `context` names the covariance in the
+    ladder's error. The buffers are those of `workspace`, or of a fresh one
+    when it is None.
+
+    Value-only, returns the `LikelihoodFit`, whose factor is K's buffer.
+    With `gradient`, the factor becomes A = alpha alpha^T - K^-1, so that
+    dMLL = 0.5 tr(A dK) for any parameter of K (eq. 5.9), and returns
+    (fit, A's diagonal, contractions): the fit keeps no factor, and
+    contractions yields each entry's (r, dMLL/d(scale^2)) in entry order
+    (`contract_entry`), one entry at a time, so that one entry's N x n_x
+    arrays are alive at once. A stays in K's buffer and is consumed there.
     """
+    ws = workspace if workspace is not None else Workspace()
+    y = np.asarray(y, dtype=float).ravel()
     n = y.size
+    k, parts = gram_parts(forms, warped, ws, keep=gradient)
+    k.flat[:: n + 1] += noise_diagonal
     gram = ladder_cholesky(k, context)
     # chol.T is the upper factor in Fortran order: LAPACK reads it uncopied
     alpha = dpotrs(gram.chol.T, y, lower=0)
     logdet = 2.0 * float(np.sum(np.log(np.diag(gram.chol))))
     value = float(-0.5 * y @ alpha - 0.5 * logdet - 0.5 * n * LOG_2PI)
     if not gradient:
-        return LikelihoodFit(value, gram.chol, gram.jitter_used, alpha)
+        return LikelihoodFit(value, gram.chol, gram.jitter_used, alpha, warped)
     a = _chol_inverse(gram.chol)
     for s in range(0, n, TRIANGLE_BLOCK_ROWS):
         e = min(n, s + TRIANGLE_BLOCK_ROWS)
         np.subtract(np.multiply.outer(alpha[s:e], alpha), a[s:e], out=a[s:e])
-    return LikelihoodFit(value, None, gram.jitter_used, alpha, a)
+    weights = gradient_weights(a, ws, len(forms))
+    fit = LikelihoodFit(value, None, gram.jitter_used, alpha, warped)
+    return fit, weights.diagonal, (contract_entry(weights, part) for part in parts)
 
 
 def fit_likelihood(
@@ -181,15 +204,19 @@ def fit_likelihood(
 ):
     """Value-only likelihood fit: the MLL, the factor, the target solve and the warps.
 
-    `x_scaled` may be a `PointBasis`. The Gram is assembled without its
+    `x_scaled` may be a `PointBasis`; plain points get one that is freed
+    before the Gram is assembled. The Gram is assembled without its
     per-entry parts and factorized in `workspace` when one is given, and
     the returned factor borrows K's buffer there until the next evaluation
     (see `kernels.Workspace`); without one, the factor is the only user of
     a fresh buffer.
     """
-    y = np.asarray(y_scaled, dtype=float).ravel()
-    warped, k, _ = noisy_gram(stack, noise, x_scaled, workspace)
-    return replace(_likelihood_core(k, y, stack.describe()), warped=warped)
+    basis = as_point_basis(x_scaled, stack.expansions(noise))
+    warped = warp_stack(stack, basis)
+    noise_diagonal = eval_noise_batch(noise, basis)
+    del basis
+    return evaluate_likelihood(stack.forms, warped, noise_diagonal, y_scaled,
+                               workspace, stack.describe())
 
 
 def mll(stack: KernelStack, noise: NoiseField, x_scaled, y_scaled) -> float:
@@ -232,17 +259,17 @@ def mll_gradient(
     argument, A's pairs when there are two or more entries, and one
     scratch when an entry is not squared exponential, each of those half
     as large: 1.5 N x N arrays for one squared-exponential entry. Each
-    entry is contracted from its argument and A alone (`contract_entry`),
-    and may overwrite the argument; the returned gradient is a new array.
+    entry is contracted from its argument and A alone, in turn
+    (`evaluate_likelihood`); the returned gradient is a new array. The
+    noise field is evaluated once, for K's diagonal and the noise block.
     """
     basis = as_point_basis(x_scaled, stack.expansions(noise))
     pts = basis.points
-    y = np.asarray(y_scaled, dtype=float).ravel()
-    ws = workspace if workspace is not None else Workspace()
-    _, k, parts = noisy_gram(stack, noise, basis, ws, gradient=True)
-    # dMLL = 0.5 tr(a dK)
-    fit = _likelihood_core(k, y, stack.describe(), gradient=True)
-    a = gradient_weights(fit.a, ws, stack.n_entries)
+    noise_diagonal = eval_noise_batch(noise, basis)
+    _, a_diagonal, contractions = evaluate_likelihood(
+        stack.forms, warp_stack(stack, basis), noise_diagonal, y_scaled,
+        workspace, stack.describe(), gradient=True,
+    )
 
     def sensitivities(field):  # phi_m at every coordinate, (m, N, n_x)
         c = field.coefficients
@@ -250,8 +277,7 @@ def mll_gradient(
 
     blocks = []
     scale_grad = []
-    for field, part in zip(stack.fields, parts):
-        r, ds2 = contract_entry(a, part)
+    for field, (r, ds2) in zip(stack.fields, contractions):
         scale_grad.append(ds2)
         # sens[m, d, i] = phi_m(x_id) = d l_d(x_i) / d c_m
         sens = sensitivities(field).transpose(0, 2, 1)
@@ -261,7 +287,7 @@ def mll_gradient(
         # sens[m, i]: phi_m averaged over the coordinates of point i, the
         # sensitivity of log sigma^2(x_i); the log link scales it by sigma^2
         sens = sensitivities(noise).mean(axis=2)
-        blocks.append(0.5 * sens @ (eval_noise_batch(noise, basis) * a.diagonal))
+        blocks.append(0.5 * sens @ (noise_diagonal * a_diagonal))
 
     blocks.append(np.array(scale_grad))
     return np.concatenate(blocks)
@@ -391,7 +417,7 @@ def _scaled_queries(model: PcegpModel, x_raw) -> np.ndarray:
 
 
 def _query_block(model: PcegpModel, xq_block):
-    """(raw-unit means, scaled query noise, B x N cross covariances) for a block.
+    """(scaled query noise, B x N cross covariances) for a block of queries.
 
     `xq_block` holds at most `PREDICT_BLOCK_ROWS` scaled queries. They get a
     `PointBasis` of their own, which the warps and the query noise read; it
@@ -401,27 +427,38 @@ def _query_block(model: PcegpModel, xq_block):
     warped_q = warp_stack(model.stack, basis)
     noise_q = eval_noise_batch(model.noise, basis)
     del basis
-    k_cross = warped_cross_matrix(model.stack.forms, model.warped, warped_q)  # (B, N)
-    mean_s = k_cross @ model.alpha_solve
-    means = mean_s * float(model.output_scaler.scale[0]) + float(
-        model.output_scaler.loc[0]
-    )
-    return means, noise_q, k_cross
+    return noise_q, warped_cross_matrix(model.stack.forms, model.warped, warped_q)
+
+
+def scaled_means(forms, warped, alpha, queries, warp) -> np.ndarray:
+    """K(queries, X) alpha: posterior means at M scaled queries, in scaled units.
+
+    `forms` and `warped` are each entry's (form, output scale) and warped
+    training points, as `kernels.warped_cross_matrix` takes them, and
+    `warp(block)` gives the entries' warps of a block of at most
+    `PREDICT_BLOCK_ROWS` queries. Each block's B x N cross covariances are
+    unnamed, so they are freed before the next block's are built. This is
+    the one block loop for means: `predict_means` serves the searched
+    model through it, and `bench` the ARD baseline.
+    """
+    means = np.empty(queries.shape[0])
+    for s in range(0, queries.shape[0], PREDICT_BLOCK_ROWS):
+        rows = slice(s, s + PREDICT_BLOCK_ROWS)
+        means[rows] = warped_cross_matrix(forms, warped, warp(queries[rows])) @ alpha
+    return means
 
 
 def predict_means(model: PcegpModel, x_raw) -> np.ndarray:
     """Posterior means at M raw-unit query points, without the variances.
 
     The same means as `predict_batch`, bit for bit, without its N x M
-    triangular solve.
+    triangular solve and without the query noise.
     """
-    xq_s = _scaled_queries(model, x_raw)
-    means = np.empty(xq_s.shape[0])
-    for s in range(0, xq_s.shape[0], PREDICT_BLOCK_ROWS):
-        rows = slice(s, s + PREDICT_BLOCK_ROWS)
-        # the block's cross covariances are unnamed, so they are freed here
-        means[rows] = _query_block(model, xq_s[rows])[0]
-    return means
+    stack, out = model.stack, model.output_scaler
+    means = scaled_means(stack.forms, model.warped, model.alpha_solve,
+                         _scaled_queries(model, x_raw),
+                         lambda block: warp_stack(stack, block))
+    return means * float(out.scale[0]) + float(out.loc[0])
 
 
 def predict_batch(model: PcegpModel, x_raw):
@@ -439,7 +476,8 @@ def predict_batch(model: PcegpModel, x_raw):
     scale = float(model.output_scaler.scale[0])
     for s in range(0, xq_s.shape[0], PREDICT_BLOCK_ROWS):
         rows = slice(s, s + PREDICT_BLOCK_ROWS)
-        means[rows], noise_q, k_cross = _query_block(model, xq_s[rows])
+        noise_q, k_cross = _query_block(model, xq_s[rows])
+        means[rows] = k_cross @ model.alpha_solve
         # chol.T is the upper factor and k_cross.T the N x B right-hand
         # side, both in Fortran order: LAPACK reads the one and overwrites
         # the other, uncopied
@@ -448,7 +486,7 @@ def predict_batch(model: PcegpModel, x_raw):
         var_s = np.maximum(0.0, k_diag + noise_q - np.sum(v, axis=0))
         variances[rows] = var_s * scale * scale
         del k_cross, v
-    return means, variances
+    return means * scale + float(model.output_scaler.loc[0]), variances
 
 
 def log_predictive_density(model: PcegpModel, x_raw, y_raw) -> np.ndarray:

@@ -27,15 +27,17 @@ reader of A's pairs, so it reads them where they lie, in K's buffer, and
 no condensed copy is made.
 
 `add_form_values` is the one evaluation of the forms: Gram assembly adds
-each entry's values through it on both likelihood paths, and prediction
-its cross covariances. The gradient re-forms each entry's values and
-derivative from the argument (`weighted_derivative`) instead of keeping
-the values. Assembly (`gram_parts`) and the cross covariances
-(`warped_cross_matrix`) take each entry's (form, scale) and its warps, so
-they serve both methods: a stack warped by `warp_stack`, and the ARD
-baseline (`bench`), one squared-exponential entry on x / l. The cross
-covariances stay M x N and come from `cdist`. The distance kernels, the
-condensed copies and the factorization (LAPACK dpotrf) are scipy's
+each entry's values through it, for a value-only fit and for a gradient
+alike, and prediction its cross covariances. The gradient re-forms each
+entry's values and derivative from the argument (`weighted_derivative`)
+instead of keeping the values. Assembly (`gram_parts`) and the cross
+covariances (`warped_cross_matrix`) take each entry's (form, scale) and
+its warps, so they serve both methods: a stack warped by `warp_stack`,
+and the ARD baseline (`bench`), one squared-exponential entry on x / l.
+The program assembles K in one place, `gp.evaluate_likelihood`, which
+adds the noise diagonal, and forms cross covariances only in `gp`'s
+prediction. The cross covariances stay M x N and come from `cdist`. The
+distance kernels, the condensed copies and the factorization (LAPACK dpotrf) are scipy's
 compiled ones, through `pcegp._native`, which loads them without the
 `scipy.spatial` and `scipy.linalg` packages. The entries' warps read the
 chaos-basis values of one `hyper.PointBasis` per point set, which
@@ -85,7 +87,6 @@ from .hyper import (
     NoiseField,
     as_point_basis,
     eval_lengthscale_batch,
-    eval_noise_batch,
 )
 
 KERNEL_FORMS = (
@@ -215,6 +216,9 @@ class Workspace:
     held together; views of the old one must be dead by then, as the rule
     below has them.
 
+    An evaluation is one call of `gp.evaluate_likelihood`, whether for a
+    searched stack or for the ARD baseline, whose one squared-exponential
+    entry holds the buffers of a one-entry stack.
     A gradient evaluation of an E-entry stack holds K (key "k"), square,
     which becomes the factor, then A, then each entry's weighted matrix;
     and, condensed, each entry's argument (key ("argument", i)), the sum
@@ -322,9 +326,9 @@ def add_form_values(form, scale, argument, k, scratch, first=False):
     values. They are formed in `scratch`, which may be `argument` itself
     (overwriting it) for every form but Matern-3/2, whose second term reads
     both; with `first`, both may also be `k`. This is the one evaluation of
-    the forms: Gram assembly on both likelihood paths and prediction's
-    cross covariances all add their entries through it, so K has the same
-    bits whichever path made it.
+    the forms: Gram assembly, for a value-only fit and for a gradient, and
+    prediction's cross covariances all add their entries through it, so K
+    has the same bits whichever assembly made it.
     """
     if form.tag == "squared_exponential":
         return _accumulate(k, argument, first)
@@ -565,7 +569,9 @@ def gram_parts(forms, warped, workspace: Workspace | None = None, keep: bool = T
     argument, scratch) in entry order, or None without `keep`; an entry's
     scratch is the shared one, or None for squared exponential, whose
     contraction needs none (see `weighted_derivative`). This is the one
-    Gram assembly. The elementwise work is done on condensed vectors, one
+    Gram assembly: every likelihood reaches it through
+    `gp.evaluate_likelihood`, which adds the noise diagonal to the K it
+    returns. The elementwise work is done on condensed vectors, one
     float per pair of points in `pdist` order: each entry's squared
     distances (scipy's `pdist`, which has `cdist`'s bits) are overwritten
     with its argument (`form_argument`), whose values `add_form_values`
@@ -678,33 +684,6 @@ def ladder_cholesky(k: np.ndarray, context: str) -> GramResult:
         f"covariance matrix is not positive definite even with jitter "
         f"{JITTER_LADDER[-1]:g}; stack: {context}"
     )
-
-
-def noisy_gram(
-    stack: KernelStack,
-    noise: NoiseField,
-    points,
-    workspace: Workspace | None = None,
-    gradient: bool = False,
-):
-    """The noisy training covariance K + noise diagonal, with what made it.
-
-    Returns (warped, K, parts): each entry's warped training points, K,
-    and, with `gradient`, the parts as `gram_parts` keeps them, else None.
-    This is the training covariance of both likelihood paths: `gram_parts`
-    assembles K, keeping each entry's argument only for the gradient, and
-    the noise diagonal is added last. The buffers are those of `workspace`,
-    or of a fresh one when none is given. The warps and the noise read one
-    `PointBasis` (`points`, or one made over them for this call and freed
-    before the N x N arrays are filled).
-    """
-    basis = as_point_basis(points, stack.expansions(noise))
-    warped = warp_stack(stack, basis)
-    noise_diagonal = eval_noise_batch(noise, basis)
-    del basis
-    k, parts = gram_parts(stack.forms, warped, workspace, keep=gradient)
-    k.flat[:: k.shape[0] + 1] += noise_diagonal
-    return warped, k, parts
 
 
 def warped_cross_matrix(forms, warped, warped_queries) -> np.ndarray:

@@ -61,6 +61,11 @@ FAILED_LOSS = float("inf")
 # finished trials the Parzen estimators need; before then a trial is drawn
 # at random
 TPE_MIN_TRIALS = 2
+# the share of finished trials in TPE's good set, and the candidates drawn
+# from its densities per suggestion; at this share and TPE_MIN_TRIALS the
+# bad set is never empty
+TPE_GAMMA = 0.25
+TPE_CANDIDATES = 24
 _SQRT_2PI = float(np.sqrt(2.0 * np.pi))
 
 # prior of a searched noise's constant term, log sigma^2: the targets are
@@ -290,20 +295,18 @@ def random_suggest(space: SearchSpace, rng) -> np.ndarray:
 # suggestion: tree-structured Parzen estimator
 # ---------------------------------------------------------------------------
 
-def _split_history(history, gamma: float):
-    """(good, bad) thetas: the gamma share of completed trials with the
+def _split_history(history):
+    """(good, bad) thetas: the `TPE_GAMMA` share of completed trials with the
     lowest losses, and the rest. Pruned trials join the bad set whatever
     their partial losses; failed trials join neither."""
     done = [t for t in history if t.completed]
     if len(done) < TPE_MIN_TRIALS:
         raise ValueError(f"TPE needs at least {TPE_MIN_TRIALS} completed trials")
     done.sort(key=lambda t: (t.loss, t.trial_index))
-    n_good = max(1, math.ceil(gamma * len(done)))
+    n_good = max(1, math.ceil(TPE_GAMMA * len(done)))
     pruned = [t for t in history if t.pruned_after is not None]
     good = np.vstack([t.theta for t in done[:n_good]])
     bad = np.vstack([t.theta for t in done[n_good:] + pruned])
-    if bad.size == 0:
-        bad = good
     return good, bad
 
 
@@ -391,24 +394,18 @@ class _ContDim:
         return float(np.exp(x)) if self.log_scale else float(x)
 
 
-def tpe_suggest(
-    history,
-    space: SearchSpace,
-    gamma: float = 0.25,
-    n_candidates: int = 24,
-    *,
-    rng,
-) -> np.ndarray:
+def tpe_suggest(history, space: SearchSpace, *, rng) -> np.ndarray:
     """Suggest the candidate maximizing the good/bad density ratio.
 
-    Densities are per-dimension Parzen estimators fit to the gamma-quantile
-    split of the history. Candidates are drawn from the good-set densities;
-    coefficient entries above a candidate's sampled degree are drawn from
-    the prior and excluded from its score. All candidates are drawn first,
-    then scored one dimension at a time over every candidate; a score sums
-    its active dimensions in index order, and the first best one wins.
+    Densities are per-dimension Parzen estimators fit to the `TPE_GAMMA`
+    split of the history. `TPE_CANDIDATES` candidates are drawn from the
+    good-set densities; coefficient entries above a candidate's sampled
+    degree are drawn from the prior and excluded from its score. All
+    candidates are drawn first, then scored one dimension at a time over
+    every candidate; a score sums its active dimensions in index order,
+    and the first best one wins.
     """
-    good, bad = _split_history(history, gamma)
+    good, bad = _split_history(history)
 
     dims: dict = {0: _IntDim(*space.q_range, good[:, 0], bad[:, 0])}
     if space.searches_noise:
@@ -420,7 +417,7 @@ def tpe_suggest(
     for m in range(space._scale_start, space.n_parameters):
         dims[m] = _ContDim(s_lo, s_hi, good[:, m], bad[:, m], log_scale=True)
 
-    thetas = np.empty((n_candidates, space.n_parameters))
+    thetas = np.empty((TPE_CANDIDATES, space.n_parameters))
     masks = np.empty(thetas.shape, dtype=bool)
     for theta, mask in zip(thetas, masks):
         theta[0] = dims[0].sample(rng)
@@ -429,7 +426,7 @@ def tpe_suggest(
         mask[:] = space.active_mask(theta)
         for m in range(space._coeff_start, space.n_parameters):
             theta[m] = dims[m].sample(rng) if mask[m] else dims[m].sample_prior(rng)
-    scores = np.zeros(n_candidates)
+    scores = np.zeros(TPE_CANDIDATES)
     for m in range(space.n_parameters):
         scores += np.where(masks[:, m], dims[m].log_ratio(thetas[:, m]), 0.0)
     return thetas[int(np.argmax(scores))].copy()

@@ -5,6 +5,7 @@ computes another way: the tests compare the two.
 """
 
 import numpy as np
+from scipy.linalg import cho_solve
 from scipy.linalg.lapack import dpotrf
 from scipy.spatial.distance import squareform
 
@@ -70,6 +71,33 @@ def ladder_by_copies(k):
         if info == 0 and np.all(np.isfinite(np.diagonal(upper))):
             return jitter, upper.T
     return None, None
+
+
+def training_covariance(stack: KernelStack, noise: NoiseField, points):
+    """K + noise diagonal as a value-only likelihood assembles it: `gram_parts`
+    of the stack's warps, then the noise field's values on the diagonal."""
+    basis = PointBasis(points, stack.expansions(noise))
+    k, _ = gram_parts(stack.forms, warp_stack(stack, basis), keep=False)
+    k.flat[:: k.shape[0] + 1] += eval_noise_batch(noise, basis)
+    return k
+
+
+def dense_likelihood(k, y):
+    """(MLL, jitter, alpha, A) of y under the covariance K, A formed whole.
+
+    The factor is the jitter ladder's on a copy of K per rung; alpha and the
+    inverse are solves against it, the inverse against the identity, and
+    A = alpha alpha^T - (K + jitter I)^-1 is one dense N x N array.
+    """
+    jitter, factor = ladder_by_copies(k)
+    if factor is None:
+        raise RuntimeError("every rung of the jitter ladder failed")
+    n = y.size
+    alpha = cho_solve((factor, True), y)
+    inverse = cho_solve((factor, True), np.eye(n))
+    logdet = 2.0 * np.sum(np.log(np.diag(factor)))
+    value = -0.5 * y @ alpha - 0.5 * logdet - 0.5 * n * np.log(2.0 * np.pi)
+    return float(value), jitter, alpha, np.outer(alpha, alpha) - inverse
 
 
 def gram_by_parts(stack: KernelStack, noise: NoiseField, points):

@@ -153,6 +153,26 @@ def test_bad_config_line_is_usage_error_naming_the_line(tmp_path, capsys):
     assert f"{cfg}:4: expected 'key = value', got 'n_trials 3'" in capsys.readouterr().err
 
 
+def test_a_byte_order_mark_changes_no_output(tmp_path, train_file, monkeypatch):
+    # the config file and both tables of one run, each saved once as it is
+    # and once behind a UTF-8 byte-order mark: the first key and the first
+    # column name are read alike, so the model and predictions are the same
+    # bytes. Each run reads its files by the same relative names
+    outputs = []
+    for mark in (b"", b"\xef\xbb\xbf"):
+        run = tmp_path / f"run{len(mark)}"
+        run.mkdir()
+        (run / "train.csv").write_bytes(mark + train_file.read_bytes())
+        (run / "run.cfg").write_bytes(mark + b"dataset = train.csv\ntarget = y\n")
+        monkeypatch.chdir(run)
+        fit = ["fit", "--config", "run.cfg", "--output", "model.txt", "--seed", "4"]
+        assert main([*fit, *FAST_FIT]) == 0
+        assert main(["predict", "--set", "model=model.txt", "--set",
+                     "inputs=train.csv", "--output", "pred.csv"]) == 0
+        outputs.append([(run / f).read_bytes() for f in ("model.txt", "pred.csv")])
+    assert outputs[1] == outputs[0]
+
+
 # --- predict -------------------------------------------------------------------
 
 def fit_interpolator(tmp_path, train_file):

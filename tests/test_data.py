@@ -104,6 +104,21 @@ def test_load_csv_distinct_diagnostics(tmp_path):
         load_csv(p_ragged, ["t"])
 
 
+def test_a_byte_order_mark_is_not_part_of_the_first_column_name(tmp_path):
+    # a table saved with a UTF-8 byte-order mark, as some editors write it,
+    # reads as the same names and cells as the table without one
+    text = "x,y\n1,2\n3,4\n"
+    plain = _write(tmp_path, "plain.csv", text)
+    marked = tmp_path / "marked.csv"
+    marked.write_bytes(b"\xef\xbb\xbf" + text.encode("utf-8"))
+    assert read_csv(marked, lambda header: [0, 1])[0] == ["x", "y"]
+    (got,) = load_csv(marked, ["x"])
+    (want,) = load_csv(plain, ["x"])
+    assert (got.column_names, got.target_name) == (["y"], "x")
+    assert got.inputs.tobytes() == want.inputs.tobytes()
+    assert got.outputs.tobytes() == want.outputs.tobytes()
+
+
 def test_a_repeated_column_name_is_rejected_naming_the_file_and_column(tmp_path):
     # columns are chosen by name, so a repeated name would read its first
     # copy for every other one

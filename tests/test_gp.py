@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 
 from pcegp.data import Dataset, ScalerState, fit_scaler
 from pcegp.gp import (
-    _likelihood_core,
     fit_precompute,
     free_parameters,
     log_predictive_density,
@@ -25,11 +24,12 @@ from pcegp.kernels import (
     KernelForm,
     KernelStack,
     ladder_cholesky,
-    noisy_gram,
     warp_stack,
 )
 from pcegp.optim import NOISE_LOG_RANGE, SearchSpace, random_suggest, run_search
 from pcegp.poly import Basis, eval_basis
+
+from oracles import dense_likelihood, training_covariance
 
 IDENTITY_IN = ScalerState("min_max_per_column", [0.0], [1.0])
 IDENTITY_OUT = ScalerState("z_normalize", [0.0], [1.0])
@@ -37,7 +37,7 @@ IDENTITY_OUT = ScalerState("z_normalize", [0.0], [1.0])
 
 def factored_gram(stack, noise, points):
     """(K + jitter I, ladder result): the noisy covariance the GP factorizes."""
-    k = noisy_gram(stack, noise, points)[1]
+    k = training_covariance(stack, noise, points)
     gram = ladder_cholesky(k.copy(), stack.describe())
     return k + gram.jitter_used * np.eye(k.shape[0]), gram
 
@@ -357,7 +357,7 @@ def test_noise_gradient_is_variance_weighted_diagonal_of_a(
     grad = mll_gradient(stack, noise, x, y)
     n_ls = sum(f.coefficients.size for f in stack.fields)
     got = grad[n_ls : n_ls + degree + 1]
-    a = _likelihood_core(noisy_gram(stack, noise, x)[1], y, "oracle", gradient=True).a
+    a = dense_likelihood(training_covariance(stack, noise, x), y)[3]
     want = 0.5 * sens @ (variances * np.diag(a))
     scale = 0.5 * np.abs(sens) @ np.abs(variances * np.diag(a))
     np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-12 * scale.max())

@@ -24,7 +24,6 @@ from pcegp.kernels import (
     kernel_stationary,
     ladder_cholesky,
     mirror_lower,
-    noisy_gram,
     warp_points,
     warp_stack,
     warped_cross_matrix,
@@ -32,7 +31,12 @@ from pcegp.kernels import (
 )
 from pcegp.poly import Basis
 
-from oracles import cross_matrix, form_sqdist_derivative, ladder_by_copies
+from oracles import (
+    cross_matrix,
+    form_sqdist_derivative,
+    ladder_by_copies,
+    training_covariance,
+)
 
 ALL_FORMS = [
     KernelForm.se(),
@@ -61,7 +65,7 @@ def pointwise_sum(stack, x, x2):
 
 def factored_gram(stack, noise, points):
     """(K + jitter I, ladder result): the noisy covariance the GP factorizes."""
-    k = noisy_gram(stack, noise, points)[1]
+    k = training_covariance(stack, noise, points)
     res = ladder_cholesky(k.copy(), stack.describe())
     return k + res.jitter_used * np.eye(k.shape[0]), res
 
@@ -293,7 +297,7 @@ def test_ladder_in_place_gives_the_bits_of_a_copy_per_rung(n):
     x = rng.uniform(size=(n, 2))
     x[n // 2:] = x[: n - n // 2]
     stack = KernelStack(((KernelForm.se(), 1.0, const_field(1.5, 2)),))
-    k = noisy_gram(stack, NoiseField.fixed(1e-16), x)[1]
+    k = training_covariance(stack, NoiseField.fixed(1e-16), x)
     jitter, reference = ladder_by_copies(k)
     assert jitter is not None and jitter > 0.0
 
@@ -319,7 +323,7 @@ def test_ladder_in_place_fails_every_rung_on_a_nan(monkeypatch):
     rng = np.random.default_rng(3)
     x = rng.uniform(size=(40, 2))
     stack = KernelStack(((KernelForm.se(), 1.0, const_field(1.0, 2)),))
-    k = noisy_gram(stack, NoiseField.fixed(1e-6), x)[1]
+    k = training_covariance(stack, NoiseField.fixed(1e-6), x)
     k[30, 4] = k[4, 30] = np.nan  # a non-finite Gram entry, in both triangles
     with pytest.raises(RuntimeError, match="stack: nan"):
         ladder_cholesky(k, "nan")

@@ -1,12 +1,13 @@
-"""Tests for the shared likelihood core and the work it saves.
+"""Tests for the one likelihood evaluation and the work it saves.
 
-The core factorizes once per evaluation, forms K^-1 with LAPACK from the
+It factorizes once per evaluation, forms K^-1 with LAPACK from the
 factor, and derives each kernel form's distance derivative from the form's
 values; the search reuses the closing factorization for the fold model and
 evaluates the chaos basis on its training points once per refinement. A
 fitted model keeps its training warps, so prediction warps only the queries.
 """
 
+import sys
 import tracemalloc
 from dataclasses import replace
 
@@ -18,7 +19,6 @@ from scipy.linalg import solve_triangular
 from scipy.spatial.distance import squareform
 from scipy.stats import norm
 
-import pcegp.bench as bench_mod
 import pcegp.gp as gp_mod
 import pcegp.hyper as hyper_mod
 from pcegp.bench import (
@@ -30,7 +30,7 @@ from pcegp.bench import (
 from pcegp.data import Dataset, apply_scaler, fit_scaler, make_folds
 from pcegp.gp import (
     _chol_inverse,
-    _likelihood_core,
+    evaluate_likelihood,
     fit_likelihood,
     fit_precompute,
     log_predictive_density,
@@ -40,7 +40,7 @@ from pcegp.gp import (
     predict_batch,
     predict_means,
 )
-from pcegp.hyper import LengthscaleField, NoiseField, eval_noise_batch
+from pcegp.hyper import LengthscaleField, NoiseField, PointBasis, eval_noise_batch
 from pcegp.kernels import (
     SQDIST_BLOCK_ROWS,
     KernelForm,
@@ -51,7 +51,7 @@ from pcegp.kernels import (
     form_from_sqdist,
     gradient_weights,
     ladder_cholesky,
-    noisy_gram,
+    warp_stack,
     weighted_derivative,
 )
 from pcegp.optim import (
@@ -65,7 +65,13 @@ from pcegp.optim import (
 from pcegp.poly import Basis, eval_basis
 from pcegp.serialize import load_model, save_model
 
-from oracles import cross_matrix, form_sqdist_derivative, gram_by_parts
+from oracles import (
+    cross_matrix,
+    dense_likelihood,
+    form_sqdist_derivative,
+    gram_by_parts,
+    training_covariance,
+)
 
 
 def _stack(rng, n_inputs, forms):
@@ -108,7 +114,7 @@ def test_chol_inverse_matches_dense_inverse_on_a_gram():
     rng = np.random.default_rng(0)
     pts = rng.uniform(size=(300, 3))  # more rows than one symmetrization block
     stack = _stack(rng, 3, [KernelForm.se(), KernelForm.rq(2.5)])
-    k = noisy_gram(stack, NoiseField.fixed(1e-2), pts)[1]
+    k = training_covariance(stack, NoiseField.fixed(1e-2), pts)
     gram = ladder_cholesky(k.copy(), "test")
     assert gram.jitter_used == 0.0
     _assert_inverse(_chol_inverse(gram.chol), k)
@@ -130,18 +136,48 @@ def test_core_weights_are_alpha_outer_minus_inverse():
     pts = rng.uniform(size=(150, 2))
     y = rng.normal(size=150)
     stack = _stack(rng, 2, [KernelForm.matern32()])
-    k = noisy_gram(stack, NoiseField.fixed(1e-3), pts)[1]
-    # the core factorizes K in place, and A then overwrites the factor
-    value_only = _likelihood_core(k.copy(), y, "test")
-    k_buffer = k.copy()
-    fit = _likelihood_core(k_buffer, y, "test", gradient=True)
-    assert np.shares_memory(fit.a, k_buffer) and fit.chol is None
+    args = (stack.forms, warp_stack(stack, pts), 1e-3, y)
+    value_only = evaluate_likelihood(*args, None, "test")
+    # the evaluation factorizes K in place, and A then overwrites the factor
+    # in K's buffer, where the contractions read it
+    workspace = Workspace()
+    fit, diagonal, _ = evaluate_likelihood(*args, workspace, "test", gradient=True)
+    assert fit.chol is None
     expected = np.outer(fit.alpha, fit.alpha) - _chol_inverse(value_only.chol)
-    np.testing.assert_array_equal(fit.a, expected)
-
-    assert value_only.a is None
+    np.testing.assert_array_equal(workspace.matrix("k", 150), expected)
+    np.testing.assert_array_equal(diagonal, np.diagonal(expected))
     assert value_only.value == fit.value
     np.testing.assert_array_equal(value_only.alpha, fit.alpha)
+    k = training_covariance(stack, NoiseField.fixed(1e-3), pts)
+    dense = dense_likelihood(k, y)[3]
+    np.testing.assert_allclose(expected, dense, rtol=0.0,
+                               atol=1e-9 * np.abs(dense).max())
+
+
+def test_gradient_evaluates_a_searched_noise_once(monkeypatch):
+    # K's noise diagonal and the gradient's noise block read one evaluation
+    # of the noise field, under whichever module's name it is called
+    rng = np.random.default_rng(31)
+    x, y = rng.uniform(size=(20, 2)), rng.normal(size=20)
+    stack = _stack(rng, 2, [KernelForm.se(), KernelForm.ae()])
+    noise = NoiseField.pce(Basis.legendre01(), [-3.0, 0.4, -0.2])
+    original = hyper_mod.eval_noise_batch
+    calls = []
+
+    def counting(field, points):
+        calls.append(field)
+        return original(field, points)
+
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "pcegp" and (
+            getattr(module, "eval_noise_batch", None) is original
+        ):
+            monkeypatch.setattr(module, "eval_noise_batch", counting)
+    basis = PointBasis(x, stack.expansions(noise))
+    grad = mll_gradient(stack, noise, basis, y)
+    assert calls == [noise]
+    monkeypatch.undo()
+    assert grad.tobytes() == mll_gradient(stack, noise, basis, y).tobytes()
 
 
 # ---------------------------------------------------------------------------
@@ -423,18 +459,23 @@ def test_value_only_fit_gives_the_bits_of_the_summed_parts(
     y = rng.normal(size=len(rows))
 
     k = gram_by_parts(stack, noise, x)
-    assert noisy_gram(stack, noise, x)[1].tobytes() == k.tobytes()
+    assert training_covariance(stack, noise, x).tobytes() == k.tobytes()
     try:
-        expected = _likelihood_core(k, y, "oracle")
+        expected = ladder_cholesky(k.copy(), "oracle")
     except RuntimeError:
         with pytest.raises(RuntimeError):
             fit_likelihood(stack, noise, x, y)
         return
     got = fit_likelihood(stack, noise, x, y)
-    assert np.float64(got.value).tobytes() == np.float64(expected.value).tobytes()
+    # the factor's buffer holds K's strict upper triangle and the factor
     assert got.jitter_used == expected.jitter_used
-    assert got.alpha.tobytes() == expected.alpha.tobytes()
     assert got.chol.tobytes() == expected.chol.tobytes()
+    # the gradient's evaluation assembles K by its parts
+    kept, _, _ = evaluate_likelihood(stack.forms, warp_stack(stack, x),
+                                     eval_noise_batch(noise, x), y, None, "oracle",
+                                     gradient=True)
+    assert np.float64(got.value).tobytes() == np.float64(kept.value).tobytes()
+    assert got.alpha.tobytes() == kept.alpha.tobytes()
 
 
 def _buffer_floats(workspace):
@@ -914,7 +955,7 @@ def test_ard_prediction_in_blocks_has_the_bits_of_one_block(monkeypatch):
     for m in (1, b, 3 * b + 7):
         xq = rng.uniform(-0.2, 1.2, size=(m, 4))
         blocked = _ard_predict(log_params, x, alpha, xq)
-        monkeypatch.setattr(bench_mod, "PREDICT_BLOCK_ROWS", 10**9)
+        monkeypatch.setattr(gp_mod, "PREDICT_BLOCK_ROWS", 10**9)
         one_shot = _ard_predict(log_params, x, alpha, xq)
         monkeypatch.undo()
         assert blocked.shape == (m,)
@@ -928,13 +969,13 @@ def _ard_tensor_oracle(log_params, x, y):
     inv_l2 = np.exp(-2.0 * log_params[:d])
     sn2 = np.exp(log_params[d + 1])
     k0 = np.exp(log_params[d]) * np.exp(-0.5 * np.tensordot(inv_l2, sq_diffs, axes=1))
-    fit = _likelihood_core(k0 + sn2 * np.eye(n), y, "oracle", gradient=True)
-    ak0 = fit.a * k0
+    value, _, _, a = dense_likelihood(k0 + sn2 * np.eye(n), y)
+    ak0 = a * k0
     grad = np.empty(d + 2)
     grad[:d] = 0.5 * np.tensordot(sq_diffs, ak0, axes=2) * inv_l2
     grad[d] = 0.5 * np.sum(ak0)
-    grad[d + 1] = 0.5 * sn2 * np.trace(fit.a)
-    return -fit.value, -grad
+    grad[d + 1] = 0.5 * sn2 * np.trace(a)
+    return -value, -grad
 
 
 def test_ard_gradient_matches_the_tensor_formula():

@@ -17,6 +17,7 @@ from pcegp.gp import free_parameters, mll, with_free_parameters
 from pcegp.kernels import KernelForm
 from pcegp.optim import (
     NOISE_LOG_RANGE,
+    TPE_CANDIDATES,
     SearchResult,
     SearchSpace,
     TrialRecord,
@@ -286,7 +287,7 @@ def test_tpe_concentrates_near_the_better_trial():
     rng = np.random.default_rng(4)
     d_good, d_bad = [], []
     for _ in range(200):
-        theta = tpe_suggest(history, space, gamma=0.5, n_candidates=8, rng=rng)
+        theta = tpe_suggest(history, space, rng=rng)
         d_good.append(np.linalg.norm(theta[1:3] - good[1:3]))
         d_bad.append(np.linalg.norm(theta[1:3] - bad[1:3]))
     assert np.mean(d_good) < np.mean(d_bad)
@@ -356,9 +357,9 @@ def _scalar_log_ratio(dim, x):
     return log_density(dim.good_mu, dim.good_sd) - log_density(dim.bad_mu, dim.bad_sd)
 
 
-def _scalar_tpe_suggest(history, space, rng, gamma=0.25, n_candidates=24):
+def _scalar_tpe_suggest(history, space, rng):
     """TPE as a loop over candidates: draw one, score it, keep the first best."""
-    good, bad = _split_history(history, gamma)
+    good, bad = _split_history(history)
     dims = {0: _IntDim(*space.q_range, good[:, 0], bad[:, 0])}
     if space.searches_noise:
         dims[1] = _IntDim(*space.r_range, good[:, 1], bad[:, 1])
@@ -369,7 +370,7 @@ def _scalar_tpe_suggest(history, space, rng, gamma=0.25, n_candidates=24):
     for m in range(space._scale_start, space.n_parameters):
         dims[m] = _ContDim(*space.scale_range, good[:, m], bad[:, m], log_scale=True)
     best_theta, best_score = None, -np.inf
-    for _ in range(n_candidates):
+    for _ in range(TPE_CANDIDATES):
         theta = np.empty(space.n_parameters)
         theta[0] = dims[0].sample(rng)
         if space.searches_noise:
@@ -405,12 +406,8 @@ def test_tpe_scores_like_one_candidate_at_a_time(searched_noise):
             history.append(_record(random_suggest(space, rng), loss, i))
         if sum(not t.failed for t in history) < 2:
             continue
-        gamma = float(rng.choice([0.1, 0.25, 0.5]))
-        n_candidates = int(rng.integers(1, 30))
-        got = tpe_suggest(history, space, gamma, n_candidates,
-                          rng=np.random.default_rng(case))
-        want = _scalar_tpe_suggest(history, space, np.random.default_rng(case),
-                                   gamma, n_candidates)
+        got = tpe_suggest(history, space, rng=np.random.default_rng(case))
+        want = _scalar_tpe_suggest(history, space, np.random.default_rng(case))
         assert got.tobytes() == want.tobytes()
 
 
@@ -779,7 +776,7 @@ def test_split_history_puts_a_pruned_trial_in_the_bad_set():
     # the lowest loss of the history, from one fold
     history.append(TrialRecord(theta=thetas[3], loss=0.5, trial_index=3,
                                stage="tpe", fold_losses=(0.5,), pruned_after=1))
-    good, bad = _split_history(history, gamma=0.25)
+    good, bad = _split_history(history)
     np.testing.assert_array_equal(good, [thetas[0]])
     np.testing.assert_array_equal(bad, [thetas[1], thetas[2], thetas[3]])
 

@@ -57,3 +57,20 @@ def test_every_public_definition_has_a_user_outside_the_tests():
         and not re.search(rf"\b{re.escape(name)}\b", readme)
     ]
     assert unused == [], f"public but used only by tests: {unused}"
+
+
+def test_no_module_imports_another_modules_private_name():
+    # a name that starts with an underscore belongs to its own module: a
+    # second module that needs it needs a public function instead
+    private = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ImportFrom) and (
+                node.level or (node.module or "").split(".")[0] == "pcegp"
+            ):
+                private += [
+                    f"{path.stem}: {node.module}.{alias.name}"
+                    for alias in node.names
+                    if alias.name.startswith("_")
+                ]
+    assert private == [], f"private names imported across modules: {private}"
